@@ -8,15 +8,28 @@
     - [Max_lifetime] — avoid draining bottleneck nodes (energy cost scaled
       by the inverse of the forwarder's residual energy).
 
-    Per-pair storage is two-tier.  Below {!default_dense_threshold} nodes
-    the historic flat n×n joule grid is materialised — O(n²) memory, O(1)
-    lookup, byte-identical behaviour for every existing experiment.
-    Above it, only the in-range pairs exist: a CSR adjacency (offsets /
-    neighbour ids / per-edge TX joules) built from a {!Spatial} grid
-    range query, O(n + edges) memory and build time, with per-pair
-    lookups answered by a binary search of the (short, sorted) neighbour
-    row.  The CSR edge-energy fill is embarrassingly parallel and shards
-    across {!Amb_sim.Domain_pool} — it is a pure function of the node
+    Every hop is priced by one staged tariff ({!Link_budget.tx_tariff}):
+    the distance-independent link-budget and front-end terms are
+    computed once per router, and each distance costs only the
+    per-distance float operations, bit for bit the unstaged
+    [required_tx_dbm] + [transmit_energy] result.
+
+    Per-pair storage is two-tier, filled by the same kernel: a
+    squared-distance screen, the exact [Float.hypot <= range_m] test
+    for pairs that pass it, and one tariff evaluation per unordered
+    pair, copied to both directions (exact, since the distance is
+    symmetric).  Below {!default_dense_threshold} nodes the historic
+    flat n×n joule grid is materialised — O(n²) memory, O(1) lookup,
+    byte-identical behaviour for every existing experiment.  Above it,
+    only the in-range pairs exist: a CSR adjacency (offsets / neighbour
+    ids / per-edge TX joules), O(n + edges) memory and build time, with
+    per-pair lookups answered by a binary search of the (short, sorted)
+    neighbour row.  The CSR build queries a {!Spatial} grid whose
+    coordinates sit in cell order, prices only the upper half of each
+    row ([j > i]) and fills the lower half by transposing the upper
+    halves.  With [jobs] > 1 and at least 4096 nodes, each of its three
+    row passes (degrees, upper halves, lower halves) shards across
+    {!Amb_sim.Domain_pool}; the cache is a pure function of the node
     positions, so the result is bitwise independent of [jobs]. *)
 
 open Amb_units
@@ -44,32 +57,24 @@ type t = {
   range_m : float;
   cache : pair_cache;  (** per-pair TX joules: dense grid or CSR adjacency *)
   rx_j : float;  (** RX-side joules per packet (distance-independent) *)
+  tariff : float -> float;
+      (** staged distance (m) -> TX-side joules; NaN beyond radio reach *)
   tx_memo : (float, float) Hashtbl.t;
-      (** distance (m) -> TX-side joules, for lookups off the pair cache
-          (faded links, ad-hoc hops); owned by this router instance and
-          unsynchronised — parallel shards each build their own router *)
+      (** distance (m) -> TX-side joules for distances off the pair
+          cache only (faded links, [path_energy], [hop_energy]); owned by
+          this router instance and unsynchronised — parallel shards each
+          build their own router *)
 }
-
-(* TX energy for one packet over [distance_m]; NaN beyond radio reach.
-   The physical-layer math (link-budget inversion + startup amortisation)
-   runs once per distance and is memoized in [tx_memo]. *)
-let tx_joules ~link ~packet ~distance_m =
-  match Link_budget.required_tx_dbm link ~distance_m with
-  | None -> Float.nan
-  | Some tx_dbm ->
-    Energy.to_joules
-      (Amb_circuit.Radio_frontend.transmit_energy link.Link_budget.radio ~tx_dbm
-         ~bits:(Packet.total_bits packet) ~include_startup:true)
 
 (** [tx_energy_j_at router ~distance_m] — memoized TX-side joules for an
     arbitrary hop length; NaN beyond radio reach.  Keyed on the exact
-    distance, so repeated lookups (regular grids, per-pair fades) skip
-    the link-budget inversion. *)
+    distance, so repeated lookups (per-pair fades, path walks) skip the
+    tariff. *)
 let tx_energy_j_at router ~distance_m =
   match Hashtbl.find_opt router.tx_memo distance_m with
   | Some e -> e
   | None ->
-    let e = tx_joules ~link:router.link ~packet:router.packet ~distance_m in
+    let e = router.tariff distance_m in
     Hashtbl.add router.tx_memo distance_m e;
     e
 
@@ -79,26 +84,36 @@ let tx_energy_j_at router ~distance_m =
    dense path. *)
 let default_dense_threshold = 1024
 
-(* CSR adjacency over the in-range pairs, neighbours ascending per row.
-   Build: grid range queries for structure (counting pass + fill pass +
-   per-row insertion sort — rows are O(average degree)), then the edge
-   energy fill, optionally sharded across a domain pool in contiguous
-   edge-slot chunks (each edge's energy is a pure function of its
-   endpoint positions, so sharding cannot move a bit). *)
-let build_sparse ~topology ~link ~packet ~range_m ~jobs =
+(* Below this many rows a sharded pass runs inline: a pool batch costs
+   more than the work it would split. *)
+let shard_min_rows = 4096
+
+(* CSR adjacency over the in-range pairs, neighbours ascending per row,
+   in three row-sharded passes:
+   1. degrees (grid range counts), then a serial prefix sum;
+   2. per row [i], the upper half: the in-range ids [j > i] and their
+      exact distances straight from the grid, insertion-sorted by id
+      into the end of the row, then priced in place by the staged
+      tariff;
+   3. per row [i], the lower half by transposition: scanning the upper
+      halves of rows [j < i] in ascending [j] meets every pair [(j, i)]
+      in the order row [i] needs, so each is appended at a per-row
+      cursor with its mirror's joules — no search, no sort.  A shard
+      scans the upper halves of every row below its end and keeps the
+      targets it owns.
+   The mirror copy is exact because the acceptance test and the distance
+   are symmetric: [(-dx)² = dx²] and [hypot (-dx) (-dy) = hypot dx dy].
+   Every pass writes only its own rows' slots (pass 3 only lower halves,
+   while it reads upper halves) from read-only inputs, so sharding
+   cannot move a bit. *)
+let build_sparse ~topology ~tariff ~range_m ~jobs =
   let n = Topology.node_count topology in
   let index = Topology.spatial topology ~cell_m:range_m in
-  let jobs = Stdlib.max 1 jobs in
   let offsets = Array.make (n + 1) 0 in
-  (* The whole build parameterised over a sharding strategy: every pass
-     below writes slots owned by its own rows (or edge slots), and every
-     value is a pure function of the read-only grid and positions, so
-     contiguous-chunk sharding cannot move a bit.  [shard total task]
-     runs [task lo hi] over a partition of [0, total). *)
+  let upper = Array.make n 0 in  (* row -> first slot of its upper half *)
+  (* [shard task] runs [task lo hi] over a partition of the rows. *)
   let build shard =
-    (* Range-count sweep: per-row degrees, then prefix sum (serial — it
-       is a dependent chain of n int adds). *)
-    shard n (fun lo hi ->
+    shard (fun lo hi ->
         for i = lo to hi - 1 do
           offsets.(i + 1) <- Spatial.degree index i ~range_m
         done);
@@ -107,94 +122,107 @@ let build_sparse ~topology ~link ~packet ~range_m ~jobs =
     done;
     let edges = offsets.(n) in
     let neighbors = Array.make edges 0 in
-    (* Neighbour fill + per-row insertion sort: grid enumeration is
-       cell-major; restore ascending ids so per-pair lookups can
-       binary-search the row. *)
-    shard n (fun lo hi ->
+    let edge_tx_j = Array.create_float edges in
+    shard (fun lo hi ->
         for i = lo to hi - 1 do
           let rlo = offsets.(i) in
-          let cursor = ref rlo in
-          Spatial.iter_within index i ~range_m (fun j _ ->
-              neighbors.(!cursor) <- j;
-              incr cursor);
-          for k = rlo + 1 to !cursor - 1 do
-            let v = neighbors.(k) in
-            let p = ref k in
-            while !p > rlo && neighbors.(!p - 1) > v do
-              neighbors.(!p) <- neighbors.(!p - 1);
-              decr p
+          let m = Spatial.fill_above index i ~range_m neighbors edge_tx_j rlo in
+          let rhi = offsets.(i + 1) in
+          let top = rhi - (m - rlo) in
+          (* Insertion sort from the scratch run [rlo, m) into the row's
+             end [top, rhi), reading the run backwards: the sorted part
+             grows down from [rhi] and never overtakes the unread
+             entries, since [m <= rhi]. *)
+          for src = m - 1 downto rlo do
+            let v = neighbors.(src) and d = edge_tx_j.(src) in
+            let p = ref (src + rhi - m) in
+            while !p < rhi - 1 && neighbors.(!p + 1) < v do
+              neighbors.(!p) <- neighbors.(!p + 1);
+              edge_tx_j.(!p) <- edge_tx_j.(!p + 1);
+              incr p
             done;
-            neighbors.(!p) <- v
-          done
+            neighbors.(!p) <- v;
+            edge_tx_j.(!p) <- d
+          done;
+          for k = top to rhi - 1 do
+            edge_tx_j.(k) <- tariff edge_tx_j.(k)
+          done;
+          upper.(i) <- top
         done);
-    let edge_tx_j = Array.make edges Float.nan in
-    (* Edge slot -> owning row, for chunked parallel filling. *)
-    let row_of = Array.make (Stdlib.max 1 edges) 0 in
-    shard n (fun lo hi ->
-        for i = lo to hi - 1 do
-          for k = offsets.(i) to offsets.(i + 1) - 1 do
-            row_of.(k) <- i
+    shard (fun lo hi ->
+        let cursor = Array.sub offsets lo (hi - lo) in
+        for j = 0 to hi - 2 do
+          let k = ref upper.(j) and stop = offsets.(j + 1) in
+          while !k < stop && neighbors.(!k) < hi do
+            let i = neighbors.(!k) in
+            if i >= lo then begin
+              let c = cursor.(i - lo) in
+              neighbors.(c) <- j;
+              edge_tx_j.(c) <- edge_tx_j.(!k);
+              cursor.(i - lo) <- c + 1
+            end;
+            incr k
           done
-        done);
-    shard edges (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = row_of.(k) and j = neighbors.(k) in
-          let d = Topology.pair_distance topology i j in
-          edge_tx_j.(k) <- tx_joules ~link ~packet ~distance_m:d
         done);
     Sparse { offsets; neighbors; edge_tx_j }
   in
-  if jobs = 1 then build (fun total task -> task 0 total)
+  if jobs <= 1 || n < shard_min_rows then build (fun task -> task 0 n)
   else
     Amb_sim.Domain_pool.with_pool ~jobs (fun pool ->
-        build (fun total task ->
-            if total < 4096 then task 0 total
-            else begin
-              let chunk = (total + (4 * jobs) - 1) / (4 * jobs) in
-              let chunks = (total + chunk - 1) / chunk in
-              ignore
-                (Amb_sim.Domain_pool.run pool
-                   (Array.init chunks (fun c () ->
-                        task (c * chunk) (Stdlib.min total ((c + 1) * chunk))))
-                  : unit array)
-            end))
+        let chunk = (n + (4 * jobs) - 1) / (4 * jobs) in
+        let chunks = (n + chunk - 1) / chunk in
+        build (fun task ->
+            ignore
+              (Amb_sim.Domain_pool.run pool
+                 (Array.init chunks (fun c () -> task (c * chunk) (Stdlib.min n ((c + 1) * chunk))))
+                : unit array)))
+
+(* Dense n×n fill: the same kernel as the CSR build — squared-distance
+   reject, exact [Float.hypot] test, staged tariff once per pair, both
+   directions from one evaluation. *)
+let build_dense ~topology ~tariff ~range_m =
+  let n = Topology.node_count topology in
+  let positions = topology.Topology.positions in
+  let _, reject = Spatial.sq_band range_m in
+  let tx_j = Array.make (n * n) Float.nan in
+  for i = 0 to n - 1 do
+    let p = positions.(i) in
+    for j = i + 1 to n - 1 do
+      let q = positions.(j) in
+      let dx = p.Topology.x -. q.Topology.x and dy = p.Topology.y -. q.Topology.y in
+      if not ((dx *. dx) +. (dy *. dy) > reject) then begin
+        let d = Float.hypot dx dy in
+        if d <= range_m then begin
+          let e = tariff d in
+          tx_j.((i * n) + j) <- e;
+          tx_j.((j * n) + i) <- e
+        end
+      end
+    done
+  done;
+  Dense tx_j
 
 let make ?dense_threshold ?(jobs = 1) ~topology ~link ~packet () =
   let dense_threshold =
     match dense_threshold with Some t -> t | None -> default_dense_threshold
   in
   let range_m = Link_budget.max_range link ~tx_dbm:link.Link_budget.radio.Amb_circuit.Radio_frontend.max_tx_dbm in
-  let n = Topology.node_count topology in
+  let bits = Packet.total_bits packet in
   let rx_j =
     Energy.to_joules
-      (Amb_circuit.Radio_frontend.receive_energy link.Link_budget.radio
-         ~bits:(Packet.total_bits packet) ~include_startup:true)
+      (Amb_circuit.Radio_frontend.receive_energy link.Link_budget.radio ~bits ~include_startup:true)
   in
-  if n > dense_threshold then
-    let cache = build_sparse ~topology ~link ~packet ~range_m ~jobs in
-    { topology; link; packet; range_m; cache; rx_j; tx_memo = Hashtbl.create 64 }
-  else begin
-    let tx_j = Array.make (n * n) Float.nan in
-    let router =
-      { topology; link; packet; range_m; cache = Dense tx_j; rx_j;
-        tx_memo = Hashtbl.create 64 }
-    in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let d = Topology.pair_distance topology i j in
-        if d <= range_m then begin
-          let e = tx_energy_j_at router ~distance_m:d in
-          tx_j.((i * n) + j) <- e;
-          tx_j.((j * n) + i) <- e
-        end
-      done
-    done;
-    router
-  end
+  let tariff = Link_budget.tx_tariff link ~bits in
+  let cache =
+    if Topology.node_count topology > dense_threshold then
+      build_sparse ~topology ~tariff ~range_m ~jobs
+    else build_dense ~topology ~tariff ~range_m
+  in
+  { topology; link; packet; range_m; cache; rx_j; tariff; tx_memo = Hashtbl.create 64 }
 
 (** [with_private_memo router] — the same router (topology, pair cache
     and packet shared, all read-only) with a fresh, empty distance memo.
-    The memo is a pure cache over [tx_joules], so a clone computes
+    The memo is a pure cache over [tariff], so a clone computes
     bitwise-identical energies; what it buys is isolation: parallel
     shards whose fault plans fade links each write their own memo
     instead of racing on the shared one. *)

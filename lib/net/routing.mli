@@ -26,11 +26,17 @@ type t = {
   range_m : float;
   cache : pair_cache;  (** per-pair TX joules: dense below the size threshold, CSR above *)
   rx_j : float;  (** RX-side joules per packet (distance-independent) *)
+  tariff : float -> float;
+      (** staged distance (m) -> TX-side joules ({!Link_budget.tx_tariff}
+          for this link and packet); NaN beyond radio reach.  The only
+          tariff the router evaluates: the pair cache is filled from it
+          and [tx_memo] misses call it. *)
   tx_memo : (float, float) Hashtbl.t;
-      (** distance (m) -> TX-side joules for off-grid lookups (faded
-          links, ad-hoc hops).  Owned by this router instance and not
-          synchronised: parallel shards must each build their own
-          router (the experiment suite already does). *)
+      (** distance (m) -> TX-side joules for distances off the pair
+          cache only: faded links, {!path_energy} and {!hop_energy}
+          ({!make} fills the cache without it).  Owned by this router
+          instance and not synchronised: parallel shards must each
+          build their own router (the experiment suite already does). *)
 }
 
 val default_dense_threshold : int
@@ -47,18 +53,24 @@ val make :
   t
 (** The radio range is derived from the link budget at maximum TX power.
     The per-pair link-energy cache is computed here, once, and reused by
-    every tree rebuild under every policy.  At or below
-    [dense_threshold] (default {!default_dense_threshold}) nodes the
-    historic symmetric n×n grid is materialised; above it only the
-    in-range pairs are stored (CSR via a {!Spatial} grid query), and
-    [jobs] > 1 shards the edge-energy fill across a domain pool — the
-    cache is a pure function of the positions, so the result is bitwise
-    independent of [jobs]. *)
+    every tree rebuild under every policy.  Both tiers price each
+    unordered in-range pair once with the staged tariff ([tariff]) and
+    copy the joules to both directions; a pair is in range when
+    [Float.hypot dx dy <= range_m], screened first on [dx²+dy²].  At or
+    below [dense_threshold] (default {!default_dense_threshold}) nodes
+    the historic symmetric n×n grid is materialised.  Above it only the
+    in-range pairs are stored: CSR rows from a {!Spatial} grid with
+    cell-ordered coordinates, the upper half of each row priced and
+    sorted in place, the lower half filled by transposing the upper
+    halves.  With [jobs] > 1 and at least 4096 nodes, each of the three
+    CSR row passes (degrees, upper halves, lower halves) shards across a
+    domain pool; the cache is a pure function of the positions, so the
+    result is bitwise independent of [jobs]. *)
 
 val with_private_memo : t -> t
 (** The same router — topology, per-pair cache and packet shared,
     read-only — with a fresh, empty distance memo.  The memo is a pure
-    cache over the link-budget inversion, so every lookup through the
+    cache over [tariff], so every lookup through the
     clone is bitwise identical; cloning exists so parallel shards whose
     fault plans fade links each own their memo instead of racing on the
     shared table. *)
@@ -75,7 +87,7 @@ val hop_energy : t -> distance_m:float -> Energy.t option
 val tx_energy_j_at : t -> distance_m:float -> float
 (** Memoized TX-side joules for an arbitrary hop length; NaN beyond
     radio reach.  Keyed on the exact distance, so repeated lookups
-    (regular grids, per-pair fades) skip the link-budget inversion. *)
+    (per-pair fades, path walks) skip the tariff. *)
 
 val sender_energy_j : t -> int -> int -> float
 (** Cached TX-side joules to move one packet between a node pair; NaN

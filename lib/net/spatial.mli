@@ -8,10 +8,15 @@
     and the cell count is clamped to O(n) regardless of the requested
     cell size.
 
-    Queries return bit-identical distances to the brute-force scan (the
-    same [Float.hypot] on the same coordinates), so swapping the index in
-    never moves an experiment digest — property-tested against the pair
-    scan on random topologies. *)
+    Coordinates are kept in slot (cell) order, so a query scans each
+    grid row of its ring as one contiguous slot range, and screens
+    candidates on the squared distance ({!sq_band}) before any square
+    root.  Queries accept exactly the pairs with
+    [Float.hypot dx dy <= range_m] and return bit-identical distances to
+    the brute-force scan (the same [Float.hypot] on the same
+    coordinates), so swapping the index in never moves an experiment
+    digest — property-tested against the pair scan on random and
+    boundary layouts. *)
 
 type t
 
@@ -38,3 +43,18 @@ val neighbors_within : t -> int -> range_m:float -> int list
     the brute-force ascending pair scan. *)
 
 val degree : t -> int -> range_m:float -> int
+(** Number of nodes within range — the length of {!neighbors_within}. *)
+
+val fill_above : t -> int -> range_m:float -> int array -> float array -> int -> int
+(** [fill_above t i ~range_m ids dists pos] writes the ids and exact
+    distances of the nodes [j > i] within range of [i] into [ids] /
+    [dists] from slot [pos] on, in {!iter_within} order, and returns the
+    next free slot.  The CSR build's half scan: the other half of each
+    symmetric pair comes from its mirror. *)
+
+val sq_band : float -> float * float
+(** [sq_band range_m] is [(lo, hi)] with [dx*.dx +. dy*.dy < lo]
+    implying [Float.hypot dx dy <= range_m] and [> hi] implying the
+    opposite — [range_m²(1∓1e-9)], or the whole line when [range_m²]
+    overflows or is subnormal.  Between the two, only [Float.hypot]
+    decides. *)

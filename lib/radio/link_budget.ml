@@ -52,6 +52,33 @@ let required_tx_dbm link ~distance_m =
   let needed = link.radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db +. loss in
   if needed > link.radio.Radio_frontend.max_tx_dbm then None else Some needed
 
+(** [tx_tariff link ~bits] — the per-hop price, staged: a function from
+    distance to the joules of one [bits]-bit TX burst (start-up
+    included) at the minimum closing level, NaN where
+    {!required_tx_dbm} is [None].  Bit for bit
+    [required_tx_dbm] followed by [Radio_frontend.transmit_energy
+    ~include_startup:true]: every distance-independent term (the loss
+    staging of {!Path_loss.loss_fn}, sensitivity plus margin, airtime,
+    electronics power, start-up energy) is computed once here, and the
+    per-distance operations keep their order.  The clamp of
+    [Radio_frontend.tx_power] is dropped: the level it would clamp is
+    already at most [max_tx_dbm]. *)
+let tx_tariff link ~bits =
+  let radio = link.radio in
+  let loss = Path_loss.loss_fn link.channel ~carrier_hz:radio.Radio_frontend.carrier_hz in
+  let threshold = radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db in
+  let max_tx_dbm = radio.Radio_frontend.max_tx_dbm in
+  let p_electronics = Power.to_watts radio.Radio_frontend.p_tx_electronics in
+  let pa_efficiency = radio.Radio_frontend.pa_efficiency in
+  let airtime = Time_span.to_seconds (Data_rate.transfer_time radio.Radio_frontend.bitrate bits) in
+  let startup = Energy.to_joules (Radio_frontend.startup_energy radio) in
+  fun distance_m ->
+    let needed = threshold +. loss distance_m in
+    if needed > max_tx_dbm then Float.nan
+    else
+      let rf_out = Power.to_watts (Decibel.power_of_dbm needed) in
+      ((p_electronics +. (rf_out /. pa_efficiency)) *. airtime) +. startup
+
 (** [energy_per_delivered_bit link ~distance_m ~packet_bits] — TX energy
     per bit at the minimum closing TX level, including amortised start-up;
     [None] when the link cannot close.  The E8 curve. *)

@@ -26,6 +26,14 @@ val required_tx_dbm : t -> distance_m:float -> float option
 (** Minimum TX level closing the link; [None] beyond the radio's
     maximum. *)
 
+val tx_tariff : t -> bits:float -> float -> float
+(** [tx_tariff link ~bits] is the staged per-hop price: distance (m) to
+    the joules of one [bits]-bit TX burst, start-up included, at the
+    minimum closing level; NaN where {!required_tx_dbm} is [None].  Bit
+    for bit [required_tx_dbm] then [Radio_frontend.transmit_energy
+    ~include_startup:true], with every distance-independent term
+    computed once at staging. *)
+
 val energy_per_delivered_bit : t -> distance_m:float -> packet_bits:float -> Amb_units.Energy.t option
 (** TX energy per bit at the minimum closing level, including amortised
     start-up (the E8 curve); [None] when the link cannot close. *)

@@ -24,24 +24,32 @@ let indoor = log_distance 3.3
 (** Typical open office: n = 2.5. *)
 let open_office = log_distance 2.5
 
+(* Friis loss at [d] for a precomputed wavelength. *)
+let friis ~wavelength d =
+  if d <= 0.0 then 0.0 else 20.0 *. Float.log10 (4.0 *. Float.pi *. d /. wavelength)
+
 let friis_loss_db ~carrier_hz ~distance_m =
-  if distance_m <= 0.0 then 0.0
-  else
-    let wavelength = speed_of_light /. carrier_hz in
-    20.0 *. Float.log10 (4.0 *. Float.pi *. distance_m /. wavelength)
+  friis ~wavelength:(speed_of_light /. carrier_hz) distance_m
+
+(** [loss_fn model ~carrier_hz] — [loss_db model ~carrier_hz] staged:
+    the wavelength, the reference-distance loss and [10·n] are computed
+    once, and the returned function does only the per-distance
+    operations. *)
+let loss_fn model ~carrier_hz =
+  if carrier_hz <= 0.0 then invalid_arg "Path_loss.loss_db: non-positive carrier";
+  let wavelength = speed_of_light /. carrier_hz in
+  match model with
+  | Free_space -> friis ~wavelength
+  | Log_distance { exponent; reference_m } ->
+    let reference_loss = friis ~wavelength reference_m and ten_n = 10.0 *. exponent in
+    fun d ->
+      if d <= 0.0 then 0.0
+      else if d <= reference_m then friis ~wavelength d
+      else reference_loss +. (ten_n *. Float.log10 (d /. reference_m))
 
 (** [loss_db model ~carrier_hz ~distance_m] — path loss in dB.  Distances
     at or below zero lose nothing; carrier must be positive. *)
-let loss_db model ~carrier_hz ~distance_m =
-  if carrier_hz <= 0.0 then invalid_arg "Path_loss.loss_db: non-positive carrier";
-  if distance_m <= 0.0 then 0.0
-  else
-    match model with
-    | Free_space -> friis_loss_db ~carrier_hz ~distance_m
-    | Log_distance { exponent; reference_m } ->
-      let reference_loss = friis_loss_db ~carrier_hz ~distance_m:reference_m in
-      if distance_m <= reference_m then friis_loss_db ~carrier_hz ~distance_m
-      else reference_loss +. (10.0 *. exponent *. Float.log10 (distance_m /. reference_m))
+let loss_db model ~carrier_hz ~distance_m = loss_fn model ~carrier_hz distance_m
 
 (** [received_dbm model ~tx_dbm ~carrier_hz ~distance_m]. *)
 let received_dbm model ~tx_dbm ~carrier_hz ~distance_m =

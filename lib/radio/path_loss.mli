@@ -26,6 +26,11 @@ val loss_db : model -> carrier_hz:float -> distance_m:float -> float
 (** Path loss in dB; zero at or below zero distance; raises
     [Invalid_argument] on a non-positive carrier. *)
 
+val loss_fn : model -> carrier_hz:float -> float -> float
+(** [loss_fn model ~carrier_hz] is [fun d -> loss_db model ~carrier_hz
+    ~distance_m:d], staged: the distance-independent terms are computed
+    once.  Raises [Invalid_argument] on a non-positive carrier. *)
+
 val received_dbm : model -> tx_dbm:float -> carrier_hz:float -> distance_m:float -> float
 
 val max_range : model -> tx_dbm:float -> carrier_hz:float -> threshold_dbm:float -> float

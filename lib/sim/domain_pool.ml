@@ -102,6 +102,11 @@ let shutdown pool =
   List.iter Domain.join pool.workers;
   pool.workers <- []
 
+(* Batches [run] has spread across more than one worker, process-wide. *)
+let spread_batches = Atomic.make 0
+
+let parallel_batches () = Atomic.get spread_batches
+
 (** [run pool tasks] — execute every task (in parallel across the pool)
     and gather the results in submission order.  The first exception, by
     task index, is re-raised after the whole batch settles. *)
@@ -120,6 +125,7 @@ let run pool (tasks : (unit -> 'a) array) : 'a array =
       Mutex.unlock pool.mutex;
       invalid_arg "Domain_pool.run: pool already running a batch"
     end;
+    Atomic.incr spread_batches;
     pool.batch <- Some run_task;
     pool.task_count <- n;
     pool.next <- 0;

@@ -29,6 +29,12 @@ val run : t -> (unit -> 'a) array -> 'a array
     settles.  Not reentrant: raises [Invalid_argument] if the pool is
     already running a batch. *)
 
+val parallel_batches : unit -> int
+(** Batches {!run} has spread across more than one worker since the
+    program started (a batch of one task, or on a one-worker pool, runs
+    inline and is not counted).  Lets a test check that a sharded pass
+    really reached the pool. *)
+
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** Run against a transient pool, always shutting the workers down. *)
 

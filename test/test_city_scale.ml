@@ -197,32 +197,204 @@ let prop_sparse_routing_equiv =
       let db, _ = Graph.dijkstra (Routing.build_graph sparse ~policy:Routing.Min_energy ~residual) ~src:0 in
       !same && Array.for_all2 (fun a b -> a = b) da db)
 
-(* The parallel CSR edge-energy fill is a pure function of positions:
-   jobs must not move a bit.  n is sized so the fill crosses the 4096-
-   edge threshold that actually engages the pool. *)
-let test_sparse_fill_jobs_independent () =
-  let rng = Amb_sim.Rng.create 31 in
-  let n = 150 in
-  let topo = Topology.random rng ~nodes:n ~width_m:250.0 ~height_m:250.0 in
-  let link = default_link () in
-  let packet = Packet.sensor_report in
-  let r1 = Routing.make ~dense_threshold:0 ~jobs:1 ~topology:topo ~link ~packet () in
-  let r3 = Routing.make ~dense_threshold:0 ~jobs:3 ~topology:topo ~link ~packet () in
-  (match Routing.adjacency r1 with
-  | Some (offsets, _) ->
-    Alcotest.(check bool) "fill crossed the parallel threshold" true
-      (offsets.(n) >= 4096)
-  | None -> Alcotest.fail "expected sparse cache");
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every ordered pair of the two routers' caches carries the same
+   TX-side joules, bit for bit (NaN for out-of-range pairs on both). *)
+let check_same_pairs label (a : Routing.t) (b : Routing.t) =
+  let n = Topology.node_count a.Routing.topology in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       if i <> j then begin
-        let a = Routing.sender_energy_j r1 i j and b = Routing.sender_energy_j r3 i j in
-        let same = (Float.is_nan a && Float.is_nan b) || a = b in
-        if not same then
-          Alcotest.failf "pair (%d,%d): jobs=1 gives %.17g, jobs=3 gives %.17g" i j a b
+        let x = Routing.sender_energy_j a i j and y = Routing.sender_energy_j b i j in
+        if not ((Float.is_nan x && Float.is_nan y) || same_bits x y) then
+          Alcotest.failf "%s: pair (%d,%d) gives %.17g vs %.17g" label i j x y
       end
     done
   done
+
+(* The CSR build is a pure function of positions: jobs must not move a
+   bit.  n is sized past the 4096-row cutoff below which a sharded pass
+   runs inline, so all three sharded passes (degrees, upper halves,
+   mirrored lower halves) go to the jobs=3 pool — checked on the pool's
+   batch counter — and the arrays must come out identical. *)
+let test_sparse_fill_jobs_independent () =
+  let rng = Amb_sim.Rng.create 31 in
+  let n = 4500 in
+  let topo = Topology.random rng ~nodes:n ~width_m:1500.0 ~height_m:1500.0 in
+  let link = default_link () in
+  let packet = Packet.sensor_report in
+  let r1 = Routing.make ~dense_threshold:0 ~jobs:1 ~topology:topo ~link ~packet () in
+  let before = Amb_sim.Domain_pool.parallel_batches () in
+  let r3 = Routing.make ~dense_threshold:0 ~jobs:3 ~topology:topo ~link ~packet () in
+  Alcotest.(check int) "sharded passes run on the pool" 3
+    (Amb_sim.Domain_pool.parallel_batches () - before);
+  match (r1.Routing.cache, r3.Routing.cache) with
+  | Routing.Sparse a, Routing.Sparse b ->
+    Alcotest.(check bool) "has edges" true (a.offsets.(n) > n);
+    Alcotest.(check (array int)) "offsets" a.offsets b.offsets;
+    Alcotest.(check (array int)) "neighbors" a.neighbors b.neighbors;
+    Array.iteri
+      (fun k e ->
+        if not (same_bits e b.edge_tx_j.(k)) then
+          Alcotest.failf "edge slot %d: jobs=1 gives %.17g, jobs=3 gives %.17g" k e
+            b.edge_tx_j.(k))
+      a.edge_tx_j
+  | _ -> Alcotest.fail "expected sparse caches"
+
+(* --- boundary layouts ------------------------------------------------- *)
+
+(* Layouts that put pair distances on or next to the range boundary —
+   where the squared-distance screen hands over to [Float.hypot] — and
+   nodes on cell edges, on the field boundary and on top of each other.
+   Random placements almost never land there. *)
+let boundary_layouts r =
+  let lattice spacing_m = Topology.grid ~columns:12 ~rows:9 ~spacing_m in
+  let edges =
+    (* Nodes at multiples of [r] (the cell edges of a grid with cell
+       [r] or [r/2]), along every side of the field and in its corners. *)
+    let w = 6.0 *. r and h = 4.0 *. r in
+    let pts = ref [] in
+    for k = 0 to 6 do
+      for m = 0 to 4 do
+        let x = Float.of_int k *. r and y = Float.of_int m *. r in
+        pts := { Topology.x = Float.min x w; y = Float.min y h } :: !pts
+      done;
+      pts := { Topology.x = Float.of_int k *. r *. 0.97; y = h } :: !pts;
+      pts := { Topology.x = w; y = Float.of_int k *. r *. 0.61 } :: !pts
+    done;
+    Topology.of_positions ~width_m:w ~height_m:h (Array.of_list (List.rev !pts))
+  in
+  let coincident =
+    let c = { Topology.x = 2.0 *. r; y = 2.0 *. r } in
+    let at dx dy = { Topology.x = c.Topology.x +. dx; y = c.Topology.y +. dy } in
+    let diag = r /. Float.sqrt 2.0 in
+    Topology.of_positions ~width_m:(4.0 *. r) ~height_m:(4.0 *. r)
+      [| c; c; c; at r 0.0; at 0.0 r; at (-.r) 0.0; at 0.0 (-.r); at diag diag;
+         at (-.diag) diag; at (Float.succ r) 0.0; at (Float.pred r) 0.0; c;
+         at r 0.0; at (r /. 2.0) (r /. 2.0) |]
+  in
+  let ring =
+    (* A node at the centre of a circle of radius [r] carrying 360
+       nodes: for about a fifth of them [dx²+dy²] rounds above [r²]
+       while [Float.hypot] rounds to at most [r], so a screen without
+       its margin drops them. *)
+    let c = 2.0 *. r in
+    Topology.of_positions ~width_m:(4.0 *. r) ~height_m:(4.0 *. r)
+      (Array.init 361 (fun k ->
+           if k = 0 then { Topology.x = c; y = c }
+           else
+             let th = 2.0 *. Float.pi *. Float.of_int (k - 1) /. 360.0 in
+             { Topology.x = c +. (r *. Float.cos th); y = c +. (r *. Float.sin th) }))
+  in
+  [ ("lattice at range", lattice r); ("lattice at half range", lattice (r /. 2.0));
+    ("cell edges and field boundary", edges); ("coincident nodes", coincident);
+    ("ring at range", ring) ]
+
+(* [degree], [iter_within] and [neighbors_within] against the brute
+   [Float.hypot ... <= range_m] scan, on every node. *)
+let check_spatial_brute label topo ~cell_m ~range_m =
+  let n = Topology.node_count topo in
+  let index = Topology.spatial topo ~cell_m in
+  for i = 0 to n - 1 do
+    let brute = ref [] in
+    for j = n - 1 downto 0 do
+      if j <> i && Topology.pair_distance topo i j <= range_m then brute := j :: !brute
+    done;
+    let where = Printf.sprintf "%s (cell %g, range %.17g) node %d" label cell_m range_m i in
+    Alcotest.(check (list int)) (where ^ " neighbors_within") !brute
+      (Spatial.neighbors_within index i ~range_m);
+    Alcotest.(check int) (where ^ " degree") (List.length !brute) (Spatial.degree index i ~range_m);
+    let seen = ref [] in
+    Spatial.iter_within index i ~range_m (fun j d ->
+        if not (same_bits d (Topology.pair_distance topo i j)) then
+          Alcotest.failf "%s: distance to %d is %.17g" where j d;
+        seen := j :: !seen);
+    Alcotest.(check (list int)) (where ^ " iter_within") !brute (List.sort compare !seen)
+  done
+
+let test_boundary_layouts () =
+  let link = default_link () in
+  let packet = Packet.sensor_report in
+  let r = Link_budget.max_range link ~tx_dbm:link.Link_budget.radio.Radio_frontend.max_tx_dbm in
+  List.iter
+    (fun (label, topo) ->
+      List.iter
+        (fun range_m ->
+          List.iter
+            (fun cell_m -> check_spatial_brute label topo ~cell_m ~range_m)
+            [ range_m; range_m /. 2.0 ])
+        [ r; Float.pred r; Float.succ r ];
+      check_same_pairs label
+        (Routing.make ~dense_threshold:0 ~topology:topo ~link ~packet ())
+        (Routing.make ~dense_threshold:max_int ~topology:topo ~link ~packet ()))
+    (boundary_layouts r)
+
+(* A tagged city fleet past the dense threshold: the router it builds is
+   the CSR tier, and must match the dense tier on every pair. *)
+let test_boundary_city () =
+  let fleet = Amb_system.Fleet.city ~tags:80 ~nodes:2000 ~seed:12 () in
+  let topo = fleet.Amb_system.Fleet.topology in
+  let router = fleet.Amb_system.Fleet.router in
+  Alcotest.(check bool) "city router is CSR" true (Routing.adjacency router <> None);
+  check_spatial_brute "city" topo ~cell_m:router.Routing.range_m ~range_m:router.Routing.range_m;
+  check_same_pairs "city" router
+    (Routing.make ~dense_threshold:max_int ~topology:topo ~link:router.Routing.link
+       ~packet:router.Routing.packet ())
+
+(* --- staged link tariff ----------------------------------------------- *)
+
+(* The largest distance at which [required_tx_dbm] still closes: a
+   bisection over the bit patterns of non-negative floats, which order
+   like the floats themselves. *)
+let closing_edge link ~hi =
+  let closes d = Link_budget.required_tx_dbm link ~distance_m:d <> None in
+  let lo = ref 0L and hi = ref (Int64.bits_of_float hi) in
+  while Int64.sub !hi !lo > 1L do
+    let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+    if closes (Int64.float_of_bits mid) then lo := mid else hi := mid
+  done;
+  Int64.float_of_bits !lo
+
+let prop_tx_tariff_exact =
+  let channels =
+    [| ("indoor", Path_loss.indoor, 1.0); ("open_office", Path_loss.open_office, 1.0);
+       ("free_space", Path_loss.free_space, 1.0);
+       ("log_distance 5 m", Path_loss.log_distance ~reference_m:5.0 3.0, 5.0) |]
+  in
+  let radios =
+    [| Radio_frontend.low_power_uhf; Radio_frontend.zigbee_class; Radio_frontend.personal_area;
+       Radio_frontend.wlan; Radio_frontend.backscatter_uhf |]
+  in
+  let packets = [| Packet.sensor_reading; Packet.sensor_report; Packet.stream_frame |] in
+  QCheck.Test.make ~name:"staged tariff equals link-budget inversion + transmit energy" ~count:120
+    QCheck.(quad (int_bound 3) (int_bound 4) (int_bound 2) (float_bound_inclusive 1.0))
+    (fun (c, r, p, u) ->
+      let _, channel, reference_m = channels.(c) in
+      let radio = radios.(r) in
+      let bits = Packet.total_bits packets.(p) in
+      let link = Link_budget.make ~radio ~channel () in
+      let tariff = Link_budget.tx_tariff link ~bits in
+      let reach = Link_budget.max_range link ~tx_dbm:radio.Radio_frontend.max_tx_dbm in
+      let edge = closing_edge link ~hi:(2.0 *. (reach +. 1.0)) in
+      let distances =
+        [ 0.0; reference_m /. 2.0; Float.pred reference_m; reference_m; Float.succ reference_m;
+          1.5 *. reference_m; Float.pred edge; edge; Float.succ edge; Float.succ (Float.succ edge);
+          Float.pred reach; reach; Float.succ reach; u *. 2.0 *. (reach +. 1.0) ]
+      in
+      List.for_all
+        (fun d ->
+          let expected =
+            match Link_budget.required_tx_dbm link ~distance_m:d with
+            | None -> Float.nan
+            | Some tx_dbm ->
+              Amb_units.Energy.to_joules
+                (Radio_frontend.transmit_energy radio ~tx_dbm ~bits ~include_startup:true)
+          in
+          let got = tariff d in
+          Float.is_nan got = (Link_budget.required_tx_dbm link ~distance_m:d = None)
+          && (Float.is_nan got || same_bits got expected))
+        distances)
 
 (* --- CSR route tree vs dense sweeps ---------------------------------- *)
 
@@ -334,6 +506,7 @@ let suite =
       prop_calendar_interleaved;
       prop_sparse_routing_equiv;
       prop_route_tree_csr_equiv;
+      prop_tx_tariff_exact;
     ]
   @ [ Alcotest.test_case "connectivity grid tier equals brute force" `Quick
         test_connectivity_grid_tier;
@@ -346,4 +519,7 @@ let suite =
         test_tier_nodes_consistent;
       Alcotest.test_case "run_many sweep is jobs-independent" `Quick
         test_run_many_jobs_independent;
+      Alcotest.test_case "boundary layouts: grid and CSR equal brute force" `Quick
+        test_boundary_layouts;
+      Alcotest.test_case "boundary layouts: 2000-node tagged city" `Quick test_boundary_city;
     ]
