@@ -38,7 +38,7 @@ bench: build
 # --fleet is the city-scale gate: 10^5 nodes, one simulated hour, and a
 # hard floor/ceiling on events/sec and peak heap words per node.
 # --fleet-scale re-simulates one build at jobs=1 and jobs=4 and requires
-# bitwise-identical outcomes (plus a 1.5x run speedup on >= 4 real cores).
+# bitwise-identical outcomes; its speedup is reported, not gated.
 bench-quick: build
 	dune exec bench/main.exe -- --quick --json /tmp/amblib-bench-quick.json
 	dune exec bench/main.exe -- --check-json /tmp/amblib-bench-quick.json

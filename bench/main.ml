@@ -29,8 +29,8 @@
                                          (quote the best on noisy machines)
      bench/main.exe --fleet-scale N      build one N-node fleet, co-simulate at
                                          jobs=1 then jobs=<--jobs>, require the
-                                         outcomes bitwise identical (and, with
-                                         >= 4 real cores, a 1.5x run speedup)
+                                         outcomes bitwise identical (speedup
+                                         reported, not gated)
      bench/main.exe --gc-stats           RNG allocation gate (1M batched draws
                                          must stay under a hard minor-word
                                          budget) + minor words/run per experiment
@@ -977,15 +977,12 @@ let run_fleet ~jobs ~nodes_list ~json_path =
     points
 
 (* ------------------------------------------------------------------ *)
-(* Two-point scaling gate (--fleet-scale): build one fleet, co-simulate
-   it twice — jobs=1 then jobs=N — and hold the parallel run to the
-   sequential one bit-for-bit before comparing wall clocks.  The
-   identity check and the sequential events/s floor are unconditional;
-   the run-phase speedup floor arms only when the machine actually has
-   the cores (jobs >= 4 and a default pool at least that wide), the
-   same convention as the suite scaling gate in [write_json]. *)
-
-let fleet_scale_speedup_floor = 1.5
+(* Two-point identity gate (--fleet-scale): build one fleet, co-simulate
+   it twice — jobs=1 then jobs=N — and hold the pooled run to the
+   sequential one bit for bit.  The identity check and the sequential
+   events/s floor are the gates; the run-phase speedup is reported, not
+   gated: the pool carries only the accounting ticks, a fraction of a
+   percent of the run phase, so the ratio reads host noise. *)
 
 (* Every outcome field, NaN-safe bitwise on the floats; returns the
    names of the fields that diverge. *)
@@ -1089,26 +1086,11 @@ let run_fleet_scale ~jobs ~nodes ~json_path =
            ("identical", Json.Bool true);
          ]);
     Printf.printf "merged \"fleet_scale\" section into %s\n" path);
-  let failed = ref false in
   if nodes >= fleet_gate_nodes && eps1 < fleet_floor_for nodes then begin
     Printf.eprintf "fleet-scale gate: %.0f events/s sequential at %d nodes is below the %.0f floor\n"
       eps1 nodes (fleet_floor_for nodes);
-    failed := true
+    exit 1
   end;
-  (* Speedup floor only where the hardware can express one. *)
-  if jobs >= 4 && Amb_sim.Domain_pool.default_jobs () >= jobs then begin
-    if Float.is_finite speedup && speedup < fleet_scale_speedup_floor then begin
-      Printf.eprintf "fleet-scale gate: %.2fx run-phase speedup at jobs=%d is below the %.1fx floor\n"
-        speedup jobs fleet_scale_speedup_floor;
-      failed := true
-    end
-  end
-  else
-    Printf.printf
-      "speedup floor not armed (jobs=%d, %d core(s) available); identity and floor gates still hold\n"
-      jobs
-      (Amb_sim.Domain_pool.default_jobs ());
-  if !failed then exit 1;
   Printf.printf "fleet-scale gate passed at %d nodes (bitwise identity, %.0f events/s sequential)\n"
     nodes eps1
 

@@ -73,11 +73,6 @@ type outcome = {
    hundreds of nodes) stays on the historic code verbatim. *)
 let default_fast_threshold = 1024
 
-(* Report batches below this size replay sequentially even with a pool:
-   the fork/join and the grouping pass cost more than a few hundred
-   walks.  Identical observables either way — purely a latency knob. *)
-let batch_parallel_min = 256
-
 type phase_times = {
   clock : unit -> float;
   mutable forward_s : float;
@@ -90,10 +85,10 @@ let phase_times ~clock = { clock; forward_s = 0.0; account_s = 0.0; rebuild_s = 
 (* The body takes the router explicitly: [run] passes the fleet's own,
    [run_many]'s parallel shards pass private-memo clones so fade faults
    (which write per-distance energies through the memo) never race.
-   [pool] parallelises the fast path's two intra-run bulk phases —
-   accounting ticks and report batches — over disjoint work (deaths
-   still processed sequentially in event order, so outcomes are
-   jobs-independent); [phase] accumulates wall-clock per run phase;
+   [pool] shards the fast path's accounting ticks over disjoint node
+   ranges (a tick with a death runs sequentially, so outcomes are
+   jobs-independent; report batches always replay sequentially);
+   [phase] accumulates wall-clock per run phase;
    [fast_threshold] overrides {!default_fast_threshold} — the oracle
    tests pin it to 0 / max_int to force either representation at any
    fleet size. *)
@@ -462,27 +457,11 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
       (* --- batch drain of the report channel ---------------------------
          The engine hands over maximal runs of consecutive report events
          (bounded by the minimum report period, so nothing a batch
-         schedules can land inside it).  The sequential replay below is
-         the reference: per event, exactly what the engine's loop +
-         [report_event] would have done.  The parallel path reproduces
-         it bit for bit via the predict-then-commit pattern of
-         [Fleet_ledger.account_all]:
-
-         1. walk every report read-only (two passes: charge counts,
-            then the flat [(node, time, joules)] charge sequence in
-            walk order), in parallel over event chunks — valid
-            whenever no alive bit flips inside the batch;
-         2. group the charges by node (stable counting sort, so each
-            node sees its own charges in global order — per-node order
-            is all that reaches a ledger row);
-         3. prescan each touched node's sequence read-only
-            ([would_die_charges]); any predicted death falls the whole
-            batch back to the sequential replay (charges are identical
-            prefixes up to the first death, so the prescan cannot miss
-            one — see DESIGN.md for the argument);
-         4. death-free: commit per node in parallel (disjoint rows),
-            then replay counters, fire traces and re-arms sequentially
-            in event order. *)
+         schedules can land inside it) and the body replays them in
+         order: per event, exactly what the engine's loop +
+         [report_event] would have done.  Draining saves the per-event
+         queue pops, not the walks — those stay sequential (DESIGN.md
+         records why a parallel replay was removed). *)
       let note_fire idx time =
         match trace with
         | None -> ()
@@ -498,246 +477,13 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
           report_event e idx
         done
       in
-      (* Batch scratch, grown on demand and reused across batches.
-         Event outcome codes: 0 = source dead (no charges, no re-arm),
-         1 = delivered, 2 = dropped. *)
-      let ev_nc = ref [||] and ev_out = ref [||] and ev_off = ref [||] in
-      let ch_node = ref [||] and ch_time = ref [||] and ch_joules = ref [||] in
-      let g_time = ref [||] and g_joules = ref [||] in
-      let node_end = Array.make n 0 in
-      let ensure_i r len =
-        if Array.length !r < len then r := Array.make (Stdlib.max len (2 * Array.length !r)) 0
-      in
-      let ensure_f r len =
-        if Array.length !r < len then
-          r := Array.make (Stdlib.max len (2 * Array.length !r)) 0.0
-      in
-      (* One read-only forwarding walk under frozen alive bits: the loop
-         of [forward] with every [charge] replaced by [emit]/[count] and
-         [sender_ok] by the frozen liveness the prescan will verify.
-         Charges to dead receivers are still emitted — the charge kernel
-         touches their settlement clock, an observable. *)
-      let walk_count idxs k =
-        let idx = Array.unsafe_get idxs k in
-        if not (Fleet_ledger.alive lg idx) then begin
-          (!ev_nc).(k) <- 0;
-          (!ev_out).(k) <- 0
-        end
-        else begin
-          let c = ref (if activation.(idx) > 0.0 then 1 else 0) in
-          let node = ref idx and ttl = ref n and walking = ref true and code = ref 2 in
-          while !walking do
-            if !ttl <= 0 then walking := false
-            else if !node = sink then begin
-              code := 1;
-              walking := false
-            end
-            else begin
-              let u = !node in
-              let p = Array.unsafe_get parent u in
-              if p < 0 || not (Fleet_ledger.alive lg u) then walking := false
-              else begin
-                let tx_j = Array.unsafe_get hop_tx u in
-                if Float.is_nan tx_j then walking := false
-                else begin
-                  incr c;
-                  let kind = Array.unsafe_get hop_kind u in
-                  let receiver_ok =
-                    if kind = Link_layer.hop_sink_parent then true
-                    else begin
-                      incr c;
-                      Fleet_ledger.alive lg p
-                    end
-                  in
-                  if receiver_ok then begin
-                    node := p;
-                    decr ttl
-                  end
-                  else walking := false
-                end
-              end
-            end
-          done;
-          (!ev_nc).(k) <- !c;
-          (!ev_out).(k) <- !code
-        end
-      in
-      let walk_fill times idxs k =
-        let idx = Array.unsafe_get idxs k in
-        if Fleet_ledger.alive lg idx then begin
-          let t = Array.unsafe_get times k in
-          let cn = !ch_node and ct = !ch_time and cj = !ch_joules in
-          let dst = ref (!ev_off).(k) in
-          let emit i j =
-            Array.unsafe_set cn !dst i;
-            Array.unsafe_set ct !dst t;
-            Array.unsafe_set cj !dst j;
-            incr dst
-          in
-          if activation.(idx) > 0.0 then emit idx activation.(idx);
-          let node = ref idx and ttl = ref n and walking = ref true in
-          while !walking do
-            if !ttl <= 0 then walking := false
-            else if !node = sink then walking := false
-            else begin
-              let u = !node in
-              let p = Array.unsafe_get parent u in
-              if p < 0 || not (Fleet_ledger.alive lg u) then walking := false
-              else begin
-                let tx_j = Array.unsafe_get hop_tx u in
-                if Float.is_nan tx_j then walking := false
-                else begin
-                  emit u tx_j;
-                  let kind = Array.unsafe_get hop_kind u in
-                  let receiver_ok =
-                    if kind = Link_layer.hop_tag then begin
-                      emit p reader_j;
-                      Fleet_ledger.alive lg p
-                    end
-                    else if kind = Link_layer.hop_sink_parent then true
-                    else begin
-                      emit p rx_j;
-                      Fleet_ledger.alive lg p
-                    end
-                  in
-                  if receiver_ok then begin
-                    node := p;
-                    decr ttl
-                  end
-                  else walking := false
-                end
-              end
-            end
-          done
-        end
-      in
-      let replay_parallel e pool count =
-        let times = Engine.batch_times e and idxs = Engine.batch_idxs e in
-        let jobs = Domain_pool.jobs pool in
-        let chunk = (count + jobs - 1) / jobs in
-        ensure_i ev_nc count;
-        ensure_i ev_out count;
-        ensure_i ev_off (count + 1);
-        (* 1a. charge counts + outcomes, parallel over event chunks. *)
-        ignore
-          (Domain_pool.run pool
-             (Array.init jobs (fun j () ->
-                  let lo = j * chunk and hi = Stdlib.min count ((j + 1) * chunk) in
-                  for k = lo to hi - 1 do
-                    walk_count idxs k
-                  done))
-            : unit array);
-        (* Per-event charge offsets (serial prefix sum). *)
-        let off = !ev_off in
-        off.(0) <- 0;
-        for k = 0 to count - 1 do
-          off.(k + 1) <- off.(k) + (!ev_nc).(k)
-        done;
-        let nch = off.(count) in
-        ensure_i ch_node nch;
-        ensure_f ch_time nch;
-        ensure_f ch_joules nch;
-        (* 1b. fill the charge sequence, parallel over the same chunks
-           (each event writes its own [ev_off] slice). *)
-        ignore
-          (Domain_pool.run pool
-             (Array.init jobs (fun j () ->
-                  let lo = j * chunk and hi = Stdlib.min count ((j + 1) * chunk) in
-                  for k = lo to hi - 1 do
-                    walk_fill times idxs k
-                  done))
-            : unit array);
-        (* 2. stable counting sort by node: after the cursor pass,
-           node i's slice is [node_end.(i-1), node_end.(i)). *)
-        Array.fill node_end 0 n 0;
-        let cn = !ch_node in
-        for c = 0 to nch - 1 do
-          let i = Array.unsafe_get cn c in
-          node_end.(i) <- node_end.(i) + 1
-        done;
-        let acc = ref 0 in
-        for i = 0 to n - 1 do
-          let cnt = node_end.(i) in
-          node_end.(i) <- !acc;
-          acc := !acc + cnt
-        done;
-        ensure_f g_time nch;
-        ensure_f g_joules nch;
-        let gt = !g_time and gj = !g_joules in
-        let ct = !ch_time and cj = !ch_joules in
-        for c = 0 to nch - 1 do
-          let i = Array.unsafe_get cn c in
-          let dst = node_end.(i) in
-          node_end.(i) <- dst + 1;
-          Array.unsafe_set gt dst (Array.unsafe_get ct c);
-          Array.unsafe_set gj dst (Array.unsafe_get cj c)
-        done;
-        let slice i = ((if i = 0 then 0 else node_end.(i - 1)), node_end.(i)) in
-        (* 3. read-only death prescan, parallel over node ranges. *)
-        let nchunk = (n + jobs - 1) / jobs in
-        let predicted =
-          Domain_pool.run pool
-            (Array.init jobs (fun j () ->
-                 let lo = j * nchunk and hi = Stdlib.min n ((j + 1) * nchunk) in
-                 let any = ref false in
-                 for i = lo to hi - 1 do
-                   if not !any then begin
-                     let slo, shi = slice i in
-                     if
-                       shi > slo
-                       && Fleet_ledger.would_die_charges lg i ~times:gt ~joules:gj ~lo:slo
-                            ~hi:shi
-                     then any := true
-                   end
-                 done;
-                 !any))
-        in
-        if Array.exists (fun d -> d) predicted then replay_seq e count
-        else begin
-          (* 4a. commit per node, parallel: disjoint ledger rows, each
-             node's charges in global order. *)
-          ignore
-            (Domain_pool.run pool
-               (Array.init jobs (fun j () ->
-                    let lo = j * nchunk and hi = Stdlib.min n ((j + 1) * nchunk) in
-                    for i = lo to hi - 1 do
-                      let slo, shi = slice i in
-                      if shi > slo then
-                        Fleet_ledger.commit_charges lg i ~times:gt ~joules:gj ~lo:slo ~hi:shi
-                    done))
-              : unit array);
-          (* 4b. sequential finalize in event order: counters, clock,
-             fire traces, re-arms — the engine-visible residue of each
-             event, with (time, seq) assignment identical to the
-             sequential replay. *)
-          let out = !ev_out in
-          for k = 0 to count - 1 do
-            let t = Array.unsafe_get times k in
-            let idx = Array.unsafe_get idxs k in
-            clk.Engine.v <- t;
-            note_fire idx t;
-            let code = Array.unsafe_get out k in
-            if code <> 0 then begin
-              incr generated;
-              if code = 1 then incr delivered else incr dropped;
-              (Engine.delay_cell e).v <- Array.unsafe_get period idx;
-              Engine.schedule_idx_cell e ~handler:!hid ~idx
-            end
-          done
-        end
-      in
-      let batch_body e count =
-        match pool with
-        | Some pool when count >= batch_parallel_min -> replay_parallel e pool count
-        | _ -> replay_seq e count
-      in
       let batch_fn =
         match phase with
-        | None -> batch_body
+        | None -> replay_seq
         | Some pt ->
           fun e count ->
             let t0 = pt.clock () in
-            batch_body e count;
+            replay_seq e count;
             pt.forward_s <- pt.forward_s +. (pt.clock () -. t0)
       in
       let min_period = ref Float.infinity in

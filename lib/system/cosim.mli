@@ -90,9 +90,10 @@ type phase_times = {
 (** Wall-clock accumulators for a run's three bulk phases, filled when
     passed to {!run_with_router}.  Purely observational — timing never
     feeds back into the simulation.  The forward split is collected on
-    the fast path (batched report drains); on the historic path it
-    stays 0.  Death-triggered repairs are attributed to whichever
-    phase raised them. *)
+    the fast path (batched report drains, replayed sequentially with
+    or without a pool); on the historic path it stays 0.
+    Death-triggered repairs are attributed to whichever phase raised
+    them. *)
 
 val phase_times : clock:(unit -> float) -> phase_times
 (** Fresh zeroed accumulators around [clock]. *)
@@ -108,17 +109,13 @@ val run_with_router :
   outcome
 (** {!run} with the routing cache supplied explicitly (parallel sweeps
     pass {!Amb_net.Routing.with_private_memo} clones so fade faults
-    never race on the shared memo).  [pool] parallelises the fast
-    path's two intra-run bulk phases: periodic accounting ticks fold
-    over disjoint index ranges of the ledger, and batched report
-    drains run their forwarding walks read-only in parallel, commit
-    the resulting charge sequences per node (disjoint ledger rows, each
-    in global charge order), then replay counters, traces and re-arms
-    sequentially in event order.  Both phases prescan read-only for
-    deaths first and fall back to the verbatim sequential order when
-    one is predicted, so outcomes are bitwise identical at every pool
-    size.  [phase] accumulates per-phase wall clock (see
-    {!phase_times}).  [fast_threshold] (default
+    never race on the shared memo).  [pool] shards the fast path's
+    periodic accounting ticks over disjoint index ranges of the ledger
+    ({!Fleet_ledger.account_all}); a tick with a predicted death falls
+    back to the sequential node order, so outcomes are bitwise
+    identical at every pool size.  Report batches always replay
+    sequentially, pool or not.  [phase] accumulates per-phase wall
+    clock (see {!phase_times}).  [fast_threshold] (default
     {!default_fast_threshold}) overrides the representation switch — 0
     forces the fast path, [max_int] the historic one; the oracle tests
     hold the two identical at every tested fleet shape, fault plan,

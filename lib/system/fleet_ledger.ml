@@ -159,56 +159,6 @@ let would_die t i ~now =
   end
   else false
 
-(* Would replaying the charge sequence [times.(lo..hi-1)] /
-   [joules.(lo..hi-1)] against node [i] record a death?  A read-only
-   local simulation of the exact [charge] float-op sequence: reserve
-   evolution depends only on this node's row and its own charge
-   sequence (consumed/harvested never feed back into it), so tracking
-   [last]/[reserve] in locals reproduces the death decision of the
-   mutating replay bit for bit.  This is the batch analogue of
-   {!would_die}: the prescan that decides whether a parallel report
-   batch may commit. *)
-let would_die_charges t i ~times ~joules ~lo ~hi =
-  let a = t.lg in
-  let b = i * stride in
-  if not (Float.is_nan (fget a (b + f_died))) then false
-  else begin
-    let capacity = fget a (b + f_capacity) in
-    let last = ref (fget a (b + f_last)) in
-    let reserve = ref (fget a (b + f_reserve)) in
-    let dead = ref false in
-    let k = ref lo in
-    while (not !dead) && !k < hi do
-      let now = Array.unsafe_get times !k in
-      let dt = now -. !last in
-      if dt > 0.0 then begin
-        let drain = fget a (b + f_drain) *. dt in
-        let scale = if bit t.has_mult i then t.mult (!last +. (0.5 *. dt)) else 1.0 in
-        let gain = fget a (b + f_income) *. scale *. dt in
-        let net = drain -. gain in
-        let before = !reserve in
-        reserve := Float.min capacity (before -. net);
-        if !reserve <= 0.0 && capacity > 0.0 then dead := true
-      end;
-      last := now;
-      if not !dead then begin
-        reserve := !reserve -. (Array.unsafe_get joules !k /. fget a (b + f_regulator));
-        if !reserve <= 0.0 && capacity > 0.0 then dead := true
-      end;
-      incr k
-    done;
-    !dead
-  end
-
-(* Replay the same slice mutably: exactly [hi - lo] calls of the
-   {!charge} kernel, in sequence order.  Distinct nodes touch disjoint
-   rows, so death-free batches may run one node's replay per domain and
-   land bit-identically to the global sequential order. *)
-let commit_charges t i ~times ~joules ~lo ~hi =
-  for k = lo to hi - 1 do
-    charge t i ~now:(Array.unsafe_get times k) (Array.unsafe_get joules k)
-  done
-
 (* The sequential tick: the statement-for-statement shape of
    Cosim's historic [account_all] (account in node order, the death
    callback fired inline between a node's accounting and the next

@@ -46,25 +46,6 @@ val charge : t -> int -> now:float -> float -> unit
 val crash : t -> int -> now:float -> unit
 (** {!Node_agent.crash} on the columns. *)
 
-val would_die_charges :
-  t -> int -> times:float array -> joules:float array -> lo:int -> hi:int -> bool
-(** Would replaying the charge sequence [times.(lo..hi-1)] /
-    [joules.(lo..hi-1)] against node [i] (each entry one
-    {!charge}-kernel call, in slice order) record a death?  Read-only
-    and exact: a node's reserve trajectory depends only on its own row
-    and its own charge sequence, so the local simulation reproduces the
-    mutating replay's death decision bit for bit.  [false] for a node
-    already dead (charges then only refresh its settlement clock).
-    This is the per-batch prescan behind {!Cosim}'s parallel report
-    phase, as {!account_all}'s internal scan is for accounting ticks. *)
-
-val commit_charges :
-  t -> int -> times:float array -> joules:float array -> lo:int -> hi:int -> unit
-(** Replay the same slice mutably: exactly [hi - lo] {!charge} calls in
-    slice order.  Distinct nodes touch disjoint ledger rows, so a
-    death-free batch may commit one node per domain and still land
-    bit-identically to the global sequential charge order. *)
-
 val account_all : ?pool:Amb_sim.Domain_pool.t -> t -> now:float -> on_death:(int -> unit) -> unit
 (** Settle every node to [now], firing [on_death i] between a node's
     accounting and the next node's, in ascending node order — the
@@ -75,7 +56,8 @@ val account_all : ?pool:Amb_sim.Domain_pool.t -> t -> now:float -> on_death:(int
     death falls the whole tick back to the sequential loop so the
     callback interleaving — which rebuilds routes and re-reads
     mid-tick reserves — stays bit-for-bit deterministic at every
-    [jobs]. *)
+    [jobs].  These ticks are the only part of a {!Cosim} run that a
+    pool shards; report batches replay sequentially. *)
 
 val write_back : t -> Node_agent.t array -> unit
 (** Restore the columns into the agents (via {!Node_agent.restore}) so

@@ -151,13 +151,12 @@ let prop_fast_path_oracle =
 
 (* --- parallel batch oracle ------------------------------------------- *)
 
-(* Fleets large enough that one report batch crosses Cosim's parallel
-   threshold (256 events), so a pooled run exercises the delta-replay
-   machinery — parallel tariff walks, the per-node counting sort, the
-   death prescan and the per-node commit — instead of the sequential
-   batch body the small scenarios above stay on.  Tiny battery budgets
-   put deaths inside the horizon, forcing the predicted-death
-   sequential fallback on some batches too. *)
+(* Fleets of a few hundred nodes with tiny battery budgets, so deaths
+   (and the route repairs they trigger) land inside the horizon while
+   the pooled run shards its accounting ticks.  Report batches replay
+   sequentially with or without a pool; crashes and fades cut the
+   engine's drained batches short.  [test_account_all_pooled] below
+   covers the tick's death fallback directly. *)
 let big_scenario ~trial =
   let rng = Amb_sim.Rng.create (5200 + trial) in
   let leaves = 280 + Amb_sim.Rng.int rng 120 in
@@ -201,67 +200,82 @@ let prop_parallel_batch_oracle =
       let seed = 9900 + trial in
       let seq, t_seq = run_big fleet cfg ~seed in
       Amb_sim.Domain_pool.with_pool ~jobs:4 (fun pool ->
+          let before = Amb_sim.Domain_pool.parallel_batches () in
           let pooled, t_pool = run_big ~pool fleet cfg ~seed in
+          if Amb_sim.Domain_pool.parallel_batches () = before then
+            Alcotest.failf "big trial %d: the jobs=4 pool never dispatched a batch" trial;
           check_same ~ctx:(Printf.sprintf "big trial %d jobs=4" trial) seq t_seq pooled t_pool);
       true)
 
-(* --- ledger charge-sequence kernels ---------------------------------- *)
+(* --- pooled accounting tick ------------------------------------------ *)
 
-(* [would_die_charges] must predict exactly what [commit_charges] does
-   to an identical ledger — not conservatively — and must leave its own
-   ledger untouched. *)
-let prop_would_die_oracle =
-  QCheck.Test.make ~name:"would_die_charges matches commit_charges on a clone" ~count:60
-    QCheck.small_nat (fun trial ->
-      let rng = Amb_sim.Rng.create (8100 + trial) in
-      let cfg =
-        { (Fleet.microwatt_leaf ()) with
-          Fleet.budget_override = Some (Energy.joules (0.2 +. (0.6 *. Amb_sim.Rng.float rng)))
-        }
-      in
-      let agents = Array.init 3 (fun id -> Node_agent.create ~id ~cfg ()) in
-      let mult = Amb_energy.Day_profile.(income_multiplier office_lighting) in
-      let lg_a = Fleet_ledger.of_agents ~income_multiplier:mult agents in
-      let lg_b = Fleet_ledger.of_agents ~income_multiplier:mult agents in
-      let k = 1 + Amb_sim.Rng.int rng 12 in
-      let t = ref 0.0 in
-      let times =
-        Array.init k (fun _ ->
-            t := !t +. (3600.0 *. Amb_sim.Rng.float rng);
-            !t)
-      in
-      let joules = Array.init k (fun _ -> 0.12 *. Amb_sim.Rng.float rng) in
-      let i = Amb_sim.Rng.int rng 3 in
-      let before = Fleet_ledger.reserve_j lg_a i in
-      let predicted = Fleet_ledger.would_die_charges lg_a i ~times ~joules ~lo:0 ~hi:k in
-      if not (same_bits before (Fleet_ledger.reserve_j lg_a i)) then
-        Alcotest.failf "trial %d: would_die_charges mutated the ledger" trial;
-      Fleet_ledger.commit_charges lg_b i ~times ~joules ~lo:0 ~hi:k;
-      let died = not (Fleet_ledger.alive lg_b i) in
-      if predicted <> died then
-        Alcotest.failf "trial %d: predicted %b but commit %s" trial predicted
-          (if died then "died" else "survived");
-      true)
-
-(* Mutation check for the bitwise comparisons above: committing the same
-   two charges in swapped time order must produce observably different
-   ledger state (here, a different death instant) — so a delta replay
-   that reordered deltas within a node could not pass the oracle. *)
-let test_charge_order_mutation () =
-  let cfg =
-    { (Fleet.microwatt_leaf ()) with Fleet.budget_override = Some (Energy.joules 0.5) }
+(* [Fleet_ledger.account_all ?pool] against the sequential tick on a
+   small ledger: battery-only relays (one with a 1 J budget that dies in
+   the second tick) interleaved with solar leaves on a diurnal income
+   multiplier.  The death-free tick must commit on the pool; the tick
+   with a death must fall back, firing the same callbacks in the same
+   order — each callback snapshots every reserve, so a callback fired
+   before or after the wrong node's settlement is caught — and both
+   must leave every row bitwise equal. *)
+let test_account_all_pooled () =
+  let leaf = { (Fleet.microwatt_leaf ()) with Fleet.budget_override = Some (Energy.joules 1.0) } in
+  let relay budget =
+    { (Fleet.milliwatt_relay ()) with Fleet.budget_override = Some (Energy.joules budget) }
   in
-  let make () = Fleet_ledger.of_agents [| Node_agent.create ~id:0 ~cfg () |] in
-  let lg_fwd = make () and lg_rev = make () in
-  (* Each charge alone leaves the node alive; together they kill it, so
-     the death instant records whichever charge lands second. *)
-  let t1 = 100.0 and t2 = 200.0 and j = 0.3 in
-  Fleet_ledger.commit_charges lg_fwd 0 ~times:[| t1; t2 |] ~joules:[| j; j |] ~lo:0 ~hi:2;
-  Fleet_ledger.commit_charges lg_rev 0 ~times:[| t2; t1 |] ~joules:[| j; j |] ~lo:0 ~hi:2;
-  Alcotest.(check bool) "both orders kill the node" true
-    ((not (Fleet_ledger.alive lg_fwd 0)) && not (Fleet_ledger.alive lg_rev 0));
-  if same_bits (Fleet_ledger.died_at_s lg_fwd 0) (Fleet_ledger.died_at_s lg_rev 0) then
-    Alcotest.fail "swapped charge order went undetected (same death instant)"
+  let mult = Amb_energy.Day_profile.(income_multiplier office_lighting) in
+  let n = 7 and dying = 3 in
+  let agents () =
+    Array.init n (fun id ->
+        let cfg = if id mod 2 = 0 then leaf else relay (if id = dying then 1.0 else 100.0) in
+        Node_agent.create ~income_multiplier:mult ~id ~cfg ())
+  in
+  let ledger () = Fleet_ledger.of_agents ~income_multiplier:mult (agents ()) in
+  let seq = ledger () and pooled = ledger () in
+  let tick ?pool lg now =
+    let calls = ref [] in
+    Fleet_ledger.account_all ?pool lg ~now ~on_death:(fun i ->
+        calls := (i, Array.init n (Fleet_ledger.reserve_j lg)) :: !calls);
+    List.rev !calls
+  in
+  let check_rows ctx =
+    let a = agents () and b = agents () in
+    Fleet_ledger.write_back seq a;
+    Fleet_ledger.write_back pooled b;
+    Array.iteri
+      (fun i x ->
+        let y = b.(i) in
+        let field name f = check_bits (Printf.sprintf "%s node %d %s" ctx i name) (f x) (f y) in
+        field "reserve" Node_agent.reserve_j;
+        field "consumed" Node_agent.consumed_j;
+        field "harvested" Node_agent.harvested_j;
+        field "last_account" Node_agent.last_account_s;
+        field "died_at" Node_agent.died_at_s)
+      a
+  in
+  let check_calls ctx expect a b =
+    Alcotest.(check (list int)) (ctx ^ ": deaths") expect (List.map fst a);
+    Alcotest.(check (list int)) (ctx ^ ": pooled deaths") expect (List.map fst b);
+    List.iter2
+      (fun (i, ra) (_, rb) ->
+        Array.iteri
+          (fun k r -> check_bits (Printf.sprintf "%s: reserve %d at death of %d" ctx k i) r rb.(k))
+          ra)
+      a b
+  in
+  Amb_sim.Domain_pool.with_pool ~jobs:3 (fun pool ->
+      let run_tick ctx now ~dispatched ~expect =
+        let a = tick seq now in
+        let before = Amb_sim.Domain_pool.parallel_batches () in
+        let b = tick ~pool pooled now in
+        Alcotest.(check int) (ctx ^ ": batches on the pool") dispatched
+          (Amb_sim.Domain_pool.parallel_batches () - before);
+        check_calls ctx expect a b;
+        check_rows ctx
+      in
+      (* Scan + commit on the pool. *)
+      run_tick "death-free tick" 100.0 ~dispatched:2 ~expect:[];
+      (* Scan on the pool, then the sequential fallback. *)
+      run_tick "death tick" 3600.0 ~dispatched:1 ~expect:[ dying ])
 
 (* --- allocation budget ----------------------------------------------- *)
 
@@ -283,7 +297,7 @@ let test_minor_words_budget () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_fast_path_oracle; prop_parallel_batch_oracle; prop_would_die_oracle ]
-  @ [ Alcotest.test_case "charge order mutation detected" `Quick test_charge_order_mutation;
+    [ prop_fast_path_oracle; prop_parallel_batch_oracle ]
+  @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
     ]
