@@ -22,8 +22,10 @@
     sorted overflow chain consulted by the direct-search fallback.
     The bucket count doubles when the population outgrows it and halves
     when the population collapses; each resize re-measures the spread
-    of pending times to pick a fresh width.  All operations are
-    sequential and deterministic. *)
+    of pending times to pick a fresh width, and {!remeasure} runs the
+    same pass at the current bucket count (the engine's hand-over,
+    whose default 1 s width would otherwise stand until the first
+    doubling).  All operations are sequential and deterministic. *)
 
 (* A float alone in an all-float record: stores are raw double writes
    (a float field in the mixed queue record would be boxed on every
@@ -51,6 +53,8 @@ type ('a, 'b) t = {
   mutable count : int;
   mutable last_vb : int;  (** virtual bucket where the dequeue scan resumes *)
   mutable hit : int;  (** cached min position: -2 none, -1 overflow, else bucket *)
+  min_time_c : fcell;  (** earliest pending time, filled by [peek] *)
+  in_time : fcell;  (** time hand-off into [push_cell] *)
   (* Out-fields filled by [pop] (allocation-free hand-off). *)
   out_time : fcell;
   mutable out_seq : int;
@@ -65,7 +69,11 @@ type ('a, 'b) t = {
    year arithmetic [(vb + 1) * width] keeps full precision. *)
 let overflow_vb = 1e14
 
-let[@inline] before t1 s1 t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
+(* Typed: an unannotated [before] is polymorphic, so every chain step
+   would call [caml_lessthan]/[caml_equal] on two freshly boxed times —
+   over a hundred minor words per push on a one-second chain. *)
+let[@inline] before (t1 : float) (s1 : int) (t2 : float) (s2 : int) =
+  t1 < t2 || (t1 = t2 && s1 < s2)
 
 let round_pow2 v =
   let p = ref 16 in
@@ -95,6 +103,8 @@ let create ?(buckets = 16) ~null_a ~null_b () =
     count = 0;
     last_vb = 0;
     hit = -2;
+    min_time_c = { f = Float.infinity };
+    in_time = { f = 0.0 };
     out_time = { f = 0.0 };
     out_seq = 0;
     out_a = null_a;
@@ -217,7 +227,9 @@ let resize q nb' =
     file q all.(k)
   done
 
-let push q ~time ~seq ~i1 ~i2 a b =
+let remeasure q = resize q (Array.length q.buckets)
+
+let[@inline] push_at q time ~seq ~i1 ~i2 a b =
   if Float.is_nan time then invalid_arg "Calendar_queue.push: NaN time";
   if q.free < 0 then grow_store q;
   let node = q.free in
@@ -232,6 +244,13 @@ let push q ~time ~seq ~i1 ~i2 a b =
   q.count <- q.count + 1;
   q.hit <- -2;
   if q.count > 2 * Array.length q.buckets then resize q (2 * Array.length q.buckets)
+
+let push q ~time ~seq ~i1 ~i2 a b = push_at q time ~seq ~i1 ~i2 a b
+
+(* [push] with the time handed over through a cell: a float argument
+   to a call from another module is boxed, a cell store is not. *)
+let time_cell q = q.in_time
+let push_cell q ~seq ~i1 ~i2 a b = push_at q q.in_time.f ~seq ~i1 ~i2 a b
 
 (* Locate the minimum event: resume the year scan at [last_vb]; if a
    whole lap of the calendar finds nothing inside its year window, fall
@@ -277,25 +296,29 @@ let ensure_hit q =
     end
   end
 
-let[@inline] min_time q =
-  if q.count = 0 then Float.infinity
-  else begin
-    ensure_hit q;
-    let h = if q.hit = -1 then q.overflow else q.buckets.(q.hit) in
-    q.times.(h)
+(* Peek the minimum event without popping it: its time goes to the
+   [min_time_c] cell, its first int payload is the result.  The engine
+   asks both "when?" and "is it on the batched handler channel?"
+   before committing to a pop; one call answers both without a float
+   crossing the module boundary (a float return would be boxed), and
+   [ensure_hit] caches the search for the [pop] that follows. *)
+let peek q =
+  if q.count = 0 then begin
+    q.min_time_c.f <- Float.infinity;
+    min_int
   end
-
-(* Peek the first int payload slot of the minimum event without popping
-   it.  The engine's batch drain uses this to ask "is the next event on
-   the batched handler channel?" before committing to a pop; sharing
-   [ensure_hit] with [min_time] keeps the double peek O(1). *)
-let[@inline] min_i1 q =
-  if q.count = 0 then min_int
   else begin
     ensure_hit q;
     let h = if q.hit = -1 then q.overflow else q.buckets.(q.hit) in
+    q.min_time_c.f <- q.times.(h);
     q.i1s.(h)
   end
+
+let min_time_cell q = q.min_time_c
+
+let min_time q =
+  ignore (peek q : int);
+  q.min_time_c.f
 
 (* [pop] without the shrink check: the engine's batch drain pops whole
    report waves — most of the pending population — that the batch body

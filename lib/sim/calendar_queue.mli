@@ -34,16 +34,41 @@ val push : ('a, 'b) t -> time:float -> seq:int -> i1:int -> i2:int -> 'a -> 'b -
     allocations.  Raises [Invalid_argument] on NaN times; any other
     float (including [infinity]) is accepted. *)
 
+val time_cell : ('a, 'b) t -> fcell
+(** Scratch cell feeding {!push_cell}: store the event time into [.f]
+    immediately before the call. *)
+
+val push_cell : ('a, 'b) t -> seq:int -> i1:int -> i2:int -> 'a -> 'b -> unit
+(** {!push} with the time taken from {!time_cell}: a float argument is
+    boxed at every call from another module, a cell store is not, so
+    this is the allocation-free push. *)
+
+val remeasure : ('a, 'b) t -> unit
+(** Re-bucket every pending event with a width measured from their
+    spread, keeping the bucket count — the pass a resize runs.  The pop
+    order is unchanged (chains stay sorted by (time, seq)).  A queue
+    filled in bulk calls it once: until the first resize the width is
+    the 1 s default, which at hundreds of events per second makes every
+    push walk a long sorted chain.  Allocates one index array. *)
+
 val min_time : ('a, 'b) t -> float
 (** Earliest pending time without removing the event ([infinity] when
     empty).  The search result is cached, so a [min_time]-then-[pop]
     pair costs one search. *)
 
-val min_i1 : ('a, 'b) t -> int
+val peek : ('a, 'b) t -> int
 (** First int payload of the earliest pending event without removing it
-    ([min_int] when empty).  Shares the cached minimum with
-    {!min_time}, so peeking both costs one search — this is how the
-    engine's batch drain recognises a run of same-channel events. *)
+    ([min_int] when empty); its time is stored into {!min_time_cell}
+    ([infinity] when empty).  Shares the cached minimum with
+    {!min_time} and {!pop}, so a peek-then-pop pair costs one search.
+    This is the engine's allocation-free view of the minimum: it reads
+    the time from the cell, where a float return would be boxed at a
+    call from another module, and it recognises a run of same-channel
+    events for the batch drain by the payload. *)
+
+val min_time_cell : ('a, 'b) t -> fcell
+(** The time stored by the last {!peek} or {!min_time} (read-only for
+    callers). *)
 
 val pop : ('a, 'b) t -> bool
 (** Remove the earliest event, filling the out-fields below; [false]

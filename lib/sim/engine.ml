@@ -118,7 +118,12 @@ let grow engine =
 (* One-way hand-over from the binary heap to the calendar queue once
    the pending population outgrows the threshold.  (time, seq) pairs
    carry over verbatim, so the pop order is unchanged — the calendar
-   sorts them itself, heap order is irrelevant here. *)
+   sorts them itself, heap order is irrelevant here.  The closing
+   [remeasure] sizes the bucket width from the handed-over population:
+   the queue's first own resize waits for 4x the threshold, and until
+   then the 1 s default width files a whole second of events per chain
+   (at city report rates, hundreds — 3.5–5x slower runs measured for
+   4 096–16 384 pending events). *)
 let migrate engine =
   let q =
     Calendar_queue.create
@@ -130,6 +135,7 @@ let migrate engine =
       ~i1:engine.hids.(i) ~i2:engine.idxs.(i) engine.fns.(i)
       engine.labels.(i)
   done;
+  Calendar_queue.remeasure q;
   engine.times <- Array.make 16 0.0;
   engine.seqs <- Array.make 16 0;
   engine.fns <- Array.make 16 nop;
@@ -158,7 +164,8 @@ let push_raw engine ~label ~hid ~idx fn =
   | Some q ->
     let seq = engine.next_seq in
     engine.next_seq <- seq + 1;
-    Calendar_queue.push q ~time ~seq ~i1:hid ~i2:idx fn label
+    (Calendar_queue.time_cell q).Calendar_queue.f <- time;
+    Calendar_queue.push_cell q ~seq ~i1:hid ~i2:idx fn label
   | None ->
   if engine.size >= Array.length engine.times then grow engine;
   let seq = engine.next_seq in
@@ -192,9 +199,11 @@ let push_raw engine ~label ~hid ~idx fn =
 
 let push_at engine ~label fn = push_raw engine ~label ~hid:(-1) ~idx:0 fn
 
-(** [now_s engine] — current simulation time in raw seconds.
-    Inlined cross-module so the float result stays unboxed at the call
-    site (the non-flambda compiler otherwise boxes the return). *)
+(** [now_s engine] — current simulation time in raw seconds.  The
+    float return is boxed at every call from another module: dune's
+    default dev profile compiles with [-opaque], so nothing is inlined
+    across modules whatever the attribute says.  Hot callers read
+    {!clock_cell} instead. *)
 let[@inline] now_s engine = engine.clock.v
 
 (** [now engine] — current simulation time. *)
@@ -221,9 +230,10 @@ let schedule_at ?label engine time callback =
 
 (** [schedule_s engine ~delay_s callback] — [schedule] on raw seconds;
     the per-event path of the simulators (no [Time_span.t] boxing).
-    Inlined cross-module: the delay is handed to [push_at] through the
-    [at] scratch cell, so once the call itself is inlined no boxed
-    float crosses a call boundary on the per-event path. *)
+    Inside this module the delay reaches [push_at] through the [at]
+    scratch cell; a caller in another module still boxes [delay_s]
+    (no cross-module inlining under [-opaque]), which is what
+    {!schedule_cell} avoids. *)
 let[@inline] schedule_s ?(label = "event") engine ~delay_s callback =
   if delay_s < 0.0 then invalid_arg "Engine.schedule: negative delay";
   engine.at.v <- engine.clock.v +. delay_s;
@@ -430,23 +440,27 @@ let drain_heap_batch engine ~limit t0 =
   engine.clock.v <- t0;
   engine.batch_fn engine !count
 
-(* Same drain off the calendar queue; [min_time]/[min_i1] share the
-   queue's cached minimum, so each admission test costs one search. *)
+(* Same drain off the calendar queue; [peek] shares the queue's cached
+   minimum with the [pop] that follows, so each admission test costs
+   one search.  Times are read from the queue's cells: a float returned
+   from another module would be boxed on every drained event. *)
 let drain_calendar_batch engine q ~limit t0 =
   let wend = t0 +. engine.batch_window in
+  let min_time = Calendar_queue.min_time_cell q in
+  let out_time = Calendar_queue.out_time_cell q in
   let count = ref 0 in
   let draining = ref true in
   while !draining do
     ignore (Calendar_queue.pop_no_shrink q : bool);
     if !count >= Array.length engine.bt_times then grow_batch engine;
-    engine.bt_times.(!count) <- Calendar_queue.out_time q;
+    engine.bt_times.(!count) <- out_time.Calendar_queue.f;
     engine.bt_idxs.(!count) <- Calendar_queue.out_i2 q;
     incr count;
     draining :=
       Calendar_queue.length q > 0
-      && Calendar_queue.min_i1 q = engine.batch_hid
-      && Calendar_queue.min_time q <= limit
-      && Calendar_queue.min_time q < wend
+      && Calendar_queue.peek q = engine.batch_hid
+      && min_time.Calendar_queue.f <= limit
+      && min_time.Calendar_queue.f < wend
   done;
   engine.executed <- engine.executed + !count;
   engine.clock.v <- t0;
@@ -458,12 +472,13 @@ let drain_calendar_batch engine q ~limit t0 =
 let step_calendar engine q ~limit looping =
   if Calendar_queue.length q = 0 then looping := false
   else begin
-    let time = Calendar_queue.min_time q in
+    let hid = Calendar_queue.peek q in
+    let time = (Calendar_queue.min_time_cell q).Calendar_queue.f in
     if time > limit then begin
       engine.clock.v <- limit;
       looping := false
     end
-    else if engine.batch_hid >= 0 && Calendar_queue.min_i1 q = engine.batch_hid then
+    else if engine.batch_hid >= 0 && hid = engine.batch_hid then
       drain_calendar_batch engine q ~limit time
     else begin
       ignore (Calendar_queue.pop q : bool);

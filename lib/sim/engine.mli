@@ -4,9 +4,13 @@
     Two parallel APIs expose the same engine.  The [Time_span.t] entry
     points are the readable default; the [_s] suffixed variants work on
     raw float seconds and are the per-event fast path — with no trace
-    attached, a run through [schedule_s]/[every_s]/[run_s] allocates no
-    per-event garbage (events live in unboxed parallel arrays, the clock
-    is a raw double, trace hooks cost one branch). *)
+    attached, a run through [every_s]/[run_s] and the cell API
+    ({!clock_cell}, {!schedule_cell}, {!schedule_idx_cell}) allocates
+    no per-event garbage (events live in unboxed parallel arrays, the
+    clock is a raw double, trace hooks cost one branch).  A computed
+    float handed to [schedule_s] from another module is boxed at the
+    call: nothing is inlined across modules under dune's default
+    [-opaque] build. *)
 
 open Amb_units
 
@@ -33,7 +37,8 @@ val now : t -> Time_span.t
 
 val now_s : t -> float
 (** Current simulation time in raw seconds (no boxing through
-    [Time_span.t]). *)
+    [Time_span.t]; the float return itself is boxed at a call from
+    another module — hot callers read {!clock_cell}). *)
 
 val event_count : t -> int
 (** Callbacks executed so far. *)
@@ -54,7 +59,10 @@ val schedule : ?label:string -> t -> delay:Time_span.t -> (t -> unit) -> unit
     delays. *)
 
 val schedule_s : ?label:string -> t -> delay_s:float -> (t -> unit) -> unit
-(** [schedule] on raw seconds — the allocation-free per-event path. *)
+(** [schedule] on raw seconds (no [Time_span.t] boxing).  A caller in
+    another module still boxes [delay_s]: nothing is inlined across
+    modules under dune's default [-opaque] build, so the
+    allocation-free per-event path is {!schedule_cell}. *)
 
 type cell = { mutable v : float }
 (** A single mutable float in its own all-float record: reads and
@@ -62,8 +70,8 @@ type cell = { mutable v : float }
 
 val clock_cell : t -> cell
 (** The engine clock as a {!cell}: reading [.v] inside a callback gives
-    the current time without the boxed-float return {!now_s} pays under
-    the non-flambda compiler.  Callbacks must treat it as read-only. *)
+    the current time without the boxed-float return {!now_s} pays
+    across modules.  Callbacks must treat it as read-only. *)
 
 val delay_cell : t -> cell
 (** Scratch cell feeding {!schedule_cell}: store the relative delay in

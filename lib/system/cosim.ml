@@ -178,7 +178,8 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
      forwarding walk reads flat arrays with zero link-layer calls. *)
   let hop_tx = if fast then Array.make n Float.nan else [||] in
   let hop_kind = if fast then Array.make n 0 else [||] in
-  let generated = ref 0 and delivered = ref 0 and dropped = ref 0 in
+  let counts = Fleet_ledger.tally () in
+  let drop () = counts.dropped <- counts.dropped + 1 in
   let deaths = ref [] in
   let rebuilds = ref 0 in
   let coverage = Stat.time_weighted () in
@@ -264,8 +265,9 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
     record_stats now
   in
   (* Phase-timing shim: [rebuild_s] covers the initial and periodic
-     tree rebuilds; death-triggered repairs are attributed to whichever
-     phase raised them.  Wall-clock only — no observable state. *)
+     tree rebuilds and the fault handlers below; death-triggered
+     repairs are attributed to whichever phase raised them.  Wall-clock
+     only — no observable state. *)
   let rebuild =
     match phase with
     | None -> rebuild
@@ -329,21 +331,21 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
          batteryless class. *)
       let forward src =
         let rec hop node ttl now =
-          if ttl <= 0 then incr dropped
-          else if node = sink then incr delivered
+          if ttl <= 0 then drop ()
+          else if node = sink then counts.delivered <- counts.delivered + 1
           else
             let p = parent.(node) in
-            if p < 0 || not (alive node) then incr dropped
+            if p < 0 || not (alive node) then drop ()
             else
               let tx_j = Link_layer.cost_tx_j link node p in
-              if Float.is_nan tx_j then incr dropped
+              if Float.is_nan tx_j then drop ()
               else begin
                 let sender_ok = charge node now tx_j in
                 let receiver_ok =
                   if Link_layer.tag_hop link node then charge p now reader_j
                   else p = sink || charge p now rx_j
                 in
-                if sender_ok && receiver_ok then hop p (ttl - 1) now else incr dropped
+                if sender_ok && receiver_ok then hop p (ttl - 1) now else drop ()
               end
         in
         fun now -> hop src n now
@@ -365,7 +367,7 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
               let fwd = forward node in
               let rec report engine =
                 if alive node then begin
-                  incr generated;
+                  counts.generated <- counts.generated + 1;
                   let now = clk.Engine.v in
                   (* Sense/convert/compute first; the forward pass
                      charges the radio.  A node that dies
@@ -383,71 +385,28 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
       in
       (account_all, schedule_reports)
     | Some lg ->
-      (* [charge], over the columns.  Death handling (and the repair +
-         stats it triggers) is identical to the historic wrapper. *)
-      let charge i now joules =
-        let was = Fleet_ledger.alive lg i in
-        Fleet_ledger.charge lg i ~now joules;
-        if was && not (Fleet_ledger.alive lg i) then record_death i now;
-        Fleet_ledger.alive lg i
-      in
-      (* [forward], flattened: the recursive hop with its per-hop
-         link-layer pricing becomes a loop over [parent] / [hop_tx] /
-         [hop_kind] — drop conditions, charges and their order exactly
-         as above.  The arrays are re-read on every hop because a
-         mid-walk death repairs the tree (and refreshes the tariffs)
-         before the walk continues, just as the historic walk re-prices
-         each hop after a repair. *)
-      let forward src now =
-        let node = ref src and ttl = ref n and walking = ref true in
-        while !walking do
-          if !ttl <= 0 then begin incr dropped; walking := false end
-          else if !node = sink then begin incr delivered; walking := false end
-          else begin
-            let u = !node in
-            (* [u] ranges over live node ids < n by construction, so
-               the per-hop array reads skip the bounds checks, as the
-               ledger kernels they feed do. *)
-            let p = Array.unsafe_get parent u in
-            if p < 0 || not (Fleet_ledger.alive lg u) then begin
-              incr dropped;
-              walking := false
-            end
-            else begin
-              let tx_j = Array.unsafe_get hop_tx u in
-              if Float.is_nan tx_j then begin incr dropped; walking := false end
-              else begin
-                let sender_ok = charge u now tx_j in
-                let receiver_ok =
-                  let k = Array.unsafe_get hop_kind u in
-                  if k = Link_layer.hop_tag then charge p now reader_j
-                  else k = Link_layer.hop_sink_parent || charge p now rx_j
-                in
-                if sender_ok && receiver_ok then begin
-                  node := p;
-                  decr ttl
-                end
-                else begin incr dropped; walking := false end
-              end
-            end
-          end
-        done
-      in
       (* Report streams on the engine's indexed channel: one shared
          handler plus per-node period/activation columns replace the
          100k per-node closures.  (time, seq) pairs and the RNG phase
          draws are produced in the same node order as the historic
          loop, so the event chronology — and with a trace attached,
-         the "report:<n>" labels — are unchanged. *)
+         the "report:<n>" labels — are unchanged.  Each report runs
+         {!Fleet_ledger.report}: the historic [forward] flattened into
+         a loop over [parent] / [hop_tx] / [hop_kind], with drop
+         conditions, charges and their order exactly as above.  A
+         charge that kills a node calls back into [record_death]
+         (repair + stats, as the historic [charge] does), and the
+         repair refreshes the three arrays in place before the walk
+         continues. *)
       let period = Array.make n 0.0 in
       let activation = Array.make n 0.0 in
+      let route =
+        Fleet_ledger.route lg ~clock:clk ~sink ~parent ~hop_tx ~hop_kind ~activation ~rx_j
+          ~reader_j ~counts ~on_death:(fun i -> record_death i clk.Engine.v)
+      in
       let hid = ref (-1) in
       let report_event e idx =
-        if Fleet_ledger.alive lg idx then begin
-          incr generated;
-          let now = clk.Engine.v in
-          if activation.(idx) > 0.0 then ignore (charge idx now activation.(idx) : bool);
-          forward idx now;
+        if Fleet_ledger.report route idx then begin
           (Engine.delay_cell e).v <- period.(idx);
           Engine.schedule_idx_cell e ~handler:!hid ~idx
         end
@@ -462,18 +421,19 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
          [report_event] would have done.  Draining saves the per-event
          queue pops, not the walks — those stay sequential (DESIGN.md
          records why a parallel replay was removed). *)
-      let note_fire idx time =
+      (* The fire time comes from the clock cell, not an argument: a
+         float passed to a closure is boxed on every call. *)
+      let note_fire idx =
         match trace with
         | None -> ()
-        | Some tr -> Trace.record tr ~time ("fire:report:" ^ Int.to_string idx)
+        | Some tr -> Trace.record tr ~time:clk.Engine.v ("fire:report:" ^ Int.to_string idx)
       in
       let replay_seq e count =
         let times = Engine.batch_times e and idxs = Engine.batch_idxs e in
         for k = 0 to count - 1 do
-          let t = Array.unsafe_get times k in
           let idx = Array.unsafe_get idxs k in
-          clk.Engine.v <- t;
-          note_fire idx t;
+          clk.Engine.v <- Array.unsafe_get times k;
+          note_fire idx;
           report_event e idx
         done
       in
@@ -535,18 +495,30 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
     ~period_s:(Time_span.to_seconds cfg.accounting_period) ~until_s:horizon_s (fun _e ->
       account_tick clk.Engine.v;
       true);
-  (* Fault injection. *)
+  (* Fault injection.  A crash or fade handler is a tree repair or
+     rebuild, so its wall clock goes to [rebuild_s]. *)
+  let as_rebuild handler =
+    match phase with
+    | None -> handler
+    | Some pt ->
+      fun e ->
+        let t0 = pt.clock () in
+        handler e;
+        pt.rebuild_s <- pt.rebuild_s +. (pt.clock () -. t0)
+  in
   List.iter
     (function
       | Fault_plan.Node_crash { node; at } ->
-        Engine.schedule_at ~label:("fault:crash:" ^ Int.to_string node) engine at (fun e ->
+        Engine.schedule_at ~label:("fault:crash:" ^ Int.to_string node) engine at
+          (as_rebuild (fun e ->
             if alive node then begin
               let now = Engine.now_s e in
               crash_node node now;
               record_death node now
-            end)
+            end))
       | Fault_plan.Link_fade { a; b; db; at } ->
-        Engine.schedule_at ~label:(Printf.sprintf "fault:fade:%d-%d" a b) engine at (fun e ->
+        Engine.schedule_at ~label:(Printf.sprintf "fault:fade:%d-%d" a b) engine at
+          (as_rebuild (fun e ->
             let now = Engine.now_s e in
             (* A replaced fade can lower the pair cost (or resurrect a
                NaN link), which may improve remote paths — only a fade
@@ -568,7 +540,7 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
               Route_tree.repair_weight_increase tree ~weight ~alive ~tie_free:true ~a ~b
             | _ -> Route_tree.rebuild tree ~weight ~alive);
             sync_parents ();
-            record_stats now)
+            record_stats now))
       | Fault_plan.Battery_scale _ -> ())
     cfg.faults;
   let end_s = Engine.run_s ~until_s:horizon_s engine in
@@ -588,11 +560,12 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
   in
   let time_avg tw = let v = Stat.time_average tw in if Float.is_nan v then 1.0 else v in
   {
-    generated = !generated;
-    delivered = !delivered;
-    dropped = !dropped;
+    generated = counts.generated;
+    delivered = counts.delivered;
+    dropped = counts.dropped;
     delivery_ratio =
-      (if !generated = 0 then 0.0 else Float.of_int !delivered /. Float.of_int !generated);
+      (if counts.generated = 0 then 0.0
+       else Float.of_int counts.delivered /. Float.of_int counts.generated);
     first_death;
     deaths = List.map (fun (i, t) -> (i, Time_span.seconds t)) deaths;
     dead_at_end;

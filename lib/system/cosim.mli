@@ -85,15 +85,17 @@ type phase_times = {
   clock : unit -> float;  (** wall-clock source, e.g. [Unix.gettimeofday] *)
   mutable forward_s : float;  (** report batches: walks, charges, re-arms *)
   mutable account_s : float;  (** periodic + final accounting ticks *)
-  mutable rebuild_s : float;  (** initial + periodic tree rebuilds *)
+  mutable rebuild_s : float;
+      (** initial + periodic tree rebuilds, and the crash and fade
+          fault handlers (each a tree repair or rebuild) *)
 }
 (** Wall-clock accumulators for a run's three bulk phases, filled when
     passed to {!run_with_router}.  Purely observational — timing never
     feeds back into the simulation.  The forward split is collected on
     the fast path (batched report drains, replayed sequentially with
-    or without a pool); on the historic path it stays 0.
-    Death-triggered repairs are attributed to whichever phase raised
-    them. *)
+    or without a pool); on the historic path it stays 0.  Repairs
+    after a battery death are attributed to whichever phase raised
+    them (a report walk or an accounting tick). *)
 
 val phase_times : clock:(unit -> float) -> phase_times
 (** Fresh zeroed accumulators around [clock]. *)

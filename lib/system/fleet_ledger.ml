@@ -91,13 +91,19 @@ let length t = t.n
 let[@inline] fget (a : float array) i = Array.unsafe_get a i
 let[@inline] fset (a : float array) i v = Array.unsafe_set a i v
 
+(* [@inline] pays inside this module only: dune's default profile
+   compiles with [-opaque], so a call from [Cosim] is a real call.  The
+   hot per-hop tests therefore live in {!report} below, not in the
+   caller. *)
 let[@inline] alive t i = Float.is_nan (fget t.lg ((i * stride) + f_died))
 let[@inline] reserve_j t i = fget t.lg ((i * stride) + f_reserve)
 let[@inline] died_at_s t i = fget t.lg ((i * stride) + f_died)
 
 (* Node_agent.account over a ledger row: same reads, same order of
-   float ops, same clamp and zero-crossing interpolation. *)
-let account t i ~now =
+   float ops, same clamp and zero-crossing interpolation.  The one body
+   behind [account], [charge] and the report kernel; inlined so [now]
+   stays an unboxed double on the per-hop path. *)
+let[@inline] account_row t i now =
   let a = t.lg in
   let b = i * stride in
   let dt = now -. fget a (b + f_last) in
@@ -119,9 +125,12 @@ let account t i ~now =
   end;
   fset a (b + f_last) now
 
-(* Node_agent.charge over a row. *)
-let charge t i ~now joules =
-  account t i ~now;
+let account t i ~now = account_row t i now
+
+(* Node_agent.charge over a row: the single copy of the charge
+   arithmetic, shared by [charge] and the report kernel. *)
+let[@inline] charge_row t i now joules =
+  account_row t i now;
   let a = t.lg in
   let b = i * stride in
   if Float.is_nan (fget a (b + f_died)) then begin
@@ -130,6 +139,8 @@ let charge t i ~now joules =
     if fget a (b + f_reserve) <= 0.0 && fget a (b + f_capacity) > 0.0 then
       fset a (b + f_died) now
   end
+
+let charge t i ~now joules = charge_row t i now joules
 
 (* Node_agent.crash over a row. *)
 let crash t i ~now =
@@ -209,6 +220,110 @@ let account_all ?pool t ~now ~on_death =
             done)
       in
       ignore (Domain_pool.run pool commit : unit array)
+
+(* --- the report kernel -------------------------------------------------
+   One report of a city-scale run: activation charge, then the walk
+   towards the sink — sender pays the hop tariff, receiver the RX (or
+   reader) cost, the sink listens for free, any death drops the packet
+   — exactly the historic [Cosim] forward, statement for statement.
+   It lives here, beside the arithmetic it drives, because nothing is
+   inlined across modules under dune's default [-opaque] build: walked
+   from [Cosim], every charge was a closure call with a boxed tariff
+   plus two more calls into this module.  Here the charges inline, the
+   clock is a raw load from the engine cell and the only call left on
+   the path is [on_death], made when a charge kills a node. *)
+
+type tally = { mutable generated : int; mutable delivered : int; mutable dropped : int }
+
+let tally () = { generated = 0; delivered = 0; dropped = 0 }
+
+type route = {
+  ledger : t;
+  clock : Engine.cell;
+  sink : int;
+  parent : int array;
+  hop_tx : float array;
+  hop_kind : int array;
+  activation : float array;
+  rx_j : float;
+  reader_j : float;
+  counts : tally;
+  on_death : int -> unit;
+}
+
+let route ledger ~clock ~sink ~parent ~hop_tx ~hop_kind ~activation ~rx_j ~reader_j ~counts
+    ~on_death =
+  { ledger; clock; sink; parent; hop_tx; hop_kind; activation; rx_j; reader_j; counts;
+    on_death }
+
+(* Charge [joules] to node [i]; false once the node is gone.  A charge
+   that kills the node fires [on_death] first — the route repair it
+   triggers refreshes [parent]/[hop_tx]/[hop_kind] in place, which is
+   why the walk re-reads them on every hop. *)
+let[@inline] charge_hop r i now joules =
+  let t = r.ledger in
+  let was = alive t i in
+  charge_row t i now joules;
+  if was && not (alive t i) then r.on_death i;
+  alive t i
+
+let[@inline] drop c = c.dropped <- c.dropped + 1
+
+let[@inline] forward r src now =
+  let c = r.counts in
+  let node = ref src and ttl = ref r.ledger.n and walking = ref true in
+  while !walking do
+    if !ttl <= 0 then begin drop c; walking := false end
+    else if !node = r.sink then begin
+      c.delivered <- c.delivered + 1;
+      walking := false
+    end
+    else begin
+      let u = !node in
+      (* [u] ranges over live node ids < n by construction, so the
+         per-hop reads skip the bounds checks, as the row kernels do. *)
+      let p = Array.unsafe_get r.parent u in
+      if p < 0 || not (alive r.ledger u) then begin drop c; walking := false end
+      else begin
+        let tx_j = fget r.hop_tx u in
+        if Float.is_nan tx_j then begin drop c; walking := false end
+        else begin
+          (* The receiver class belongs to the hop being priced, so it
+             is read with [p] and [tx_j], before the sender's charge: a
+             sender that dies there has its row reset by the repair
+             (orphan = ordinary hop), and re-reading it would charge
+             the sink, or a reader the RX tariff, for a hop the
+             per-object walk classifies from [u] and [p]. *)
+          let k = Array.unsafe_get r.hop_kind u in
+          let sender_ok = charge_hop r u now tx_j in
+          let receiver_ok =
+            if k = Link_layer.hop_tag then charge_hop r p now r.reader_j
+            else k = Link_layer.hop_sink_parent || charge_hop r p now r.rx_j
+          in
+          if sender_ok && receiver_ok then begin
+            node := p;
+            decr ttl
+          end
+          else begin drop c; walking := false end
+        end
+      end
+    end
+  done
+
+let report r i =
+  if alive r.ledger i then begin
+    let c = r.counts in
+    c.generated <- c.generated + 1;
+    let now = r.clock.Engine.v in
+    (* Sense/convert/compute first; the walk charges the radio.  A node
+       that dies mid-activation still counts the report as generated
+       (and dropped). *)
+    let act = fget r.activation i in
+    if act > 0.0 then ignore (charge_hop r i now act : bool);
+    forward r i now;
+    true
+  end
+  else false
 
 let write_back t agents =
   for i = 0 to t.n - 1 do

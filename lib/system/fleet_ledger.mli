@@ -59,6 +59,54 @@ val account_all : ?pool:Amb_sim.Domain_pool.t -> t -> now:float -> on_death:(int
     [jobs].  These ticks are the only part of a {!Cosim} run that a
     pool shards; report batches replay sequentially. *)
 
+(** {2 The report kernel} *)
+
+type tally = { mutable generated : int; mutable delivered : int; mutable dropped : int }
+(** Report counters of a run. *)
+
+val tally : unit -> tally
+(** Fresh zeroed counters. *)
+
+type route
+(** The forwarding state one report walk reads: the ledger, the engine
+    clock, the collection tree and its hop tariffs, the per-node
+    activation energies, the receiver tariffs, the counters to bump
+    and the death callback. *)
+
+val route :
+  t ->
+  clock:Amb_sim.Engine.cell ->
+  sink:int ->
+  parent:int array ->
+  hop_tx:float array ->
+  hop_kind:int array ->
+  activation:float array ->
+  rx_j:float ->
+  reader_j:float ->
+  counts:tally ->
+  on_death:(int -> unit) ->
+  route
+(** Bundle a run's forwarding state.  The arrays are held, not copied:
+    [parent.(i)] is the next hop of [i] (negative = orphan or dead),
+    [hop_tx.(i)] that hop's sender tariff and [hop_kind.(i)] its
+    {!Link_layer.hop_normal}/[hop_tag]/[hop_sink_parent] receiver
+    class, as {!Link_layer.refresh_hop_tariffs} fills them.
+    [on_death i] runs when a charge kills node [i], before the walk
+    goes on; it may rewrite the three arrays in place (a route repair)
+    and the walk reads the new values on its next hop. *)
+
+val report : route -> int -> bool
+(** [report r i] — one report of node [i] at the clock's current time,
+    or [false] (nothing counted, nothing charged) when [i] is dead.
+    Counts the report as generated, charges [activation.(i)] when
+    positive, then walks [i]'s packet towards the sink: per hop the
+    sender pays [hop_tx], the receiver [rx_j] ([reader_j] on a tag
+    hop, nothing when it is the sink); a missing hop, NaN tariff,
+    death or [length] hops drop it.  The float operations and their
+    order are those of the per-object {!Node_agent.charge} walk, so
+    reserves and death instants are bit-identical to it.  Allocates
+    nothing unless [on_death] does. *)
+
 val write_back : t -> Node_agent.t array -> unit
 (** Restore the columns into the agents (via {!Node_agent.restore}) so
     end-of-run reporting reads them as if the historic path had run. *)

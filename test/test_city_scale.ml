@@ -166,6 +166,77 @@ let test_engine_calendar_equiv () =
   Alcotest.(check (float 0.0)) "final clock" final_h final_c;
   Alcotest.(check int) "events executed" count_h count_c
 
+(* Dense same-second bursts across the hand-over: [streams] indexed
+   report streams on 30 s periods whose phases pile hundreds of events
+   onto each whole second (a third of them on exact ties), plus a few
+   closure events.  With 1-4x [Engine.default_calendar_threshold]
+   pending, the default engine migrates mid-arming — the largest
+   population also crosses the calendar's first resize — and its fire
+   sequence must equal an engine that never leaves the heap. *)
+let test_engine_burst_migration () =
+  let run ~calendar_threshold ~streams =
+    let e = Amb_sim.Engine.create ~calendar_threshold () in
+    let fired = Buffer.create (1 lsl 16) in
+    let log tag idx e =
+      Buffer.add_string fired
+        (Printf.sprintf "%c%d@%h;" tag idx (Amb_sim.Engine.clock_cell e).Amb_sim.Engine.v)
+    in
+    let hid = ref (-1) in
+    let handler e idx =
+      log 'r' idx e;
+      (Amb_sim.Engine.delay_cell e).Amb_sim.Engine.v <- 30.0;
+      Amb_sim.Engine.schedule_idx_cell e ~handler:!hid ~idx
+    in
+    hid := Amb_sim.Engine.register_handler e handler;
+    for i = 0 to streams - 1 do
+      let phase = Float.of_int (i mod 30) +. (0.25 *. Float.of_int (i mod 3 * (i mod 2))) in
+      Amb_sim.Engine.schedule_idx_s e ~handler:!hid ~idx:i ~delay_s:phase;
+      if i mod 1000 = 0 then Amb_sim.Engine.schedule_at_s e phase (log 'c' i)
+    done;
+    let final = Amb_sim.Engine.run_s ~until_s:75.0 e in
+    (Buffer.contents fired, final, Amb_sim.Engine.event_count e)
+  in
+  let threshold = Amb_sim.Engine.default_calendar_threshold in
+  List.iter
+    (fun streams ->
+      let log_h, final_h, count_h = run ~calendar_threshold:max_int ~streams in
+      let log_c, final_c, count_c = run ~calendar_threshold:threshold ~streams in
+      let ctx = Printf.sprintf "%d streams" streams in
+      Alcotest.(check int) (ctx ^ ": events executed") count_h count_c;
+      Alcotest.(check bool) (ctx ^ ": fire sequence") true (String.equal log_h log_c);
+      Alcotest.(check (float 0.0)) (ctx ^ ": final clock") final_h final_c)
+    [ threshold + 1; 2 * threshold; (4 * threshold) + 500 ]
+
+(* Pushing a dense burst into a fresh queue (1 s buckets, so every push
+   walks a chain of hundreds of same-second events) must not allocate
+   per chain step: 2 words per push are the boxed time argument, and the
+   cell push allocates nothing.  An untyped (polymorphic) comparison
+   boxed both times at every step, ~130 words per push. *)
+let test_calendar_push_words () =
+  let fill push =
+    let q = Amb_sim.Calendar_queue.create ~buckets:8192 ~null_a:0 ~null_b:"" () in
+    for k = 0 to 999 do
+      push q k
+    done;
+    let n = 12_000 in
+    let before = Gc.minor_words () in
+    for k = 1000 to 999 + n do
+      push q k
+    done;
+    (Gc.minor_words () -. before) /. Float.of_int n
+  in
+  let[@inline] time k = Float.of_int (k mod 30) +. (0.001 *. Float.of_int (k mod 7)) in
+  let boxed =
+    fill (fun q k -> Amb_sim.Calendar_queue.push q ~time:(time k) ~seq:k ~i1:0 ~i2:0 k "")
+  in
+  let cell =
+    fill (fun q k ->
+        (Amb_sim.Calendar_queue.time_cell q).Amb_sim.Calendar_queue.f <- time k;
+        Amb_sim.Calendar_queue.push_cell q ~seq:k ~i1:0 ~i2:0 k "")
+  in
+  if boxed > 4.0 then Alcotest.failf "Calendar_queue.push: %.1f minor words/push (budget 4)" boxed;
+  if cell > 1.0 then Alcotest.failf "Calendar_queue.push_cell: %.1f minor words/push (budget 1)" cell
+
 (* --- sparse routing cache vs dense grid ------------------------------ *)
 
 let default_link () =
@@ -512,6 +583,10 @@ let suite =
         test_connectivity_grid_tier;
       Alcotest.test_case "engine calendar tier equals heap tier" `Quick
         test_engine_calendar_equiv;
+      Alcotest.test_case "engine hand-over under same-second bursts" `Quick
+        test_engine_burst_migration;
+      Alcotest.test_case "calendar push allocates no chain boxes" `Quick
+        test_calendar_push_words;
       Alcotest.test_case "sparse edge fill is jobs-independent" `Quick
         test_sparse_fill_jobs_independent;
       Alcotest.test_case "city layout is jobs-independent" `Quick test_city_jobs_independent;

@@ -279,9 +279,9 @@ let test_account_all_pooled () =
 
 (* --- allocation budget ----------------------------------------------- *)
 
-let test_minor_words_budget () =
-  let fleet = Fleet.city ~nodes:2000 ~seed:3 () in
-  let cfg = Cosim.config ~fleet ~horizon:(Time_span.hours 2.0) () in
+let minor_words_per_event ~nodes ~hours =
+  let fleet = Fleet.city ~nodes ~seed:3 () in
+  let cfg = Cosim.config ~fleet ~horizon:(Time_span.hours hours) () in
   (* Warm once so lazy setup (routing memo fills, engine growth) is out
      of the measured run. *)
   ignore (Cosim.run_with_router ~fast_threshold:0 ~router:fleet.Fleet.router cfg ~seed:7);
@@ -293,11 +293,115 @@ let test_minor_words_budget () =
      itself must add nothing.  The historic path spends hundreds of
      words per event on boxed link costs and report closures. *)
   if per_event > 40.0 then
-    Alcotest.failf "fast path allocates %.1f minor words/event (budget 40)" per_event
+    Alcotest.failf "%d-node fast path allocates %.1f minor words/event (budget 40)" nodes
+      per_event
+
+(* 2 000 reporters keep the pending set on the engine's binary heap. *)
+let test_minor_words_budget () = minor_words_per_event ~nodes:2000 ~hours:2.0
+
+(* 8 000 reporters on the default 30 s period: the pending set crosses
+   [Engine.default_calendar_threshold] (4 096) while the reports are
+   armed and stays below the calendar's first resize (16 384), so the
+   whole run rides the queue as the hand-over left it.  An untyped
+   chain comparison (boxing both times at every step of a sorted bucket
+   chain) cost over a thousand words per event here. *)
+let test_minor_words_budget_calendar () = minor_words_per_event ~nodes:8000 ~hours:1.0
+
+(* --- deaths in the middle of a walk ---------------------------------- *)
+
+(* A diamond: the sink (0), relays 1 and 2 in range of it, and leaf 3
+   in range of both relays but not of the sink, closer to relay 1 — so
+   the min-energy tree routes 3 -> 1 -> 0.  Only the leaf reports; no
+   sleep drain, no harvest and a lossless regulator, so reserves move
+   only on charges and relay 1's (fault-scaled) capacity picks the very
+   charge that kills it: the receive charge of the leaf's first report,
+   or the transmit charge that forwards it.  Either way the death fires
+   inside the walk, the repair re-parents the leaf onto relay 2, and
+   the packet in flight is dropped. *)
+let diamond ~capacity_j =
+  let flat =
+    {
+      Fleet.name = "flat";
+      activation_energy = Energy.zero;
+      sleep_power = Power.zero;
+      supply = Amb_energy.Supply.make ~name:"flat" ~regulator_efficiency:1.0 ();
+      report_period = Some (Time_span.seconds 30.0);
+      budget_override = Some (Energy.joules 1.0);
+    }
+  in
+  let probe =
+    Fleet.homogeneous
+      ~topology:(Amb_net.Topology.star ~leaves:1 ~radius_m:1.0)
+      ~sink:0 ~node:flat ()
+  in
+  let r = probe.Fleet.router.Amb_net.Routing.range_m in
+  let at x y = { Amb_net.Topology.x = x *. r; y = (0.5 +. y) *. r } in
+  let topology =
+    Amb_net.Topology.of_positions ~width_m:(2.0 *. r) ~height_m:(2.0 *. r)
+      [| at 0.0 0.0; at 0.6 0.0; at 0.6 (-0.45); at 1.2 0.0 |]
+  in
+  let base = Fleet.homogeneous ~topology ~sink:0 ~node:flat () in
+  let fleet =
+    { base with
+      Fleet.tiers = [| Fleet.Sink; Fleet.Relay; Fleet.Relay; Fleet.Sensor_leaf |];
+      (* per tier ordinal: leaves, relays, sink, tags *)
+      tier_members = [| [| 3 |]; [| 1; 2 |]; [| 0 |]; [||] |];
+      relay = { flat with Fleet.name = "relay"; report_period = None };
+    }
+  in
+  let router = fleet.Fleet.router in
+  let capacity_j =
+    capacity_j ~rx_j:(Amb_net.Routing.receiver_energy_j router)
+      ~tx_j:(Amb_net.Routing.sender_energy_j router 1 0)
+  in
+  (* The flat budget is 1 J, so the scale factor is the capacity. *)
+  let faults = [ Fault_plan.Battery_scale { node = 1; scale = capacity_j } ] in
+  (fleet, Cosim.config ~faults ~fleet ~horizon:(Time_span.hours 1.0) ())
+
+let check_mid_walk_death ~ctx ~capacity_j () =
+  let fleet, cfg = diamond ~capacity_j in
+  let historic, t_hist = run_one ~fast_threshold:max_int fleet cfg ~seed:3 in
+  let fast, t_fast = run_one ~fast_threshold:0 fleet cfg ~seed:3 in
+  (* Counts, death instants, every ledger and the trace, bit for bit. *)
+  check_same ~ctx historic t_hist fast t_fast;
+  (* The scenario happened as designed, on both paths alike: relay 1
+     died at the leaf's first report, that packet was the only drop,
+     and relay 2 — which never reports — paid for every later hop. *)
+  let first_report =
+    List.find
+      (fun (e : Amb_sim.Trace.entry) -> e.label = "fire:report:3")
+      (Amb_sim.Trace.to_list t_fast)
+  in
+  List.iter
+    (fun (path, (o : Cosim.outcome)) ->
+      let ck name = Printf.sprintf "%s (%s): %s" ctx path name in
+      (match o.deaths with
+      | [ (1, at) ] ->
+        check_bits (ck "death at the first report") first_report.time (Time_span.to_seconds at)
+      | _ -> Alcotest.failf "%s: expected relay 1 to die, and only it" (ck "deaths"));
+      Alcotest.(check int) (ck "dropped") 1 o.dropped;
+      Alcotest.(check int) (ck "delivered") (o.generated - 1) o.delivered;
+      Alcotest.(check bool) (ck "leaf re-parented onto relay 2") true
+        (Node_agent.consumed_j o.agents.(2) > 0.0))
+    [ ("historic", historic); ("fast", fast) ]
+
+(* Relay 1 holds less than one receive charge. *)
+let test_relay_dies_receiving =
+  check_mid_walk_death ~ctx:"relay dies receiving" ~capacity_j:(fun ~rx_j ~tx_j:_ ->
+      0.5 *. rx_j)
+
+(* Relay 1 survives the receive charge and dies forwarding. *)
+let test_sender_dies_forwarding =
+  check_mid_walk_death ~ctx:"sender dies forwarding" ~capacity_j:(fun ~rx_j ~tx_j ->
+      rx_j +. (0.5 *. tx_j))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_fast_path_oracle; prop_parallel_batch_oracle ]
   @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
+      Alcotest.test_case "fast path minor words per event on the calendar queue" `Quick
+        test_minor_words_budget_calendar;
+      Alcotest.test_case "relay dying on its receive charge" `Quick test_relay_dies_receiving;
+      Alcotest.test_case "sender dying mid-walk" `Quick test_sender_dies_forwarding;
     ]
