@@ -725,11 +725,11 @@ let fleet_report_period_s = 600.0
 let fleet_horizon_s = 3600.0
 
 (* Floors/ceilings for the gated configuration (>= 10^5 nodes).  The
-   events/sec floor assumes the Cosim forwarding fast path (SoA fleet
+   events/sec floor assumes Cosim's forwarding kernel (SoA fleet
    ledger + precomputed hop tariffs + indexed report events) — the
-   reference machine clears ~2x the floor, and the historic per-object
-   path sits ~3x below it, so any regression off the fast path trips
-   the gate immediately.  The ledger ceiling pins the fast path's
+   reference machine clears ~2x the floor, and a per-object walk sits
+   ~3x below it, so any regression in the kernel trips the gate
+   immediately.  The ledger ceiling pins the ledger's
    struct-of-arrays footprint: 9 float columns + 2 bitsets is ~9.3
    words/node, so 12 leaves headroom without letting a boxed column
    sneak in. *)
@@ -775,7 +775,7 @@ let merge_fleet_section path fleet_json = merge_section ~key:"fleet" path fleet_
 
 (* One measured (build, run) cycle at a node count.  The co-simulation
    runs through [run_with_router] so a jobs > 1 invocation can hand the
-   fast path a domain pool for its accounting ticks (outcomes are
+   run a domain pool for its accounting ticks (outcomes are
    bitwise identical at every pool size — the oracle tests hold Cosim
    to that). *)
 type fleet_point = {
@@ -850,7 +850,7 @@ let run_fleet_point ~jobs ~nodes =
   let events_per_s =
     if run_s > 0.0 then Float.of_int outcome.Amb_system.Cosim.events /. run_s else Float.nan
   in
-  (* The fast path's struct-of-arrays footprint, measured on a fresh
+  (* The ledger's struct-of-arrays footprint, measured on a fresh
      snapshot of the run's agents — this is what the words/node gate
      holds down. *)
   let ledger_words_per_node =

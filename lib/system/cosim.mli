@@ -71,16 +71,6 @@ val run : ?trace:Amb_sim.Trace.t -> config -> seed:int -> outcome
     as ["death:<n>"] at their instant, so tests can assert event
     ordering. *)
 
-val default_fast_threshold : int
-(** Fleet size (1024) at which a run switches from per-object
-    {!Node_agent} accounting and per-hop {!Link_layer} pricing to the
-    struct-of-arrays fast path: {!Fleet_ledger} columns, hop tariffs
-    precomputed on every route-tree sync, and report streams on the
-    engine's indexed event channel.  The two paths are bit-for-bit
-    identical (same ledgers, death instants, event chronology, RNG
-    draws and digests); every legacy experiment stays below the
-    threshold and runs the historic code verbatim. *)
-
 type phase_times = {
   clock : unit -> float;  (** wall-clock source, e.g. [Unix.gettimeofday] *)
   mutable forward_s : float;  (** report batches: walks, charges, re-arms *)
@@ -90,12 +80,13 @@ type phase_times = {
           fault handlers (each a tree repair or rebuild) *)
 }
 (** Wall-clock accumulators for a run's three bulk phases, filled when
-    passed to {!run_with_router}.  Purely observational — timing never
-    feeds back into the simulation.  The forward split is collected on
-    the fast path (batched report drains, replayed sequentially with
-    or without a pool); on the historic path it stays 0.  Repairs
-    after a battery death are attributed to whichever phase raised
-    them (a report walk or an accounting tick). *)
+    passed to {!run_with_router}.  Each field times one stage of the
+    run: [forward_s] the report channel's drained batches, [account_s]
+    the ledger's accounting ticks, [rebuild_s] the collection tree's
+    rebuilds and fault repairs.  Purely observational — timing never
+    feeds back into the simulation.  Repairs after a battery death are
+    attributed to whichever phase raised them (a report walk or an
+    accounting tick). *)
 
 val phase_times : clock:(unit -> float) -> phase_times
 (** Fresh zeroed accumulators around [clock]. *)
@@ -104,24 +95,25 @@ val run_with_router :
   ?trace:Amb_sim.Trace.t ->
   ?pool:Amb_sim.Domain_pool.t ->
   ?phase:phase_times ->
-  ?fast_threshold:int ->
   router:Routing.t ->
   config ->
   seed:int ->
   outcome
 (** {!run} with the routing cache supplied explicitly (parallel sweeps
     pass {!Amb_net.Routing.with_private_memo} clones so fade faults
-    never race on the shared memo).  [pool] shards the fast path's
-    periodic accounting ticks over disjoint index ranges of the ledger
-    ({!Fleet_ledger.account_all}); a tick with a predicted death falls
-    back to the sequential node order, so outcomes are bitwise
-    identical at every pool size.  Report batches always replay
-    sequentially, pool or not.  [phase] accumulates per-phase wall
-    clock (see {!phase_times}).  [fast_threshold] (default
-    {!default_fast_threshold}) overrides the representation switch — 0
-    forces the fast path, [max_int] the historic one; the oracle tests
-    hold the two identical at every tested fleet shape, fault plan,
-    policy and jobs count. *)
+    never race on the shared memo).  The run keeps its energy state in
+    a {!Fleet_ledger} and walks reports with {!Fleet_ledger.report};
+    [outcome.agents] is restored from the ledger at run end.  [pool]
+    shards only the periodic accounting ticks, over disjoint index
+    ranges ({!Fleet_ledger.account_all}); a tick with a predicted death
+    falls back to the sequential node order, so outcomes are bitwise
+    identical at every pool size.  It is kept for the benchmark's
+    pooled re-check; report batches always replay sequentially.
+    [phase] accumulates per-stage wall clock (see {!phase_times}).
+
+    Raises [Failure] naming the three counts if a run ends with
+    [generated <> delivered + dropped] — every report ends its walk in
+    exactly one of the two, so a mismatch is a broken walk. *)
 
 val run_many : ?jobs:int -> config -> seeds:int array -> outcome array
 (** One {!run} per seed, result order matching [seeds]; [jobs] > 1

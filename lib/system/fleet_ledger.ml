@@ -6,9 +6,10 @@
     same zero-crossing interpolation — so a run driven through this
     ledger produces bit-for-bit the reserves, death instants and report
     digests of a run driven through the per-object agents.  The qcheck
-    oracle in [test/test_forward_fast.ml] holds the two paths to that
-    standard across fleet shapes, fault plans, policies and jobs
-    counts. *)
+    oracle in [test/test_forward_fast.ml] holds {!Cosim} to that
+    standard against the per-object reference run in
+    [test/cosim_reference.ml], across fleet shapes, fault plans,
+    policies and jobs counts. *)
 
 open Amb_sim
 
@@ -170,8 +171,8 @@ let would_die t i ~now =
   end
   else false
 
-(* The sequential tick: the statement-for-statement shape of
-   Cosim's historic [account_all] (account in node order, the death
+(* The sequential tick: the statement-for-statement shape of the
+   per-object reference tick (account in node order, the death
    callback fired inline between a node's accounting and the next
    node's).  That interleaving is observable — the callback repairs the
    route tree and, under Max_lifetime, re-reads reserves of nodes the
@@ -193,7 +194,7 @@ let account_all ?pool t ~now ~on_death =
        per-node accounting touches only that node's columns, so the
        result is independent of domain interleaving and identical to
        the sequential order.  Any predicted death falls the whole tick
-       back to the sequential loop, reproducing the historic
+       back to the sequential loop, reproducing the reference
        callback-between-accounts interleaving bit for bit. *)
     let jobs = Domain_pool.jobs pool in
     let jobs = if jobs > t.n then Stdlib.max 1 t.n else jobs in
@@ -222,10 +223,10 @@ let account_all ?pool t ~now ~on_death =
       ignore (Domain_pool.run pool commit : unit array)
 
 (* --- the report kernel -------------------------------------------------
-   One report of a city-scale run: activation charge, then the walk
-   towards the sink — sender pays the hop tariff, receiver the RX (or
-   reader) cost, the sink listens for free, any death drops the packet
-   — exactly the historic [Cosim] forward, statement for statement.
+   One report of a run: activation charge, then the walk towards the
+   sink — sender pays the hop tariff, receiver the RX (or reader) cost,
+   the sink listens for free, any death drops the packet — exactly the
+   per-object reference walk, statement for statement.
    It lives here, beside the arithmetic it drives, because nothing is
    inlined across modules under dune's default [-opaque] build: walked
    from [Cosim], every charge was a closure call with a boxed tariff

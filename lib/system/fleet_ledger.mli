@@ -1,10 +1,8 @@
-(** Struct-of-arrays energy ledger: the city-scale twin of
-    {!Node_agent}.
+(** Struct-of-arrays energy ledger: the co-simulation's energy state.
 
-    A fleet of per-object agents costs a pointer chase and a mixed
-    record per accounting touch; above {!Cosim.default_fast_threshold}
-    the co-simulation copies the agents into one unboxed float matrix
-    of node-major ledger rows
+    A fleet of per-object {!Node_agent}s costs a pointer chase and a
+    mixed record per accounting touch, so {!Cosim} copies the agents
+    into one unboxed float matrix of node-major ledger rows
     ([died_at]/[last_account]/[reserve]/[consumed]/[harvested] state,
     [sleep]/[regulator]/[income]/[capacity] parameters, plus a crashed
     bitset) and runs every charge and accounting tick over those —
@@ -14,9 +12,10 @@
 
     The kernels replicate {!Node_agent.account}/[charge]/[crash]
     float-op for float-op, so ledgers, interpolated death instants and
-    digests are bit-for-bit identical to the historic path; the qcheck
-    oracle in [test/test_forward_fast.ml] enforces this across fleet
-    shapes, fault plans, policies and jobs counts.
+    digests are bit-for-bit those of a run charged through the agents;
+    the qcheck oracle in [test/test_forward_fast.ml] holds {!Cosim} to
+    the per-object reference run in [test/cosim_reference.ml] across
+    fleet shapes, fault plans, policies and jobs counts.
 
     [died_at] uses the same NaN-while-alive encoding as the agent
     ledger. *)
@@ -49,7 +48,7 @@ val crash : t -> int -> now:float -> unit
 val account_all : ?pool:Amb_sim.Domain_pool.t -> t -> now:float -> on_death:(int -> unit) -> unit
 (** Settle every node to [now], firing [on_death i] between a node's
     accounting and the next node's, in ascending node order — the
-    historic [Cosim] tick semantics.  With [pool], disjoint index
+    per-object reference tick semantics.  With [pool], disjoint index
     ranges are folded in parallel: a read-only scan predicts deaths
     first, a death-free tick commits in parallel (per-node accounting
     is independent, so the result is order-blind), and any predicted
@@ -109,8 +108,9 @@ val report : route -> int -> bool
 
 val write_back : t -> Node_agent.t array -> unit
 (** Restore the columns into the agents (via {!Node_agent.restore}) so
-    end-of-run reporting reads them as if the historic path had run. *)
+    end-of-run reporting reads them as if the agents had been charged
+    directly. *)
 
 val words : t -> int
 (** Heap words the ledger's columns occupy — the bench gates this per
-    node so the fast path's footprint cannot regress silently. *)
+    node so the ledger's footprint cannot regress silently. *)

@@ -124,7 +124,7 @@ let cost_rx_j t =
 let reader_cost_rx_j t = match t.mode with Off -> 0.0 | Cached | Mac _ -> t.reader_rx_j
 
 (* Receiver classification of a hop node -> p, precomputed so the
-   forwarding fast path branches on an int instead of re-asking the
+   report walk branches on an int instead of re-asking the
    predicates per packet. *)
 let hop_normal = 0
 let hop_tag = 1

@@ -87,8 +87,8 @@ val refresh_hop_tariffs :
     [hop_kind.(node)] ({!hop_normal} / {!hop_tag} /
     {!hop_sink_parent}).  Orphans get a NaN tariff.  Called on every
     route-tree sync, so the arrays are stale only when the tree itself
-    is — the forwarding fast path then walks flat arrays with zero
-    link-layer calls per hop. *)
+    is — the co-simulation's report walk then reads flat arrays with
+    zero link-layer calls per hop. *)
 
 val weight_j : t -> int -> int -> float
 (** [weight_j t u v] — physical TX+RX joules for routing weights,

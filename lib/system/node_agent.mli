@@ -51,9 +51,9 @@ val reserve_j : t -> float
 
 (** {2 Raw ledger access}
 
-    Columns for {!Fleet_ledger}, the struct-of-arrays twin used by the
-    city-scale forwarding fast path: parameters are copied out once per
-    run, mutable state written back once at the end via {!restore}. *)
+    Columns for {!Fleet_ledger}, the struct-of-arrays ledger every
+    {!Cosim} run charges: parameters are copied out once per run,
+    mutable state written back once at the end via {!restore}. *)
 
 val capacity_j : t -> float
 val income_w : t -> float
@@ -81,7 +81,7 @@ val restore :
   died_at_s:float ->
   crashed:bool ->
   unit
-(** Overwrite the mutable ledger state wholesale — the fast path's
+(** Overwrite the mutable ledger state wholesale — {!Fleet_ledger}'s
     end-of-run write-back. *)
 
 val residual_energy : t -> Energy.t

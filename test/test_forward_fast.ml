@@ -1,26 +1,29 @@
-(* Oracle for the forwarding fast path (Fleet_ledger + precomputed hop
-   tariffs + the engine's indexed report channel).
+(* Oracle for the co-simulation's forwarding kernel ([Fleet_ledger]
+   rows, precomputed hop tariffs and the engine's indexed report
+   channel).
 
-   [Cosim.run_with_router] keeps two implementations of the hot loop:
-   the historic per-object path (agents, per-hop Link_layer pricing,
-   one closure per report event) and the struct-of-arrays path that
-   city-scale runs switch to above [Cosim.default_fast_threshold].  The
-   contract is bit-for-bit identity — not approximate agreement — so
-   the oracle here forces both paths over the same randomised scenarios
-   ([~fast_threshold:max_int] vs [~fast_threshold:0]) and compares
-   every outcome field, every agent ledger, the death chronology and
-   the full engine trace with NaN-safe bitwise float equality.  The
-   fast path also runs under a 4-domain accounting pool, which must
-   change nothing.
+   [Cosim_reference.run] is the same model written the direct way: one
+   [Node_agent] per node, every hop priced through [Link_layer], one
+   closure per report stream.  The contract is bit-for-bit identity —
+   not approximate agreement — so the oracle runs both over the same
+   randomised scenarios and compares every outcome field, every agent
+   ledger, the death chronology and the full engine trace with NaN-safe
+   bitwise float equality.  [Cosim] also runs under a 4-domain
+   accounting pool, which must change nothing.
 
-   Scenarios sweep the surface the fast path reimplements: mixed fleets
+   Scenarios sweep the surface the kernel reimplements: mixed fleets
    (leaves + relays + batteryless tags on the reader-powered PHY),
    crash/fade/battery-scale fault plans (fades invalidate the
    precomputed tariffs mid-run), all three routing policies, and
-   diurnal harvest income (the ledger's multiplier bitset).
+   diurnal harvest income (the ledger's multiplier bitset).  Random
+   scenarios can miss a branch of the walk, so a four-node diamond
+   pins each one deterministically: a death on the receive charge, a
+   sender dying on its hop into the sink, a tag served by the sink as
+   its reader, an orphaned sender, and a crash and a fade inside one
+   drained report batch.
 
-   A final test pins the point of the exercise: the fast path's event
-   loop must stay allocation-free, measured as minor words per event. *)
+   The allocation tests pin the point of the exercise: the event loop
+   must stay allocation-free, measured as minor words per event. *)
 
 open Amb_units
 open Amb_system
@@ -77,14 +80,19 @@ let scenario ~trial =
   in
   (fleet, cfg)
 
-(* One run at a given threshold.  Fades write per-distance energies into
-   the routing memo, so every run gets a private clone — exactly what
-   [Cosim.run_many] shards do — keeping the three runs independent. *)
-let run_one ?pool ~fast_threshold fleet cfg ~seed =
-  let trace = Amb_sim.Trace.create ~capacity:200_000 () in
+(* Fades write per-distance energies into the routing memo, so every
+   run gets a private clone — exactly what [Cosim.run_many] shards do —
+   keeping the runs independent. *)
+let traced fleet run =
+  let trace = Amb_sim.Trace.create ~capacity:500_000 () in
   let router = Amb_net.Routing.with_private_memo fleet.Fleet.router in
-  let outcome = Cosim.run_with_router ~trace ?pool ~fast_threshold ~router cfg ~seed in
-  (outcome, trace)
+  (run trace router, trace)
+
+let run_one ?pool fleet cfg ~seed =
+  traced fleet (fun trace router -> Cosim.run_with_router ~trace ?pool ~router cfg ~seed)
+
+let run_reference fleet cfg ~seed =
+  traced fleet (fun trace router -> Cosim_reference.run ~trace ~router cfg ~seed)
 
 (* --- bitwise comparison ---------------------------------------------- *)
 
@@ -141,15 +149,15 @@ let prop_fast_path_oracle =
     QCheck.small_nat (fun trial ->
       let fleet, cfg = scenario ~trial in
       let seed = 9000 + trial in
-      let historic, t_hist = run_one ~fast_threshold:max_int fleet cfg ~seed in
-      let fast, t_fast = run_one ~fast_threshold:0 fleet cfg ~seed in
-      check_same ~ctx:(Printf.sprintf "trial %d seq" trial) historic t_hist fast t_fast;
+      let reference, t_ref = run_reference fleet cfg ~seed in
+      let fast, t_fast = run_one fleet cfg ~seed in
+      check_same ~ctx:(Printf.sprintf "trial %d seq" trial) reference t_ref fast t_fast;
       Amb_sim.Domain_pool.with_pool ~jobs:4 (fun pool ->
-          let pooled, t_pool = run_one ~pool ~fast_threshold:0 fleet cfg ~seed in
-          check_same ~ctx:(Printf.sprintf "trial %d jobs=4" trial) historic t_hist pooled t_pool);
+          let pooled, t_pool = run_one ~pool fleet cfg ~seed in
+          check_same ~ctx:(Printf.sprintf "trial %d jobs=4" trial) reference t_ref pooled t_pool);
       true)
 
-(* --- parallel batch oracle ------------------------------------------- *)
+(* --- pooled runs ----------------------------------------------------- *)
 
 (* Fleets of a few hundred nodes with tiny battery budgets, so deaths
    (and the route repairs they trigger) land inside the horizon while
@@ -187,21 +195,15 @@ let big_scenario ~trial =
   in
   (fleet, cfg)
 
-let run_big ?pool fleet cfg ~seed =
-  let trace = Amb_sim.Trace.create ~capacity:500_000 () in
-  let router = Amb_net.Routing.with_private_memo fleet.Fleet.router in
-  let outcome = Cosim.run_with_router ~trace ?pool ~fast_threshold:0 ~router cfg ~seed in
-  (outcome, trace)
-
-let prop_parallel_batch_oracle =
-  QCheck.Test.make ~name:"parallel report batches are bitwise identical to sequential"
+let prop_pooled_ticks_oracle =
+  QCheck.Test.make ~name:"pooled accounting ticks are bitwise identical to sequential"
     ~count:2 QCheck.small_nat (fun trial ->
       let fleet, cfg = big_scenario ~trial in
       let seed = 9900 + trial in
-      let seq, t_seq = run_big fleet cfg ~seed in
+      let seq, t_seq = run_one fleet cfg ~seed in
       Amb_sim.Domain_pool.with_pool ~jobs:4 (fun pool ->
           let before = Amb_sim.Domain_pool.parallel_batches () in
-          let pooled, t_pool = run_big ~pool fleet cfg ~seed in
+          let pooled, t_pool = run_one ~pool fleet cfg ~seed in
           if Amb_sim.Domain_pool.parallel_batches () = before then
             Alcotest.failf "big trial %d: the jobs=4 pool never dispatched a batch" trial;
           check_same ~ctx:(Printf.sprintf "big trial %d jobs=4" trial) seq t_seq pooled t_pool);
@@ -284,16 +286,17 @@ let minor_words_per_event ~nodes ~hours =
   let cfg = Cosim.config ~fleet ~horizon:(Time_span.hours hours) () in
   (* Warm once so lazy setup (routing memo fills, engine growth) is out
      of the measured run. *)
-  ignore (Cosim.run_with_router ~fast_threshold:0 ~router:fleet.Fleet.router cfg ~seed:7);
+  ignore (Cosim.run_with_router ~router:fleet.Fleet.router cfg ~seed:7);
   let before = Gc.minor_words () in
-  let o = Cosim.run_with_router ~fast_threshold:0 ~router:fleet.Fleet.router cfg ~seed:7 in
+  let o = Cosim.run_with_router ~router:fleet.Fleet.router cfg ~seed:7 in
   let per_event = (Gc.minor_words () -. before) /. Float.of_int o.Cosim.events in
-  (* Per-run setup (ledger snapshot, tariff arrays, write_back) is a few
-     words per NODE amortised over ~12 events each; the event loop
-     itself must add nothing.  The historic path spends hundreds of
-     words per event on boxed link costs and report closures. *)
+  (* Per-run setup (agents, ledger snapshot, tariff arrays, write_back)
+     is a few words per NODE amortised over ~12 events each; the event
+     loop itself must add nothing.  A boxed tariff or a closure per
+     report — what [Cosim_reference] does — costs hundreds of words per
+     event. *)
   if per_event > 40.0 then
-    Alcotest.failf "%d-node fast path allocates %.1f minor words/event (budget 40)" nodes
+    Alcotest.failf "%d-node run allocates %.1f minor words/event (budget 40)" nodes
       per_event
 
 (* 2 000 reporters keep the pending set on the engine's binary heap. *)
@@ -307,18 +310,23 @@ let test_minor_words_budget () = minor_words_per_event ~nodes:2000 ~hours:2.0
    chain) cost over a thousand words per event here. *)
 let test_minor_words_budget_calendar () = minor_words_per_event ~nodes:8000 ~hours:1.0
 
-(* --- deaths in the middle of a walk ---------------------------------- *)
+(* --- one deterministic case per branch of the walk -------------------- *)
 
-(* A diamond: the sink (0), relays 1 and 2 in range of it, and leaf 3
+(* A diamond: the sink (0), relays 1 and 2 in range of it, and node 3
    in range of both relays but not of the sink, closer to relay 1 — so
-   the min-energy tree routes 3 -> 1 -> 0.  Only the leaf reports; no
-   sleep drain, no harvest and a lossless regulator, so reserves move
-   only on charges and relay 1's (fault-scaled) capacity picks the very
-   charge that kills it: the receive charge of the leaf's first report,
-   or the transmit charge that forwards it.  Either way the death fires
-   inside the walk, the repair re-parents the leaf onto relay 2, and
-   the packet in flight is dropped. *)
-let diamond ~capacity_j =
+   the min-energy tree routes 3 -> 1 -> 0.  No sleep drain, no harvest
+   and a lossless regulator, so reserves move only on charges.  The
+   inputs select the branch under test:
+   - [capacity_j] scales relay 1's 1 J budget to a capacity computed
+     from the receive and transmit tariffs, picking the very charge
+     that kills it inside a walk;
+   - [node3] turns node 3 into a tag within half the reader range of
+     the sink ([`Tag]) or moves it out of everyone's range
+     ([`Orphan]);
+   - [relays_report] gives the relays their own 30 s report streams, so
+     one drained report batch holds three reports;
+   - [faults] are appended to the plan. *)
+let diamond ?capacity_j ?(node3 = `Leaf) ?(relays_report = false) ?(faults = []) () =
   let flat =
     {
       Fleet.name = "flat";
@@ -335,73 +343,188 @@ let diamond ~capacity_j =
       ~sink:0 ~node:flat ()
   in
   let r = probe.Fleet.router.Amb_net.Routing.range_m in
+  let reader_link = Fleet.default_tag_link () in
   let at x y = { Amb_net.Topology.x = x *. r; y = (0.5 +. y) *. r } in
+  let third =
+    match node3 with
+    | `Leaf -> at 1.2 0.0
+    | `Orphan -> at 1.9 1.4
+    | `Tag ->
+      { (at 0.0 0.0) with
+        Amb_net.Topology.x = 0.5 *. Amb_radio.Backscatter.max_range reader_link }
+  in
   let topology =
     Amb_net.Topology.of_positions ~width_m:(2.0 *. r) ~height_m:(2.0 *. r)
-      [| at 0.0 0.0; at 0.6 0.0; at 0.6 (-0.45); at 1.2 0.0 |]
+      [| at 0.0 0.0; at 0.6 0.0; at 0.6 (-0.45); third |]
   in
   let base = Fleet.homogeneous ~topology ~sink:0 ~node:flat () in
+  let tag = node3 = `Tag in
   let fleet =
     { base with
-      Fleet.tiers = [| Fleet.Sink; Fleet.Relay; Fleet.Relay; Fleet.Sensor_leaf |];
+      Fleet.tiers =
+        [| Fleet.Sink; Fleet.Relay; Fleet.Relay; (if tag then Fleet.Tag else Fleet.Sensor_leaf) |];
       (* per tier ordinal: leaves, relays, sink, tags *)
-      tier_members = [| [| 3 |]; [| 1; 2 |]; [| 0 |]; [||] |];
-      relay = { flat with Fleet.name = "relay"; report_period = None };
+      tier_members =
+        (if tag then [| [||]; [| 1; 2 |]; [| 0 |]; [| 3 |] |]
+         else [| [| 3 |]; [| 1; 2 |]; [| 0 |]; [||] |]);
+      relay =
+        { flat with
+          Fleet.name = "relay";
+          report_period = (if relays_report then flat.Fleet.report_period else None) };
+      tag_link = (if tag then Some reader_link else None);
     }
   in
   let router = fleet.Fleet.router in
-  let capacity_j =
-    capacity_j ~rx_j:(Amb_net.Routing.receiver_energy_j router)
-      ~tx_j:(Amb_net.Routing.sender_energy_j router 1 0)
+  let scaled =
+    match capacity_j with
+    | None -> []
+    | Some capacity_j ->
+      (* The flat budget is 1 J, so the scale factor is the capacity. *)
+      let scale =
+        capacity_j ~rx_j:(Amb_net.Routing.receiver_energy_j router)
+          ~tx_j:(Amb_net.Routing.sender_energy_j router 1 0)
+      in
+      [ Fault_plan.Battery_scale { node = 1; scale } ]
   in
-  (* The flat budget is 1 J, so the scale factor is the capacity. *)
-  let faults = [ Fault_plan.Battery_scale { node = 1; scale = capacity_j } ] in
-  (fleet, Cosim.config ~faults ~fleet ~horizon:(Time_span.hours 1.0) ())
+  (fleet, Cosim.config ~faults:(scaled @ faults) ~fleet ~horizon:(Time_span.hours 1.0) ())
 
+(* The run against the reference, bit for bit: counts, death instants,
+   every ledger and the trace.  Returns the run for the per-case
+   checks that the scenario happened as designed. *)
+let check_walk ~ctx (fleet, cfg) =
+  let reference, t_ref = run_reference fleet cfg ~seed:3 in
+  let run, t_run = run_one fleet cfg ~seed:3 in
+  check_same ~ctx reference t_ref run t_run;
+  (run, t_run)
+
+(* Relay 1 dies inside the walk of the leaf's first report: the repair
+   re-parents the leaf onto relay 2 and the packet in flight is
+   dropped. *)
 let check_mid_walk_death ~ctx ~capacity_j () =
-  let fleet, cfg = diamond ~capacity_j in
-  let historic, t_hist = run_one ~fast_threshold:max_int fleet cfg ~seed:3 in
-  let fast, t_fast = run_one ~fast_threshold:0 fleet cfg ~seed:3 in
-  (* Counts, death instants, every ledger and the trace, bit for bit. *)
-  check_same ~ctx historic t_hist fast t_fast;
-  (* The scenario happened as designed, on both paths alike: relay 1
-     died at the leaf's first report, that packet was the only drop,
-     and relay 2 — which never reports — paid for every later hop. *)
+  let o, trace = check_walk ~ctx (diamond ~capacity_j ()) in
+  let ck name = Printf.sprintf "%s: %s" ctx name in
   let first_report =
     List.find
       (fun (e : Amb_sim.Trace.entry) -> e.label = "fire:report:3")
-      (Amb_sim.Trace.to_list t_fast)
+      (Amb_sim.Trace.to_list trace)
   in
-  List.iter
-    (fun (path, (o : Cosim.outcome)) ->
-      let ck name = Printf.sprintf "%s (%s): %s" ctx path name in
-      (match o.deaths with
-      | [ (1, at) ] ->
-        check_bits (ck "death at the first report") first_report.time (Time_span.to_seconds at)
-      | _ -> Alcotest.failf "%s: expected relay 1 to die, and only it" (ck "deaths"));
-      Alcotest.(check int) (ck "dropped") 1 o.dropped;
-      Alcotest.(check int) (ck "delivered") (o.generated - 1) o.delivered;
-      Alcotest.(check bool) (ck "leaf re-parented onto relay 2") true
-        (Node_agent.consumed_j o.agents.(2) > 0.0))
-    [ ("historic", historic); ("fast", fast) ]
+  (match o.deaths with
+  | [ (1, at) ] ->
+    check_bits (ck "death at the first report") first_report.time (Time_span.to_seconds at)
+  | _ -> Alcotest.failf "%s: expected relay 1 to die, and only it" (ck "deaths"));
+  Alcotest.(check int) (ck "dropped") 1 o.dropped;
+  Alcotest.(check int) (ck "delivered") (o.generated - 1) o.delivered;
+  (* Relay 2 never reports, so it paid for every later hop. *)
+  Alcotest.(check bool) (ck "leaf re-parented onto relay 2") true
+    (Node_agent.consumed_j o.agents.(2) > 0.0);
+  (* The sink listens for free, also on the hop whose sender died. *)
+  check_bits (ck "sink never charged") 0.0 (Node_agent.consumed_j o.agents.(0))
 
 (* Relay 1 holds less than one receive charge. *)
 let test_relay_dies_receiving =
   check_mid_walk_death ~ctx:"relay dies receiving" ~capacity_j:(fun ~rx_j ~tx_j:_ ->
       0.5 *. rx_j)
 
-(* Relay 1 survives the receive charge and dies forwarding. *)
+(* Relay 1 survives the receive charge and dies on its hop into the
+   sink. *)
 let test_sender_dies_forwarding =
   check_mid_walk_death ~ctx:"sender dies forwarding" ~capacity_j:(fun ~rx_j ~tx_j ->
       rx_j +. (0.5 *. tx_j))
 
+(* A tag whose reader is the sink: the sink pays the reader tariff on
+   every report (it listens for free only on ordinary hops).  Its
+   budget is scaled up so a thousand-odd reader charges cannot kill
+   it. *)
+let test_tag_read_by_sink () =
+  let ctx = "tag read by the sink" in
+  let ((fleet, _) as scenario) =
+    diamond ~node3:`Tag ~faults:[ Fault_plan.Battery_scale { node = 0; scale = 1e3 } ] ()
+  in
+  let o, _ = check_walk ~ctx scenario in
+  let link =
+    Link_layer.create
+      ~tag_link:(Option.get fleet.Fleet.tag_link, (fun i -> i = 3), fun i -> i = 0)
+      ~router:fleet.Fleet.router ~mode:Link_layer.Cached ()
+  in
+  let reader_j = Link_layer.reader_cost_rx_j link in
+  Alcotest.(check bool) (ctx ^ ": the tag reports") true (o.generated > 0);
+  Alcotest.(check int) (ctx ^ ": every report delivered") o.generated o.delivered;
+  let paid = ref 0.0 in
+  for _ = 1 to o.delivered do
+    paid := !paid +. reader_j
+  done;
+  check_bits (ctx ^ ": sink paid one reader tariff per report") !paid
+    (Node_agent.consumed_j o.agents.(0))
+
+(* A sender with no parent ([parent = -2]) drops every report before
+   pricing a hop: nothing is charged anywhere. *)
+let test_orphan_drops_uncharged () =
+  let ctx = "orphaned sender" in
+  let o, _ = check_walk ~ctx (diamond ~node3:`Orphan ()) in
+  Alcotest.(check bool) (ctx ^ ": the leaf reports") true (o.generated > 0);
+  Alcotest.(check int) (ctx ^ ": every report dropped") o.generated o.dropped;
+  Array.iteri
+    (fun i ag ->
+      check_bits (Printf.sprintf "%s: node %d uncharged" ctx i) 0.0 (Node_agent.consumed_j ag))
+    o.agents
+
+(* A relay crash and a link fade inside one drained report batch.  A
+   non-report event ends a drain, so the report right after an
+   accounting tick opens one, and with three 30 s streams the drain
+   would take the next two reports too.  A fault-free reference run
+   finds those three instants; the crash lands between the first two,
+   the fade (on the leaf's fallback link to relay 2) between the last
+   two, so the drain is cut twice and the walks after each cut read a
+   repaired tree. *)
+let test_faults_inside_a_batch () =
+  let ctx = "crash and fade inside one batch" in
+  let fleet, cfg = diamond ~relays_report:true () in
+  let _, trace = run_reference fleet cfg ~seed:3 in
+  let rec after_tick = function
+    | (e : Amb_sim.Trace.entry) :: rest when e.label = "fire:account" -> rest
+    | _ :: rest -> after_tick rest
+    | [] -> []
+  in
+  let fires =
+    List.filter_map
+      (fun (e : Amb_sim.Trace.entry) ->
+        if String.starts_with ~prefix:"fire:report:" e.label then Some e.time else None)
+      (after_tick (Amb_sim.Trace.to_list trace))
+  in
+  let t1, t2, t3 =
+    match fires with a :: b :: c :: _ -> (a, b, c) | _ -> Alcotest.failf "%s: no batch" ctx
+  in
+  if not (t1 < t2 && t2 < t3 && t3 < t1 +. 30.0) then
+    Alcotest.failf "%s: %g, %g, %g do not fit one 30 s drain" ctx t1 t2 t3;
+  let crash_at = 0.5 *. (t1 +. t2) and fade_at = 0.5 *. (t2 +. t3) in
+  let faults =
+    [ Fault_plan.Node_crash { node = 1; at = Time_span.seconds crash_at };
+      Fault_plan.Link_fade { a = 3; b = 2; db = 6.0; at = Time_span.seconds fade_at } ]
+  in
+  let o, trace = check_walk ~ctx (diamond ~relays_report:true ~faults ()) in
+  (match o.deaths with
+  | [ (1, at) ] -> check_bits (ctx ^ ": crash instant") crash_at (Time_span.to_seconds at)
+  | _ -> Alcotest.failf "%s: expected relay 1 to crash, and only it" ctx);
+  let fired label =
+    (List.find (fun (e : Amb_sim.Trace.entry) -> e.label = label) (Amb_sim.Trace.to_list trace))
+      .time
+  in
+  check_bits (ctx ^ ": fade instant") fade_at (fired "fire:fault:fade:3-2");
+  (* After the crash the leaf's reports go through relay 2. *)
+  Alcotest.(check bool) (ctx ^ ": relay 2 carried the leaf") true
+    (Node_agent.consumed_j o.agents.(2) > Node_agent.consumed_j o.agents.(1))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_fast_path_oracle; prop_parallel_batch_oracle ]
+    [ prop_fast_path_oracle; prop_pooled_ticks_oracle ]
   @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
       Alcotest.test_case "fast path minor words per event on the calendar queue" `Quick
         test_minor_words_budget_calendar;
       Alcotest.test_case "relay dying on its receive charge" `Quick test_relay_dies_receiving;
       Alcotest.test_case "sender dying mid-walk" `Quick test_sender_dies_forwarding;
+      Alcotest.test_case "tag read by the sink" `Quick test_tag_read_by_sink;
+      Alcotest.test_case "orphaned sender drops uncharged" `Quick test_orphan_drops_uncharged;
+      Alcotest.test_case "crash and fade inside one report batch" `Quick
+        test_faults_inside_a_batch;
     ]
