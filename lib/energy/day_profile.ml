@@ -14,8 +14,15 @@ type segment = { duration : Time_span.t; scale : float }
 type t = {
   name : string;
   segments : segment list;  (** one period, repeated forever *)
+  period_s : float;
+  bounds : float array;  (** cumulative segment ends, seconds *)
+  scales : float array;
 }
 
+(* The lookup table is the left fold from [0.0] that the segment walk
+   performed on every call ([offset +. duration], segment by segment),
+   run once here: every bound, and the period as the last of them, is
+   bitwise what the walk computed. *)
 let make ~name segments =
   if segments = [] then invalid_arg "Day_profile.make: empty profile";
   List.iter
@@ -24,9 +31,18 @@ let make ~name segments =
         invalid_arg "Day_profile.make: non-positive segment";
       if s.scale < 0.0 then invalid_arg "Day_profile.make: negative scale")
     segments;
-  { name; segments }
+  let n = List.length segments in
+  let bounds = Array.make n 0.0 and scales = Array.make n 0.0 in
+  let offset = ref 0.0 in
+  List.iteri
+    (fun k s ->
+      offset := !offset +. Time_span.to_seconds s.duration;
+      bounds.(k) <- !offset;
+      scales.(k) <- s.scale)
+    segments;
+  { name; segments; period_s = !offset; bounds; scales }
 
-let period t = Time_span.sum (List.map (fun s -> s.duration) t.segments)
+let period t = Time_span.seconds t.period_s
 
 (** Office lighting: 10 h at full level, 14 h at 2% (emergency lights /
     residual daylight). *)
@@ -55,19 +71,25 @@ let outdoor_diurnal =
 (** Constant (the default the rest of the toolkit assumes). *)
 let constant = make ~name:"constant" [ { duration = Time_span.hours 24.0; scale = 1.0 } ]
 
-(** [scale_at t time] — the multiplier in effect at [time] (periodic). *)
-let scale_at t time =
-  let p = Time_span.to_seconds (period t) in
-  let s = Float.rem (Time_span.to_seconds time) p in
+(** [income_multiplier t time_s] — the multiplier in effect at [time_s]
+    seconds (periodic): the [time_s -> multiplier] function for the
+    discrete-event simulator. *)
+let income_multiplier t time_s =
+  let p = t.period_s in
+  let s = Float.rem time_s p in
   let s = if s < 0.0 then s +. p else s in
-  let rec walk segments offset =
-    match segments with
-    | [] -> 1.0
-    | seg :: rest ->
-      let next = offset +. Time_span.to_seconds seg.duration in
-      if s < next then seg.scale else walk rest next
-  in
-  walk t.segments 0.0
+  (* First segment whose end lies strictly beyond [s]; none (NaN, or a
+     negative wrap that rounds up to the period) falls back to 1.0. *)
+  let bounds = t.bounds in
+  let n = Array.length bounds in
+  let k = ref 0 in
+  while !k < n && not (s < Array.unsafe_get bounds !k) do
+    incr k
+  done;
+  if !k < n then Array.unsafe_get t.scales !k else 1.0
+
+(** [scale_at t time] — the multiplier in effect at [time] (periodic). *)
+let scale_at t time = income_multiplier t (Time_span.to_seconds time)
 
 (** [average_scale t] — duration-weighted mean multiplier: the factor by
     which the constant-income analyses overestimate real harvest. *)
@@ -124,7 +146,3 @@ let buffer_capacitance_required t ~load ~income ~v_max ~v_min =
 (** [sustainable t ~load ~income] — the long-run balance test: average
     harvested income covers the load. *)
 let sustainable t ~load ~income = Power.ge (average_income t income) load
-
-(** [income_multiplier t] — a [time_s -> multiplier] function for the
-    discrete-event simulator. *)
-let income_multiplier t time_s = scale_at t (Time_span.seconds time_s)

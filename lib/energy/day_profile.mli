@@ -6,10 +6,26 @@ open Amb_units
 
 type segment = { duration : Time_span.t; scale : float }
 
-type t = {
+type t = private {
   name : string;
   segments : segment list;  (** one period, repeated forever *)
+  period_s : float;  (** [period], seconds *)
+  bounds : float array;  (** end of segment [k] within the period, seconds *)
+  scales : float array;  (** scale of segment [k] *)
 }
+(** A profile carries its segment list and a flat lookup table built
+    once by {!make}: [bounds] is the left fold [0.0 +. d0 +. d1 ...] of
+    the segment durations and [period_s] its last element, so every
+    boundary is bitwise the offset a walk down [segments] computes.
+    {!scale_at} and {!income_multiplier} read the table instead of
+    walking the list, and are bit-identical to that walk at every time: the
+    time is reduced with [Float.rem] by [period_s] (a negative
+    remainder wraps up by one period), the result is the scale of the
+    first segment whose bound lies strictly beyond it, and a time with
+    no such segment (NaN, ±infinity) gives [1.0].  The record is
+    [private] so {!make} stays the only constructor; code that must
+    evaluate the profile without a call (the fleet ledger's accounting
+    kernel) reads the table directly and owes the same arithmetic. *)
 
 val make : name:string -> segment list -> t
 (** Raises [Invalid_argument] on an empty profile, non-positive segment
@@ -29,7 +45,8 @@ val outdoor_diurnal : t
 val constant : t
 
 val scale_at : t -> Time_span.t -> float
-(** The multiplier in effect at a given time (periodic). *)
+(** The multiplier in effect at a given time (periodic), read from the
+    lookup table. *)
 
 val average_scale : t -> float
 (** Duration-weighted mean multiplier. *)
@@ -54,4 +71,5 @@ val sustainable : t -> load:Power.t -> income:Power.t -> bool
 (** Long-run balance test: average income covers the load. *)
 
 val income_multiplier : t -> float -> float
-(** [time_s -> multiplier] function for the discrete-event simulator. *)
+(** [time_s -> multiplier] function for the discrete-event simulator:
+    {!scale_at} on raw seconds. *)

@@ -216,7 +216,28 @@ let link_mode_of (fleet : Fleet.t) = function
 let report_title c =
   Printf.sprintf "%s %s seed %d" c.name (String.sub (config_digest c) 0 8) c.seed
 
+(* Expected cost: node count x horizon tracks the event count (reports
+   are per-node-per-period, accounting per node).  It orders the pool's
+   work longest-first and bounds what one cell may cost. *)
+let expected_cost c = Float.of_int (c.leaves + c.relays + c.tags + 1) *. c.hours
+
+(* One cell's admission bound.  A 30 s report period makes a node-hour
+   about 120 events, so the bound is ~1.2e8 events — tens of seconds on
+   one core — while the largest cell any experiment, test or the
+   serve-sweep benchmark runs costs a few hundred node-hours (26 nodes x
+   12 h).  Without it one request line (hours = 1e9) starts a run that
+   never answers. *)
+let max_cost_node_hours = 1e6
+
+let check_cost c =
+  let cost = expected_cost c in
+  if not (cost <= max_cost_node_hours) then
+    failwith
+      (Printf.sprintf "cell costs %g node-hours (%d nodes x %g h); the bound is %g" cost
+         (c.leaves + c.relays + c.tags + 1) c.hours max_cost_node_hours)
+
 let outcome c =
+  check_cost c;
   let fleet = build_fleet c in
   check_fault_nodes ~node_count:(Fleet.node_count fleet) c.faults;
   let cfg =
@@ -232,9 +253,10 @@ let outcome c =
   (fleet, Cosim.run cfg ~seed:c.seed)
 
 (** [run_cell cell] — one co-simulation to one row line.  Error
-    isolation lives here: any exception (bad fleet shape, out-of-range
-    fault, model invariant) becomes a structured error row, so a
-    poisoned cell can never abort the batch or kill `ambient serve`. *)
+    isolation lives here: any exception (over-bound cost, bad fleet
+    shape, out-of-range fault, model invariant) becomes a structured
+    error row, so a poisoned cell can never abort the batch or kill
+    `ambient serve`. *)
 let run_cell c =
   match outcome c with
   | fleet, o ->
@@ -244,10 +266,6 @@ let run_cell c =
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution on the domain pool                                  *)
-
-(* Expected cost for LPT ordering: node count x horizon tracks the
-   event count (reports are per-node-per-period, accounting per node). *)
-let expected_cost c = Float.of_int (c.leaves + c.relays + c.tags + 1) *. c.hours
 
 let status_of_line line =
   match Result_store.entry_of_line line with

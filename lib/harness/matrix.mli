@@ -53,10 +53,22 @@ val expand : Scenario_spec.t -> cell array
 val canonical_config : cell -> string
 val config_digest : cell -> string
 
+val expected_cost : cell -> float
+(** Node count x horizon in hours: the cost the pool orders cells by
+    and {!max_cost_node_hours} bounds. *)
+
+val max_cost_node_hours : float
+(** Admission bound on one cell's {!expected_cost} (10{^6} node-hours,
+    about 1.2·10{^8} events at the 30 s report period).  A cell above
+    it (or with a NaN cost) is not run: {!run_cell} answers it with an
+    error row, in [ambient matrix] and [ambient serve] alike. *)
+
 val run_cell : cell -> string
 (** One co-simulation to one row line.  Any exception becomes a
     [status = "error"] row with the exception text — error isolation for
-    both the batch runner and `ambient serve`. *)
+    both the batch runner and `ambient serve`.  A cell whose cost
+    exceeds {!max_cost_node_hours} is rejected the same way, before
+    anything is built. *)
 
 val row_of_error : cell -> string -> string
 

@@ -9,10 +9,11 @@
     enqueue and dequeue are amortized O(1) regardless of population.
 
     Layout is the same discipline as {!Float_heap} and the engine heap:
-    events live in parallel arrays (unboxed float times, int sequence
-    numbers, two caller payload slots) threaded into per-bucket
+    events live in parallel pointer-free arrays (unboxed float times,
+    int sequence numbers, two int payloads) threaded into per-bucket
     intrusive chains through an int [next] array, with a free list in
-    the same array; no per-event boxing, no per-event allocation.
+    the same array; no per-event boxing, no per-event allocation, and
+    no store that needs the GC's write barrier.
     Chains are kept sorted by (time, seq), so the head of a bucket
     chain is its minimum and equal times pop FIFO — the exact order of
     the binary heap, which the property tests check.
@@ -32,15 +33,11 @@
    assignment). *)
 type fcell = { mutable f : float }
 
-type ('a, 'b) t = {
-  null_a : 'a;  (** placeholder releasing payload slots to the GC *)
-  null_b : 'b;
+type t = {
   (* Node store: one event per slot, SoA, free list through [nexts]. *)
   mutable times : float array;
   mutable seqs : int array;
   mutable nexts : int array;  (** chain link / free-list link; -1 = end *)
-  mutable pa : 'a array;
-  mutable pb : 'b array;
   mutable i1s : int array;  (** two int payload slots (e.g. handler id / index
                                 of the engine's indexed event channel);
                                 carried verbatim, never interpreted *)
@@ -58,8 +55,6 @@ type ('a, 'b) t = {
   (* Out-fields filled by [pop] (allocation-free hand-off). *)
   out_time : fcell;
   mutable out_seq : int;
-  mutable out_a : 'a;
-  mutable out_b : 'b;
   mutable out_i1 : int;
   mutable out_i2 : int;
 }
@@ -82,18 +77,14 @@ let round_pow2 v =
   done;
   !p
 
-let create ?(buckets = 16) ~null_a ~null_b () =
+let create ?(buckets = 16) () =
   let nb = round_pow2 (Stdlib.max 16 buckets) in
   let cap = 16 in
   let nexts = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
   {
-    null_a;
-    null_b;
     times = Array.make cap 0.0;
     seqs = Array.make cap 0;
     nexts;
-    pa = Array.make cap null_a;
-    pb = Array.make cap null_b;
     i1s = Array.make cap 0;
     i2s = Array.make cap 0;
     free = 0;
@@ -107,8 +98,6 @@ let create ?(buckets = 16) ~null_a ~null_b () =
     in_time = { f = 0.0 };
     out_time = { f = 0.0 };
     out_seq = 0;
-    out_a = null_a;
-    out_b = null_b;
     out_i1 = 0;
     out_i2 = 0;
   }
@@ -121,15 +110,11 @@ let grow_store q =
   let times = Array.make cap' 0.0
   and seqs = Array.make cap' 0
   and nexts = Array.make cap' (-1)
-  and pa = Array.make cap' q.null_a
-  and pb = Array.make cap' q.null_b
   and i1s = Array.make cap' 0
   and i2s = Array.make cap' 0 in
   Array.blit q.times 0 times 0 cap;
   Array.blit q.seqs 0 seqs 0 cap;
   Array.blit q.nexts 0 nexts 0 cap;
-  Array.blit q.pa 0 pa 0 cap;
-  Array.blit q.pb 0 pb 0 cap;
   Array.blit q.i1s 0 i1s 0 cap;
   Array.blit q.i2s 0 i2s 0 cap;
   for i = cap to cap' - 1 do
@@ -138,8 +123,6 @@ let grow_store q =
   q.times <- times;
   q.seqs <- seqs;
   q.nexts <- nexts;
-  q.pa <- pa;
-  q.pb <- pb;
   q.i1s <- i1s;
   q.i2s <- i2s;
   q.free <- cap
@@ -229,15 +212,13 @@ let resize q nb' =
 
 let remeasure q = resize q (Array.length q.buckets)
 
-let[@inline] push_at q time ~seq ~i1 ~i2 a b =
+let[@inline] push_at q time ~seq ~i1 ~i2 =
   if Float.is_nan time then invalid_arg "Calendar_queue.push: NaN time";
   if q.free < 0 then grow_store q;
   let node = q.free in
   q.free <- q.nexts.(node);
   q.times.(node) <- time;
   q.seqs.(node) <- seq;
-  q.pa.(node) <- a;
-  q.pb.(node) <- b;
   q.i1s.(node) <- i1;
   q.i2s.(node) <- i2;
   file q node;
@@ -245,12 +226,12 @@ let[@inline] push_at q time ~seq ~i1 ~i2 a b =
   q.hit <- -2;
   if q.count > 2 * Array.length q.buckets then resize q (2 * Array.length q.buckets)
 
-let push q ~time ~seq ~i1 ~i2 a b = push_at q time ~seq ~i1 ~i2 a b
+let push q ~time ~seq ~i1 ~i2 = push_at q time ~seq ~i1 ~i2
 
 (* [push] with the time handed over through a cell: a float argument
    to a call from another module is boxed, a cell store is not. *)
 let time_cell q = q.in_time
-let push_cell q ~seq ~i1 ~i2 a b = push_at q q.in_time.f ~seq ~i1 ~i2 a b
+let push_cell q ~seq ~i1 ~i2 = push_at q q.in_time.f ~seq ~i1 ~i2
 
 (* Locate the minimum event: resume the year scan at [last_vb]; if a
    whole lap of the calendar finds nothing inside its year window, fall
@@ -347,12 +328,8 @@ let pop_no_shrink q =
     in
     q.out_time.f <- q.times.(node);
     q.out_seq <- q.seqs.(node);
-    q.out_a <- q.pa.(node);
-    q.out_b <- q.pb.(node);
     q.out_i1 <- q.i1s.(node);
     q.out_i2 <- q.i2s.(node);
-    q.pa.(node) <- q.null_a;
-    q.pb.(node) <- q.null_b;
     q.nexts.(node) <- q.free;
     q.free <- node;
     q.count <- q.count - 1;
@@ -371,7 +348,5 @@ let pop q =
 let[@inline] out_time q = q.out_time.f
 let[@inline] out_time_cell q = q.out_time
 let[@inline] out_seq q = q.out_seq
-let[@inline] out_a q = q.out_a
-let[@inline] out_b q = q.out_b
 let[@inline] out_i1 q = q.out_i1
 let[@inline] out_i2 q = q.out_i2

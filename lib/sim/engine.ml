@@ -5,12 +5,18 @@
     node- and network-level simulations in the toolkit run on this
     engine.
 
-    The inner loop is allocation-free: the pending events live in four
-    parallel arrays (an unboxed float-keyed binary heap with in-place
-    hole sifting, same discipline as {!Float_heap}), the clock is a raw
-    double, and trace hooks reduce to a single branch when no trace was
-    requested.  The [Time_span.t] entry points survive as thin wrappers
-    over the [_s] float API used by the hot simulators. *)
+    The inner loop is allocation-free and free of write barriers: the
+    pending events live in four parallel pointer-free arrays (an
+    unboxed float-keyed binary heap with in-place hole sifting, same
+    discipline as {!Float_heap}) or, above a population threshold, in
+    an equally pointer-free {!Calendar_queue}; an event is a time, a
+    sequence number and two ints.  A closure event's closure and label
+    wait in a slot table with a free list, and the event carries the
+    slot, so a sift moves no pointer and pays no [caml_modify].  The
+    clock is a raw double, and trace hooks reduce to a single branch
+    when no trace was requested.  The [Time_span.t] entry points
+    survive as thin wrappers over the [_s] float API used by the hot
+    simulators. *)
 
 open Amb_units
 
@@ -22,12 +28,12 @@ type cell = { mutable v : float }
 type t = {
   mutable times : float array;  (** heap keys: absolute seconds, unboxed *)
   mutable seqs : int array;  (** insertion order; equal times pop FIFO *)
-  mutable fns : (t -> unit) array;
-  mutable labels : string array;
   mutable hids : int array;
-      (** indexed-channel handler id per pending event; -1 = plain
-          closure event (the historic path) *)
-  mutable idxs : int array;  (** int payload handed to the handler *)
+      (** indexed-channel handler id per pending event; -1 = closure
+          event *)
+  mutable idxs : int array;
+      (** int payload handed to the handler, or the closure event's
+          slot *)
   mutable size : int;
   mutable next_seq : int;
   clock : cell;  (** current simulation time, seconds *)
@@ -36,10 +42,16 @@ type t = {
   mutable executed : int;
   trace : Trace.t option;  (** optional schedule/fire recorder *)
   calendar_threshold : int;
-  mutable cal : (t -> unit, string) Calendar_queue.t option;
+  mutable cal : Calendar_queue.t option;
       (** calendar queue the pending set migrates into once it outgrows
-          [calendar_threshold]; [None] = binary heap (the historic
-          path every existing experiment stays on) *)
+          [calendar_threshold]; [None] = binary heap (the path every
+          existing experiment stays on) *)
+  mutable slot_fns : (t -> unit) array;
+      (** closure-event slot table: the callback of each pending
+          closure event, addressed by the event's [idx] *)
+  mutable slot_labels : string array;
+  mutable slot_next : int array;  (** free-list link per free slot; -1 = end *)
+  mutable free_slot : int;  (** head of the free list; -1 = table full *)
   mutable handlers : (t -> int -> unit) array;
       (** indexed event channel: one registered handler shared by any
           number of pending events, each carrying only an int — a
@@ -70,8 +82,6 @@ let create ?trace ?(calendar_threshold = default_calendar_threshold) () =
   {
     times = Array.make 16 0.0;
     seqs = Array.make 16 0;
-    fns = Array.make 16 nop;
-    labels = Array.make 16 "";
     hids = Array.make 16 (-1);
     idxs = Array.make 16 0;
     size = 0;
@@ -83,6 +93,10 @@ let create ?trace ?(calendar_threshold = default_calendar_threshold) () =
     trace;
     calendar_threshold;
     cal = None;
+    slot_fns = Array.make 16 nop;
+    slot_labels = Array.make 16 "";
+    slot_next = Array.init 16 (fun i -> if i = 15 then -1 else i + 1);
+    free_slot = 0;
     handlers = Array.make 4 nop2;
     handler_labels = Array.make 4 "";
     n_handlers = 0;
@@ -98,22 +112,51 @@ let grow engine =
   let bigger = Stdlib.max 16 (capacity * 2) in
   let times = Array.make bigger 0.0
   and seqs = Array.make bigger 0
-  and fns = Array.make bigger nop
-  and labels = Array.make bigger ""
   and hids = Array.make bigger (-1)
   and idxs = Array.make bigger 0 in
   Array.blit engine.times 0 times 0 engine.size;
   Array.blit engine.seqs 0 seqs 0 engine.size;
-  Array.blit engine.fns 0 fns 0 engine.size;
-  Array.blit engine.labels 0 labels 0 engine.size;
   Array.blit engine.hids 0 hids 0 engine.size;
   Array.blit engine.idxs 0 idxs 0 engine.size;
   engine.times <- times;
   engine.seqs <- seqs;
-  engine.fns <- fns;
-  engine.labels <- labels;
   engine.hids <- hids;
   engine.idxs <- idxs
+
+(* The closure slot table.  A closure event parks its callback and
+   label here and enqueues only the slot number, so neither queue ever
+   moves a pointer.  Freed slots are reused first (LIFO), so the table
+   stays as large as the peak number of pending closure events — a
+   periodic process re-arming from its own callback takes back the slot
+   it just released. *)
+let grow_slots engine =
+  let cap = Array.length engine.slot_fns in
+  let bigger = cap * 2 in
+  let fns = Array.make bigger nop
+  and labels = Array.make bigger ""
+  and next = Array.init bigger (fun i -> if i = bigger - 1 then -1 else i + 1) in
+  Array.blit engine.slot_fns 0 fns 0 cap;
+  Array.blit engine.slot_labels 0 labels 0 cap;
+  engine.slot_fns <- fns;
+  engine.slot_labels <- labels;
+  engine.slot_next <- next;
+  engine.free_slot <- cap
+
+let alloc_slot engine fn label =
+  if engine.free_slot < 0 then grow_slots engine;
+  let s = engine.free_slot in
+  engine.free_slot <- engine.slot_next.(s);
+  engine.slot_fns.(s) <- fn;
+  engine.slot_labels.(s) <- label;
+  s
+
+(* Release a slot whose contents the caller has already read; the
+   placeholders let a finished closure be collected. *)
+let release_slot engine s =
+  engine.slot_fns.(s) <- nop;
+  engine.slot_labels.(s) <- "";
+  engine.slot_next.(s) <- engine.free_slot;
+  engine.free_slot <- s
 
 (* One-way hand-over from the binary heap to the calendar queue once
    the pending population outgrows the threshold.  (time, seq) pairs
@@ -125,38 +168,32 @@ let grow engine =
    (at city report rates, hundreds — 3.5–5x slower runs measured for
    4 096–16 384 pending events). *)
 let migrate engine =
-  let q =
-    Calendar_queue.create
-      ~buckets:(2 * engine.calendar_threshold)
-      ~null_a:nop ~null_b:"" ()
-  in
+  let q = Calendar_queue.create ~buckets:(2 * engine.calendar_threshold) () in
   for i = 0 to engine.size - 1 do
     Calendar_queue.push q ~time:engine.times.(i) ~seq:engine.seqs.(i)
-      ~i1:engine.hids.(i) ~i2:engine.idxs.(i) engine.fns.(i)
-      engine.labels.(i)
+      ~i1:engine.hids.(i) ~i2:engine.idxs.(i)
   done;
   Calendar_queue.remeasure q;
   engine.times <- Array.make 16 0.0;
   engine.seqs <- Array.make 16 0;
-  engine.fns <- Array.make 16 nop;
-  engine.labels <- Array.make 16 "";
   engine.hids <- Array.make 16 (-1);
   engine.idxs <- Array.make 16 0;
   engine.size <- 0;
   engine.cal <- Some q
 
-(* Every insertion goes through here so the trace sees each scheduling,
-   including the internal re-arming of periodic processes.  The event
-   time arrives in [engine.at] rather than as an argument: a float
-   argument to a non-inlined call would be boxed, a cell store is not.
-   A freshly pushed event carries the largest sequence number, so the
-   sift-up only needs the strict time comparison to keep FIFO ties. *)
-let push_raw engine ~label ~hid ~idx fn =
+(* Every insertion goes through [push_at] or [push_idx] so the trace
+   sees each scheduling, including the internal re-arming of periodic
+   processes.  The event time arrives in [engine.at] rather than as an
+   argument: a float argument to a non-inlined call would be boxed, a
+   cell store is not.  The NaN check comes before a slot is taken, so a
+   rejected event leaks none.  A freshly pushed event carries the
+   largest sequence number, so the sift-up only needs the strict time
+   comparison to keep FIFO ties. *)
+let check_time engine =
+  if Float.is_nan engine.at.v then invalid_arg "Engine: NaN event time"
+
+let push_raw engine ~hid ~idx =
   let time = engine.at.v in
-  if Float.is_nan time then invalid_arg "Engine: NaN event time";
-  (match engine.trace with
-  | None -> ()
-  | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ label));
   (match engine.cal with
   | None when engine.size >= engine.calendar_threshold -> migrate engine
   | _ -> ());
@@ -165,13 +202,12 @@ let push_raw engine ~label ~hid ~idx fn =
     let seq = engine.next_seq in
     engine.next_seq <- seq + 1;
     (Calendar_queue.time_cell q).Calendar_queue.f <- time;
-    Calendar_queue.push_cell q ~seq ~i1:hid ~i2:idx fn label
+    Calendar_queue.push_cell q ~seq ~i1:hid ~i2:idx
   | None ->
   if engine.size >= Array.length engine.times then grow engine;
   let seq = engine.next_seq in
   engine.next_seq <- seq + 1;
   let times = engine.times and seqs = engine.seqs in
-  let fns = engine.fns and labels = engine.labels in
   let hids = engine.hids and idxs = engine.idxs in
   let i = ref engine.size in
   engine.size <- engine.size + 1;
@@ -181,8 +217,6 @@ let push_raw engine ~label ~hid ~idx fn =
     if time < times.(parent) then begin
       times.(!i) <- times.(parent);
       seqs.(!i) <- seqs.(parent);
-      fns.(!i) <- fns.(parent);
-      labels.(!i) <- labels.(parent);
       hids.(!i) <- hids.(parent);
       idxs.(!i) <- idxs.(parent);
       i := parent;
@@ -192,12 +226,15 @@ let push_raw engine ~label ~hid ~idx fn =
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  fns.(!i) <- fn;
-  labels.(!i) <- label;
   hids.(!i) <- hid;
   idxs.(!i) <- idx
 
-let push_at engine ~label fn = push_raw engine ~label ~hid:(-1) ~idx:0 fn
+let push_at engine ~label fn =
+  check_time engine;
+  (match engine.trace with
+  | None -> ()
+  | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ label));
+  push_raw engine ~hid:(-1) ~idx:(alloc_slot engine fn label)
 
 (** [now_s engine] — current simulation time in raw seconds.  The
     float return is boxed at every call from another module: dune's
@@ -215,6 +252,9 @@ let event_count engine = engine.executed
 (** [pending engine] — number of scheduled, not-yet-run callbacks. *)
 let pending engine =
   match engine.cal with None -> engine.size | Some q -> Calendar_queue.length q
+
+(** [closure_slots engine] — capacity of the closure slot table. *)
+let closure_slots engine = Array.length engine.slot_fns
 
 (** [schedule_at_s engine time callback] — [schedule_at] on raw
     seconds. *)
@@ -290,17 +330,22 @@ let register_handler ?(label = "handler") engine fn =
   engine.n_handlers <- id + 1;
   id
 
-let[@inline] idx_label engine ~handler ~idx =
-  match engine.trace with
-  | None -> ""
-  | Some _ -> engine.handler_labels.(handler) ^ ":" ^ Int.to_string idx
+let idx_label engine ~handler ~idx = engine.handler_labels.(handler) ^ ":" ^ Int.to_string idx
+
+let push_idx engine ~handler ~idx =
+  check_time engine;
+  (match engine.trace with
+  | None -> ()
+  | Some tr ->
+    Trace.record tr ~time:engine.clock.v ("schedule:" ^ idx_label engine ~handler ~idx));
+  push_raw engine ~hid:handler ~idx
 
 (** [schedule_idx_s engine ~handler ~idx ~delay_s] — enqueue the indexed
     event (handler, idx) after [delay_s] seconds. *)
 let schedule_idx_s engine ~handler ~idx ~delay_s =
   if delay_s < 0.0 then invalid_arg "Engine.schedule_idx: negative delay";
   engine.at.v <- engine.clock.v +. delay_s;
-  push_raw engine ~label:(idx_label engine ~handler ~idx) ~hid:handler ~idx nop
+  push_idx engine ~handler ~idx
 
 (** [schedule_idx_cell engine ~handler ~idx] — [schedule_idx_s] with the
     delay taken from {!delay_cell}: the fully unboxed re-arming path
@@ -308,7 +353,7 @@ let schedule_idx_s engine ~handler ~idx ~delay_s =
 let schedule_idx_cell engine ~handler ~idx =
   if engine.at.v < 0.0 then invalid_arg "Engine.schedule_idx: negative delay";
   engine.at.v <- engine.clock.v +. engine.at.v;
-  push_raw engine ~label:(idx_label engine ~handler ~idx) ~hid:handler ~idx nop
+  push_idx engine ~handler ~idx
 
 (* Batch drain for the indexed channel.  When the next pending event
    belongs to the batched handler, the run loop pops the maximal run of
@@ -364,20 +409,15 @@ let schedule ?label engine ~delay callback =
 let stop engine = engine.running <- false
 
 (* Remove the heap root (whose payload the caller has already read):
-   drop the last slot into the hole and sift it down.  The vacated slot
-   is cleared so finished closures can be collected. *)
+   drop the last entry into the hole and sift it down. *)
 let heap_remove_root engine =
   let times = engine.times and seqs = engine.seqs in
-  let fns = engine.fns and labels = engine.labels in
   let hids = engine.hids and idxs = engine.idxs in
   let last = engine.size - 1 in
   engine.size <- last;
   if last > 0 then begin
     let lt = times.(last) and ls = seqs.(last) in
-    let lf = fns.(last) and ll = labels.(last) in
     let lh = hids.(last) and lx = idxs.(last) in
-    fns.(last) <- nop;
-    labels.(last) <- "";
     let i = ref 0 in
     let sifting = ref true in
     while !sifting do
@@ -395,8 +435,6 @@ let heap_remove_root engine =
         if times.(c) < lt || (times.(c) = lt && seqs.(c) < ls) then begin
           times.(!i) <- times.(c);
           seqs.(!i) <- seqs.(c);
-          fns.(!i) <- fns.(c);
-          labels.(!i) <- labels.(c);
           hids.(!i) <- hids.(c);
           idxs.(!i) <- idxs.(c);
           i := c
@@ -406,14 +444,31 @@ let heap_remove_root engine =
     done;
     times.(!i) <- lt;
     seqs.(!i) <- ls;
-    fns.(!i) <- lf;
-    labels.(!i) <- ll;
     hids.(!i) <- lh;
     idxs.(!i) <- lx
   end
+
+(* Fire one popped event at the current clock: an indexed event calls
+   its handler (its trace label rebuilt only when a trace is attached,
+   the bytes the scheduling recorded), a closure event takes its
+   callback and label out of the slot table and frees the slot before
+   the callback runs, so a periodic re-arm reuses it. *)
+let fire engine ~hid ~idx =
+  engine.executed <- engine.executed + 1;
+  if hid >= 0 then begin
+    (match engine.trace with
+    | None -> ()
+    | Some tr ->
+      Trace.record tr ~time:engine.clock.v ("fire:" ^ idx_label engine ~handler:hid ~idx));
+    engine.handlers.(hid) engine idx
+  end
   else begin
-    engine.fns.(0) <- nop;
-    engine.labels.(0) <- ""
+    let fn = engine.slot_fns.(idx) in
+    (match engine.trace with
+    | None -> ()
+    | Some tr -> Trace.record tr ~time:engine.clock.v ("fire:" ^ engine.slot_labels.(idx)));
+    release_slot engine idx;
+    fn engine
   end
 
 (* Drain a batch off the heap: the caller has established that the root
@@ -482,15 +537,8 @@ let step_calendar engine q ~limit looping =
       drain_calendar_batch engine q ~limit time
     else begin
       ignore (Calendar_queue.pop q : bool);
-      let fn = Calendar_queue.out_a q in
-      let hid = Calendar_queue.out_i1 q in
-      let idx = Calendar_queue.out_i2 q in
       engine.clock.v <- time;
-      engine.executed <- engine.executed + 1;
-      (match engine.trace with
-      | None -> ()
-      | Some tr -> Trace.record tr ~time ("fire:" ^ Calendar_queue.out_b q));
-      if hid >= 0 then engine.handlers.(hid) engine idx else fn engine
+      fire engine ~hid:(Calendar_queue.out_i1 q) ~idx:(Calendar_queue.out_i2 q)
     end
   end
 
@@ -515,17 +563,11 @@ let run_s ?until_s engine =
       else if engine.batch_hid >= 0 && engine.hids.(0) = engine.batch_hid then
         drain_heap_batch engine ~limit time
       else begin
-        let fn = engine.fns.(0) in
-        let label = engine.labels.(0) in
         let hid = engine.hids.(0) in
         let idx = engine.idxs.(0) in
         heap_remove_root engine;
         engine.clock.v <- time;
-        engine.executed <- engine.executed + 1;
-        (match engine.trace with
-        | None -> ()
-        | Some tr -> Trace.record tr ~time ("fire:" ^ label));
-        if hid >= 0 then engine.handlers.(hid) engine idx else fn engine
+        fire engine ~hid ~idx
       end
     end
   done;

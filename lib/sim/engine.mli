@@ -46,6 +46,13 @@ val event_count : t -> int
 val pending : t -> int
 (** Scheduled, not-yet-run callbacks. *)
 
+val closure_slots : t -> int
+(** Capacity of the slot table that holds pending closure events'
+    callbacks and labels (the queues themselves carry only the slot
+    number).  Freed slots are reused, so it tracks the peak number of
+    closure events pending at once — at most twice it, and at least 16
+    — not the number ever scheduled. *)
+
 val schedule_at : ?label:string -> t -> Time_span.t -> (t -> unit) -> unit
 (** Run a callback at an absolute simulation time; raises
     [Invalid_argument] for times in the past.  [label] (default

@@ -146,7 +146,7 @@ let setup ?trace ~router cfg =
         Node_agent.scale_battery agents.(node) ~factor:scale
       | Fault_plan.Node_crash _ | Fault_plan.Link_fade _ -> ())
     cfg.faults;
-  let ledger = Fleet_ledger.of_agents ?income_multiplier agents in
+  let ledger = Fleet_ledger.of_agents ?diurnal:cfg.diurnal agents in
   { cfg; n; sink = fleet.Fleet.sink; engine; clk = Engine.clock_cell engine; trace; link;
     agents; ledger; alive = Fleet_ledger.alive ledger; counts = Fleet_ledger.tally () }
 

@@ -12,6 +12,7 @@
     policies and jobs counts. *)
 
 open Amb_sim
+module Day_profile = Amb_energy.Day_profile
 
 (* The nine per-node fields live node-major in one unboxed float matrix
    rather than nine per-field columns: every kernel touches most of a
@@ -39,10 +40,10 @@ type t = {
   lg : float array;  (** [n * stride] node-major ledger rows *)
   crashed : Bytes.t;  (** bitset: fault-crashed (vs. battery death) *)
   has_mult : Bytes.t;  (** bitset: node samples the diurnal multiplier *)
-  mult : float -> float;
-      (** shared diurnal income multiplier; consulted only for nodes
-          whose [has_mult] bit is set (income > 0 and a profile was
-          supplied), exactly as {!Node_agent} guards its option *)
+  diurnal : Day_profile.t;
+      (** shared diurnal income profile; consulted only for nodes whose
+          [has_mult] bit is set (income > 0 and a profile was supplied),
+          exactly as {!Node_agent} guards its option *)
 }
 
 (* One bit per node: at city scale a [bool array] would spend a word
@@ -53,7 +54,7 @@ let bit_set t i =
   Bytes.unsafe_set t (i lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t (i lsr 3)) lor (1 lsl (i land 7))))
 
-let of_agents ?income_multiplier agents =
+let of_agents ?(diurnal = Day_profile.constant) agents =
   let n = Array.length agents in
   let t =
     {
@@ -61,7 +62,7 @@ let of_agents ?income_multiplier agents =
       lg = Array.make (n * stride) 0.0;
       crashed = Bytes.make ((n + 7) / 8) '\000';
       has_mult = Bytes.make ((n + 7) / 8) '\000';
-      mult = (match income_multiplier with Some f -> f | None -> fun _ -> 1.0);
+      diurnal;
     }
   in
   for i = 0 to n - 1 do
@@ -100,6 +101,22 @@ let[@inline] alive t i = Float.is_nan (fget t.lg ((i * stride) + f_died))
 let[@inline] reserve_j t i = fget t.lg ((i * stride) + f_reserve)
 let[@inline] died_at_s t i = fget t.lg ((i * stride) + f_died)
 
+(* {!Day_profile.income_multiplier} on the profile's flat table, same
+   float ops.  Called through the closure the agents hold it cost a
+   boxed argument and a boxed result per accounting touch; read here
+   and inlined into the kernels below it costs nothing. *)
+let[@inline] income_scale (p : Day_profile.t) time_s =
+  let period = p.Day_profile.period_s in
+  let s = Float.rem time_s period in
+  let s = if s < 0.0 then s +. period else s in
+  let bounds = p.Day_profile.bounds in
+  let n = Array.length bounds in
+  let k = ref 0 in
+  while !k < n && not (s < fget bounds !k) do
+    incr k
+  done;
+  if !k < n then fget p.Day_profile.scales !k else 1.0
+
 (* Node_agent.account over a ledger row: same reads, same order of
    float ops, same clamp and zero-crossing interpolation.  The one body
    behind [account], [charge] and the report kernel; inlined so [now]
@@ -111,7 +128,8 @@ let[@inline] account_row t i now =
   if dt > 0.0 && Float.is_nan (fget a (b + f_died)) then begin
     let drain = fget a (b + f_drain) *. dt in
     let scale =
-      if bit t.has_mult i then t.mult (fget a (b + f_last) +. (0.5 *. dt)) else 1.0
+      if bit t.has_mult i then income_scale t.diurnal (fget a (b + f_last) +. (0.5 *. dt))
+      else 1.0
     in
     let gain = fget a (b + f_income) *. scale *. dt in
     fset a (b + f_consumed) (fget a (b + f_consumed) +. (fget a (b + f_sleep) *. dt));
@@ -163,7 +181,8 @@ let would_die t i ~now =
   if dt > 0.0 && Float.is_nan (fget a (b + f_died)) && fget a (b + f_capacity) > 0.0 then begin
     let drain = fget a (b + f_drain) *. dt in
     let scale =
-      if bit t.has_mult i then t.mult (fget a (b + f_last) +. (0.5 *. dt)) else 1.0
+      if bit t.has_mult i then income_scale t.diurnal (fget a (b + f_last) +. (0.5 *. dt))
+      else 1.0
     in
     let gain = fget a (b + f_income) *. scale *. dt in
     let net = drain -. gain in
@@ -337,7 +356,7 @@ let write_back t agents =
 
 let words t =
   let bits b = 1 + ((Bytes.length b + 7) / 8) in
-  (* record block + the ledger matrix + 2 bitsets (the closure is
-     shared with the agents, not ledger storage).  10 floats + 2 bits
+  (* record block + the ledger matrix + 2 bitsets (the day profile is
+     shared with the run's config, not ledger storage).  10 floats + 2 bits
      per node, ~10.3 words — the bench gates this at 12. *)
   1 + 6 + (1 + Array.length t.lg) + bits t.crashed + bits t.has_mult

@@ -22,12 +22,16 @@
 
 type t
 
-val of_agents : ?income_multiplier:(float -> float) -> Node_agent.t array -> t
+val of_agents : ?diurnal:Amb_energy.Day_profile.t -> Node_agent.t array -> t
 (** Snapshot the agents' parameters and state into columns.  Take the
     snapshot after any {!Node_agent.scale_battery} faults have been
-    applied.  [income_multiplier] must be the same function the agents
-    were created with; it is consulted only for nodes that actually
-    sample it ({!Node_agent.has_income_multiplier}). *)
+    applied.  [diurnal] must be the profile whose
+    {!Amb_energy.Day_profile.income_multiplier} the agents were created
+    with; it is consulted only for nodes that actually sample it
+    ({!Node_agent.has_income_multiplier}).  The kernels evaluate it
+    from the profile's flat table inside this module, with the float
+    ops of [income_multiplier], so a diurnal run allocates no more per
+    event than a profile-free one. *)
 
 val length : t -> int
 val alive : t -> int -> bool

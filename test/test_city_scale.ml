@@ -84,11 +84,11 @@ let prop_calendar_pop_order =
           (fun t -> if t < 10.0 then [ t; t +. 1e17; Float.infinity ] else [ t ])
           times
       in
-      let cal = Amb_sim.Calendar_queue.create ~null_a:0 ~null_b:"" () in
+      let cal = Amb_sim.Calendar_queue.create () in
       let heap = Amb_sim.Event_queue.create () in
       List.iteri
         (fun i t ->
-          Amb_sim.Calendar_queue.push cal ~time:t ~seq:i ~i1:i ~i2:(-i) i "";
+          Amb_sim.Calendar_queue.push cal ~time:t ~seq:i ~i1:i ~i2:(-i);
           Amb_sim.Event_queue.push heap ~time:t i)
         times;
       let ok = ref true in
@@ -99,7 +99,6 @@ let prop_calendar_pop_order =
               (Amb_sim.Calendar_queue.min_time cal = t
               && Amb_sim.Calendar_queue.pop cal
               && Amb_sim.Calendar_queue.out_time cal = t
-              && Amb_sim.Calendar_queue.out_a cal = i
               && Amb_sim.Calendar_queue.out_i1 cal = i
               && Amb_sim.Calendar_queue.out_i2 cal = -i)
           then ok := false)
@@ -111,7 +110,7 @@ let prop_calendar_interleaved =
     QCheck.(small_nat)
     (fun seed ->
       let rng = Amb_sim.Rng.create (9000 + seed) in
-      let cal = Amb_sim.Calendar_queue.create ~null_a:(-1) ~null_b:"" () in
+      let cal = Amb_sim.Calendar_queue.create () in
       let heap = Amb_sim.Event_queue.create () in
       let seq = ref 0 in
       let clock = ref 0.0 in
@@ -121,7 +120,7 @@ let prop_calendar_interleaved =
           (* Engine-style push: never in the past, occasionally tied. *)
           let t = !clock +. Amb_sim.Rng.uniform rng 0.0 50.0 in
           let t = if Amb_sim.Rng.int rng 8 = 0 then !clock else t in
-          Amb_sim.Calendar_queue.push cal ~time:t ~seq:!seq ~i1:0 ~i2:0 !seq "";
+          Amb_sim.Calendar_queue.push cal ~time:t ~seq:!seq ~i1:0 ~i2:!seq;
           Amb_sim.Event_queue.push heap ~time:t !seq;
           incr seq
         end
@@ -134,7 +133,7 @@ let prop_calendar_interleaved =
               not
                 (Amb_sim.Calendar_queue.pop cal
                 && Amb_sim.Calendar_queue.out_time cal = t
-                && Amb_sim.Calendar_queue.out_a cal = i)
+                && Amb_sim.Calendar_queue.out_i2 cal = i)
             then ok := false
       done;
       !ok && Amb_sim.Calendar_queue.length cal = Amb_sim.Event_queue.length heap)
@@ -207,6 +206,88 @@ let test_engine_burst_migration () =
       Alcotest.(check (float 0.0)) (ctx ^ ": final clock") final_h final_c)
     [ threshold + 1; 2 * threshold; (4 * threshold) + 500 ]
 
+(* --- the engine's closure slot table ----------------------------------- *)
+
+(* A closure event parks its callback and label in the engine's slot
+   table and frees the slot as it fires, so the table tracks the peak
+   number of closure events pending at once, not how many were ever
+   scheduled: three periodic streams tick ~1.1e5 times between them
+   around one burst of 200 one-shot events (peak 203 pending), on
+   either queue. *)
+let test_closure_slots_track_peak () =
+  List.iter
+    (fun calendar_threshold ->
+      let e = Amb_sim.Engine.create ~calendar_threshold () in
+      for k = 0 to 2 do
+        Amb_sim.Engine.every_s e ~period_s:(1.0 +. Float.of_int k) ~until_s:60_000.0 (fun _ ->
+            true)
+      done;
+      let burst = 200 in
+      Amb_sim.Engine.schedule_at_s e 100.0 (fun e ->
+          for k = 1 to burst do
+            Amb_sim.Engine.schedule_s e ~delay_s:(Float.of_int k) (fun _ -> ())
+          done);
+      ignore (Amb_sim.Engine.run_s ~until_s:400.0 e : float);
+      let after_burst = Amb_sim.Engine.closure_slots e in
+      ignore (Amb_sim.Engine.run_s e : float);
+      let ctx = Printf.sprintf "threshold %d" calendar_threshold in
+      let peak = burst + 3 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d slots hold the peak of %d" ctx after_burst peak)
+        true
+        (after_burst >= peak && after_burst <= 2 * peak);
+      Alcotest.(check int) (ctx ^ ": no growth over the periodic tail") after_burst
+        (Amb_sim.Engine.closure_slots e);
+      Alcotest.(check int) (ctx ^ ": events") (60_000 + 30_000 + 20_000 + burst + 1)
+        (Amb_sim.Engine.event_count e))
+    [ max_int; 16 ]
+
+(* [stop] leaves closure events pending in the slot table; resuming
+   must fire them exactly as an uninterrupted run does: the traced
+   schedule/fire log (closure, periodic and indexed events interleaved)
+   and the final clock are identical. *)
+let test_stop_resume_closure_log () =
+  let run ~calendar_threshold ~stop =
+    let trace = Amb_sim.Trace.create ~capacity:100_000 () in
+    let e = Amb_sim.Engine.create ~trace ~calendar_threshold () in
+    Amb_sim.Engine.every_s ~label:"tick" e ~period_s:7.0 ~until_s:500.0 (fun _ -> true);
+    let hid = ref (-1) in
+    hid :=
+      Amb_sim.Engine.register_handler ~label:"idx" e (fun e idx ->
+          if idx < 40 then
+            Amb_sim.Engine.schedule_idx_s e ~handler:!hid ~idx:(idx + 10) ~delay_s:11.0);
+    for i = 0 to 9 do
+      Amb_sim.Engine.schedule_idx_s e ~handler:!hid ~idx:i ~delay_s:(Float.of_int i)
+    done;
+    for i = 0 to 59 do
+      Amb_sim.Engine.schedule_at_s ~label:(Printf.sprintf "once%d" i) e
+        (Float.of_int (i * 37 mod 450))
+        (fun e ->
+          if i mod 10 = 0 then
+            Amb_sim.Engine.schedule_s ~label:(Printf.sprintf "child%d" i) e ~delay_s:3.0 (fun _ ->
+                ());
+          if stop && i = 25 then Amb_sim.Engine.stop e)
+    done;
+    let first = Amb_sim.Engine.run_s ~until_s:600.0 e in
+    let paused = Amb_sim.Engine.pending e in
+    let final = if stop then Amb_sim.Engine.run_s ~until_s:600.0 e else first in
+    let log =
+      List.map
+        (fun (x : Amb_sim.Trace.entry) -> Printf.sprintf "%h %s" x.time x.label)
+        (Amb_sim.Trace.to_list trace)
+    in
+    (log, final, paused)
+  in
+  List.iter
+    (fun calendar_threshold ->
+      let ctx = Printf.sprintf "threshold %d" calendar_threshold in
+      let log, final, _ = run ~calendar_threshold ~stop:false in
+      let log', final', paused = run ~calendar_threshold ~stop:true in
+      Alcotest.(check bool) (ctx ^ ": stopped with closure events pending") true (paused > 0);
+      Alcotest.(check (list string)) (ctx ^ ": traced log") log log';
+      Alcotest.(check (float 0.0)) (ctx ^ ": final clock") final final')
+    [ max_int; 16 ]
+
 (* Pushing a dense burst into a fresh queue (1 s buckets, so every push
    walks a chain of hundreds of same-second events) must not allocate
    per chain step: 2 words per push are the boxed time argument, and the
@@ -214,7 +295,7 @@ let test_engine_burst_migration () =
    boxed both times at every step, ~130 words per push. *)
 let test_calendar_push_words () =
   let fill push =
-    let q = Amb_sim.Calendar_queue.create ~buckets:8192 ~null_a:0 ~null_b:"" () in
+    let q = Amb_sim.Calendar_queue.create ~buckets:8192 () in
     for k = 0 to 999 do
       push q k
     done;
@@ -227,12 +308,12 @@ let test_calendar_push_words () =
   in
   let[@inline] time k = Float.of_int (k mod 30) +. (0.001 *. Float.of_int (k mod 7)) in
   let boxed =
-    fill (fun q k -> Amb_sim.Calendar_queue.push q ~time:(time k) ~seq:k ~i1:0 ~i2:0 k "")
+    fill (fun q k -> Amb_sim.Calendar_queue.push q ~time:(time k) ~seq:k ~i1:0 ~i2:k)
   in
   let cell =
     fill (fun q k ->
         (Amb_sim.Calendar_queue.time_cell q).Amb_sim.Calendar_queue.f <- time k;
-        Amb_sim.Calendar_queue.push_cell q ~seq:k ~i1:0 ~i2:0 k "")
+        Amb_sim.Calendar_queue.push_cell q ~seq:k ~i1:0 ~i2:k)
   in
   if boxed > 4.0 then Alcotest.failf "Calendar_queue.push: %.1f minor words/push (budget 4)" boxed;
   if cell > 1.0 then Alcotest.failf "Calendar_queue.push_cell: %.1f minor words/push (budget 1)" cell
@@ -587,6 +668,10 @@ let suite =
         test_engine_burst_migration;
       Alcotest.test_case "calendar push allocates no chain boxes" `Quick
         test_calendar_push_words;
+      Alcotest.test_case "closure slot table holds the pending peak" `Quick
+        test_closure_slots_track_peak;
+      Alcotest.test_case "stop and resume keep the traced log" `Quick
+        test_stop_resume_closure_log;
       Alcotest.test_case "sparse edge fill is jobs-independent" `Quick
         test_sparse_fill_jobs_independent;
       Alcotest.test_case "city layout is jobs-independent" `Quick test_city_jobs_independent;

@@ -224,14 +224,15 @@ let test_account_all_pooled () =
   let relay budget =
     { (Fleet.milliwatt_relay ()) with Fleet.budget_override = Some (Energy.joules budget) }
   in
-  let mult = Amb_energy.Day_profile.(income_multiplier office_lighting) in
+  let diurnal = Amb_energy.Day_profile.office_lighting in
+  let mult = Amb_energy.Day_profile.income_multiplier diurnal in
   let n = 7 and dying = 3 in
   let agents () =
     Array.init n (fun id ->
         let cfg = if id mod 2 = 0 then leaf else relay (if id = dying then 1.0 else 100.0) in
         Node_agent.create ~income_multiplier:mult ~id ~cfg ())
   in
-  let ledger () = Fleet_ledger.of_agents ~income_multiplier:mult (agents ()) in
+  let ledger () = Fleet_ledger.of_agents ~diurnal (agents ()) in
   let seq = ledger () and pooled = ledger () in
   let tick ?pool lg now =
     let calls = ref [] in
@@ -279,11 +280,109 @@ let test_account_all_pooled () =
       (* Scan on the pool, then the sequential fallback. *)
       run_tick "death tick" 3600.0 ~dispatched:1 ~expect:[ dying ])
 
+(* --- diurnal lookup oracle --------------------------------------------- *)
+
+(* [Day_profile.scale_at] reads a table built once by [make];
+   [Fleet_ledger] evaluates the same table inside its accounting
+   kernel.  Both must return the reference segment walk's double, bit
+   for bit, at every time: random ones, negative ones (the wrap),
+   exactly on and one ulp either side of each cumulative boundary,
+   integer multiples of the period, the infinities and NaN. *)
+let diurnal_gen =
+  QCheck.Gen.(
+    let segment =
+      map2
+        (fun seconds scale -> { Amb_energy.Day_profile.duration = Time_span.seconds seconds; scale })
+        (float_range 1.0 50_000.0) (float_range 0.0 1.0)
+    in
+    pair
+      (map (Amb_energy.Day_profile.make ~name:"gen") (list_size (int_range 1 6) segment))
+      (list_size (int_range 1 20) (float_range (-1e7) 1e7)))
+
+let oracle_times p random =
+  let p_s = Time_span.to_seconds (Day_profile_reference.period p) in
+  let bounds = Day_profile_reference.boundaries p in
+  random
+  @ List.concat_map (fun b -> [ b; Float.pred b; Float.succ b; -.b ]) (0.0 :: bounds)
+  @ List.init 9 (fun k -> Float.of_int (k - 4) *. p_s)
+  @ [ Float.infinity; Float.neg_infinity; Float.nan; 1e300; -1e300 ]
+
+let diurnal_arb =
+  QCheck.make
+    ~print:(fun (p, times) ->
+      Printf.sprintf "segments %s; times %s"
+        (String.concat ","
+           (List.map
+              (fun s ->
+                Printf.sprintf "%h*%h"
+                  (Time_span.to_seconds s.Amb_energy.Day_profile.duration)
+                  s.Amb_energy.Day_profile.scale)
+              p.Amb_energy.Day_profile.segments))
+        (String.concat "," (List.map (Printf.sprintf "%h") times)))
+    diurnal_gen
+
+let prop_scale_at_oracle =
+  QCheck.Test.make ~name:"day-profile table lookup equals the segment walk bit for bit"
+    ~count:300 diurnal_arb (fun (p, random) ->
+      check_bits "period" (Time_span.to_seconds (Day_profile_reference.period p))
+        (Time_span.to_seconds (Amb_energy.Day_profile.period p));
+      List.iter
+        (fun t ->
+          let ctx = Printf.sprintf "scale_at %h" t in
+          let expect = Day_profile_reference.scale_at p (Time_span.seconds t) in
+          check_bits ctx expect (Amb_energy.Day_profile.scale_at p (Time_span.seconds t));
+          check_bits ("income_multiplier " ^ ctx) expect
+            (Amb_energy.Day_profile.income_multiplier p t))
+        (oracle_times p random);
+      true)
+
+(* One solar leaf accounted by the agent (whose income multiplier is
+   the reference walk) and by the ledger (whose kernel reads the
+   profile's table): every ledger field must match.  A chain of steps
+   through the oracle's instants, then one fresh pair per instant [t]
+   settled at [2t] — the income is sampled at the interval midpoint,
+   so that probe evaluates the profile exactly at [t], boundaries and
+   period multiples included.  A 0.05 J buffer also crosses a death. *)
+let prop_ledger_diurnal_oracle =
+  QCheck.Test.make ~name:"ledger diurnal accounting equals the agent's bit for bit" ~count:100
+    diurnal_arb (fun (p, random) ->
+      let instants =
+        List.sort_uniq Float.compare
+          (List.filter (fun t -> Float.is_finite t && t >= 0.0 && t < 1e9) (oracle_times p random))
+      in
+      let mult t = Day_profile_reference.scale_at p (Time_span.seconds t) in
+      List.iter
+        (fun budget ->
+          let cfg = { (Fleet.microwatt_leaf ()) with Fleet.budget_override = budget } in
+          let pair () =
+            let agent = Node_agent.create ~income_multiplier:mult ~id:0 ~cfg () in
+            let twin = Node_agent.create ~income_multiplier:mult ~id:0 ~cfg () in
+            (agent, twin, Fleet_ledger.of_agents ~diurnal:p [| twin |])
+          in
+          let step (agent, twin, ledger) ctx now =
+            Node_agent.account agent ~now;
+            Fleet_ledger.account ledger 0 ~now;
+            Fleet_ledger.write_back ledger [| twin |];
+            let field name f = check_bits (Printf.sprintf "%s %s" ctx name) (f agent) (f twin) in
+            field "reserve" Node_agent.reserve_j;
+            field "consumed" Node_agent.consumed_j;
+            field "harvested" Node_agent.harvested_j;
+            field "last_account" Node_agent.last_account_s;
+            field "died_at" Node_agent.died_at_s
+          in
+          let chain = pair () in
+          List.iter (fun now -> step chain (Printf.sprintf "chain at %h:" now) now) instants;
+          List.iter
+            (fun t -> step (pair ()) (Printf.sprintf "probe at %h:" t) (2.0 *. t))
+            instants)
+        [ None; Some (Energy.joules 0.05) ];
+      true)
+
 (* --- allocation budget ----------------------------------------------- *)
 
-let minor_words_per_event ~nodes ~hours =
+let minor_words_per_event ?diurnal ~nodes ~hours () =
   let fleet = Fleet.city ~nodes ~seed:3 () in
-  let cfg = Cosim.config ~fleet ~horizon:(Time_span.hours hours) () in
+  let cfg = Cosim.config ?diurnal ~fleet ~horizon:(Time_span.hours hours) () in
   (* Warm once so lazy setup (routing memo fills, engine growth) is out
      of the measured run. *)
   ignore (Cosim.run_with_router ~router:fleet.Fleet.router cfg ~seed:7);
@@ -294,13 +393,19 @@ let minor_words_per_event ~nodes ~hours =
      is a few words per NODE amortised over ~12 events each; the event
      loop itself must add nothing.  A boxed tariff or a closure per
      report — what [Cosim_reference] does — costs hundreds of words per
-     event. *)
+     event.  A diurnal profile evaluated through a closure call boxes
+     its time argument and result on every accounting touch. *)
   if per_event > 40.0 then
-    Alcotest.failf "%d-node run allocates %.1f minor words/event (budget 40)" nodes
+    Alcotest.failf "%d-node%s run allocates %.1f minor words/event (budget 40)" nodes
+      (match diurnal with Some p -> " " ^ p.Amb_energy.Day_profile.name | None -> "")
       per_event
 
 (* 2 000 reporters keep the pending set on the engine's binary heap. *)
-let test_minor_words_budget () = minor_words_per_event ~nodes:2000 ~hours:2.0
+let test_minor_words_budget () = minor_words_per_event ~nodes:2000 ~hours:2.0 ()
+
+let test_minor_words_budget_diurnal () =
+  minor_words_per_event ~diurnal:Amb_energy.Day_profile.office_lighting ~nodes:2000
+    ~hours:2.0 ()
 
 (* 8 000 reporters on the default 30 s period: the pending set crosses
    [Engine.default_calendar_threshold] (4 096) while the reports are
@@ -308,7 +413,11 @@ let test_minor_words_budget () = minor_words_per_event ~nodes:2000 ~hours:2.0
    whole run rides the queue as the hand-over left it.  An untyped
    chain comparison (boxing both times at every step of a sorted bucket
    chain) cost over a thousand words per event here. *)
-let test_minor_words_budget_calendar () = minor_words_per_event ~nodes:8000 ~hours:1.0
+let test_minor_words_budget_calendar () = minor_words_per_event ~nodes:8000 ~hours:1.0 ()
+
+let test_minor_words_budget_calendar_diurnal () =
+  minor_words_per_event ~diurnal:Amb_energy.Day_profile.office_lighting ~nodes:8000
+    ~hours:1.0 ()
 
 (* --- one deterministic case per branch of the walk -------------------- *)
 
@@ -516,11 +625,16 @@ let test_faults_inside_a_batch () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_fast_path_oracle; prop_pooled_ticks_oracle ]
+    [ prop_fast_path_oracle; prop_pooled_ticks_oracle; prop_scale_at_oracle;
+      prop_ledger_diurnal_oracle ]
   @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
+      Alcotest.test_case "fast path minor words per event under office lighting" `Quick
+        test_minor_words_budget_diurnal;
       Alcotest.test_case "fast path minor words per event on the calendar queue" `Quick
         test_minor_words_budget_calendar;
+      Alcotest.test_case "calendar-queue minor words per event under office lighting" `Quick
+        test_minor_words_budget_calendar_diurnal;
       Alcotest.test_case "relay dying on its receive charge" `Quick test_relay_dies_receiving;
       Alcotest.test_case "sender dying mid-walk" `Quick test_sender_dies_forwarding;
       Alcotest.test_case "tag read by the sink" `Quick test_tag_read_by_sink;

@@ -296,6 +296,14 @@ let test_serve_survives_bad_input () =
   expect_error "{\"leaves\":3}";
   expect_error "{\"op\":\"run\",\"leaves\":\"many\"}";
   expect_error "{\"op\":\"run\",\"fault\":\"crash:x@y\"}";
+  (* A well-formed request for an unbounded run is answered at once: its
+     one cell costs 5e9 node-hours, over [Matrix.max_cost_node_hours],
+     and comes back as an error row instead of a run that never ends. *)
+  let huge = "{\"op\":\"run\",\"leaves\":3,\"relays\":1,\"hours\":1e9}" in
+  let response, verdict = Serve.handle_line t huge in
+  Alcotest.(check bool) "unbounded run continues" true (verdict = `Continue);
+  Alcotest.(check int) "unbounded run: one cell" 1 (int_member "cells" response);
+  Alcotest.(check int) "unbounded run: an error row" 1 (int_member "errors" response);
   (* After all that abuse the session still answers. *)
   let pong, verdict = Serve.handle_line t "{\"op\":\"ping\"}" in
   Alcotest.(check string) "ping ok" "ok" (string_member "status" pong);
