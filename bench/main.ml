@@ -798,6 +798,9 @@ type fleet_point = {
   fp_forward_s : float;
   fp_account_s : float;
   fp_rebuild_s : float;
+  fp_repairs : int;
+  fp_full_rebuilds : int;
+  fp_reattached : int;
   fp_outcome : Amb_system.Cosim.outcome;  (* retained for --fleet-scale compare *)
 }
 
@@ -865,6 +868,9 @@ let run_fleet_point ~jobs ~nodes =
   Printf.printf "run phases: forward %.2f s, account %.2f s, rebuild %.2f s\n"
     phase.Amb_system.Cosim.forward_s phase.Amb_system.Cosim.account_s
     phase.Amb_system.Cosim.rebuild_s;
+  Printf.printf "route tree: %d local repairs re-attaching %d nodes, %d full rebuilds\n"
+    phase.Amb_system.Cosim.repairs phase.Amb_system.Cosim.reattached
+    phase.Amb_system.Cosim.full_rebuilds;
   Printf.printf "peak heap %.0f words (%.0f words/node); ledger %.2f words/node\n%!" peak_words
     (peak_words /. Float.of_int nodes)
     ledger_words_per_node;
@@ -886,6 +892,9 @@ let run_fleet_point ~jobs ~nodes =
     fp_forward_s = phase.Amb_system.Cosim.forward_s;
     fp_account_s = phase.Amb_system.Cosim.account_s;
     fp_rebuild_s = phase.Amb_system.Cosim.rebuild_s;
+    fp_repairs = phase.Amb_system.Cosim.repairs;
+    fp_full_rebuilds = phase.Amb_system.Cosim.full_rebuilds;
+    fp_reattached = phase.Amb_system.Cosim.reattached;
     fp_outcome = outcome;
   }
 
@@ -922,6 +931,12 @@ let run_fleet ~jobs ~nodes_list ~json_path =
                [ ("forward_s", Json.Number top.fp_forward_s);
                  ("account_s", Json.Number top.fp_account_s);
                  ("rebuild_s", Json.Number top.fp_rebuild_s);
+               ] );
+           ( "route_tree",
+             Json.Object
+               [ ("repairs", Json.Number (Float.of_int top.fp_repairs));
+                 ("full_rebuilds", Json.Number (Float.of_int top.fp_full_rebuilds));
+                 ("reattached", Json.Number (Float.of_int top.fp_reattached));
                ] );
            ("events", Json.Number (Float.of_int top.fp_events));
            ("events_per_s", Json.Number top.fp_events_per_s);

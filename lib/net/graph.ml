@@ -84,27 +84,26 @@ let dijkstra g ~src =
   (* Unboxed (distance, node) heap; stale entries are skipped. *)
   let heap = Amb_sim.Float_heap.create ~capacity:(Stdlib.max 16 g.node_count) () in
   Amb_sim.Float_heap.push heap ~key:0.0 src;
-  let rec loop () =
-    match Amb_sim.Float_heap.pop_min heap with
-    | None -> ()
-    | Some (d, u) ->
-      if (not visited.(u)) && d <= dist.(u) then begin
-        visited.(u) <- true;
-        let dsts = g.dsts.(u) and weights = g.weights.(u) in
-        let base = dist.(u) in
-        for k = g.degree.(u) - 1 downto 0 do
-          let v = dsts.(k) in
-          let candidate = base +. weights.(k) in
-          if candidate < dist.(v) then begin
-            dist.(v) <- candidate;
-            prev.(v) <- u;
-            Amb_sim.Float_heap.push heap ~key:candidate v
-          end
-        done
-      end;
-      loop ()
-  in
-  loop ();
+  (* Popped keys come back through a flat float cell: no allocation
+     per pop. *)
+  let key = { Amb_sim.Float_heap.v = 0.0 } in
+  while not (Amb_sim.Float_heap.is_empty heap) do
+    let u = Amb_sim.Float_heap.pop_min heap key in
+    if (not visited.(u)) && key.v <= dist.(u) then begin
+      visited.(u) <- true;
+      let dsts = g.dsts.(u) and weights = g.weights.(u) in
+      let base = dist.(u) in
+      for k = g.degree.(u) - 1 downto 0 do
+        let v = dsts.(k) in
+        let candidate = base +. weights.(k) in
+        if candidate < dist.(v) then begin
+          dist.(v) <- candidate;
+          prev.(v) <- u;
+          Amb_sim.Float_heap.push heap ~key:candidate v
+        end
+      done
+    end
+  done;
   (dist, prev)
 
 (** [shortest_path g ~src ~dst] — node list from [src] to [dst] inclusive,

@@ -14,7 +14,10 @@
     - {!repair_death} / {!repair_weight_increase} — localized repair:
       only the subtree hanging off the failed node (or the worsened tree
       edge) is re-attached, via a boundary-seeded partial Dijkstra over
-      the affected set.
+      the affected set.  On a CSR adjacency every step — finding the
+      subtree, resetting it, seeding it, sweeping it — is O(subtree
+      and its rows), and the affected list is left for callers to
+      refresh their own per-node state from.
 
     The repair paths are exact when shortest paths are unique (tie-free
     weights — energy-valued policies on continuous positions).  Under
@@ -30,9 +33,16 @@ type t = {
   dist : float array;  (** policy cost from the sink; [infinity] = unreachable *)
   prev : int array;  (** parent towards the sink; -1 = none *)
   visited : bool array;
-  mark : int array;  (** repair scratch: 0 unknown, 1 affected, 2 safe *)
-  stack : int array;  (** repair scratch: parent-chain walk *)
+  mark : int array;
+      (** repair scratch, epoch-stamped: [mark.(v) = epoch] marks the
+          current repair's affected set, so no repair clears it *)
+  mutable epoch : int;
+  stack : int array;
+      (** repair scratch, then the affected list: [stack.(0 ..
+          affected_count - 1)], ascending *)
+  mutable affected_count : int;
   heap : Amb_sim.Float_heap.t;
+  key : Amb_sim.Float_heap.cell;  (** the popped key, unboxed *)
   csr_offsets : int array;  (** in-range adjacency rows; empty = dense all-pairs scan *)
   csr_neighbors : int array;
 }
@@ -55,8 +65,11 @@ let create ?csr ~n ~sink () =
     prev = Array.make n (-1);
     visited = Array.make n false;
     mark = Array.make n 0;
+    epoch = 0;
     stack = Array.make n 0;
+    affected_count = 0;
     heap = Amb_sim.Float_heap.create ~capacity:(Stdlib.max 16 n) ();
+    key = { Amb_sim.Float_heap.v = 0.0 };
     csr_offsets;
     csr_neighbors;
   }
@@ -65,6 +78,11 @@ let node_count t = t.n
 let sink t = t.sink
 let parent t i = t.prev.(i)
 let cost t i = t.dist.(i)
+let affected_count t = t.affected_count
+
+let affected t k =
+  if k < 0 || k >= t.affected_count then invalid_arg "Route_tree.affected: index out of range";
+  t.stack.(k)
 
 (* Dijkstra sweep over [t.heap]; relaxes only destinations [j] admitted
    by [admit].  Mirrors Graph.dijkstra exactly: stale-entry skip via
@@ -89,94 +107,153 @@ let[@inline] relax t ~weight ~alive ~admit ~u ~base j =
   end
 
 let sweep t ~weight ~alive ~admit =
-  let dist = t.dist and visited = t.visited in
+  let dist = t.dist and visited = t.visited and heap = t.heap and key = t.key in
   let n = t.n in
   let sparse = Array.length t.csr_offsets > 0 in
-  let rec loop () =
-    match Amb_sim.Float_heap.pop_min t.heap with
-    | None -> ()
-    | Some (d, u) ->
-      if (not visited.(u)) && d <= dist.(u) && alive u then begin
-        visited.(u) <- true;
-        let base = dist.(u) in
-        if sparse then
-          for k = t.csr_offsets.(u + 1) - 1 downto t.csr_offsets.(u) do
-            relax t ~weight ~alive ~admit ~u ~base t.csr_neighbors.(k)
-          done
-        else
-          for j = n - 1 downto 0 do
-            relax t ~weight ~alive ~admit ~u ~base j
-          done
-      end;
-      loop ()
-  in
-  loop ()
+  while not (Amb_sim.Float_heap.is_empty heap) do
+    let u = Amb_sim.Float_heap.pop_min heap key in
+    if (not visited.(u)) && key.v <= dist.(u) && alive u then begin
+      visited.(u) <- true;
+      let base = dist.(u) in
+      if sparse then
+        for k = t.csr_offsets.(u + 1) - 1 downto t.csr_offsets.(u) do
+          relax t ~weight ~alive ~admit ~u ~base t.csr_neighbors.(k)
+        done
+      else
+        for j = n - 1 downto 0 do
+          relax t ~weight ~alive ~admit ~u ~base j
+        done
+    end
+  done
 
 let all_nodes _ = true
 
 (** [rebuild t ~weight ~alive] — from-scratch Dijkstra from the sink.
     [weight u v] is the directed policy cost of hop [u -> v] (NaN = no
     link); only nodes with [alive] participate.  Replicates the historic
-    Graph-based rebuild byte-for-byte. *)
+    Graph-based rebuild byte-for-byte.  Every node counts as affected. *)
 let rebuild t ~weight ~alive =
   let dist = t.dist and prev = t.prev and visited = t.visited in
   for i = 0 to t.n - 1 do
     dist.(i) <- Float.infinity;
     prev.(i) <- -1;
-    visited.(i) <- false
+    visited.(i) <- false;
+    t.stack.(i) <- i
   done;
+  t.affected_count <- t.n;
   dist.(t.sink) <- 0.0;
   Amb_sim.Float_heap.clear t.heap;
   Amb_sim.Float_heap.push t.heap ~key:0.0 t.sink;
   sweep t ~weight ~alive ~admit:all_nodes
 
-(* Partition the nodes into the subtree under [root] (affected) and the
-   rest (safe) by walking parent chains with path compression into
-   [mark].  Unreachable nodes (no parent) are safe: removing edges never
-   improves them. *)
-let mark_subtree t ~root =
-  let mark = t.mark and prev = t.prev and stack = t.stack in
-  Array.fill mark 0 t.n 0;
-  mark.(root) <- 1;
-  if t.sink <> root then mark.(t.sink) <- 2;
-  for v = 0 to t.n - 1 do
-    if mark.(v) = 0 then begin
-      let top = ref 0 in
-      let u = ref v in
-      while mark.(!u) = 0 do
-        stack.(!top) <- !u;
-        incr top;
-        let p = prev.(!u) in
-        if p < 0 then mark.(!u) <- 2 else u := p
-      done;
-      let state = mark.(!u) in
-      for k = 0 to !top - 1 do
-        mark.(stack.(k)) <- state
-      done
+(* In-place ascending heapsort of [a.(0 .. len - 1)]. *)
+let sort_prefix (a : int array) len =
+  let rec sift root limit =
+    let child = (2 * root) + 1 in
+    if child < limit then begin
+      let child = if child + 1 < limit && a.(child) < a.(child + 1) then child + 1 else child in
+      if a.(root) < a.(child) then begin
+        let tmp = a.(root) in
+        a.(root) <- a.(child);
+        a.(child) <- tmp;
+        sift child limit
+      end
     end
+  in
+  for root = (len / 2) - 1 downto 0 do
+    sift root len
+  done;
+  for last = len - 1 downto 1 do
+    let tmp = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- tmp;
+    sift 0 last
   done
+
+(* The subtree under [root], stamped with the current epoch and listed
+   ascending in [stack].  With a CSR adjacency it is a walk down the
+   tree: [v] is a child of [u] exactly when [v] is in [u]'s row and
+   [prev.(v) = u], because every tree edge was relaxed along a row or
+   seeded along its mirror and the rows are symmetric — O(subtree
+   degree).  The dense tier has no rows, so it walks parent chains
+   instead, O(n) with path compression ([epoch + 1] stamps the nodes
+   known to be outside); unreachable nodes (no parent) are outside:
+   removing edges never improves them. *)
+let collect_subtree t ~root =
+  let e = t.epoch and mark = t.mark and prev = t.prev and stack = t.stack in
+  mark.(root) <- e;
+  if Array.length t.csr_offsets > 0 then begin
+    let offsets = t.csr_offsets and neighbors = t.csr_neighbors in
+    stack.(0) <- root;
+    let count = ref 1 and next = ref 0 in
+    while !next < !count do
+      let u = stack.(!next) in
+      incr next;
+      for k = offsets.(u) to offsets.(u + 1) - 1 do
+        let v = neighbors.(k) in
+        if prev.(v) = u then begin
+          mark.(v) <- e;
+          stack.(!count) <- v;
+          incr count
+        end
+      done
+    done;
+    sort_prefix stack !count;
+    t.affected_count <- !count
+  end
+  else begin
+    let outside = e + 1 in
+    if t.sink <> root then mark.(t.sink) <- outside;
+    for v = 0 to t.n - 1 do
+      if mark.(v) < e then begin
+        let top = ref 0 in
+        let u = ref v in
+        while mark.(!u) < e do
+          stack.(!top) <- !u;
+          incr top;
+          let p = prev.(!u) in
+          if p < 0 then mark.(!u) <- outside else u := p
+        done;
+        let state = mark.(!u) in
+        for k = 0 to !top - 1 do
+          mark.(stack.(k)) <- state
+        done
+      end
+    done;
+    let count = ref 0 in
+    for v = 0 to t.n - 1 do
+      if mark.(v) = e then begin
+        stack.(!count) <- v;
+        incr count
+      end
+    done;
+    t.affected_count <- !count
+  end
 
 (* Detach the affected subtree and re-attach it: seed every affected
    node with its best link from the intact region, then run a partial
    Dijkstra confined to the affected set.  Exact whenever shortest paths
-   are unique. *)
+   are unique.  The loops visit the affected list only, in ascending
+   id whatever order the subtree was found in: equal keys pop in
+   insertion order, and ascending pushes keep the re-attached tree bit
+   for bit the one an all-node scan builds. *)
 let repair_from t ~weight ~alive ~root =
-  mark_subtree t ~root;
-  let mark = t.mark and dist = t.dist and prev = t.prev and visited = t.visited in
-  let n = t.n in
-  for v = 0 to n - 1 do
-    if mark.(v) = 1 then begin
-      dist.(v) <- Float.infinity;
-      prev.(v) <- -1;
-      visited.(v) <- false
-    end
+  t.epoch <- t.epoch + 2;
+  collect_subtree t ~root;
+  let e = t.epoch and mark = t.mark and dist = t.dist and prev = t.prev in
+  let members = t.stack and count = t.affected_count in
+  for k = 0 to count - 1 do
+    let v = members.(k) in
+    dist.(v) <- Float.infinity;
+    prev.(v) <- -1;
+    t.visited.(v) <- false
   done;
   Amb_sim.Float_heap.clear t.heap;
   (* Best link into [v] from the intact region; ascending [u] (a CSR row
      is ascending too, and omits only NaN-weight pairs, so both paths
      pick the same boundary edge). *)
   let seed_from v u =
-    if mark.(u) = 2 && u <> v && alive u && dist.(u) < Float.infinity then begin
+    if mark.(u) <> e && u <> v && alive u && dist.(u) < Float.infinity then begin
       let w = weight u v in
       if not (Float.is_nan w) then begin
         let candidate = dist.(u) +. w in
@@ -188,20 +265,21 @@ let repair_from t ~weight ~alive ~root =
     end
   in
   let sparse = Array.length t.csr_offsets > 0 in
-  for v = 0 to n - 1 do
-    if mark.(v) = 1 && alive v then begin
+  for k = 0 to count - 1 do
+    let v = members.(k) in
+    if alive v then begin
       if sparse then
         for k = t.csr_offsets.(v) to t.csr_offsets.(v + 1) - 1 do
           seed_from v t.csr_neighbors.(k)
         done
       else
-        for u = 0 to n - 1 do
+        for u = 0 to t.n - 1 do
           seed_from v u
         done;
       if dist.(v) < Float.infinity then Amb_sim.Float_heap.push t.heap ~key:dist.(v) v
     end
   done;
-  sweep t ~weight ~alive ~admit:(fun j -> mark.(j) = 1)
+  sweep t ~weight ~alive ~admit:(fun j -> mark.(j) = e)
 
 (** [repair_death t ~weight ~alive ~tie_free ~dead] — update the tree
     after node [dead] left the network ([alive dead] must already be
@@ -227,4 +305,4 @@ let repair_weight_increase t ~weight ~alive ~tie_free ~a ~b =
   if not tie_free then rebuild t ~weight ~alive
   else if t.prev.(a) = b then repair_from t ~weight ~alive ~root:a
   else if t.prev.(b) = a then repair_from t ~weight ~alive ~root:b
-  else ()
+  else t.affected_count <- 0

@@ -5,7 +5,8 @@
     {!Graph.dijkstra} pipeline byte-for-byte straight off a weight
     function, while {!repair_death} and {!repair_weight_increase} splice
     only the affected subtree back via a boundary-seeded partial
-    Dijkstra.  The repair paths are exact when shortest paths are unique
+    Dijkstra — O(subtree) on a CSR adjacency, and the affected list
+    ({!affected}) lets callers refresh only what moved.  The repair paths are exact when shortest paths are unique
     (tie-free weights); callers with unit-weight policies pass
     [tie_free:false] to fall back to the full rebuild, because
     equal-cost tie-breaks are a global property of the rebuild
@@ -21,9 +22,16 @@ val create : ?csr:int array * int array -> n:int -> sink:int -> unit -> t
     present, rebuilds and repairs relax only the listed pairs —
     O(edges) per sweep instead of O(n²) — which is exact as long as
     every off-row pair has NaN weight (true for range-limited radio
-    policies; fades only shrink the in-range set).  Raises
-    [Invalid_argument] on empty networks, a sink outside [0..n-1], or
-    offsets not of length [n+1]. *)
+    policies; fades only shrink the in-range set).
+
+    Precondition: the rows must be symmetric — [j] is in row [i]
+    exactly when [i] is in row [j] ({!Routing.adjacency} is, since
+    being in range is a symmetric relation).  Repairs find a subtree by
+    walking down from its root through the rows of each member, which
+    sees every child only when each tree edge appears in both rows.
+    Raises [Invalid_argument] on empty networks, a sink outside
+    [0..n-1], or offsets not of length [n+1]; symmetry is not
+    checked. *)
 
 val node_count : t -> int
 val sink : t -> int
@@ -34,6 +42,18 @@ val parent : t -> int -> int
 
 val cost : t -> int -> float
 (** Policy cost from the sink ([infinity] when unreachable). *)
+
+val affected_count : t -> int
+(** How many nodes the last update may have re-parented: the subtree a
+    local repair detached and re-attached (a dead node's own subtree
+    includes the dead node), 0 after a no-op weight increase, and every
+    node after a rebuild (a fall-back included).  Nodes outside the list
+    kept their parent and cost bit for bit. *)
+
+val affected : t -> int -> int
+(** [affected t k] — the [k]-th node of that list, in ascending id
+    order, for [k] in [0 .. affected_count t - 1].  Raises
+    [Invalid_argument] outside that range. *)
 
 val rebuild : t -> weight:(int -> int -> float) -> alive:(int -> bool) -> unit
 (** From-scratch Dijkstra from the sink.  [weight u v] is the directed

@@ -23,7 +23,7 @@ open Amb_units
 (* A single mutable float in its own all-float record: stores are raw
    double writes, whereas a float field in a mixed record is boxed on
    every assignment.  The clock is written once per event. *)
-type cell = { mutable v : float }
+type cell = Float_heap.cell = { mutable v : float }
 
 type t = {
   mutable times : float array;  (** heap keys: absolute seconds, unboxed *)

@@ -71,7 +71,7 @@ val schedule_s : ?label:string -> t -> delay_s:float -> (t -> unit) -> unit
     modules under dune's default [-opaque] build, so the
     allocation-free per-event path is {!schedule_cell}. *)
 
-type cell = { mutable v : float }
+type cell = Float_heap.cell = { mutable v : float }
 (** A single mutable float in its own all-float record: reads and
     stores of [.v] are raw double loads/stores, never boxed. *)
 

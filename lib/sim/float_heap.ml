@@ -80,20 +80,24 @@ let push h ~key payload =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-(** [pop_min h] — remove and return the smallest (key, payload). *)
-let pop_min h =
-  if h.size = 0 then None
-  else begin
-    let key = h.keys.(0) and payload = h.payloads.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.keys.(0) <- h.keys.(h.size);
-      h.payloads.(0) <- h.payloads.(h.size);
-      h.seqs.(0) <- h.seqs.(h.size);
-      sift_down h 0
-    end;
-    Some (key, payload)
-  end
+type cell = { mutable v : float }
+
+(** [pop_min h cell] — remove the smallest entry, store its key in
+    [cell] and return its payload.  A flat float cell instead of a
+    tuple: the pop allocates nothing (no option, no tuple, no boxed
+    key). *)
+let pop_min h cell =
+  if h.size = 0 then invalid_arg "Float_heap.pop_min: empty heap";
+  cell.v <- h.keys.(0);
+  let payload = h.payloads.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.keys.(0) <- h.keys.(h.size);
+    h.payloads.(0) <- h.payloads.(h.size);
+    h.seqs.(0) <- h.seqs.(h.size);
+    sift_down h 0
+  end;
+  payload
 
 let clear h = h.size <- 0
 

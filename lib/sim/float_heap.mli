@@ -14,9 +14,15 @@ val is_empty : t -> bool
 val push : t -> key:float -> int -> unit
 (** Raises [Invalid_argument] for NaN keys. *)
 
-val pop_min : t -> (float * int) option
-(** Remove and return the smallest (key, payload); ties in key resolve in
-    insertion order. *)
+
+type cell = { mutable v : float }
+(** A flat float slot (an all-float record, so stores do not box). *)
+
+val pop_min : t -> cell -> int
+(** Remove the smallest entry, store its key in the cell and return its
+    payload; ties in key resolve in insertion order.  Allocates nothing.
+    Raises [Invalid_argument] on an empty heap — test {!is_empty}
+    first. *)
 
 val clear : t -> unit
 

@@ -72,9 +72,14 @@ type phase_times = {
   mutable forward_s : float;
   mutable account_s : float;
   mutable rebuild_s : float;
+  mutable repairs : int;
+  mutable full_rebuilds : int;
+  mutable reattached : int;
 }
 
-let phase_times ~clock = { clock; forward_s = 0.0; account_s = 0.0; rebuild_s = 0.0 }
+let phase_times ~clock =
+  { clock; forward_s = 0.0; account_s = 0.0; rebuild_s = 0.0; repairs = 0; full_rebuilds = 0;
+    reattached = 0 }
 
 (* Wrap a stage entry point so its wall clock accumulates into one
    [phase_times] field.  Wall clock only — no observable state. *)
@@ -153,31 +158,41 @@ let setup ?trace ~router cfg =
 (* --- stage 2: the collection tree ---------------------------------------
    Parents and their hop tariffs, coverage and availability, and every
    way the tree changes: full rebuilds, death repairs and the crash and
-   fade fault handlers.  These entry points are what [rebuild_s]
-   times. *)
+   fade fault handlers.  A full rebuild or a fade refreshes every node;
+   a [Min_energy] death repair refreshes only the subtree the route
+   tree re-attached ({!Route_tree.affected}), which keeps a death
+   O(subtree) from the Dijkstra to the coverage count.  The initial and
+   periodic rebuilds and the fault handlers are what [rebuild_s] times;
+   a battery death is repaired inside the report walk or accounting
+   tick that found it, and timed there. *)
 
 type tree = {
   s : setup;
+  phase : phase_times option;
   routes : Route_tree.t;
   parent : int array;
   hop_tx : float array;
       (* Hop tariffs, twin to [parent]: [hop_tx.(i)] is the sender cost
          of the hop i -> parent.(i) and [hop_kind.(i)] its receiver
-         class.  Refreshed on every [sync_parents] — exactly when the
-         tree (or a fade) changes — so the report walk reads flat arrays
-         with zero link-layer calls. *)
+         class.  Refreshed with [parent] — exactly when the tree (or a
+         fade) changes — so the report walk reads flat arrays with zero
+         link-layer calls. *)
   hop_kind : int array;
   weight : int -> int -> float;
   leaf_ids : int array;
-  reach : int array;  (* per call: 0 unknown, 1 reaches sink, 2 does not *)
+  reach : int array;
+      (* Coverage memo over [parent], kept across updates: 0 unknown,
+         1 reaches the sink, 2 does not.  Every live leaf's entry is
+         known, and every known entry is true for the current [parent]. *)
   chain : int array;
+  mutable connected : int;  (* live leaves whose [reach] is 1 *)
   coverage : Stat.time_weighted;
   avail : Stat.time_weighted;
   mutable rebuilds : int;
   mutable deaths : (int * float) list;  (* newest first *)
 }
 
-let tree s ~router =
+let tree ?phase s ~router =
   let n = s.n in
   let link = s.link in
   (* Policy cost of hop [i -> j]: link-layer weights (fade-aware) with
@@ -197,6 +212,7 @@ let tree s ~router =
   in
   {
     s;
+    phase;
     routes = Route_tree.create ?csr:(Routing.adjacency router) ~n ~sink:s.sink ();
     parent = Array.make n (-2);
     hop_tx = Array.make n Float.nan;
@@ -205,70 +221,109 @@ let tree s ~router =
     leaf_ids = Fleet.tier_nodes s.cfg.fleet Fleet.Sensor_leaf;
     reach = Array.make n 0;
     chain = Array.make n 0;
+    connected = 0;
     coverage = Stat.time_weighted ();
     avail = Stat.time_weighted ();
     rebuilds = 0;
     deaths = [];
   }
 
-(* Fraction of leaves whose parent chain reaches the sink.  Parent
-   chains share long suffixes, so each call memoises reachability per
-   node with path compression into [reach] — O(n) per call instead of
-   O(leaves * depth), which matters at city scale where both factors
-   are 10^4+. *)
-let connected_fraction t =
-  let n = t.s.n and sink = t.s.sink and reach = t.reach and chain = t.chain in
-  let leaf_count = Array.length t.leaf_ids in
-  if leaf_count = 0 then 1.0
-  else begin
-    Array.fill reach 0 n 0;
-    reach.(sink) <- 1;
-    let connected = ref 0 in
-    Array.iter
-      (fun leaf ->
-        if t.s.alive leaf then begin
-          let top = ref 0 in
-          let node = ref leaf in
-          while !node >= 0 && reach.(!node) = 0 && !top < n do
-            chain.(!top) <- !node;
-            incr top;
-            node := t.parent.(!node)
-          done;
-          let state = if !node >= 0 && reach.(!node) = 1 then 1 else 2 in
-          for k = 0 to !top - 1 do
-            reach.(chain.(k)) <- state
-          done;
-          if state = 1 then incr connected
-        end)
-      t.leaf_ids;
-    Float.of_int !connected /. Float.of_int leaf_count
-  end
-
-let sync_parents t =
+(* Re-derive [i]'s parent and hop tariff from the route tree. *)
+let sync_node t i =
   let sink = t.s.sink in
-  for i = 0 to t.s.n - 1 do
-    t.parent.(i) <-
-      (if i = sink then -1
-       else
-         let p = Route_tree.parent t.routes i in
-         if p < 0 || not (t.s.alive i) then -2 else p)
+  t.parent.(i) <-
+    (if i = sink then -1
+     else
+       let p = Route_tree.parent t.routes i in
+       if p < 0 || not (t.s.alive i) then -2 else p);
+  Link_layer.refresh_hop_tariff t.s.link ~sink ~parent:t.parent ~tx_j:t.hop_tx
+    ~hop_kind:t.hop_kind i
+
+(* Walk [leaf]'s parent chain up to the first node whose reachability is
+   known, memoising the answer along the chain (path compression), and
+   count the leaf if it reaches the sink.  Parent chains share long
+   suffixes, so a whole-fleet count is O(n) instead of
+   O(leaves * depth). *)
+let count_leaf t leaf =
+  let n = t.s.n and reach = t.reach and chain = t.chain in
+  let top = ref 0 in
+  let node = ref leaf in
+  while !node >= 0 && reach.(!node) = 0 && !top < n do
+    chain.(!top) <- !node;
+    incr top;
+    node := t.parent.(!node)
   done;
-  Link_layer.refresh_hop_tariffs t.s.link ~sink ~parent:t.parent ~tx_j:t.hop_tx
-    ~hop_kind:t.hop_kind
+  let state = if !node >= 0 && reach.(!node) = 1 then 1 else 2 in
+  for k = 0 to !top - 1 do
+    reach.(chain.(k)) <- state
+  done;
+  if state = 1 then t.connected <- t.connected + 1
+
+(* After a rebuild or a fade: every node. *)
+let sync_all t =
+  for i = 0 to t.s.n - 1 do
+    sync_node t i
+  done;
+  Array.fill t.reach 0 t.s.n 0;
+  t.reach.(t.s.sink) <- 1;
+  t.connected <- 0;
+  Array.iter (fun leaf -> if t.s.alive leaf then count_leaf t leaf) t.leaf_ids
+
+(* After a local repair: only the listed nodes changed parent (or, for
+   the dead node, liveness), and a node outside the list never has one
+   inside on its chain — it would be in the subtree itself — so only
+   the listed memo entries can be stale.  Take back their old
+   contributions, forget them, and re-walk the listed live leaves. *)
+let sync_affected t =
+  let routes = t.routes and reach = t.reach and tiers = t.s.cfg.fleet.Fleet.tiers in
+  let count = Route_tree.affected_count routes in
+  for k = 0 to count - 1 do
+    let v = Route_tree.affected routes k in
+    sync_node t v;
+    if reach.(v) = 1 && tiers.(v) = Fleet.Sensor_leaf then t.connected <- t.connected - 1;
+    reach.(v) <- 0
+  done;
+  reach.(t.s.sink) <- 1;
+  for k = 0 to count - 1 do
+    let v = Route_tree.affected routes k in
+    if tiers.(v) = Fleet.Sensor_leaf && t.s.alive v then count_leaf t v
+  done
+
+let note_full_rebuild t =
+  match t.phase with None -> () | Some pt -> pt.full_rebuilds <- pt.full_rebuilds + 1
+
+let note_splice t =
+  match t.phase with
+  | None -> ()
+  | Some pt ->
+    let count = Route_tree.affected_count t.routes in
+    if count > 0 then begin
+      pt.repairs <- pt.repairs + 1;
+      pt.reattached <- pt.reattached + count
+    end
 
 (* Every tree update — full or spliced — feeds the coverage and
-   availability accumulators at its instant. *)
+   availability accumulators at its instant.  Coverage is the exact
+   integer count over the leaf total, so a spliced update yields the
+   same double a whole-fleet recount would. *)
 let record_stats t now =
-  let f = connected_fraction t in
+  let leaf_count = Array.length t.leaf_ids in
+  let f =
+    if leaf_count = 0 then 1.0 else Float.of_int t.connected /. Float.of_int leaf_count
+  in
   Stat.update t.coverage ~time:now ~value:f;
   Stat.update t.avail ~time:now
     ~value:(if f >= t.s.cfg.availability_threshold then 1.0 else 0.0)
 
+let full_rebuild t =
+  Route_tree.rebuild t.routes ~weight:t.weight ~alive:t.s.alive;
+  note_full_rebuild t;
+  sync_all t
+
 (* Mirror of Net_sim.rebuild. *)
 let rebuild t now =
   t.rebuilds <- t.rebuilds + 1;
-  Route_tree.rebuild t.routes ~weight:t.weight ~alive:t.s.alive;
-  sync_parents t;
+  full_rebuild t;
   record_stats t now
 
 let record_death t i now =
@@ -283,10 +338,10 @@ let record_death t i now =
   t.rebuilds <- t.rebuilds + 1;
   (match t.s.cfg.policy with
   | Routing.Min_energy ->
-    Route_tree.repair_death t.routes ~weight:t.weight ~alive:t.s.alive ~tie_free:true ~dead:i
-  | Routing.Min_hop | Routing.Max_lifetime ->
-    Route_tree.rebuild t.routes ~weight:t.weight ~alive:t.s.alive);
-  sync_parents t;
+    Route_tree.repair_death t.routes ~weight:t.weight ~alive:t.s.alive ~tie_free:true ~dead:i;
+    note_splice t;
+    sync_affected t
+  | Routing.Min_hop | Routing.Max_lifetime -> full_rebuild t);
   record_stats t now
 
 let crash t node now =
@@ -310,9 +365,12 @@ let fade t ~a ~b ~db now =
   (match t.s.cfg.policy with
   | Routing.Min_energy when worsened before_ab after_ab && worsened before_ba after_ba ->
     Route_tree.repair_weight_increase t.routes ~weight:t.weight ~alive:t.s.alive ~tie_free:true
-      ~a ~b
-  | _ -> Route_tree.rebuild t.routes ~weight:t.weight ~alive:t.s.alive);
-  sync_parents t;
+      ~a ~b;
+    note_splice t;
+    (* The fade reprices the pair for every node, so the refresh stays
+       whole-fleet even when the tree splice was local. *)
+    sync_all t
+  | _ -> full_rebuild t);
   record_stats t now
 
 (* Periodic continuous-flow accounting, as in Lifetime_sim: every row
@@ -471,7 +529,7 @@ let finalize (t : tree) ~end_s : outcome =
    chronology. *)
 let run_with_router ?trace ?pool ?phase ~router cfg ~seed =
   let s = setup ?trace ~router cfg in
-  let t = tree s ~router in
+  let t = tree ?phase s ~router in
   let rebuild = timed phase add_rebuild (rebuild t) in
   let account = timed phase add_account (account_tick ?pool t) in
   rebuild 0.0;

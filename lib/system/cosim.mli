@@ -73,20 +73,35 @@ val run : ?trace:Amb_sim.Trace.t -> config -> seed:int -> outcome
 
 type phase_times = {
   clock : unit -> float;  (** wall-clock source, e.g. [Unix.gettimeofday] *)
-  mutable forward_s : float;  (** report batches: walks, charges, re-arms *)
-  mutable account_s : float;  (** periodic + final accounting ticks *)
+  mutable forward_s : float;
+      (** report batches: walks, charges, re-arms, and the route repair
+          of every battery death a walk causes *)
+  mutable account_s : float;
+      (** periodic + final accounting ticks, and the route repair of
+          every battery death a tick finds *)
   mutable rebuild_s : float;
       (** initial + periodic tree rebuilds, and the crash and fade
           fault handlers (each a tree repair or rebuild) *)
+  mutable repairs : int;
+      (** local splices: [Min_energy] death repairs, and fade repairs
+          that re-attached a tree edge's subtree *)
+  mutable full_rebuilds : int;
+      (** whole-tree Dijkstra runs: the initial and periodic rebuilds,
+          deaths under [Min_hop]/[Max_lifetime], fades that may lower a
+          pair's cost *)
+  mutable reattached : int;
+      (** nodes the local splices detached and re-attached, summed; a
+          death's subtree counts the dead node itself *)
 }
-(** Wall-clock accumulators for a run's three bulk phases, filled when
-    passed to {!run_with_router}.  Each field times one stage of the
-    run: [forward_s] the report channel's drained batches, [account_s]
-    the ledger's accounting ticks, [rebuild_s] the collection tree's
-    rebuilds and fault repairs.  Purely observational — timing never
-    feeds back into the simulation.  Repairs after a battery death are
-    attributed to whichever phase raised them (a report walk or an
-    accounting tick). *)
+(** Wall-clock accumulators for a run's three bulk phases, plus the
+    collection tree's update counters, filled when passed to
+    {!run_with_router}.  Each timer covers one stage of the run:
+    [forward_s] the report channel's drained batches, [account_s] the
+    ledger's accounting ticks, [rebuild_s] the collection tree's
+    rebuilds and fault repairs.  Purely observational — timing and
+    counting never feed back into the simulation.  Repairs after a
+    battery death are attributed to whichever phase raised them (a
+    report walk or an accounting tick), never to [rebuild_s]. *)
 
 val phase_times : clock:(unit -> float) -> phase_times
 (** Fresh zeroed accumulators around [clock]. *)
@@ -109,7 +124,8 @@ val run_with_router :
     falls back to the sequential node order, so outcomes are bitwise
     identical at every pool size.  It is kept for the benchmark's
     pooled re-check; report batches always replay sequentially.
-    [phase] accumulates per-stage wall clock (see {!phase_times}).
+    [phase] accumulates per-stage wall clock and the tree's update
+    counters (see {!phase_times}).
 
     Raises [Failure] naming the three counts if a run ends with
     [generated <> delivered + dropped] — every report ends its walk in

@@ -93,7 +93,7 @@ val route :
     [parent.(i)] is the next hop of [i] (negative = orphan or dead),
     [hop_tx.(i)] that hop's sender tariff and [hop_kind.(i)] its
     {!Link_layer.hop_normal}/[hop_tag]/[hop_sink_parent] receiver
-    class, as {!Link_layer.refresh_hop_tariffs} fills them.
+    class, as {!Link_layer.refresh_hop_tariff} fills them.
     [on_death i] runs when a charge kills node [i], before the walk
     goes on; it may rewrite the three arrays in place (a route repair)
     and the walk reads the new values on its next hop. *)

@@ -68,11 +68,16 @@ let set_fade t ~a ~b ~db =
   let x, y = key a b in
   t.fades <- (x, y, db) :: List.filter (fun (p, q, _) -> (p, q) <> (x, y)) t.fades
 
+(* Called once per Dijkstra relaxation: a fade-free run returns before
+   building the key pair or walking the list. *)
 let fade_db t a b =
-  let x, y = key a b in
-  match List.find_opt (fun (p, q, _) -> p = x && q = y) t.fades with
-  | Some (_, _, db) -> db
-  | None -> 0.0
+  match t.fades with
+  | [] -> 0.0
+  | fades -> (
+    let x, y = key a b in
+    match List.find_opt (fun (p, q, _) -> p = x && q = y) fades with
+    | Some (_, _, db) -> db
+    | None -> 0.0)
 
 (* TX joules over a faded pair: the extra loss shows up as an effective
    distance under the log-distance exponent. *)
@@ -130,36 +135,24 @@ let hop_normal = 0
 let hop_tag = 1
 let hop_sink_parent = 2
 
-(* Batch twin of [cost_tx_j] over a whole parent array.  Runs on every
-   route-tree sync (rebuild / death repair / fade), never per packet,
-   so the per-hop CSR binary search and fade lookup of the historic
-   walk collapse into one refresh per topology event.  Each entry is
-   exactly [cost_tx_j t node parent.(node)] — the fade-free non-tag
-   shortcut below inlines [phy_tx_j] at db = 0, which *is*
-   [Routing.sender_energy_j], so the tariffs stay bit-identical. *)
-let refresh_hop_tariffs t ~sink ~parent ~tx_j ~hop_kind =
-  let n = Array.length parent in
-  let fade_free = match t.fades with [] -> true | _ :: _ -> false in
-  for node = 0 to n - 1 do
-    let p = parent.(node) in
-    if p < 0 then begin
-      (* Orphan or dead: the walk drops before pricing, but keep the
-         entry poisoned so a stale read can never charge anything. *)
-      tx_j.(node) <- Float.nan;
-      hop_kind.(node) <- hop_normal
-    end
-    else begin
-      let tag = t.is_tag node in
-      tx_j.(node) <-
-        (if fade_free && not tag then
-           match t.mode with
-           | Off -> 0.0
-           | Cached -> Routing.sender_energy_j t.router node p
-           | Mac _ -> Routing.sender_energy_j t.router node p +. t.tx_overhead_j
-         else cost_tx_j t node p);
-      hop_kind.(node) <- (if tag then hop_tag else if p = sink then hop_sink_parent else hop_normal)
-    end
-  done
+(* Table twin of [cost_tx_j]: the tariff and receiver class of
+   [node]'s hop to [parent.(node)].  Runs on every route-tree sync
+   (rebuild / death repair / fade), never per packet, so the per-hop
+   CSR binary search and fade lookup of the historic walk collapse into
+   one refresh per topology event. *)
+let refresh_hop_tariff t ~sink ~parent ~tx_j ~hop_kind node =
+  let p = parent.(node) in
+  if p < 0 then begin
+    (* Orphan or dead: the walk drops before pricing, but keep the
+       entry poisoned so a stale read can never charge anything. *)
+    tx_j.(node) <- Float.nan;
+    hop_kind.(node) <- hop_normal
+  end
+  else begin
+    tx_j.(node) <- cost_tx_j t node p;
+    hop_kind.(node) <-
+      (if t.is_tag node then hop_tag else if p = sink then hop_sink_parent else hop_normal)
+  end
 
 (* Route sweeps relax from the sink outward and call [weight_j t u v]
    with [u] the settled parent-side node and [v] the candidate child —

@@ -69,7 +69,7 @@ val reader_cost_rx_j : t -> float
     without [tag_link]. *)
 
 val hop_normal : int
-(** {!refresh_hop_tariffs} receiver kinds: an ordinary hop (receiver
+(** {!refresh_hop_tariff} receiver kinds: an ordinary hop (receiver
     pays {!cost_rx_j}) … *)
 
 val hop_tag : int
@@ -79,14 +79,17 @@ val hop_tag : int
 val hop_sink_parent : int
 (** … or a hop into the sink, which listens for free. *)
 
-val refresh_hop_tariffs :
-  t -> sink:int -> parent:int array -> tx_j:float array -> hop_kind:int array -> unit
-(** Precompute, for every node with [parent.(node) >= 0], the sender
+val refresh_hop_tariff :
+  t -> sink:int -> parent:int array -> tx_j:float array -> hop_kind:int array -> int -> unit
+(** [refresh_hop_tariff t ~sink ~parent ~tx_j ~hop_kind node] —
+    precompute [node]'s hop: when [parent.(node) >= 0], the sender
     tariff [tx_j.(node) = cost_tx_j t node parent.(node)] (bit-exact,
     NaN when the hop cannot close) and the receiver classification
     [hop_kind.(node)] ({!hop_normal} / {!hop_tag} /
-    {!hop_sink_parent}).  Orphans get a NaN tariff.  Called on every
-    route-tree sync, so the arrays are stale only when the tree itself
+    {!hop_sink_parent}); an orphan gets a NaN tariff.  Called for every
+    node whose parent may have changed on each route-tree sync (all of
+    them after a rebuild or a fade, the re-attached subtree after a
+    local repair), so the arrays are stale only when the tree itself
     is — the co-simulation's report walk then reads flat arrays with
     zero link-layer calls per hop. *)
 

@@ -650,6 +650,44 @@ let test_run_many_jobs_independent () =
         "availability" a.Amb_system.Cosim.availability b.Amb_system.Cosim.availability)
     seq
 
+(* --- CSR symmetry -------------------------------------------------- *)
+
+(* [Route_tree] finds a repair's subtree by walking children down the
+   CSR rows, which sees every tree edge only if [j] is in row [i]
+   exactly when [i] is in row [j]. *)
+let check_symmetric ~ctx router =
+  match Routing.adjacency router with
+  | None -> Alcotest.failf "%s: no CSR adjacency" ctx
+  | Some (offsets, neighbors) ->
+    let n = Array.length offsets - 1 in
+    let in_row i j =
+      let found = ref false in
+      for k = offsets.(i) to offsets.(i + 1) - 1 do
+        if neighbors.(k) = j then found := true
+      done;
+      !found
+    in
+    for i = 0 to n - 1 do
+      for k = offsets.(i) to offsets.(i + 1) - 1 do
+        let j = neighbors.(k) in
+        if j = i then Alcotest.failf "%s: %d lists itself" ctx i;
+        if not (in_row j i) then Alcotest.failf "%s: %d is in row %d but not %d in row %d" ctx j i i j
+      done
+    done
+
+let test_csr_symmetric () =
+  let threshold = Routing.default_dense_threshold in
+  (* Dense side: at the threshold the default is the n×n grid, so force
+     the CSR build on the same fleet. *)
+  let small = Amb_system.Fleet.city ~nodes:threshold ~seed:3 () in
+  let r = small.Amb_system.Fleet.router in
+  Alcotest.(check bool) "dense at the threshold" true (Routing.adjacency r = None);
+  check_symmetric ~ctx:"forced CSR at the threshold"
+    (Routing.make ~dense_threshold:0 ~topology:r.Routing.topology ~link:r.Routing.link
+       ~packet:r.Routing.packet ());
+  let big = Amb_system.Fleet.city ~tags:30 ~nodes:(threshold + 300) ~seed:4 () in
+  check_symmetric ~ctx:"CSR above the threshold" big.Amb_system.Fleet.router
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_spatial_neighbors;
@@ -681,5 +719,7 @@ let suite =
         test_run_many_jobs_independent;
       Alcotest.test_case "boundary layouts: grid and CSR equal brute force" `Quick
         test_boundary_layouts;
+      Alcotest.test_case "CSR adjacency is symmetric on both sides of the threshold" `Quick
+        test_csr_symmetric;
       Alcotest.test_case "boundary layouts: 2000-node tagged city" `Quick test_boundary_city;
     ]

@@ -157,6 +157,205 @@ let prop_fast_path_oracle =
           check_same ~ctx:(Printf.sprintf "trial %d jobs=4" trial) reference t_ref pooled t_pool);
       true)
 
+(* --- CSR cities: the O(subtree) death repair ------------------------- *)
+
+(* The small fleets above sit on the dense tier.  Past
+   [Routing.default_dense_threshold] a [Min_energy] death repair finds
+   its subtree by walking children down the CSR rows and re-syncs
+   parents, tariffs and the coverage count for that subtree alone,
+   while the reference re-syncs every node and recounts every leaf
+   after each update.  The fault plans aim at the shapes that can go
+   wrong, so the scenario is built from the tree the run starts on. *)
+
+(* That tree: the initial [Min_energy] rebuild, on a standalone route
+   tree over the run's link costs — at time 0 every node is alive, and
+   battery scales change no link cost. *)
+let initial_parents fleet =
+  let router = fleet.Fleet.router in
+  let link =
+    Link_layer.create
+      ?tag_link:
+        (Option.map
+           (fun bs ->
+             ( bs,
+               (fun i -> fleet.Fleet.tiers.(i) = Fleet.Tag),
+               fun i -> fleet.Fleet.tiers.(i) = Fleet.Sink ))
+           fleet.Fleet.tag_link)
+      ~router ~mode:Link_layer.Cached ()
+  in
+  let n = Fleet.node_count fleet in
+  let tree =
+    Amb_net.Route_tree.create ?csr:(Amb_net.Routing.adjacency router) ~n ~sink:fleet.Fleet.sink
+      ()
+  in
+  Amb_net.Route_tree.rebuild tree ~weight:(Link_layer.weight_j link) ~alive:(fun _ -> true);
+  Array.init n (Amb_net.Route_tree.parent tree)
+
+let children prev =
+  let kids = Array.make (Array.length prev) [] in
+  Array.iteri (fun v p -> if p >= 0 then kids.(p) <- v :: kids.(p)) prev;
+  kids
+
+let rec descendants kids v = v :: List.concat_map (descendants kids) kids.(v)
+
+let city_leaf = Fleet.microwatt_leaf ~report_period:(Time_span.seconds 300.0) ()
+
+(* A fleet past the dense threshold with a fault plan built from its
+   initial tree:
+   - two sink neighbours crash, each orphaning a large subtree;
+   - a node with descendants crashes late, after two of those
+     descendants have run flat;
+   - a few dozen weak relaying leaves die on report charges, so
+     several deaths land inside one drained report batch;
+   - a fade worsens one tree edge (a local splice with a whole-fleet
+     refresh).
+   Returns the late crash and its flat descendants. *)
+let city_scenario trial =
+  let rng = Amb_sim.Rng.create (7100 + trial) in
+  let nodes = 1100 + Amb_sim.Rng.int rng 400 in
+  let tags = Amb_sim.Rng.int rng 40 in
+  let fleet = Fleet.city ~leaf:city_leaf ~tags ~nodes ~seed:(300 + trial) () in
+  let sink = fleet.Fleet.sink in
+  let prev = initial_parents fleet in
+  let kids = children prev in
+  let at_h h = Time_span.hours h in
+  let pick arr = arr.(Amb_sim.Rng.int rng (Array.length arr)) in
+  let faults = ref [] in
+  let add f = faults := f :: !faults in
+  let sink_children = Array.of_list kids.(sink) in
+  for k = 0 to 1 do
+    add (Fault_plan.Node_crash { node = pick sink_children; at = at_h (0.3 +. (0.3 *. Float.of_int k)) })
+  done;
+  (* A node away from the sink with at least two battery-powered
+     descendants; they run flat at their first charge. *)
+  let below v =
+    List.filter (fun d -> fleet.Fleet.tiers.(d) <> Fleet.Tag) (List.tl (descendants kids v))
+  in
+  let parents =
+    Array.of_list
+      (List.filter
+         (fun v -> v <> sink && prev.(v) <> sink && List.length (below v) >= 2)
+         (List.init (Array.length prev) Fun.id))
+  in
+  let late =
+    if Array.length parents = 0 then None
+    else begin
+      let x = pick parents in
+      let flat = List.filteri (fun i _ -> i < 2) (below x) in
+      List.iter (fun node -> add (Fault_plan.Battery_scale { node; scale = 1e-9 })) flat;
+      add (Fault_plan.Node_crash { node = x; at = at_h 0.85 });
+      Some (x, flat)
+    end
+  in
+  let leaves = Fleet.tier_nodes fleet Fleet.Sensor_leaf in
+  (* Harvest income carries a leaf that only sends its own reports, so
+     the weak ones are leaves that relay for others. *)
+  let relaying =
+    Array.of_list
+      (List.filter
+         (fun v -> kids.(v) <> [] && Option.map fst late <> Some v)
+         (Array.to_list leaves))
+  in
+  for _ = 1 to 25 do
+    add
+      (Fault_plan.Battery_scale
+         { node = pick relaying; scale = 10.0 ** (-8.0 +. Amb_sim.Rng.float rng) })
+  done;
+  (let child = pick leaves in
+   if prev.(child) >= 0 then
+     add (Fault_plan.Link_fade { a = child; b = prev.(child); db = 6.0; at = at_h 0.5 }));
+  let cfg = Cosim.config ~fleet ~horizon:(Time_span.hours 1.0) ~faults:!faults () in
+  (fleet, cfg, late)
+
+(* Pairs of consecutive deaths with nothing but report fires between
+   them in the trace: both happened inside one uninterrupted run of
+   report events, which the engine drains as batches of up to one
+   report period. *)
+let deaths_between_reports trace =
+  let pairs = ref 0 and after_death = ref false in
+  List.iter
+    (fun (e : Amb_sim.Trace.entry) ->
+      if String.starts_with ~prefix:"death:" e.label then begin
+        if !after_death then incr pairs;
+        after_death := true
+      end
+      else if
+        String.starts_with ~prefix:"fire:" e.label
+        && not (String.starts_with ~prefix:"fire:report:" e.label)
+      then after_death := false)
+    (Amb_sim.Trace.to_list trace);
+  !pairs
+
+let prop_city_repair_oracle =
+  QCheck.Test.make ~name:"CSR city death repairs match the reference bit for bit"
+    ~count:4 QCheck.small_nat (fun trial ->
+      let fleet, cfg, late = city_scenario trial in
+      let ctx = Printf.sprintf "city trial %d (%d nodes)" trial (Fleet.node_count fleet) in
+      let seed = 40 + trial in
+      let reference, t_ref = run_reference fleet cfg ~seed in
+      let fast, t_fast = run_one fleet cfg ~seed in
+      check_same ~ctx reference t_ref fast t_fast;
+      (* The scenario happened as designed. *)
+      let deaths = List.length fast.deaths in
+      if deaths < 10 then Alcotest.failf "%s: only %d deaths" ctx deaths;
+      if deaths_between_reports t_fast < 1 then
+        Alcotest.failf "%s: no two deaths inside one run of report events" ctx;
+      Option.iter
+        (fun (x, flat) ->
+          let died v = List.assoc_opt v fast.deaths in
+          match died x with
+          | None -> Alcotest.failf "%s: %d never died" ctx x
+          | Some at_x ->
+            List.iter
+              (fun v ->
+                match died v with
+                | Some at when Time_span.to_seconds at < Time_span.to_seconds at_x -> ()
+                | _ -> Alcotest.failf "%s: %d did not die before its ancestor %d" ctx v x)
+              flat)
+        late;
+      true)
+
+(* --- repair counters --------------------------------------------------- *)
+
+let run_counted fleet cfg =
+  let phase = Cosim.phase_times ~clock:Sys.time in
+  let outcome = Cosim.run_with_router ~phase ~router:fleet.Fleet.router cfg ~seed:5 in
+  (outcome, phase)
+
+let test_counters_quiet_run () =
+  let fleet = Fleet.city ~leaf:city_leaf ~nodes:1200 ~seed:11 () in
+  let cfg = Cosim.config ~fleet ~horizon:(Time_span.hours 9.0) () in
+  let outcome, phase = run_counted fleet cfg in
+  Alcotest.(check int) "no deaths" 0 (List.length outcome.deaths);
+  Alcotest.(check int) "repairs" 0 phase.repairs;
+  Alcotest.(check int) "reattached" 0 phase.reattached;
+  (* The initial rebuild and the periodic ones at 4 h and 8 h. *)
+  Alcotest.(check int) "full rebuilds" 3 phase.full_rebuilds;
+  Alcotest.(check int) "every update counted" outcome.rebuilds
+    (phase.full_rebuilds + phase.repairs)
+
+(* A crash at 25 min, before any other update: the tree it splices is
+   the initial one, so the subtree it re-attaches is the leaf and
+   everything below it there. *)
+let test_counters_one_leaf_death () =
+  let fleet = Fleet.city ~leaf:city_leaf ~nodes:1200 ~seed:11 () in
+  let kids = children (initial_parents fleet) in
+  let size v = List.length (descendants kids v) in
+  (* The leaf relaying for the most others. *)
+  let leaves = Fleet.tier_nodes fleet Fleet.Sensor_leaf in
+  let leaf = Array.fold_left (fun best v -> if size v > size best then v else best) leaves.(0) leaves in
+  let cfg =
+    Cosim.config ~fleet ~horizon:(Time_span.hours 1.0)
+      ~faults:[ Fault_plan.Node_crash { node = leaf; at = Time_span.minutes 25.0 } ]
+      ()
+  in
+  let outcome, phase = run_counted fleet cfg in
+  Alcotest.(check (list int)) "only the crashed leaf died" [ leaf ] (List.map fst outcome.deaths);
+  Alcotest.(check bool) "the leaf relays for others" true (size leaf > 1);
+  Alcotest.(check int) "one splice" 1 phase.repairs;
+  Alcotest.(check int) "its subtree re-attached" (size leaf) phase.reattached;
+  Alcotest.(check int) "one full rebuild" 1 phase.full_rebuilds
+
 (* --- pooled runs ----------------------------------------------------- *)
 
 (* Fleets of a few hundred nodes with tiny battery budgets, so deaths
@@ -625,7 +824,7 @@ let test_faults_inside_a_batch () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_fast_path_oracle; prop_pooled_ticks_oracle; prop_scale_at_oracle;
+    [ prop_fast_path_oracle; prop_city_repair_oracle; prop_pooled_ticks_oracle; prop_scale_at_oracle;
       prop_ledger_diurnal_oracle ]
   @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
@@ -641,4 +840,7 @@ let suite =
       Alcotest.test_case "orphaned sender drops uncharged" `Quick test_orphan_drops_uncharged;
       Alcotest.test_case "crash and fade inside one report batch" `Quick
         test_faults_inside_a_batch;
+      Alcotest.test_case "counters: quiet run makes no repairs" `Quick test_counters_quiet_run;
+      Alcotest.test_case "counters: one leaf death re-attaches its subtree" `Quick
+        test_counters_one_leaf_death;
     ]

@@ -165,27 +165,31 @@ let test_pool_rejects_zero_jobs () =
 
 (* --- Float_heap --- *)
 
+(* Pop everything, in pop order, as (key, payload) pairs. *)
+let drain_heap h =
+  let key = { Amb_sim.Float_heap.v = 0.0 } in
+  let rec go acc =
+    if Amb_sim.Float_heap.is_empty h then List.rev acc
+    else
+      let p = Amb_sim.Float_heap.pop_min h key in
+      go ((key.v, p) :: acc)
+  in
+  go []
+
 let test_float_heap_pop_order () =
   let h = Amb_sim.Float_heap.create () in
   Amb_sim.Float_heap.push h ~key:3.0 30;
   Amb_sim.Float_heap.push h ~key:1.0 10;
   Amb_sim.Float_heap.push h ~key:2.0 20;
-  let rec drain acc =
-    match Amb_sim.Float_heap.pop_min h with
-    | None -> List.rev acc
-    | Some (_, p) -> drain (p :: acc)
-  in
-  Alcotest.(check (list int)) "key order" [ 10; 20; 30 ] (drain [])
+  Alcotest.(check (list int)) "key order" [ 10; 20; 30 ] (List.map snd (drain_heap h));
+  Alcotest.check_raises "empty" (Invalid_argument "Float_heap.pop_min: empty heap") (fun () ->
+      ignore (Amb_sim.Float_heap.pop_min h { Amb_sim.Float_heap.v = 0.0 }))
 
 let test_float_heap_stable_ties () =
   let h = Amb_sim.Float_heap.create ~capacity:2 () in
   List.iter (fun p -> Amb_sim.Float_heap.push h ~key:7.0 p) [ 1; 2; 3; 4; 5 ];
-  let rec drain acc =
-    match Amb_sim.Float_heap.pop_min h with
-    | None -> List.rev acc
-    | Some (_, p) -> drain (p :: acc)
-  in
-  Alcotest.(check (list int)) "insertion order on equal keys" [ 1; 2; 3; 4; 5 ] (drain [])
+  Alcotest.(check (list int)) "insertion order on equal keys" [ 1; 2; 3; 4; 5 ]
+    (List.map snd (drain_heap h))
 
 let test_float_heap_nan_rejected () =
   let h = Amb_sim.Float_heap.create () in
@@ -203,12 +207,7 @@ let prop_float_heap_matches_event_queue =
           Amb_sim.Float_heap.push h ~key payload;
           Amb_sim.Event_queue.push q ~time:key payload)
         entries;
-      let rec drain acc =
-        match Amb_sim.Float_heap.pop_min h with
-        | None -> List.rev acc
-        | Some (k, p) -> drain ((k, p) :: acc)
-      in
-      drain [] = Amb_sim.Event_queue.drain q)
+      drain_heap h = Amb_sim.Event_queue.drain q)
 
 (* --- Event_queue.of_list --- *)
 

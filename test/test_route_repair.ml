@@ -1,13 +1,17 @@
 (* Property tests for the incremental route repair (Amb_net.Route_tree)
-   against the historic Graph/Dijkstra rebuild, plus the engine
-   allocation budget.
+   against the historic Graph/Dijkstra rebuild, plus the engine and
+   rebuild allocation budgets.
 
    The oracle is the exact pipeline the simulators ran before the fast
    path: materialise a Graph over the alive pairs (ascending source,
    ascending destination insertion order) with the policy weights and
    run Graph.dijkstra from the sink.  After every fault — node death or
    link fade — the repaired tree must agree with a from-scratch oracle
-   on parents and hop costs, for all three routing policies. *)
+   on parents and hop costs, for all three routing policies.  Each
+   trial runs twice over: on the dense n×n grid and on the same fleet's
+   CSR rows, where a repair finds its subtree by walking children down
+   the rows instead of walking every node's parent chain; both must
+   list exactly the nodes a chain walk assigns to the subtree. *)
 
 open Amb_circuit
 open Amb_radio
@@ -40,6 +44,38 @@ let check_against_oracle ~ctx ~n ~sink ~weight ~alive tree =
     end
   done
 
+(* The subtree under [root] in the parent vector [prev], by walking
+   every node's parent chain with path compression (0 unknown, 1 inside,
+   2 outside); ascending ids. *)
+let chain_subtree ~prev ~sink ~root =
+  let n = Array.length prev in
+  let mark = Array.make n 0 and stack = Array.make n 0 in
+  mark.(root) <- 1;
+  if sink <> root then mark.(sink) <- 2;
+  for v = 0 to n - 1 do
+    if mark.(v) = 0 then begin
+      let top = ref 0 in
+      let u = ref v in
+      while mark.(!u) = 0 do
+        stack.(!top) <- !u;
+        incr top;
+        let p = prev.(!u) in
+        if p < 0 then mark.(!u) <- 2 else u := p
+      done;
+      let state = mark.(!u) in
+      for k = 0 to !top - 1 do
+        mark.(stack.(k)) <- state
+      done
+    end
+  done;
+  List.filter (fun v -> mark.(v) = 1) (List.init n Fun.id)
+
+(* The nodes the last update says it may have re-parented. *)
+let affected tree = List.init (Route_tree.affected_count tree) (Route_tree.affected tree)
+
+let check_affected ~ctx ~expect tree =
+  Alcotest.(check (list int)) (ctx ^ ": affected nodes") expect (affected tree)
+
 (* --- random fault sequences ------------------------------------------ *)
 
 (* Policy weights in the exact shape the simulators use: energy costs
@@ -58,14 +94,37 @@ let make_weight ~policy ~router ~fade ~residual =
       else if residual.(i) <= 0.0 then Float.max_float /. 1e6
       else joules /. residual.(i)
 
-let run_trial ~policy ~trial =
-  let rng = Amb_sim.Rng.create (1000 + trial) in
-  let n = 8 + Amb_sim.Rng.int rng 33 in
-  let topology = Topology.random rng ~nodes:n ~width_m:220.0 ~height_m:220.0 in
+(* Subtree sizes in the parent vector [prev]: every node counted at
+   itself and at each ancestor. *)
+let subtree_sizes prev =
+  let size = Array.make (Array.length prev) 0 in
+  Array.iteri
+    (fun v _ ->
+      let u = ref v in
+      while !u >= 0 do
+        size.(!u) <- size.(!u) + 1;
+        u := prev.(!u)
+      done)
+    prev;
+  size
+
+(* A [deep] trial spreads 150-300 nodes over a wider field, so trees
+   run many hops deep, and each death takes the node with the largest
+   subtree; the default trials are a few hops deep, where a subtree
+   rarely reaches past the dead node's grandchildren. *)
+let run_trial ?(deep = false) ~policy ~trial () =
+  let rng = Amb_sim.Rng.create ((if deep then 3000 else 1000) + trial) in
+  let n = if deep then 150 + Amb_sim.Rng.int rng 151 else 8 + Amb_sim.Rng.int rng 33 in
+  let side_m = if deep then 600.0 else 220.0 in
+  let topology = Topology.random rng ~nodes:n ~width_m:side_m ~height_m:side_m in
   let link =
     Link_budget.make ~radio:Radio_frontend.low_power_uhf ~channel:Path_loss.indoor ()
   in
   let router = Routing.make ~topology ~link ~packet:Packet.sensor_report () in
+  let csr =
+    Routing.adjacency
+      (Routing.make ~dense_threshold:0 ~topology ~link ~packet:Packet.sensor_report ())
+  in
   let fade = Array.init n (fun _ -> Array.make n 1.0) in
   let residual = Array.init n (fun _ -> 0.5 +. Amb_sim.Rng.float rng) in
   let alive = Array.make n true in
@@ -76,13 +135,33 @@ let run_trial ~policy ~trial =
      unit weights make the repair fall back to the full rebuild, which
      must still match the oracle. *)
   let tie_free = policy <> Routing.Min_hop in
-  let tree = Route_tree.create ~n ~sink () in
-  Route_tree.rebuild tree ~weight ~alive:alive_fn;
-  check_against_oracle
-    ~ctx:(Printf.sprintf "trial %d initial" trial)
-    ~n ~sink ~weight ~alive:alive_fn tree;
+  let trees =
+    [ ("dense", Route_tree.create ~n ~sink ()); ("csr", Route_tree.create ?csr ~n ~sink ()) ]
+  in
+  (* A full rebuild (and a repair that falls back to one) lists every
+     node; a local repair lists the subtree under [root] in the parents
+     before it. *)
+  let everyone = List.init n Fun.id in
+  let subtree ~before root = if tie_free then chain_subtree ~prev:before ~sink ~root else everyone in
+  List.iter
+    (fun (tier, tree) ->
+      Route_tree.rebuild tree ~weight ~alive:alive_fn;
+      let ctx = Printf.sprintf "trial %d %s initial" trial tier in
+      check_against_oracle ~ctx ~n ~sink ~weight ~alive:alive_fn tree;
+      check_affected ~ctx ~expect:everyone tree)
+    trees;
   for event = 1 to 4 do
-    let ctx = Printf.sprintf "trial %d event %d" trial event in
+    let parents tree = Array.init n (Route_tree.parent tree) in
+    let each_tree kind update expect =
+      List.iter
+        (fun (tier, tree) ->
+          let ctx = Printf.sprintf "trial %d event %d %s %s" trial event tier kind in
+          let before = parents tree in
+          update tree;
+          check_against_oracle ~ctx ~n ~sink ~weight ~alive:alive_fn tree;
+          check_affected ~ctx ~expect:(expect ~before) tree)
+        trees
+    in
     if Amb_sim.Rng.float rng < 0.5 then begin
       (* Node death: pick any alive non-sink node. *)
       let candidates =
@@ -91,10 +170,18 @@ let run_trial ~policy ~trial =
       match candidates with
       | [] -> ()
       | _ ->
-        let dead = List.nth candidates (Amb_sim.Rng.int rng (List.length candidates)) in
+        let dead =
+          if deep then begin
+            let size = subtree_sizes (parents (snd (List.hd trees))) in
+            List.fold_left (fun best v -> if size.(v) > size.(best) then v else best)
+              (List.hd candidates) candidates
+          end
+          else List.nth candidates (Amb_sim.Rng.int rng (List.length candidates))
+        in
         alive.(dead) <- false;
-        Route_tree.repair_death tree ~weight ~alive:alive_fn ~tie_free ~dead;
-        check_against_oracle ~ctx:(ctx ^ " death") ~n ~sink ~weight ~alive:alive_fn tree
+        each_tree "death"
+          (fun tree -> Route_tree.repair_death tree ~weight ~alive:alive_fn ~tie_free ~dead)
+          (fun ~before -> subtree ~before dead)
     end
     else begin
       (* Link fade: raise one pair's cost (both directions), tree edge
@@ -104,8 +191,13 @@ let run_trial ~policy ~trial =
       let factor = 1.5 +. (3.5 *. Amb_sim.Rng.float rng) in
       fade.(a).(b) <- fade.(a).(b) *. factor;
       fade.(b).(a) <- fade.(b).(a) *. factor;
-      Route_tree.repair_weight_increase tree ~weight ~alive:alive_fn ~tie_free ~a ~b;
-      check_against_oracle ~ctx:(ctx ^ " fade") ~n ~sink ~weight ~alive:alive_fn tree
+      each_tree "fade"
+        (fun tree -> Route_tree.repair_weight_increase tree ~weight ~alive:alive_fn ~tie_free ~a ~b)
+        (fun ~before ->
+          if before.(a) = b then subtree ~before a
+          else if before.(b) = a then subtree ~before b
+          else if tie_free then []
+          else everyone)
     end
   done
 
@@ -113,7 +205,12 @@ let trials_per_policy = 40
 
 let test_repair_matches_rebuild policy () =
   for trial = 1 to trials_per_policy do
-    run_trial ~policy ~trial
+    run_trial ~policy ~trial ()
+  done
+
+let test_repair_deep_trees policy () =
+  for trial = 1 to 6 do
+    run_trial ~deep:true ~policy ~trial ()
   done
 
 (* Directed check of the no-op case: worsening an edge the tree does not
@@ -182,6 +279,29 @@ let test_engine_allocation_free () =
     (allocated < 5_000.0);
   Alcotest.(check int) "events fired" 100_000 !count
 
+(* One fade-free rebuild on an 8 000-node city relaxes every CSR edge
+   once; the heap pop hands its key back through a float cell and the
+   fade lookup returns before building a key pair, so what is left is
+   the boxed float each weight call returns.  Read 13.8 words per edge
+   before both; 4.2 after. *)
+let test_rebuild_allocation () =
+  let open Amb_system in
+  let fleet = Fleet.city ~nodes:8000 ~seed:42 () in
+  let router = fleet.Fleet.router in
+  let n = Fleet.node_count fleet in
+  let offsets, _ as csr = Option.get (Routing.adjacency router) in
+  let link = Link_layer.create ~router ~mode:Link_layer.Cached () in
+  let weight = Link_layer.weight_j link in
+  let alive _ = true in
+  let tree = Route_tree.create ~csr ~n ~sink:fleet.Fleet.sink () in
+  Route_tree.rebuild tree ~weight ~alive;
+  let before = Gc.minor_words () in
+  Route_tree.rebuild tree ~weight ~alive;
+  let words = Gc.minor_words () -. before in
+  let per_edge = words /. Float.of_int offsets.(n) in
+  if per_edge > 5.0 then
+    Alcotest.failf "rebuild allocates %.2f minor words per edge (budget 5)" per_edge
+
 (* The stochastic-core counterpart of the engine budget above: 1M
    uniform draws.  Through the batch kernel the whole run must stay
    within a few hundred minor words (closure setup only).  The scalar
@@ -228,9 +348,14 @@ let suite =
       (test_repair_matches_rebuild Routing.Min_energy);
     Alcotest.test_case "repair vs rebuild oracle: max-lifetime" `Slow
       (test_repair_matches_rebuild Routing.Max_lifetime);
+    Alcotest.test_case "repair vs rebuild oracle on deep trees: min-energy" `Slow
+      (test_repair_deep_trees Routing.Min_energy);
+    Alcotest.test_case "repair vs rebuild oracle on deep trees: max-lifetime" `Slow
+      (test_repair_deep_trees Routing.Max_lifetime);
     Alcotest.test_case "non-tree fade is a parent-preserving no-op" `Quick
       test_non_tree_fade_noop;
     Alcotest.test_case "engine inner loop is allocation-free" `Quick
       test_engine_allocation_free;
     Alcotest.test_case "rng draw budget: 1M draws" `Quick test_rng_allocation_budget;
+    Alcotest.test_case "fade-free rebuild allocation budget" `Quick test_rebuild_allocation;
   ]
