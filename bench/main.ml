@@ -817,9 +817,8 @@ let build_city_fleet ~jobs ~nodes =
   let fleet = Amb_system.Fleet.city ~leaf ~jobs ~timing ~nodes ~seed:42 () in
   let build_s = wall_clock () -. t0 in
   let edges =
-    match Amb_net.Routing.adjacency fleet.Amb_system.Fleet.router with
-    | Some (offsets, _) -> offsets.(Array.length offsets - 1)
-    | None -> 0
+    let offsets, _ = Amb_net.Routing.rows fleet.Amb_system.Fleet.router in
+    offsets.(Array.length offsets - 1)
   in
   Printf.printf
     "built in %.2f s (%d directed in-range edges; layout %.2f s, topology %.2f s, csr %.2f s)\n%!"

@@ -11,11 +11,12 @@
     Hot-path discipline: the event loop runs on the float-native
     {!Engine} API (no [Time_span.t] boxing per event, one report closure
     per node for the whole run), and the collection tree lives in a
-    reusable {!Route_tree} — deaths under the tie-free [Min_energy]
-    policy splice the orphaned subtree instead of re-running Dijkstra
-    over all pairs.  [Min_hop] (equal-cost tie-breaks are global) and
-    [Max_lifetime] (weights go stale with the residuals) keep the full
-    rebuild, as does the periodic residual-aware refresh. *)
+    reusable {!Route_tree} over the router's CSR rows — deaths under the
+    tie-free [Min_energy] policy splice the orphaned subtree and re-sync
+    the parents and hop tariffs of that subtree alone.  [Min_hop]
+    (equal-cost tie-breaks are global) and [Max_lifetime] (weights go
+    stale with the residuals) keep the full rebuild and whole-fleet
+    re-sync, as does the periodic residual-aware refresh. *)
 
 open Amb_units
 open Amb_sim
@@ -57,6 +58,10 @@ type state = {
   residual : float array;
   alive : bool array;
   parent : int array;  (** -1 = sink, -2 = dead/unreachable, else parent id *)
+  hop_tx : float array;
+      (** TX joules of the hop i -> parent.(i), NaN without one; synced
+          with [parent], so the forward loop prices a hop without a
+          row search *)
   acc : acc;
   mutable generated : int;
   mutable delivered : int;
@@ -80,15 +85,26 @@ let tree_weight cfg st =
       else if st.residual.(i) <= 0.0 then Float.max_float /. 1e6
       else joules /. st.residual.(i)
 
-(* Project the tree into the forwarding array. *)
+(* Project node [i] of the tree into the forwarding arrays. *)
+let sync_node cfg st i =
+  let p =
+    if i = cfg.sink then -1
+    else
+      let p = Route_tree.parent st.tree i in
+      if p < 0 || not st.alive.(i) then -2 else p
+  in
+  st.parent.(i) <- p;
+  st.hop_tx.(i) <- (if p < 0 then Float.nan else Routing.sender_energy_j cfg.router i p)
+
 let sync_parents cfg st =
-  let n = Array.length st.parent in
-  for i = 0 to n - 1 do
-    st.parent.(i) <-
-      (if i = cfg.sink then -1
-       else
-         let p = Route_tree.parent st.tree i in
-         if p < 0 || not st.alive.(i) then -2 else p)
+  for i = 0 to Array.length st.parent - 1 do
+    sync_node cfg st i
+  done
+
+(* After a local repair only the listed nodes may have moved. *)
+let sync_affected cfg st =
+  for k = 0 to Route_tree.affected_count st.tree - 1 do
+    sync_node cfg st (Route_tree.affected st.tree k)
   done
 
 (* Rebuild the collection tree over the alive subgraph from scratch,
@@ -102,14 +118,13 @@ let kill cfg st engine node =
   if st.alive.(node) then begin
     st.alive.(node) <- false;
     if st.first_death = None then st.first_death <- Some (Engine.now_s engine);
-    (match cfg.policy with
+    match cfg.policy with
     | Routing.Min_energy ->
       Route_tree.repair_death st.tree ~weight:(tree_weight cfg st)
         ~alive:(fun i -> st.alive.(i))
-        ~tie_free:true ~dead:node
-    | Routing.Min_hop | Routing.Max_lifetime ->
-      Route_tree.rebuild st.tree ~weight:(tree_weight cfg st) ~alive:(fun i -> st.alive.(i)));
-    sync_parents cfg st
+        ~tie_free:true ~dead:node;
+      sync_affected cfg st
+    | Routing.Min_hop | Routing.Max_lifetime -> rebuild cfg st
   end
 
 (* Charge [joules] to [node]; returns false (and kills the node) when the
@@ -136,7 +151,7 @@ let forward cfg st engine src =
       let parent = st.parent.(node) in
       if parent < 0 || not st.alive.(node) then st.dropped <- st.dropped + 1
       else
-        let tx_j = Routing.sender_energy_j cfg.router node parent in
+        let tx_j = st.hop_tx.(node) in
         if Float.is_nan tx_j then st.dropped <- st.dropped + 1
         else
           let sender_ok = charge cfg st engine node tx_j in
@@ -153,10 +168,11 @@ let run cfg ~seed =
   let engine = Engine.create () in
   let st =
     {
-      tree = Route_tree.create ~n ~sink:cfg.sink ();
+      tree = Route_tree.create ~rows:(Routing.rows cfg.router) ~sink:cfg.sink;
       residual = Array.init n (fun i -> Energy.to_joules (cfg.budget i));
       alive = Array.make n true;
       parent = Array.make n (-2);
+      hop_tx = Array.make n Float.nan;
       acc = { spent_j = 0.0 };
       generated = 0;
       delivered = 0;

@@ -10,14 +10,14 @@
       byte-for-byte (same descending-destination relaxation order, same
       FIFO heap tie-breaks, same strict-improvement predecessor rule)
       without materialising a graph: edges are read straight from the
-      caller's weight function.
+      caller's weight function, over the in-range CSR rows only.
     - {!repair_death} / {!repair_weight_increase} — localized repair:
       only the subtree hanging off the failed node (or the worsened tree
       edge) is re-attached, via a boundary-seeded partial Dijkstra over
-      the affected set.  On a CSR adjacency every step — finding the
-      subtree, resetting it, seeding it, sweeping it — is O(subtree
-      and its rows), and the affected list is left for callers to
-      refresh their own per-node state from.
+      the affected set.  Every step — finding the subtree, resetting
+      it, seeding it, sweeping it — is O(subtree and its rows), and the
+      affected list is left for callers to refresh their own per-node
+      state from.
 
     The repair paths are exact when shortest paths are unique (tie-free
     weights — energy-valued policies on continuous positions).  Under
@@ -43,21 +43,14 @@ type t = {
   mutable affected_count : int;
   heap : Amb_sim.Float_heap.t;
   key : Amb_sim.Float_heap.cell;  (** the popped key, unboxed *)
-  csr_offsets : int array;  (** in-range adjacency rows; empty = dense all-pairs scan *)
-  csr_neighbors : int array;
+  offsets : int array;  (** in-range adjacency rows, as {!Routing.rows} *)
+  neighbors : int array;
 }
 
-let create ?csr ~n ~sink () =
+let create ~rows:(offsets, neighbors) ~sink =
+  let n = Array.length offsets - 1 in
   if n <= 0 then invalid_arg "Route_tree.create: non-positive node count";
   if sink < 0 || sink >= n then invalid_arg "Route_tree.create: sink outside 0..n-1";
-  let csr_offsets, csr_neighbors =
-    match csr with
-    | None -> ([||], [||])
-    | Some (offsets, neighbors) ->
-      if Array.length offsets <> n + 1 then
-        invalid_arg "Route_tree.create: csr offsets must have length n+1";
-      (offsets, neighbors)
-  in
   {
     n;
     sink;
@@ -70,8 +63,8 @@ let create ?csr ~n ~sink () =
     affected_count = 0;
     heap = Amb_sim.Float_heap.create ~capacity:(Stdlib.max 16 n) ();
     key = { Amb_sim.Float_heap.v = 0.0 };
-    csr_offsets;
-    csr_neighbors;
+    offsets;
+    neighbors;
   }
 
 let node_count t = t.n
@@ -88,11 +81,9 @@ let affected t k =
    by [admit].  Mirrors Graph.dijkstra exactly: stale-entry skip via
    [d <= dist], strict-improvement predecessor updates, and neighbours
    visited in descending id — Graph stores edges in ascending insertion
-   order and iterates them most-recent-first.  With a CSR adjacency the
-   relaxation runs over [u]'s in-range row only (descending, mirroring
-   the dense order restricted to the row) — O(edges) per sweep instead
-   of O(n²); out-of-row pairs have NaN weight in every policy, so the
-   restriction drops no edge. *)
+   order and iterates them most-recent-first.  The relaxation runs over
+   [u]'s in-range row only, descending — O(edges) per sweep; off-row
+   pairs have NaN weight in every policy, so the rows drop no edge. *)
 let[@inline] relax t ~weight ~alive ~admit ~u ~base j =
   if j <> u && admit j && alive j then begin
     let w = weight u j in
@@ -108,21 +99,15 @@ let[@inline] relax t ~weight ~alive ~admit ~u ~base j =
 
 let sweep t ~weight ~alive ~admit =
   let dist = t.dist and visited = t.visited and heap = t.heap and key = t.key in
-  let n = t.n in
-  let sparse = Array.length t.csr_offsets > 0 in
+  let offsets = t.offsets and neighbors = t.neighbors in
   while not (Amb_sim.Float_heap.is_empty heap) do
     let u = Amb_sim.Float_heap.pop_min heap key in
     if (not visited.(u)) && key.v <= dist.(u) && alive u then begin
       visited.(u) <- true;
       let base = dist.(u) in
-      if sparse then
-        for k = t.csr_offsets.(u + 1) - 1 downto t.csr_offsets.(u) do
-          relax t ~weight ~alive ~admit ~u ~base t.csr_neighbors.(k)
-        done
-      else
-        for j = n - 1 downto 0 do
-          relax t ~weight ~alive ~admit ~u ~base j
-        done
+      for k = offsets.(u + 1) - 1 downto offsets.(u) do
+        relax t ~weight ~alive ~admit ~u ~base neighbors.(k)
+      done
     end
   done
 
@@ -171,64 +156,30 @@ let sort_prefix (a : int array) len =
   done
 
 (* The subtree under [root], stamped with the current epoch and listed
-   ascending in [stack].  With a CSR adjacency it is a walk down the
-   tree: [v] is a child of [u] exactly when [v] is in [u]'s row and
-   [prev.(v) = u], because every tree edge was relaxed along a row or
-   seeded along its mirror and the rows are symmetric — O(subtree
-   degree).  The dense tier has no rows, so it walks parent chains
-   instead, O(n) with path compression ([epoch + 1] stamps the nodes
-   known to be outside); unreachable nodes (no parent) are outside:
-   removing edges never improves them. *)
+   ascending in [stack]: a walk down the tree, where [v] is a child of
+   [u] exactly when [v] is in [u]'s row and [prev.(v) = u] — every tree
+   edge was relaxed along a row or seeded along its mirror, and the rows
+   are symmetric.  O(subtree degree). *)
 let collect_subtree t ~root =
   let e = t.epoch and mark = t.mark and prev = t.prev and stack = t.stack in
+  let offsets = t.offsets and neighbors = t.neighbors in
   mark.(root) <- e;
-  if Array.length t.csr_offsets > 0 then begin
-    let offsets = t.csr_offsets and neighbors = t.csr_neighbors in
-    stack.(0) <- root;
-    let count = ref 1 and next = ref 0 in
-    while !next < !count do
-      let u = stack.(!next) in
-      incr next;
-      for k = offsets.(u) to offsets.(u + 1) - 1 do
-        let v = neighbors.(k) in
-        if prev.(v) = u then begin
-          mark.(v) <- e;
-          stack.(!count) <- v;
-          incr count
-        end
-      done
-    done;
-    sort_prefix stack !count;
-    t.affected_count <- !count
-  end
-  else begin
-    let outside = e + 1 in
-    if t.sink <> root then mark.(t.sink) <- outside;
-    for v = 0 to t.n - 1 do
-      if mark.(v) < e then begin
-        let top = ref 0 in
-        let u = ref v in
-        while mark.(!u) < e do
-          stack.(!top) <- !u;
-          incr top;
-          let p = prev.(!u) in
-          if p < 0 then mark.(!u) <- outside else u := p
-        done;
-        let state = mark.(!u) in
-        for k = 0 to !top - 1 do
-          mark.(stack.(k)) <- state
-        done
-      end
-    done;
-    let count = ref 0 in
-    for v = 0 to t.n - 1 do
-      if mark.(v) = e then begin
+  stack.(0) <- root;
+  let count = ref 1 and next = ref 0 in
+  while !next < !count do
+    let u = stack.(!next) in
+    incr next;
+    for k = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = neighbors.(k) in
+      if prev.(v) = u then begin
+        mark.(v) <- e;
         stack.(!count) <- v;
         incr count
       end
-    done;
-    t.affected_count <- !count
-  end
+    done
+  done;
+  sort_prefix stack !count;
+  t.affected_count <- !count
 
 (* Detach the affected subtree and re-attach it: seed every affected
    node with its best link from the intact region, then run a partial
@@ -238,7 +189,7 @@ let collect_subtree t ~root =
    insertion order, and ascending pushes keep the re-attached tree bit
    for bit the one an all-node scan builds. *)
 let repair_from t ~weight ~alive ~root =
-  t.epoch <- t.epoch + 2;
+  t.epoch <- t.epoch + 1;
   collect_subtree t ~root;
   let e = t.epoch and mark = t.mark and dist = t.dist and prev = t.prev in
   let members = t.stack and count = t.affected_count in
@@ -249,9 +200,9 @@ let repair_from t ~weight ~alive ~root =
     t.visited.(v) <- false
   done;
   Amb_sim.Float_heap.clear t.heap;
-  (* Best link into [v] from the intact region; ascending [u] (a CSR row
-     is ascending too, and omits only NaN-weight pairs, so both paths
-     pick the same boundary edge). *)
+  (* Best link into [v] from the intact region, over [v]'s row in
+     ascending [u]: the row omits only NaN-weight pairs, so this picks
+     the boundary edge an ascending all-node scan would. *)
   let seed_from v u =
     if mark.(u) <> e && u <> v && alive u && dist.(u) < Float.infinity then begin
       let w = weight u v in
@@ -264,18 +215,12 @@ let repair_from t ~weight ~alive ~root =
       end
     end
   in
-  let sparse = Array.length t.csr_offsets > 0 in
   for k = 0 to count - 1 do
     let v = members.(k) in
     if alive v then begin
-      if sparse then
-        for k = t.csr_offsets.(v) to t.csr_offsets.(v + 1) - 1 do
-          seed_from v t.csr_neighbors.(k)
-        done
-      else
-        for u = 0 to t.n - 1 do
-          seed_from v u
-        done;
+      for k = t.offsets.(v) to t.offsets.(v + 1) - 1 do
+        seed_from v t.neighbors.(k)
+      done;
       if dist.(v) < Float.infinity then Amb_sim.Float_heap.push t.heap ~key:dist.(v) v
     end
   done;

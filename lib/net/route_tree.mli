@@ -5,8 +5,9 @@
     {!Graph.dijkstra} pipeline byte-for-byte straight off a weight
     function, while {!repair_death} and {!repair_weight_increase} splice
     only the affected subtree back via a boundary-seeded partial
-    Dijkstra — O(subtree) on a CSR adjacency, and the affected list
-    ({!affected}) lets callers refresh only what moved.  The repair paths are exact when shortest paths are unique
+    Dijkstra — O(subtree) over the in-range CSR rows every sweep reads —
+    and the affected list ({!affected}) lets callers refresh only what
+    moved.  The repair paths are exact when shortest paths are unique
     (tie-free weights); callers with unit-weight policies pass
     [tie_free:false] to fall back to the full rebuild, because
     equal-cost tie-breaks are a global property of the rebuild
@@ -15,23 +16,25 @@
 
 type t
 
-val create : ?csr:int array * int array -> n:int -> sink:int -> unit -> t
-(** Fresh tree over [n] nodes rooted at [sink]; every node starts
-    unreachable.  [csr] is an optional in-range adjacency
-    [(offsets, neighbors)] (as {!Routing.adjacency} returns): when
-    present, rebuilds and repairs relax only the listed pairs —
-    O(edges) per sweep instead of O(n²) — which is exact as long as
-    every off-row pair has NaN weight (true for range-limited radio
-    policies; fades only shrink the in-range set).
+val create : rows:int array * int array -> sink:int -> t
+(** Fresh tree rooted at [sink] over the [n] nodes of the adjacency
+    [rows = (offsets, neighbors)] (as {!Routing.rows} returns; [n] is
+    [Array.length offsets - 1]); every node starts unreachable.
+    Rebuilds and repairs relax only the listed pairs — O(edges) per
+    sweep.
 
-    Precondition: the rows must be symmetric — [j] is in row [i]
-    exactly when [i] is in row [j] ({!Routing.adjacency} is, since
-    being in range is a symmetric relation).  Repairs find a subtree by
-    walking down from its root through the rows of each member, which
-    sees every child only when each tree edge appears in both rows.
-    Raises [Invalid_argument] on empty networks, a sink outside
-    [0..n-1], or offsets not of length [n+1]; symmetry is not
-    checked. *)
+    Preconditions, not checked:
+    - the rows are complete: every pair with a finite weight is listed
+      (true for range-limited radio policies, whose off-row pairs are
+      NaN; fades only shrink the in-range set);
+    - the rows are symmetric: [j] is in row [i] exactly when [i] is in
+      row [j] ({!Routing.rows} is, since being in range is a symmetric
+      relation).  Repairs find a subtree by walking down from its root
+      through the rows of each member, which sees every child only when
+      each tree edge appears in both rows.
+
+    Raises [Invalid_argument] on empty networks or a sink outside
+    [0..n-1]. *)
 
 val node_count : t -> int
 val sink : t -> int

@@ -14,17 +14,14 @@
     per-distance float operations, bit for bit the unstaged
     [required_tx_dbm] + [transmit_energy] result.
 
-    Per-pair storage is two-tier, filled by the same kernel: a
-    squared-distance screen, the exact [Float.hypot <= range_m] test
-    for pairs that pass it, and one tariff evaluation per unordered
-    pair, copied to both directions (exact, since the distance is
-    symmetric).  Below {!default_dense_threshold} nodes the historic
-    flat n×n joule grid is materialised — O(n²) memory, O(1) lookup,
-    byte-identical behaviour for every existing experiment.  Above it,
-    only the in-range pairs exist: a CSR adjacency (offsets / neighbour
-    ids / per-edge TX joules), O(n + edges) memory and build time, with
-    per-pair lookups answered by a binary search of the (short, sorted)
-    neighbour row.  The CSR build queries a {!Spatial} grid whose
+    Per-pair storage is a CSR adjacency over the in-range pairs only
+    (offsets / neighbour ids / per-edge TX joules), O(n + edges) memory
+    and build time at every fleet size: a squared-distance screen, the
+    exact [Float.hypot <= range_m] test for pairs that pass it, and one
+    tariff evaluation per unordered pair, copied to both directions
+    (exact, since the distance is symmetric).  Per-pair lookups are a
+    binary search of the (short, sorted) neighbour row; route trees
+    read the rows directly.  The build queries a {!Spatial} grid whose
     coordinates sit in cell order, prices only the upper half of each
     row ([j > i]) and fills the lower half by transposing the upper
     halves.  With [jobs] > 1 and at least 4096 nodes, each of its three
@@ -42,20 +39,18 @@ let policy_name = function
   | Min_energy -> "min-energy"
   | Max_lifetime -> "max-lifetime"
 
-type pair_cache =
-  | Dense of float array  (** flat n*n per-pair TX-side joules; NaN = out of range *)
-  | Sparse of {
-      offsets : int array;  (** length n+1; row [i] is [offsets.(i) .. offsets.(i+1) - 1] *)
-      neighbors : int array;  (** in-range neighbour ids, ascending within a row *)
-      edge_tx_j : float array;  (** TX-side joules, parallel to [neighbors] *)
-    }
+type pair_cache = {
+  offsets : int array;  (** length n+1; row [i] is [offsets.(i) .. offsets.(i+1) - 1] *)
+  neighbors : int array;  (** in-range neighbour ids, ascending within a row *)
+  edge_tx_j : float array;  (** TX-side joules, parallel to [neighbors] *)
+}
 
 type t = {
   topology : Topology.t;
   link : Link_budget.t;
   packet : Packet.t;
   range_m : float;
-  cache : pair_cache;  (** per-pair TX joules: dense grid or CSR adjacency *)
+  cache : pair_cache;  (** per-pair TX joules over the in-range CSR adjacency *)
   rx_j : float;  (** RX-side joules per packet (distance-independent) *)
   tariff : float -> float;
       (** staged distance (m) -> TX-side joules; NaN beyond radio reach *)
@@ -77,12 +72,6 @@ let tx_energy_j_at router ~distance_m =
     let e = router.tariff distance_m in
     Hashtbl.add router.tx_memo distance_m e;
     e
-
-(* Above this node count the n×n grid gives way to the CSR adjacency.
-   The dense grid at the threshold is ~8 MB; everything the experiment
-   suite builds sits far below it, so all existing digests stay on the
-   dense path. *)
-let default_dense_threshold = 1024
 
 (* Below this many rows a sharded pass runs inline: a pool batch costs
    more than the work it would split. *)
@@ -106,9 +95,14 @@ let shard_min_rows = 4096
    Every pass writes only its own rows' slots (pass 3 only lower halves,
    while it reads upper halves) from read-only inputs, so sharding
    cannot move a bit. *)
-let build_sparse ~topology ~tariff ~range_m ~jobs =
+let build_csr ~topology ~tariff ~range_m ~jobs =
   let n = Topology.node_count topology in
-  let index = Topology.spatial topology ~cell_m:range_m in
+  (* A link that cannot close even at contact has range 0, where the
+     grid queries list no pair; any positive cell edge serves then. *)
+  let index =
+    Topology.spatial topology
+      ~cell_m:(if range_m > 0.0 then range_m else topology.Topology.width_m)
+  in
   let offsets = Array.make (n + 1) 0 in
   let upper = Array.make n 0 in  (* row -> first slot of its upper half *)
   (* [shard task] runs [task lo hi] over a partition of the rows. *)
@@ -164,7 +158,7 @@ let build_sparse ~topology ~tariff ~range_m ~jobs =
             incr k
           done
         done);
-    Sparse { offsets; neighbors; edge_tx_j }
+    { offsets; neighbors; edge_tx_j }
   in
   if jobs <= 1 || n < shard_min_rows then build (fun task -> task 0 n)
   else
@@ -177,35 +171,7 @@ let build_sparse ~topology ~tariff ~range_m ~jobs =
                  (Array.init chunks (fun c () -> task (c * chunk) (Stdlib.min n ((c + 1) * chunk))))
                 : unit array)))
 
-(* Dense n×n fill: the same kernel as the CSR build — squared-distance
-   reject, exact [Float.hypot] test, staged tariff once per pair, both
-   directions from one evaluation. *)
-let build_dense ~topology ~tariff ~range_m =
-  let n = Topology.node_count topology in
-  let positions = topology.Topology.positions in
-  let _, reject = Spatial.sq_band range_m in
-  let tx_j = Array.make (n * n) Float.nan in
-  for i = 0 to n - 1 do
-    let p = positions.(i) in
-    for j = i + 1 to n - 1 do
-      let q = positions.(j) in
-      let dx = p.Topology.x -. q.Topology.x and dy = p.Topology.y -. q.Topology.y in
-      if not ((dx *. dx) +. (dy *. dy) > reject) then begin
-        let d = Float.hypot dx dy in
-        if d <= range_m then begin
-          let e = tariff d in
-          tx_j.((i * n) + j) <- e;
-          tx_j.((j * n) + i) <- e
-        end
-      end
-    done
-  done;
-  Dense tx_j
-
-let make ?dense_threshold ?(jobs = 1) ~topology ~link ~packet () =
-  let dense_threshold =
-    match dense_threshold with Some t -> t | None -> default_dense_threshold
-  in
+let make ?(jobs = 1) ~topology ~link ~packet () =
   let range_m = Link_budget.max_range link ~tx_dbm:link.Link_budget.radio.Amb_circuit.Radio_frontend.max_tx_dbm in
   let bits = Packet.total_bits packet in
   let rx_j =
@@ -213,11 +179,7 @@ let make ?dense_threshold ?(jobs = 1) ~topology ~link ~packet () =
       (Amb_circuit.Radio_frontend.receive_energy link.Link_budget.radio ~bits ~include_startup:true)
   in
   let tariff = Link_budget.tx_tariff link ~bits in
-  let cache =
-    if Topology.node_count topology > dense_threshold then
-      build_sparse ~topology ~tariff ~range_m ~jobs
-    else build_dense ~topology ~tariff ~range_m
-  in
+  let cache = build_csr ~topology ~tariff ~range_m ~jobs in
   { topology; link; packet; range_m; cache; rx_j; tariff; tx_memo = Hashtbl.create 64 }
 
 (** [with_private_memo router] — the same router (topology, pair cache
@@ -228,34 +190,31 @@ let make ?dense_threshold ?(jobs = 1) ~topology ~link ~packet () =
     instead of racing on the shared one. *)
 let with_private_memo router = { router with tx_memo = Hashtbl.create 64 }
 
-(** [adjacency router] — the CSR structure (offsets, neighbour ids) when
-    the router runs sparse; [None] on the dense grid.  Consumers
-    (Route_tree sweeps, Cosim) use it to visit only in-range pairs. *)
-let adjacency router =
-  match router.cache with
-  | Dense _ -> None
-  | Sparse { offsets; neighbors; _ } -> Some (offsets, neighbors)
+(** [rows router] — the CSR structure (offsets, neighbour ids).  Route
+    trees sweep it to visit only in-range pairs. *)
+let rows router = (router.cache.offsets, router.cache.neighbors)
+
+(* The option shape of the retired two-tier cache, for callers that
+   still match on it. *)
+let adjacency router = Some (rows router)
 
 (** [sender_energy_j router i j] — cached TX-side joules for the pair;
-    NaN when out of range.  O(1) on the dense grid, O(log degree) on the
-    CSR rows. *)
+    NaN when out of range.  O(log degree): a binary search of row [i]. *)
 let sender_energy_j router i j =
-  match router.cache with
-  | Dense tx_j -> tx_j.((i * Topology.node_count router.topology) + j)
-  | Sparse { offsets; neighbors; edge_tx_j } ->
-    let lo = ref offsets.(i) and hi = ref (offsets.(i + 1) - 1) in
-    let result = ref Float.nan in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = Array.unsafe_get neighbors mid in
-      if v = j then begin
-        result := Array.unsafe_get edge_tx_j mid;
-        lo := !hi + 1
-      end
-      else if v < j then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !result
+  let { offsets; neighbors; edge_tx_j } = router.cache in
+  let lo = ref offsets.(i) and hi = ref (offsets.(i + 1) - 1) in
+  let result = ref Float.nan in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let v = Array.unsafe_get neighbors mid in
+    if v = j then begin
+      result := Array.unsafe_get edge_tx_j mid;
+      lo := !hi + 1
+    end
+    else if v < j then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !result
 
 (** [receiver_energy_j router] — cached RX-side joules per packet. *)
 let receiver_energy_j router = router.rx_j
@@ -275,8 +234,8 @@ let hop_energy router ~distance_m =
     entirely from the per-pair energy cache (no link-budget math).
     [residual] gives each node's remaining energy (used by
     [Max_lifetime]); pass the same value for all nodes to recover
-    [Min_energy] behaviour.  Edge insertion order (ascending source, then
-    ascending destination) is identical on both cache tiers. *)
+    [Min_energy] behaviour.  Edges are inserted in ascending source, then
+    ascending destination order. *)
 let build_graph router ~policy ~residual =
   let n = Topology.node_count router.topology in
   let g = Graph.create n in
@@ -293,19 +252,12 @@ let build_graph router ~policy ~residual =
       in
       Graph.add_edge g ~src:i ~dst:j ~weight
   in
-  (match router.cache with
-  | Dense tx_j ->
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i <> j then add i j tx_j.((i * n) + j)
-      done
+  let { offsets; neighbors; edge_tx_j } = router.cache in
+  for i = 0 to n - 1 do
+    for k = offsets.(i) to offsets.(i + 1) - 1 do
+      add i neighbors.(k) edge_tx_j.(k)
     done
-  | Sparse { offsets; neighbors; edge_tx_j } ->
-    for i = 0 to n - 1 do
-      for k = offsets.(i) to offsets.(i + 1) - 1 do
-        add i neighbors.(k) edge_tx_j.(k)
-      done
-    done);
+  done;
   g
 
 (** [route router ~policy ~residual ~src ~dst] — the chosen path, or

@@ -10,21 +10,19 @@ type policy = Min_hop | Min_energy | Max_lifetime
 
 val policy_name : policy -> string
 
-type pair_cache =
-  | Dense of float array
-      (** flat n*n per-pair TX-side joules; NaN = out of range *)
-  | Sparse of {
-      offsets : int array;  (** length n+1; CSR row bounds *)
-      neighbors : int array;  (** in-range neighbour ids, ascending per row *)
-      edge_tx_j : float array;  (** TX-side joules, parallel to [neighbors] *)
-    }  (** only the in-range pairs — O(n + edges) memory for city-scale fleets *)
+type pair_cache = {
+  offsets : int array;  (** length n+1; CSR row bounds *)
+  neighbors : int array;  (** in-range neighbour ids, ascending per row *)
+  edge_tx_j : float array;  (** TX-side joules, parallel to [neighbors] *)
+}
+(** Only the in-range pairs — O(n + edges) memory at every fleet size. *)
 
 type t = {
   topology : Topology.t;
   link : Link_budget.t;
   packet : Packet.t;
   range_m : float;
-  cache : pair_cache;  (** per-pair TX joules: dense below the size threshold, CSR above *)
+  cache : pair_cache;  (** per-pair TX joules over the in-range CSR adjacency *)
   rx_j : float;  (** RX-side joules per packet (distance-independent) *)
   tariff : float -> float;
       (** staged distance (m) -> TX-side joules ({!Link_budget.tx_tariff}
@@ -39,12 +37,7 @@ type t = {
           build their own router (the experiment suite already does). *)
 }
 
-val default_dense_threshold : int
-(** Node count above which {!make} switches from the n×n grid to the CSR
-    adjacency (1024). *)
-
 val make :
-  ?dense_threshold:int ->
   ?jobs:int ->
   topology:Topology.t ->
   link:Link_budget.t ->
@@ -53,13 +46,11 @@ val make :
   t
 (** The radio range is derived from the link budget at maximum TX power.
     The per-pair link-energy cache is computed here, once, and reused by
-    every tree rebuild under every policy.  Both tiers price each
-    unordered in-range pair once with the staged tariff ([tariff]) and
-    copy the joules to both directions; a pair is in range when
-    [Float.hypot dx dy <= range_m], screened first on [dx²+dy²].  At or
-    below [dense_threshold] (default {!default_dense_threshold}) nodes
-    the historic symmetric n×n grid is materialised.  Above it only the
-    in-range pairs are stored: CSR rows from a {!Spatial} grid with
+    every tree rebuild under every policy.  Each unordered in-range
+    pair is priced once with the staged tariff ([tariff]) and its joules
+    copied to both directions; a pair is in range when
+    [Float.hypot dx dy <= range_m], screened first on [dx²+dy²].  Only
+    the in-range pairs are stored: CSR rows from a {!Spatial} grid with
     cell-ordered coordinates, the upper half of each row priced and
     sorted in place, the lower half filled by transposing the upper
     halves.  With [jobs] > 1 and at least 4096 nodes, each of the three
@@ -75,10 +66,15 @@ val with_private_memo : t -> t
     fault plans fade links each own their memo instead of racing on the
     shared table. *)
 
+val rows : t -> int array * int array
+(** [(offsets, neighbors)] of the CSR in-range structure: row [i] is
+    [neighbors.(offsets.(i) .. offsets.(i+1) - 1)], ascending, and [j]
+    is in row [i] exactly when [i] is in row [j].  Route trees
+    ({!Route_tree.create}) sweep it to relax only in-range pairs. *)
+
 val adjacency : t -> (int array * int array) option
-(** [(offsets, neighbors)] of the CSR in-range structure when the router
-    runs sparse; [None] on the dense grid.  Route-tree sweeps use it to
-    relax only in-range pairs. *)
+(** [Some (rows t)], always.  The option is left from the retired dense
+    tier, whose grid had no rows; new code calls {!rows}. *)
 
 val hop_energy : t -> distance_m:float -> Energy.t option
 (** Energy to move one packet one hop: minimum closing TX energy plus RX
@@ -91,8 +87,8 @@ val tx_energy_j_at : t -> distance_m:float -> float
 
 val sender_energy_j : t -> int -> int -> float
 (** Cached TX-side joules to move one packet between a node pair; NaN
-    when the pair is out of radio range.  O(1) on the dense grid,
-    O(log degree) on the CSR rows. *)
+    when the pair is out of radio range.  O(log degree): a binary search
+    of row [i]. *)
 
 val receiver_energy_j : t -> float
 (** Cached RX-side joules per packet. *)

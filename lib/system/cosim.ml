@@ -213,7 +213,7 @@ let tree ?phase s ~router =
   {
     s;
     phase;
-    routes = Route_tree.create ?csr:(Routing.adjacency router) ~n ~sink:s.sink ();
+    routes = Route_tree.create ~rows:(Routing.rows router) ~sink:s.sink;
     parent = Array.make n (-2);
     hop_tx = Array.make n Float.nan;
     hop_kind = Array.make n 0;

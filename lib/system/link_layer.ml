@@ -48,6 +48,13 @@ let create ?tag_link ~router ~mode () =
     | Some (b, tag_p, reader_p) -> (Some b, tag_p, reader_p)
     | None -> (None, (fun _ -> false), fun _ -> false)
   in
+  (* Route trees sweep only the router's in-range rows, so a tag hop
+     must never close past the radio range (both reaches are monotone
+     in distance). *)
+  (match bs with
+  | Some b when Backscatter.closes b ~distance_m:(Float.succ router.Routing.range_m) ->
+    invalid_arg "Link_layer.create: the tag link reaches past the radio range"
+  | _ -> ());
   let tag_tx_j, reader_rx_j =
     match bs with
     | None -> (0.0, 0.0)

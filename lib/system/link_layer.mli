@@ -40,7 +40,10 @@ val create :
   t
 (** [tag_link] is [(link, is_tag, is_reader)]: the backscatter PHY, the
     predicate marking tag nodes, and the predicate marking the nodes
-    allowed to terminate a tag hop (the W-node readers). *)
+    allowed to terminate a tag hop (the W-node readers).  Raises
+    [Invalid_argument] when a tag transaction closes past the router's
+    radio range: route trees relax only the router's in-range rows
+    ({!Routing.rows}), so such a hop could never be found. *)
 
 val mode : t -> mode
 

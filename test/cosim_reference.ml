@@ -4,8 +4,14 @@
    [Node_agent] ledger per node charged through
    [Node_agent.account]/[charge]/[crash], every hop priced on the spot
    through [Link_layer.cost_tx_j]/[tag_hop], one labelled closure per
-   report stream re-arming itself, no batch drain, no pool and no phase
-   timing.  [Cosim] keeps none of this: its ledger is the
+   report stream re-arming itself, every tree change (death, fade or
+   periodic refresh) a from-scratch [Route_tree.rebuild] followed by a
+   whole-fleet parent sync and leaf recount, no batch drain, no pool and
+   no phase timing.  [Cosim] splices only the affected subtree after a
+   [Min_energy] death or a worsened tree edge; that splice is exact when
+   shortest paths are unique, which the continuous positions of these
+   fleets make them, so the two trees agree bit for bit while the
+   reference shares none of the repair code.  [Cosim] keeps none of this: its ledger is the
    struct-of-arrays [Fleet_ledger], its tariffs are precomputed tables
    and its reports ride the engine's indexed channel.  The oracle in
    [test_forward_fast.ml] holds the two to bitwise equality — every
@@ -56,7 +62,7 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
       | Fault_plan.Node_crash _ | Fault_plan.Link_fade _ -> ())
     cfg.faults;
   let alive i = Node_agent.alive agents.(i) in
-  let tree = Route_tree.create ?csr:(Routing.adjacency router) ~n ~sink () in
+  let tree = Route_tree.create ~rows:(Routing.rows router) ~sink in
   let parent = Array.make n (-2) in
   let generated = ref 0 and delivered = ref 0 and dropped = ref 0 in
   let drop () = incr dropped in
@@ -122,14 +128,6 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
     sync_parents ();
     record_stats now
   in
-  let repair_after_death dead now =
-    incr rebuilds;
-    (match cfg.policy with
-    | Routing.Min_energy -> Route_tree.repair_death tree ~weight ~alive ~tie_free:true ~dead
-    | Routing.Min_hop | Routing.Max_lifetime -> Route_tree.rebuild tree ~weight ~alive);
-    sync_parents ();
-    record_stats now
-  in
   let record_death i now =
     let at =
       let d = Node_agent.died_at_s agents.(i) in
@@ -137,7 +135,7 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
     in
     deaths := (i, at) :: !deaths;
     note ("death:" ^ Int.to_string i) at;
-    repair_after_death i now
+    rebuild now
   in
   (* Charge [joules] to node [i]; false once the node is gone (the
      death, if any, has already triggered its repair). *)
@@ -223,25 +221,8 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
       | Fault_plan.Link_fade { a; b; db; at } ->
         Engine.schedule_at ~label:(Printf.sprintf "fault:fade:%d-%d" a b) engine at (fun e ->
             let now = Engine.now_s e in
-            (* Only a fade that worsens both directions may take the
-               local tree-edge repair. *)
-            let before_ab = Link_layer.weight_j link a b
-            and before_ba = Link_layer.weight_j link b a in
             Link_layer.set_fade link ~a ~b ~db;
-            let after_ab = Link_layer.weight_j link a b
-            and after_ba = Link_layer.weight_j link b a in
-            let worsened old_w new_w =
-              if Float.is_nan new_w then true
-              else (not (Float.is_nan old_w)) && new_w >= old_w
-            in
-            incr rebuilds;
-            (match cfg.policy with
-            | Routing.Min_energy
-              when worsened before_ab after_ab && worsened before_ba after_ba ->
-              Route_tree.repair_weight_increase tree ~weight ~alive ~tie_free:true ~a ~b
-            | _ -> Route_tree.rebuild tree ~weight ~alive);
-            sync_parents ();
-            record_stats now)
+            rebuild now)
       | Fault_plan.Battery_scale _ -> ())
     cfg.faults;
   let end_s = Engine.run_s ~until_s:horizon_s engine in

@@ -318,52 +318,110 @@ let test_calendar_push_words () =
   if boxed > 4.0 then Alcotest.failf "Calendar_queue.push: %.1f minor words/push (budget 4)" boxed;
   if cell > 1.0 then Alcotest.failf "Calendar_queue.push_cell: %.1f minor words/push (budget 1)" cell
 
-(* --- sparse routing cache vs dense grid ------------------------------ *)
+(* --- CSR routing cache vs the dense reference grid ------------------- *)
 
 let default_link () =
   Link_budget.make ~radio:Radio_frontend.low_power_uhf ~channel:Path_loss.indoor ()
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Route_tree] finds a repair's subtree by walking children down the
+   CSR rows, which sees every tree edge only if [j] is in row [i]
+   exactly when [i] is in row [j].  Rows are ascending, so membership
+   is a binary search. *)
+let check_symmetric ~ctx router =
+  let offsets, neighbors = Routing.rows router in
+  let n = Array.length offsets - 1 in
+  let in_row i j =
+    let lo = ref offsets.(i) and hi = ref (offsets.(i + 1) - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if neighbors.(mid) < j then lo := mid + 1 else hi := mid
+    done;
+    !lo <= !hi && neighbors.(!lo) = j
+  in
+  for i = 0 to n - 1 do
+    for k = offsets.(i) to offsets.(i + 1) - 1 do
+      let j = neighbors.(k) in
+      if j = i then Alcotest.failf "%s: %d lists itself" ctx i;
+      if not (in_row j i) then Alcotest.failf "%s: %d is in row %d but not %d in row %d" ctx j i i j
+    done
+  done
+
+(* The router against the test-side n×n fill: every ordered pair's
+   lookup, the diagonal included, equals the grid bit for bit (NaN
+   included); row [i] lists exactly the [j] the grid prices, ascending;
+   and the rows are symmetric. *)
+let check_against_grid label (router : Routing.t) =
+  let grid = Routing_dense_reference.make router in
+  let n = grid.Routing_dense_reference.n in
+  let offsets, neighbors = Routing.rows router in
+  if Array.length offsets <> n + 1 then
+    Alcotest.failf "%s: %d row bounds for %d nodes" label (Array.length offsets) n;
+  for i = 0 to n - 1 do
+    let k = ref offsets.(i) in
+    for j = 0 to n - 1 do
+      let x = Routing.sender_energy_j router i j
+      and y = Routing_dense_reference.sender_energy_j grid i j in
+      if not (same_bits x y) then
+        Alcotest.failf "%s: pair (%d,%d) gives %.17g, the grid %.17g" label i j x y;
+      if not (Float.is_nan y) then begin
+        if !k >= offsets.(i + 1) || neighbors.(!k) <> j then
+          Alcotest.failf "%s: row %d does not list %d in place" label i j;
+        incr k
+      end
+    done;
+    if !k <> offsets.(i + 1) then
+      Alcotest.failf "%s: row %d lists %d pairs the grid leaves NaN" label i (offsets.(i + 1) - !k)
+  done;
+  check_symmetric ~ctx:label router
+
+(* Layouts of [n] nodes for a link of range [r]: uniform random, all
+   on one point, all within range of each other, none within range of
+   any other. *)
+let layouts rng ~n ~r =
+  let columns = Stdlib.max 1 (int_of_float (Float.ceil (Float.sqrt (Float.of_int n)))) in
+  let spread = 1.01 *. r in
+  let side = spread *. Float.of_int columns in
+  [ ("random", Topology.random rng ~nodes:n ~width_m:400.0 ~height_m:400.0);
+    ( "coincident",
+      Topology.of_positions ~width_m:r ~height_m:r
+        (Array.make n { Topology.x = r /. 2.0; y = r /. 2.0 }) );
+    ("all in range", Topology.random rng ~nodes:n ~width_m:(r /. 2.0) ~height_m:(r /. 2.0));
+    ( "none in range",
+      Topology.of_positions ~width_m:side ~height_m:side
+        (Array.init n (fun k ->
+             { Topology.x = spread *. Float.of_int (k mod columns);
+               y = spread *. Float.of_int (k / columns) })) ) ]
+
+let link_range link =
+  Link_budget.max_range link ~tx_dbm:link.Link_budget.radio.Radio_frontend.max_tx_dbm
 
 let prop_sparse_routing_equiv =
   QCheck.Test.make ~name:"sparse routing cache matches the dense grid" ~count:40
     QCheck.small_nat
     (fun seed ->
       let rng = Amb_sim.Rng.create (5000 + seed) in
-      let n = 20 + Amb_sim.Rng.int rng 80 in
-      let topo = Topology.random rng ~nodes:n ~width_m:400.0 ~height_m:400.0 in
+      let n = 1 + Amb_sim.Rng.int rng (if seed mod 8 = 7 then 1500 else 150) in
       let link = default_link () in
       let packet = Packet.sensor_report in
-      let dense = Routing.make ~topology:topo ~link ~packet () in
-      let sparse = Routing.make ~dense_threshold:0 ~topology:topo ~link ~packet () in
-      let same = ref (Routing.adjacency dense = None && Routing.adjacency sparse <> None) in
+      let label, topo = List.nth (layouts rng ~n ~r:(link_range link)) (seed mod 4) in
+      let router = Routing.make ~topology:topo ~link ~packet () in
+      check_against_grid (Printf.sprintf "seed %d, %d nodes %s" seed n label) router;
+      (* The graph the router builds relaxes to the same distances as
+         one built from the grid in the same insertion order. *)
+      let grid = Routing_dense_reference.make router in
+      let g = Graph.create n in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if i <> j then begin
-            let a = Routing.sender_energy_j dense i j
-            and b = Routing.sender_energy_j sparse i j in
-            if not ((Float.is_nan a && Float.is_nan b) || a = b) then same := false
-          end
+          let joules = Routing_dense_reference.sender_energy_j grid i j +. router.Routing.rx_j in
+          if not (Float.is_nan joules) then Graph.add_edge g ~src:i ~dst:j ~weight:joules
         done
       done;
       let residual _ = Amb_units.Energy.joules 1.0 in
-      let da, _ = Graph.dijkstra (Routing.build_graph dense ~policy:Routing.Min_energy ~residual) ~src:0 in
-      let db, _ = Graph.dijkstra (Routing.build_graph sparse ~policy:Routing.Min_energy ~residual) ~src:0 in
-      !same && Array.for_all2 (fun a b -> a = b) da db)
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* Every ordered pair of the two routers' caches carries the same
-   TX-side joules, bit for bit (NaN for out-of-range pairs on both). *)
-let check_same_pairs label (a : Routing.t) (b : Routing.t) =
-  let n = Topology.node_count a.Routing.topology in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        let x = Routing.sender_energy_j a i j and y = Routing.sender_energy_j b i j in
-        if not ((Float.is_nan x && Float.is_nan y) || same_bits x y) then
-          Alcotest.failf "%s: pair (%d,%d) gives %.17g vs %.17g" label i j x y
-      end
-    done
-  done
+      let da, _ = Graph.dijkstra g ~src:0 in
+      let db, _ = Graph.dijkstra (Routing.build_graph router ~policy:Routing.Min_energy ~residual) ~src:0 in
+      Array.for_all2 same_bits da db)
 
 (* The CSR build is a pure function of positions: jobs must not move a
    bit.  n is sized past the 4096-row cutoff below which a sharded pass
@@ -376,23 +434,21 @@ let test_sparse_fill_jobs_independent () =
   let topo = Topology.random rng ~nodes:n ~width_m:1500.0 ~height_m:1500.0 in
   let link = default_link () in
   let packet = Packet.sensor_report in
-  let r1 = Routing.make ~dense_threshold:0 ~jobs:1 ~topology:topo ~link ~packet () in
+  let r1 = Routing.make ~jobs:1 ~topology:topo ~link ~packet () in
   let before = Amb_sim.Domain_pool.parallel_batches () in
-  let r3 = Routing.make ~dense_threshold:0 ~jobs:3 ~topology:topo ~link ~packet () in
+  let r3 = Routing.make ~jobs:3 ~topology:topo ~link ~packet () in
   Alcotest.(check int) "sharded passes run on the pool" 3
     (Amb_sim.Domain_pool.parallel_batches () - before);
-  match (r1.Routing.cache, r3.Routing.cache) with
-  | Routing.Sparse a, Routing.Sparse b ->
-    Alcotest.(check bool) "has edges" true (a.offsets.(n) > n);
-    Alcotest.(check (array int)) "offsets" a.offsets b.offsets;
-    Alcotest.(check (array int)) "neighbors" a.neighbors b.neighbors;
-    Array.iteri
-      (fun k e ->
-        if not (same_bits e b.edge_tx_j.(k)) then
-          Alcotest.failf "edge slot %d: jobs=1 gives %.17g, jobs=3 gives %.17g" k e
-            b.edge_tx_j.(k))
-      a.edge_tx_j
-  | _ -> Alcotest.fail "expected sparse caches"
+  let a = r1.Routing.cache and b = r3.Routing.cache in
+  Alcotest.(check bool) "has edges" true (a.Routing.offsets.(n) > n);
+  Alcotest.(check (array int)) "offsets" a.Routing.offsets b.Routing.offsets;
+  Alcotest.(check (array int)) "neighbors" a.Routing.neighbors b.Routing.neighbors;
+  Array.iteri
+    (fun k e ->
+      if not (same_bits e b.Routing.edge_tx_j.(k)) then
+        Alcotest.failf "edge slot %d: jobs=1 gives %.17g, jobs=3 gives %.17g" k e
+          b.Routing.edge_tx_j.(k))
+    a.Routing.edge_tx_j
 
 (* --- boundary layouts ------------------------------------------------- *)
 
@@ -477,22 +533,17 @@ let test_boundary_layouts () =
             (fun cell_m -> check_spatial_brute label topo ~cell_m ~range_m)
             [ range_m; range_m /. 2.0 ])
         [ r; Float.pred r; Float.succ r ];
-      check_same_pairs label
-        (Routing.make ~dense_threshold:0 ~topology:topo ~link ~packet ())
-        (Routing.make ~dense_threshold:max_int ~topology:topo ~link ~packet ()))
+      check_against_grid label (Routing.make ~topology:topo ~link ~packet ()))
     (boundary_layouts r)
 
-(* A tagged city fleet past the dense threshold: the router it builds is
-   the CSR tier, and must match the dense tier on every pair. *)
+(* A tagged city fleet: the router it builds must match the reference
+   grid on every pair. *)
 let test_boundary_city () =
   let fleet = Amb_system.Fleet.city ~tags:80 ~nodes:2000 ~seed:12 () in
   let topo = fleet.Amb_system.Fleet.topology in
   let router = fleet.Amb_system.Fleet.router in
-  Alcotest.(check bool) "city router is CSR" true (Routing.adjacency router <> None);
   check_spatial_brute "city" topo ~cell_m:router.Routing.range_m ~range_m:router.Routing.range_m;
-  check_same_pairs "city" router
-    (Routing.make ~dense_threshold:max_int ~topology:topo ~link:router.Routing.link
-       ~packet:router.Routing.packet ())
+  check_against_grid "city" router
 
 (* --- staged link tariff ----------------------------------------------- *)
 
@@ -548,8 +599,11 @@ let prop_tx_tariff_exact =
           && (Float.is_nan got || same_bits got expected))
         distances)
 
-(* --- CSR route tree vs dense sweeps ---------------------------------- *)
+(* --- CSR route tree vs the all-pairs sweep ---------------------------- *)
 
+(* The "dense" tree sweeps complete rows — every other node — which is
+   the historic all-pairs relaxation; the CSR tree sweeps the router's
+   in-range rows. *)
 let prop_route_tree_csr_equiv =
   QCheck.Test.make ~name:"CSR route tree matches dense rebuild and repair" ~count:40
     QCheck.small_nat
@@ -558,13 +612,13 @@ let prop_route_tree_csr_equiv =
       let n = 10 + Amb_sim.Rng.int rng 60 in
       let topo = Topology.random rng ~nodes:n ~width_m:300.0 ~height_m:300.0 in
       let link = default_link () in
-      let router = Routing.make ~dense_threshold:0 ~topology:topo ~link ~packet:Packet.sensor_report () in
+      let router = Routing.make ~topology:topo ~link ~packet:Packet.sensor_report () in
       let alive = Array.make n true in
       let alive_fn i = alive.(i) in
       let weight i j = Routing.link_energy_j router i j in
       let sink = 0 in
-      let dense = Route_tree.create ~n ~sink () in
-      let csr = Route_tree.create ?csr:(Routing.adjacency router) ~n ~sink () in
+      let dense = Route_tree.create ~rows:(Routing_dense_reference.complete_rows n) ~sink in
+      let csr = Route_tree.create ~rows:(Routing.rows router) ~sink in
       Route_tree.rebuild dense ~weight ~alive:alive_fn;
       Route_tree.rebuild csr ~weight ~alive:alive_fn;
       let agree () =
@@ -602,10 +656,8 @@ let test_city_jobs_independent () =
       if p.Topology.x <> p3.(i).Topology.x || p.Topology.y <> p3.(i).Topology.y then
         Alcotest.failf "node %d moved across jobs" i)
     p1;
-  (match Routing.adjacency f1.Amb_system.Fleet.router with
-  | None -> Alcotest.fail "city fleet should build the sparse cache"
-  | Some (offsets, _) ->
-    Alcotest.(check bool) "has edges" true (offsets.(Array.length offsets - 1) > 0));
+  (let offsets, _ = Routing.rows f1.Amb_system.Fleet.router in
+   Alcotest.(check bool) "has edges" true (offsets.(Array.length offsets - 1) > 0));
   let leaves t = Array.length (Amb_system.Fleet.tier_nodes t Amb_system.Fleet.Sensor_leaf) in
   Alcotest.(check int) "leaf count" (leaves f1) (leaves f3)
 
@@ -650,43 +702,41 @@ let test_run_many_jobs_independent () =
         "availability" a.Amb_system.Cosim.availability b.Amb_system.Cosim.availability)
     seq
 
-(* --- CSR symmetry -------------------------------------------------- *)
+(* --- CSR symmetry and completeness --------------------------------- *)
 
-(* [Route_tree] finds a repair's subtree by walking children down the
-   CSR rows, which sees every tree edge only if [j] is in row [i]
-   exactly when [i] is in row [j]. *)
-let check_symmetric ~ctx router =
-  match Routing.adjacency router with
-  | None -> Alcotest.failf "%s: no CSR adjacency" ctx
-  | Some (offsets, neighbors) ->
-    let n = Array.length offsets - 1 in
-    let in_row i j =
-      let found = ref false in
-      for k = offsets.(i) to offsets.(i + 1) - 1 do
-        if neighbors.(k) = j then found := true
-      done;
-      !found
-    in
-    for i = 0 to n - 1 do
-      for k = offsets.(i) to offsets.(i + 1) - 1 do
-        let j = neighbors.(k) in
-        if j = i then Alcotest.failf "%s: %d lists itself" ctx i;
-        if not (in_row j i) then Alcotest.failf "%s: %d is in row %d but not %d in row %d" ctx j i i j
-      done
-    done
-
+(* Fixed sizes from one node to past the retired 1 024-node dense
+   threshold, on every layout, plus tagged cities on both sides of it.
+   Each layout is also priced by a link whose fade margin is so large
+   that it closes nowhere ([max_range] is exactly 0), where the router
+   must list no pair and every lookup is NaN, as on the grid. *)
 let test_csr_symmetric () =
-  let threshold = Routing.default_dense_threshold in
-  (* Dense side: at the threshold the default is the n×n grid, so force
-     the CSR build on the same fleet. *)
-  let small = Amb_system.Fleet.city ~nodes:threshold ~seed:3 () in
-  let r = small.Amb_system.Fleet.router in
-  Alcotest.(check bool) "dense at the threshold" true (Routing.adjacency r = None);
-  check_symmetric ~ctx:"forced CSR at the threshold"
-    (Routing.make ~dense_threshold:0 ~topology:r.Routing.topology ~link:r.Routing.link
-       ~packet:r.Routing.packet ());
-  let big = Amb_system.Fleet.city ~tags:30 ~nodes:(threshold + 300) ~seed:4 () in
-  check_symmetric ~ctx:"CSR above the threshold" big.Amb_system.Fleet.router
+  let link = default_link () in
+  let closed =
+    Link_budget.make ~fade_margin_db:200.0 ~radio:Radio_frontend.low_power_uhf
+      ~channel:Path_loss.indoor ()
+  in
+  Alcotest.(check (float 0.0)) "closed link range" 0.0 (link_range closed);
+  let r = link_range link in
+  let rng = Amb_sim.Rng.create 77 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (label, topology) ->
+          check_against_grid (Printf.sprintf "%d nodes %s" n label)
+            (Routing.make ~topology ~link ~packet:Packet.sensor_report ());
+          let router = Routing.make ~topology ~link:closed ~packet:Packet.sensor_report () in
+          check_against_grid (Printf.sprintf "%d nodes %s, closed link" n label) router;
+          Alcotest.(check int)
+            (Printf.sprintf "%d nodes %s, closed link: edges" n label)
+            0
+            (Array.length (snd (Routing.rows router))))
+        (layouts rng ~n ~r))
+    [ 1; 2; 3; 1024; 1500 ];
+  List.iter
+    (fun (nodes, tags) ->
+      let city = Amb_system.Fleet.city ~tags ~nodes ~seed:(nodes mod 7) () in
+      check_against_grid (Printf.sprintf "%d-node city" nodes) city.Amb_system.Fleet.router)
+    [ (300, 20); (1024, 0); (1324, 30) ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -719,7 +769,7 @@ let suite =
         test_run_many_jobs_independent;
       Alcotest.test_case "boundary layouts: grid and CSR equal brute force" `Quick
         test_boundary_layouts;
-      Alcotest.test_case "CSR adjacency is symmetric on both sides of the threshold" `Quick
+      Alcotest.test_case "CSR adjacency is symmetric on every layout and size" `Quick
         test_csr_symmetric;
       Alcotest.test_case "boundary layouts: 2000-node tagged city" `Quick test_boundary_city;
     ]

@@ -8,10 +8,11 @@
    run Graph.dijkstra from the sink.  After every fault — node death or
    link fade — the repaired tree must agree with a from-scratch oracle
    on parents and hop costs, for all three routing policies.  Each
-   trial runs twice over: on the dense n×n grid and on the same fleet's
-   CSR rows, where a repair finds its subtree by walking children down
-   the rows instead of walking every node's parent chain; both must
-   list exactly the nodes a chain walk assigns to the subtree. *)
+   trial runs twice over: on complete rows (every other node — the
+   historic all-pairs sweep) and on the router's in-range CSR rows.  A
+   repair finds its subtree by walking children down the rows; on both
+   it must list exactly the nodes a parent-chain walk assigns to the
+   subtree. *)
 
 open Amb_circuit
 open Amb_radio
@@ -121,10 +122,6 @@ let run_trial ?(deep = false) ~policy ~trial () =
     Link_budget.make ~radio:Radio_frontend.low_power_uhf ~channel:Path_loss.indoor ()
   in
   let router = Routing.make ~topology ~link ~packet:Packet.sensor_report () in
-  let csr =
-    Routing.adjacency
-      (Routing.make ~dense_threshold:0 ~topology ~link ~packet:Packet.sensor_report ())
-  in
   let fade = Array.init n (fun _ -> Array.make n 1.0) in
   let residual = Array.init n (fun _ -> 0.5 +. Amb_sim.Rng.float rng) in
   let alive = Array.make n true in
@@ -136,7 +133,8 @@ let run_trial ?(deep = false) ~policy ~trial () =
      must still match the oracle. *)
   let tie_free = policy <> Routing.Min_hop in
   let trees =
-    [ ("dense", Route_tree.create ~n ~sink ()); ("csr", Route_tree.create ?csr ~n ~sink ()) ]
+    [ ("dense", Route_tree.create ~rows:(Routing_dense_reference.complete_rows n) ~sink);
+      ("csr", Route_tree.create ~rows:(Routing.rows router) ~sink) ]
   in
   (* A full rebuild (and a repair that falls back to one) lists every
      node; a local repair lists the subtree under [root] in the parents
@@ -230,7 +228,7 @@ let test_non_tree_fade_noop () =
   let sink = 0 in
   let weight = make_weight ~policy:Routing.Min_energy ~router ~fade ~residual in
   let alive_fn i = alive.(i) in
-  let tree = Route_tree.create ~n ~sink () in
+  let tree = Route_tree.create ~rows:(Routing.rows router) ~sink in
   Route_tree.rebuild tree ~weight ~alive:alive_fn;
   (* Find a linked pair that is not a tree edge in either direction. *)
   let non_tree = ref None in
@@ -257,6 +255,126 @@ let test_non_tree_fade_noop () =
         before.(i) (Route_tree.parent tree i)
     done;
     check_against_oracle ~ctx:"non-tree fade" ~n ~sink ~weight ~alive:alive_fn tree
+
+(* --- the rows route trees sweep ---------------------------------------- *)
+
+let in_rows (offsets, neighbors) i j =
+  let found = ref false in
+  for k = offsets.(i) to offsets.(i + 1) - 1 do
+    if neighbors.(k) = j then found := true
+  done;
+  !found
+
+(* Route trees relax only the router's CSR rows, so every pair with a
+   finite weight must lie in them — the NaN-weight pairs are all the
+   rows may leave out.  Checked on small fleets with backscatter tags
+   (whose hops are priced by the reader link, not the PHY cache), under
+   the cached and the MAC link layer, before and after fades on random
+   pairs and on pairs just past radio range. *)
+let test_rows_complete () =
+  let open Amb_system in
+  let mac =
+    Link_layer.Mac
+      (Mac_duty_cycle.make ~radio:Radio_frontend.low_power_uhf
+         ~t_wakeup:(Amb_units.Time_span.seconds 1.0) ~packet:Packet.sensor_report ())
+  in
+  let fleets =
+    [ ("250 m fleet", Fleet.make ~tags:8 ~leaves:30 ~relays:3 ~seed:21 ());
+      ( "600 m fleet",
+        Fleet.make ~tags:12 ~leaves:60 ~relays:4 ~width_m:600.0 ~height_m:600.0 ~seed:22 () );
+      ("300-node city", Fleet.city ~tags:20 ~nodes:300 ~seed:23 ()) ]
+  in
+  List.iter
+    (fun (label, fleet) ->
+      List.iter
+        (fun (mode_label, mode) ->
+          let router = fleet.Fleet.router in
+          let rows = Routing.rows router in
+          let n = Fleet.node_count fleet in
+          let link =
+            Link_layer.create
+              ?tag_link:
+                (Option.map
+                   (fun bs ->
+                     ( bs,
+                       (fun i -> fleet.Fleet.tiers.(i) = Fleet.Tag),
+                       fun i -> fleet.Fleet.tiers.(i) = Fleet.Sink ))
+                   fleet.Fleet.tag_link)
+              ~router ~mode ()
+          in
+          let check stage =
+            for i = 0 to n - 1 do
+              for j = 0 to n - 1 do
+                if i <> j && not (in_rows rows i j) then begin
+                  if not (Float.is_nan (Link_layer.weight_j link i j)) then
+                    Alcotest.failf "%s, %s, %s: link weight %d -> %d is finite off the rows"
+                      label mode_label stage i j;
+                  if not (Float.is_nan (Routing.link_energy_j router i j)) then
+                    Alcotest.failf "%s, %s, %s: router joules %d -> %d are finite off the rows"
+                      label mode_label stage i j
+                end
+              done
+            done
+          in
+          check "unfaded";
+          let rng = Amb_sim.Rng.create (Hashtbl.hash label) in
+          let topo = router.Routing.topology in
+          for _ = 1 to 40 do
+            let a = Amb_sim.Rng.int rng n and b = Amb_sim.Rng.int rng n in
+            if a <> b then
+              Link_layer.set_fade link ~a ~b ~db:(0.5 +. (20.0 *. Amb_sim.Rng.float rng))
+          done;
+          for a = 0 to n - 1 do
+            for b = a + 1 to n - 1 do
+              let d = Topology.pair_distance topo a b in
+              if d > router.Routing.range_m && d < 1.05 *. router.Routing.range_m then
+                Link_layer.set_fade link ~a ~b ~db:0.1
+            done
+          done;
+          check "faded")
+        [ ("cached", Link_layer.Cached); ("mac", mac) ])
+    fleets;
+  (* A radio whose range falls short of the tag link's reach is refused
+     outright: its tag hops would lie off the rows. *)
+  let short =
+    Fleet.make ~tags:4 ~leaves:6 ~relays:1 ~seed:24
+      ~link:
+        (Link_budget.make ~fade_margin_db:60.0 ~radio:Radio_frontend.low_power_uhf
+           ~channel:Path_loss.indoor ())
+      ()
+  in
+  let range_m = short.Fleet.router.Routing.range_m in
+  let bs = Option.get short.Fleet.tag_link in
+  Alcotest.(check bool) "the tag link outreaches the radio" true
+    (Backscatter.max_range bs > range_m);
+  Alcotest.check_raises "long tag link refused"
+    (Invalid_argument "Link_layer.create: the tag link reaches past the radio range") (fun () ->
+      ignore
+        (Link_layer.create ~tag_link:(bs, (fun _ -> false), fun _ -> false)
+           ~router:short.Fleet.router ~mode:Link_layer.Cached ()))
+
+(* One rebuild relaxes each settled node's row once, so it asks for at
+   most one weight per row entry — O(edges), not the n² pairs of the
+   retired all-pairs sweep. *)
+let test_rebuild_weight_calls () =
+  let open Amb_system in
+  let fleet = Fleet.city ~tags:20 ~nodes:650 ~seed:5 () in
+  let router = fleet.Fleet.router in
+  let n = Fleet.node_count fleet in
+  let offsets, _ as rows = Routing.rows router in
+  let link = Link_layer.create ~router ~mode:Link_layer.Cached () in
+  let calls = ref 0 in
+  let weight i j =
+    incr calls;
+    Link_layer.weight_j link i j
+  in
+  let tree = Route_tree.create ~rows ~sink:fleet.Fleet.sink in
+  Route_tree.rebuild tree ~weight ~alive:(fun _ -> true);
+  let edges = offsets.(n) in
+  if !calls > edges then
+    Alcotest.failf "rebuild made %d weight calls for %d row entries" !calls edges;
+  Alcotest.(check bool) "rows are far fewer than the n² pairs" true (edges * 10 < n * n);
+  Alcotest.(check bool) "the tree reaches past the sink" true (!calls > 0)
 
 (* --- engine allocation budget ---------------------------------------- *)
 
@@ -289,11 +407,11 @@ let test_rebuild_allocation () =
   let fleet = Fleet.city ~nodes:8000 ~seed:42 () in
   let router = fleet.Fleet.router in
   let n = Fleet.node_count fleet in
-  let offsets, _ as csr = Option.get (Routing.adjacency router) in
+  let offsets, _ as rows = Routing.rows router in
   let link = Link_layer.create ~router ~mode:Link_layer.Cached () in
   let weight = Link_layer.weight_j link in
   let alive _ = true in
-  let tree = Route_tree.create ~csr ~n ~sink:fleet.Fleet.sink () in
+  let tree = Route_tree.create ~rows ~sink:fleet.Fleet.sink in
   Route_tree.rebuild tree ~weight ~alive;
   let before = Gc.minor_words () in
   Route_tree.rebuild tree ~weight ~alive;
@@ -358,4 +476,7 @@ let suite =
       test_engine_allocation_free;
     Alcotest.test_case "rng draw budget: 1M draws" `Quick test_rng_allocation_budget;
     Alcotest.test_case "fade-free rebuild allocation budget" `Quick test_rebuild_allocation;
+    Alcotest.test_case "finite route weights lie in the CSR rows" `Quick test_rows_complete;
+    Alcotest.test_case "rebuild asks one weight per row entry at most" `Quick
+      test_rebuild_weight_calls;
   ]

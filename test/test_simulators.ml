@@ -79,6 +79,39 @@ let test_netsim_deterministic () =
   Alcotest.(check int) "same deliveries" a.Net_sim.delivered b.Net_sim.delivered;
   Alcotest.(check int) "same deaths" a.Net_sim.dead_at_end b.Net_sim.dead_at_end
 
+(* Local re-sync vs the whole-fleet reference: after a [Min_energy]
+   death [Net_sim] re-syncs parents and hop tariffs for the re-attached
+   subtree only; [Net_sim_reference] rebuilds the tree and re-syncs
+   every node after every death.  Deep trees (a wide field) and small
+   per-node budgets make deaths orphan multi-level subtrees many times
+   per run, and every outcome field must agree bit for bit. *)
+let prop_netsim_local_resync =
+  let policies = [| Routing.Min_hop; Routing.Min_energy; Routing.Max_lifetime |] in
+  QCheck.Test.make ~name:"netsim local re-sync equals whole-fleet re-sync" ~count:12
+    QCheck.small_nat (fun trial ->
+      let rng = Amb_sim.Rng.create (2600 + trial) in
+      let nodes = 60 + Amb_sim.Rng.int rng 100 in
+      let router = small_router (2700 + trial) nodes (400.0 +. (250.0 *. Amb_sim.Rng.float rng)) in
+      let budgets = Array.init nodes (fun _ -> 0.05 +. (0.4 *. Amb_sim.Rng.float rng)) in
+      let cfg =
+        Net_sim.config ~router ~sink:0 ~policy:policies.(trial mod 3)
+          ~report_period:(Time_span.seconds 30.0)
+          ~budget:(fun i -> Energy.joules budgets.(i))
+          ~rebuild_period:(Time_span.hours 1.5) ~horizon:(Time_span.hours 3.0) ()
+      in
+      let a = Net_sim.run cfg ~seed:trial and b = Net_sim_reference.run cfg ~seed:trial in
+      let bits e = Int64.bits_of_float (Energy.to_joules e) in
+      a.Net_sim.generated = b.Net_sim.generated
+      && a.Net_sim.delivered = b.Net_sim.delivered
+      && a.Net_sim.dropped = b.Net_sim.dropped
+      && a.Net_sim.dead_at_end = b.Net_sim.dead_at_end
+      && a.Net_sim.dead_at_end > 0
+      && Option.map Time_span.to_seconds a.Net_sim.first_death
+         = Option.map Time_span.to_seconds b.Net_sim.first_death
+      && Int64.equal (bits a.Net_sim.energy_spent) (bits b.Net_sim.energy_spent)
+      && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a.Net_sim.residual
+           b.Net_sim.residual)
+
 (* --- Edf_sim --- *)
 
 open Amb_workload
@@ -173,4 +206,5 @@ let suite =
     ("rm starvation counted", `Quick, test_rm_starvation_counted);
     ("sim agrees with analytic", `Quick, test_simulation_agrees_with_analytic_tests);
     ("edf validation", `Quick, test_edf_validation);
+    QCheck_alcotest.to_alcotest prop_netsim_local_resync;
   ]
