@@ -796,6 +796,7 @@ type fleet_point = {
   fp_csr_s : float;
   (* run phases (Cosim.phase_times) *)
   fp_forward_s : float;
+  fp_forward_ns_per_report : float;  (* forward_s per generated report; reported, not gated *)
   fp_account_s : float;
   fp_rebuild_s : float;
   fp_repairs : int;
@@ -864,9 +865,14 @@ let run_fleet_point ~jobs ~nodes =
     "ran %d events in %.2f s (%.0f events/s); %d/%d reports delivered, coverage %.3f\n"
     outcome.Amb_system.Cosim.events run_s events_per_s outcome.Amb_system.Cosim.delivered
     outcome.Amb_system.Cosim.generated outcome.Amb_system.Cosim.mean_coverage;
-  Printf.printf "run phases: forward %.2f s, account %.2f s, rebuild %.2f s\n"
+  let forward_ns_per_report =
+    phase.Amb_system.Cosim.forward_s *. 1e9
+    /. Float.of_int (Stdlib.max 1 outcome.Amb_system.Cosim.generated)
+  in
+  Printf.printf
+    "run phases: forward %.2f s, account %.2f s, rebuild %.2f s; forward_ns_per_report %.0f\n"
     phase.Amb_system.Cosim.forward_s phase.Amb_system.Cosim.account_s
-    phase.Amb_system.Cosim.rebuild_s;
+    phase.Amb_system.Cosim.rebuild_s forward_ns_per_report;
   Printf.printf "route tree: %d local repairs re-attaching %d nodes, %d full rebuilds\n"
     phase.Amb_system.Cosim.repairs phase.Amb_system.Cosim.reattached
     phase.Amb_system.Cosim.full_rebuilds;
@@ -889,6 +895,7 @@ let run_fleet_point ~jobs ~nodes =
     fp_topology_s = timing.Amb_system.Fleet.topology_s;
     fp_csr_s = timing.Amb_system.Fleet.csr_s;
     fp_forward_s = phase.Amb_system.Cosim.forward_s;
+    fp_forward_ns_per_report = forward_ns_per_report;
     fp_account_s = phase.Amb_system.Cosim.account_s;
     fp_rebuild_s = phase.Amb_system.Cosim.rebuild_s;
     fp_repairs = phase.Amb_system.Cosim.repairs;
@@ -931,6 +938,7 @@ let run_fleet ~jobs ~nodes_list ~json_path =
                  ("account_s", Json.Number top.fp_account_s);
                  ("rebuild_s", Json.Number top.fp_rebuild_s);
                ] );
+           ("forward_ns_per_report", Json.Number top.fp_forward_ns_per_report);
            ( "route_tree",
              Json.Object
                [ ("repairs", Json.Number (Float.of_int top.fp_repairs));

@@ -74,21 +74,23 @@ let load path =
     let valid_len =
       match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
     in
-    let rec index_lines start =
+    (* [lineno] is the 1-based file line starting at [start], blank
+       lines included, so an error names the line an editor shows. *)
+    let rec index_lines start lineno =
       if start >= valid_len then Ok ()
       else
         let stop = String.index_from contents start '\n' in
         let line = String.sub contents start (stop - start) in
-        if String.trim line = "" then index_lines (stop + 1)
+        if String.trim line = "" then index_lines (stop + 1) (lineno + 1)
         else (
           match entry_of_line line with
-          | Error msg -> Error (Printf.sprintf "%s: line %d: %s" path (1 + t.count) msg)
+          | Error msg -> Error (Printf.sprintf "%s: line %d: %s" path lineno msg)
           | Ok entry ->
             if Hashtbl.mem t.index entry.key then
-              Error (Printf.sprintf "%s: line %d: duplicate key %s" path (1 + t.count) entry.key)
+              Error (Printf.sprintf "%s: line %d: duplicate key %s" path lineno entry.key)
             else begin
               add_entry t entry;
-              index_lines (stop + 1)
+              index_lines (stop + 1) (lineno + 1)
             end)
     in
     Result.map
@@ -101,7 +103,7 @@ let load path =
           close_out oc
         end;
         t)
-      (index_lines 0)
+      (index_lines 0 1)
 
 let mem t ~config ~seed = Hashtbl.mem t.index (make_key ~config ~seed)
 

@@ -69,21 +69,23 @@ type state = {
   mutable first_death : float option;
 }
 
-(* Policy cost of hop [i -> j], read live from the router's per-pair
-   cache (and the current residuals for Max_lifetime); NaN = out of
-   range.  Matches the weights the historic Graph-based rebuild
-   materialised. *)
-let tree_weight cfg st =
+(* Policy cost of hop [i -> j] at row slot [k], into [c]: the router's
+   per-pair cache read by slot (and the current residuals for
+   Max_lifetime); NaN = out of range.  Matches the weights the historic
+   Graph-based rebuild materialised. *)
+let tree_weight cfg st : Route_tree.weight =
+  let router = cfg.router in
   match cfg.policy with
   | Routing.Min_hop ->
-    fun i j -> if Float.is_nan (Routing.link_energy_j cfg.router i j) then Float.nan else 1.0
-  | Routing.Min_energy -> fun i j -> Routing.link_energy_j cfg.router i j
+    fun _ _ k c ->
+      Routing.link_energy_into router k c;
+      if not (Float.is_nan c.v) then c.v <- 1.0
+  | Routing.Min_energy -> fun _ _ k c -> Routing.link_energy_into router k c
   | Routing.Max_lifetime ->
-    fun i j ->
-      let joules = Routing.link_energy_j cfg.router i j in
-      if Float.is_nan joules then joules
-      else if st.residual.(i) <= 0.0 then Float.max_float /. 1e6
-      else joules /. st.residual.(i)
+    fun i _ k c ->
+      Routing.link_energy_into router k c;
+      if not (Float.is_nan c.v) then
+        c.v <- (if st.residual.(i) <= 0.0 then Float.max_float /. 1e6 else c.v /. st.residual.(i))
 
 (* Project node [i] of the tree into the forwarding arrays. *)
 let sync_node cfg st i =

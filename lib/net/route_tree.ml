@@ -9,7 +9,7 @@
       {!Graph.create}/{!Graph.add_edge}/{!Graph.dijkstra} pipeline
       byte-for-byte (same descending-destination relaxation order, same
       FIFO heap tie-breaks, same strict-improvement predecessor rule)
-      without materialising a graph: edges are read straight from the
+      without materialising a graph: edges are priced straight by the
       caller's weight function, over the in-range CSR rows only.
     - {!repair_death} / {!repair_weight_increase} — localized repair:
       only the subtree hanging off the failed node (or the worsened tree
@@ -27,6 +27,9 @@
     falls back to {!rebuild}.  Property tests check both paths against
     the {!Graph.dijkstra} oracle on random fault sequences. *)
 
+type cell = Amb_sim.Float_heap.cell = { mutable v : float }
+type weight = int -> int -> int -> cell -> unit
+
 type t = {
   n : int;
   sink : int;
@@ -43,6 +46,7 @@ type t = {
   mutable affected_count : int;
   heap : Amb_sim.Float_heap.t;
   key : Amb_sim.Float_heap.cell;  (** the popped key, unboxed *)
+  w : cell;  (** the priced edge, unboxed *)
   offsets : int array;  (** in-range adjacency rows, as {!Routing.rows} *)
   neighbors : int array;
 }
@@ -63,6 +67,7 @@ let create ~rows:(offsets, neighbors) ~sink =
     affected_count = 0;
     heap = Amb_sim.Float_heap.create ~capacity:(Stdlib.max 16 n) ();
     key = { Amb_sim.Float_heap.v = 0.0 };
+    w = { v = 0.0 };
     offsets;
     neighbors;
   }
@@ -83,10 +88,13 @@ let affected t k =
    visited in descending id — Graph stores edges in ascending insertion
    order and iterates them most-recent-first.  The relaxation runs over
    [u]'s in-range row only, descending — O(edges) per sweep; off-row
-   pairs have NaN weight in every policy, so the rows drop no edge. *)
-let[@inline] relax t ~weight ~alive ~admit ~u ~base j =
+   pairs have NaN weight in every policy, so the rows drop no edge.
+   The pricing gets the row slot [k] of [j] and answers through the
+   [w] cell, so an edge costs no row search and no boxed float. *)
+let[@inline] relax t ~(weight : weight) ~alive ~admit ~u ~base j k =
   if j <> u && admit j && alive j then begin
-    let w = weight u j in
+    weight u j k t.w;
+    let w = t.w.v in
     if not (Float.is_nan w) then begin
       let candidate = base +. w in
       if candidate < t.dist.(j) then begin
@@ -106,7 +114,7 @@ let sweep t ~weight ~alive ~admit =
       visited.(u) <- true;
       let base = dist.(u) in
       for k = offsets.(u + 1) - 1 downto offsets.(u) do
-        relax t ~weight ~alive ~admit ~u ~base neighbors.(k)
+        relax t ~weight ~alive ~admit ~u ~base neighbors.(k) k
       done
     end
   done
@@ -114,9 +122,10 @@ let sweep t ~weight ~alive ~admit =
 let all_nodes _ = true
 
 (** [rebuild t ~weight ~alive] — from-scratch Dijkstra from the sink.
-    [weight u v] is the directed policy cost of hop [u -> v] (NaN = no
-    link); only nodes with [alive] participate.  Replicates the historic
-    Graph-based rebuild byte-for-byte.  Every node counts as affected. *)
+    [weight u v k c] stores the directed policy cost of hop [u -> v]
+    (NaN = no link) in [c]; only nodes with [alive] participate.
+    Replicates the historic Graph-based rebuild byte-for-byte.  Every
+    node counts as affected. *)
 let rebuild t ~weight ~alive =
   let dist = t.dist and prev = t.prev and visited = t.visited in
   for i = 0 to t.n - 1 do
@@ -188,7 +197,7 @@ let collect_subtree t ~root =
    id whatever order the subtree was found in: equal keys pop in
    insertion order, and ascending pushes keep the re-attached tree bit
    for bit the one an all-node scan builds. *)
-let repair_from t ~weight ~alive ~root =
+let repair_from t ~(weight : weight) ~alive ~root =
   t.epoch <- t.epoch + 1;
   collect_subtree t ~root;
   let e = t.epoch and mark = t.mark and dist = t.dist and prev = t.prev in
@@ -202,10 +211,12 @@ let repair_from t ~weight ~alive ~root =
   Amb_sim.Float_heap.clear t.heap;
   (* Best link into [v] from the intact region, over [v]'s row in
      ascending [u]: the row omits only NaN-weight pairs, so this picks
-     the boundary edge an ascending all-node scan would. *)
-  let seed_from v u =
+     the boundary edge an ascending all-node scan would.  [k] is the
+     pair's slot in [v]'s row. *)
+  let seed_from v u k =
     if mark.(u) <> e && u <> v && alive u && dist.(u) < Float.infinity then begin
-      let w = weight u v in
+      weight u v k t.w;
+      let w = t.w.v in
       if not (Float.is_nan w) then begin
         let candidate = dist.(u) +. w in
         if candidate < dist.(v) then begin
@@ -219,7 +230,7 @@ let repair_from t ~weight ~alive ~root =
     let v = members.(k) in
     if alive v then begin
       for k = t.offsets.(v) to t.offsets.(v + 1) - 1 do
-        seed_from v t.neighbors.(k)
+        seed_from v t.neighbors.(k) k
       done;
       if dist.(v) < Float.infinity then Amb_sim.Float_heap.push t.heap ~key:dist.(v) v
     end

@@ -2,12 +2,12 @@
 
     Reusable-scratch replacement for the Graph-materialising rebuild the
     simulators ran on every topology event: {!rebuild} replicates the
-    {!Graph.dijkstra} pipeline byte-for-byte straight off a weight
-    function, while {!repair_death} and {!repair_weight_increase} splice
-    only the affected subtree back via a boundary-seeded partial
-    Dijkstra — O(subtree) over the in-range CSR rows every sweep reads —
-    and the affected list ({!affected}) lets callers refresh only what
-    moved.  The repair paths are exact when shortest paths are unique
+    {!Graph.dijkstra} pipeline byte-for-byte straight off an edge
+    pricing ({!weight}), while {!repair_death} and
+    {!repair_weight_increase} splice only the affected subtree back via
+    a boundary-seeded partial Dijkstra — O(subtree) over the in-range
+    CSR rows every sweep reads — and the affected list ({!affected})
+    lets callers refresh only what moved.  The repair paths are exact when shortest paths are unique
     (tie-free weights); callers with unit-weight policies pass
     [tie_free:false] to fall back to the full rebuild, because
     equal-cost tie-breaks are a global property of the rebuild
@@ -15,6 +15,20 @@
     residual-aware refresh and the oracle in the property tests. *)
 
 type t
+
+type cell = Amb_sim.Float_heap.cell = { mutable v : float }
+
+type weight = int -> int -> int -> cell -> unit
+(** An edge pricing: [weight u v k c] stores in [c.v] the directed
+    policy cost of hop [u -> v], NaN when there is no link.  [k] is the
+    pair's slot in the tree's rows ({!create}): either [neighbors.(k) =
+    v] inside row [u] (a relaxation) or [neighbors.(k) = u] inside row
+    [v] (a repair's boundary seed).  A pricing over per-slot tables
+    that hold the same value in both directions — as
+    {!Routing.link_energy_into} reads them over {!Routing.rows} — reads
+    the pair by index, with no row search; any other pricing may
+    ignore [k].  Answering through a cell keeps the float unboxed
+    across the call: an edge priced this way allocates nothing. *)
 
 val create : rows:int array * int array -> sink:int -> t
 (** Fresh tree rooted at [sink] over the [n] nodes of the adjacency
@@ -58,20 +72,19 @@ val affected : t -> int -> int
     order, for [k] in [0 .. affected_count t - 1].  Raises
     [Invalid_argument] outside that range. *)
 
-val rebuild : t -> weight:(int -> int -> float) -> alive:(int -> bool) -> unit
-(** From-scratch Dijkstra from the sink.  [weight u v] is the directed
-    policy cost of hop [u -> v], NaN when there is no link; only nodes
-    with [alive] participate. *)
+val rebuild : t -> weight:weight -> alive:(int -> bool) -> unit
+(** From-scratch Dijkstra from the sink, pricing each row entry it
+    relaxes once with [weight]; only nodes with [alive] participate. *)
 
 val repair_death :
-  t -> weight:(int -> int -> float) -> alive:(int -> bool) -> tie_free:bool -> dead:int -> unit
+  t -> weight:weight -> alive:(int -> bool) -> tie_free:bool -> dead:int -> unit
 (** Update the tree after node [dead] left the network ([alive dead]
     must already be false).  With [tie_free] only the orphaned subtree
     is re-attached; otherwise falls back to {!rebuild}. *)
 
 val repair_weight_increase :
   t ->
-  weight:(int -> int -> float) ->
+  weight:weight ->
   alive:(int -> bool) ->
   tie_free:bool ->
   a:int ->

@@ -21,10 +21,10 @@
     tariff evaluation per unordered pair, copied to both directions
     (exact, since the distance is symmetric).  Per-pair lookups are a
     binary search of the (short, sorted) neighbour row; route trees
-    read the rows directly.  The build queries a {!Spatial} grid whose
-    coordinates sit in cell order, prices only the upper half of each
-    row ([j > i]) and fills the lower half by transposing the upper
-    halves.  With [jobs] > 1 and at least 4096 nodes, each of its three
+    read the rows directly and price an edge by its slot.  The build
+    queries a {!Spatial} grid whose coordinates sit in cell order,
+    prices only the upper half of each row ([j > i]) and fills the
+    lower half by transposing the upper halves.  With [jobs] > 1 and at least 4096 nodes, each of its three
     row passes (degrees, upper halves, lower halves) shards across
     {!Amb_sim.Domain_pool}; the cache is a pure function of the node
     positions, so the result is bitwise independent of [jobs]. *)
@@ -198,23 +198,37 @@ let rows router = (router.cache.offsets, router.cache.neighbors)
    still match on it. *)
 let adjacency router = Some (rows router)
 
-(** [sender_energy_j router i j] — cached TX-side joules for the pair;
-    NaN when out of range.  O(log degree): a binary search of row [i]. *)
-let sender_energy_j router i j =
-  let { offsets; neighbors; edge_tx_j } = router.cache in
+(** [slot router i j] — the index of [j] in row [i] of the cache, or
+    -1 when the pair is out of range.  O(log degree): a binary search
+    of row [i]. *)
+let slot router i j =
+  let { offsets; neighbors; _ } = router.cache in
   let lo = ref offsets.(i) and hi = ref (offsets.(i + 1) - 1) in
-  let result = ref Float.nan in
+  let result = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let v = Array.unsafe_get neighbors mid in
     if v = j then begin
-      result := Array.unsafe_get edge_tx_j mid;
+      result := mid;
       lo := !hi + 1
     end
     else if v < j then lo := mid + 1
     else hi := mid - 1
   done;
   !result
+
+(** [sender_energy_j router i j] — cached TX-side joules for the pair;
+    NaN when out of range. *)
+let sender_energy_j router i j =
+  let k = slot router i j in
+  if k < 0 then Float.nan else Array.unsafe_get router.cache.edge_tx_j k
+
+(** [link_energy_into router k c] — [c.v <-] the TX+RX joules of the
+    pair at slot [k] (as {!slot} returns; NaN for [k < 0]): what
+    {!link_energy_j} finds by its row search, read by index and
+    returned unboxed. *)
+let link_energy_into router k (c : Amb_sim.Float_heap.cell) =
+  c.v <- (if k < 0 then Float.nan else router.cache.edge_tx_j.(k)) +. router.rx_j
 
 (** [receiver_energy_j router] — cached RX-side joules per packet. *)
 let receiver_energy_j router = router.rx_j

@@ -72,6 +72,19 @@ val rows : t -> int array * int array
     is in row [i] exactly when [i] is in row [j].  Route trees
     ({!Route_tree.create}) sweep it to relax only in-range pairs. *)
 
+val slot : t -> int -> int -> int
+(** [slot t i j] — the index [k] of [j] in row [i] ([cache.neighbors.(k)
+    = j]), or -1 when the pair is out of range.  [cache.edge_tx_j.(k)]
+    is then the pair's TX joules, the same value in both directions.
+    O(log degree). *)
+
+val link_energy_into : t -> int -> Amb_sim.Float_heap.cell -> unit
+(** [link_energy_into t k c] stores in [c.v] the TX+RX joules of the
+    pair at slot [k] — bit for bit what {!link_energy_j} returns for
+    it, without the row search and without boxing the result; NaN when
+    [k < 0].  Route sweeps price unfaded edges with it
+    ({!Route_tree.weight}). *)
+
 val adjacency : t -> (int array * int array) option
 (** [Some (rows t)], always.  The option is left from the retired dense
     tier, whose grid had no rows; new code calls {!rows}. *)

@@ -2,10 +2,10 @@
 
     The dedicated priority queue for graph algorithms (Dijkstra): keys,
     payloads and insertion sequence numbers live in three flat arrays, so
-    pushes and pops touch no boxed entries — unlike the polymorphic
-    {!Event_queue}, whose records the Dijkstra inner loop used to allocate
-    per relaxation.  Ties in key pop in insertion order, matching
-    {!Event_queue}'s determinism guarantee. *)
+    pushes and pops touch no boxed entries — unlike a polymorphic queue
+    of (time, payload) records, which the Dijkstra inner loop used to
+    allocate per relaxation.  Ties in key pop in insertion order, the
+    (key, insertion sequence) determinism rule of every queue here. *)
 
 type t = {
   mutable keys : float array;

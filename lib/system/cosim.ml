@@ -178,7 +178,7 @@ type tree = {
          fade) changes — so the report walk reads flat arrays with zero
          link-layer calls. *)
   hop_kind : int array;
-  weight : int -> int -> float;
+  weight : Route_tree.weight;
   leaf_ids : int array;
   reach : int array;
       (* Coverage memo over [parent], kept across updates: 0 unknown,
@@ -195,20 +195,23 @@ type tree = {
 let tree ?phase s ~router =
   let n = s.n in
   let link = s.link in
-  (* Policy cost of hop [i -> j]: link-layer weights (fade-aware) with
-     ledger reserves feeding the max-lifetime policy. *)
-  let weight =
+  (* Policy cost of hop [i -> j] at row slot [k], into [c]: link-layer
+     weights (fade-aware) with ledger reserves feeding the max-lifetime
+     policy. *)
+  let weight : Route_tree.weight =
     match s.cfg.policy with
     | Routing.Min_hop ->
-      fun i j -> if Float.is_nan (Link_layer.weight_j link i j) then Float.nan else 1.0
-    | Routing.Min_energy -> fun i j -> Link_layer.weight_j link i j
+      fun i j k c ->
+        Link_layer.weight_into link i j k c;
+        if not (Float.is_nan c.v) then c.v <- 1.0
+    | Routing.Min_energy -> fun i j k c -> Link_layer.weight_into link i j k c
     | Routing.Max_lifetime ->
-      fun i j ->
-        let joules = Link_layer.weight_j link i j in
-        if Float.is_nan joules then joules
-        else
+      fun i j k c ->
+        Link_layer.weight_into link i j k c;
+        if not (Float.is_nan c.v) then begin
           let r = Fleet_ledger.reserve_j s.ledger i in
-          if r <= 0.0 then Float.max_float /. 1e6 else joules /. r
+          c.v <- (if r <= 0.0 then Float.max_float /. 1e6 else c.v /. r)
+        end
   in
   {
     s;

@@ -2,10 +2,11 @@
 
     Every kernel below performs the float-op sequence of the
     corresponding {!Node_agent} function operand for operand — same
-    reads, same order of [+.]/[-.]/[*.]/[/.], same [Float.min] clamp,
-    same zero-crossing interpolation — so a run driven through this
-    ledger produces bit-for-bit the reserves, death instants and report
-    digests of a run driven through the per-object agents.  The qcheck
+    reads, same order of [+.]/[-.]/[*.]/[/.], the same capacity clamp
+    (an inline, bit-for-bit [Float.min]), same zero-crossing
+    interpolation — so a run driven through this ledger produces
+    bit-for-bit the reserves, death instants and report digests of a
+    run driven through the per-object agents.  The qcheck
     oracle in [test/test_forward_fast.ml] holds {!Cosim} to that
     standard against the per-object reference run in
     [test/cosim_reference.ml], across fleet shapes, fault plans,
@@ -117,49 +118,51 @@ let[@inline] income_scale (p : Day_profile.t) time_s =
   done;
   if !k < n then fget p.Day_profile.scales !k else 1.0
 
-(* Node_agent.account over a ledger row: same reads, same order of
-   float ops, same clamp and zero-crossing interpolation.  The one body
-   behind [account], [charge] and the report kernel; inlined so [now]
-   stays an unboxed double on the per-hop path. *)
-let[@inline] account_row t i now =
+(* [Float.min cap v], bit for bit, without its cost: stdlib's [min]
+   inlines two [caml_signbit] C calls on the path where [v < cap] — the
+   common one, a settle that does not top the battery up — and each
+   call switches to the C stack and spills the live float registers.
+   A strict order decides here with one compare; only equal operands
+   (where the sign of a zero picks the result) and NaN fall through to
+   [Float.min]. *)
+let[@inline] clamp cap v = if v < cap then v else if v > cap then cap else Float.min cap v
+
+(* Node_agent's death test, shared by the settle and the charge. *)
+let[@inline] empties cap reserve = reserve <= 0.0 && cap > 0.0
+
+(* The death instant of a settle that emptied its row: Node_agent's
+   zero-crossing interpolation.  A node dies once, so this stays out of
+   line, where boxing its arguments costs nothing that matters. *)
+let[@inline never] settle_death a b ~now ~last ~dt ~before ~net =
+  let rate = net /. dt in
+  fset a (b + f_died) (if rate > 0.0 then last +. (before /. rate) else now)
+
+(* Node_agent.account's settle of live row [b] (node [i]) over [dt > 0]
+   from [last]: same reads, same order of float ops.  Stores consumed
+   and harvested, records an emptying settle's death instant, and
+   returns the clamped reserve for the caller to store — the report
+   kernel charges it first.  Inlined, so no float here is boxed. *)
+let[@inline] settle t a b i ~now ~last ~dt ~before ~cap =
+  let drain = fget a (b + f_drain) *. dt in
+  let scale = if bit t.has_mult i then income_scale t.diurnal (last +. (0.5 *. dt)) else 1.0 in
+  let gain = fget a (b + f_income) *. scale *. dt in
+  fset a (b + f_consumed) (fget a (b + f_consumed) +. (fget a (b + f_sleep) *. dt));
+  fset a (b + f_harvested) (fget a (b + f_harvested) +. gain);
+  let net = drain -. gain in
+  let reserve = clamp cap (before -. net) in
+  if empties cap reserve then settle_death a b ~now ~last ~dt ~before ~net;
+  reserve
+
+let account t i ~now =
   let a = t.lg in
   let b = i * stride in
-  let dt = now -. fget a (b + f_last) in
-  if dt > 0.0 && Float.is_nan (fget a (b + f_died)) then begin
-    let drain = fget a (b + f_drain) *. dt in
-    let scale =
-      if bit t.has_mult i then income_scale t.diurnal (fget a (b + f_last) +. (0.5 *. dt))
-      else 1.0
-    in
-    let gain = fget a (b + f_income) *. scale *. dt in
-    fset a (b + f_consumed) (fget a (b + f_consumed) +. (fget a (b + f_sleep) *. dt));
-    fset a (b + f_harvested) (fget a (b + f_harvested) +. gain);
-    let net = drain -. gain in
-    let before = fget a (b + f_reserve) in
-    fset a (b + f_reserve) (Float.min (fget a (b + f_capacity)) (before -. net));
-    if fget a (b + f_reserve) <= 0.0 && fget a (b + f_capacity) > 0.0 then begin
-      let rate = net /. dt in
-      fset a (b + f_died) (if rate > 0.0 then fget a (b + f_last) +. (before /. rate) else now)
-    end
-  end;
+  let last = fget a (b + f_last) in
+  let dt = now -. last in
+  if dt > 0.0 && Float.is_nan (fget a (b + f_died)) then
+    fset a (b + f_reserve)
+      (settle t a b i ~now ~last ~dt ~before:(fget a (b + f_reserve))
+         ~cap:(fget a (b + f_capacity)));
   fset a (b + f_last) now
-
-let account t i ~now = account_row t i now
-
-(* Node_agent.charge over a row: the single copy of the charge
-   arithmetic, shared by [charge] and the report kernel. *)
-let[@inline] charge_row t i now joules =
-  account_row t i now;
-  let a = t.lg in
-  let b = i * stride in
-  if Float.is_nan (fget a (b + f_died)) then begin
-    fset a (b + f_consumed) (fget a (b + f_consumed) +. joules);
-    fset a (b + f_reserve) (fget a (b + f_reserve) -. (joules /. fget a (b + f_regulator)));
-    if fget a (b + f_reserve) <= 0.0 && fget a (b + f_capacity) > 0.0 then
-      fset a (b + f_died) now
-  end
-
-let charge t i ~now joules = charge_row t i now joules
 
 (* Node_agent.crash over a row. *)
 let crash t i ~now =
@@ -186,7 +189,7 @@ let would_die t i ~now =
     in
     let gain = fget a (b + f_income) *. scale *. dt in
     let net = drain -. gain in
-    Float.min (fget a (b + f_capacity)) (fget a (b + f_reserve) -. net) <= 0.0
+    clamp (fget a (b + f_capacity)) (fget a (b + f_reserve) -. net) <= 0.0
   end
   else false
 
@@ -276,16 +279,45 @@ let route ledger ~clock ~sink ~parent ~hop_tx ~hop_kind ~activation ~rx_j ~reade
   { ledger; clock; sink; parent; hop_tx; hop_kind; activation; rx_j; reader_j; counts;
     on_death }
 
-(* Charge [joules] to node [i]; false once the node is gone.  A charge
-   that kills the node fires [on_death] first — the route repair it
+(* One hop's touch of node [i]: Node_agent.charge — settle to [now],
+   then charge [joules] — fused into one pass over the row, so died,
+   last, reserve and capacity are read once and the settled reserve is
+   charged straight from a register.  False once the node is gone.  A
+   touch that kills the node fires [on_death] — the route repair it
    triggers refreshes [parent]/[hop_tx]/[hop_kind] in place, which is
-   why the walk re-reads them on every hop. *)
-let[@inline] charge_hop r i now joules =
+   why the walk re-reads them on every hop.  Off the death path a
+   profile-free row makes no call: the clamp decides a strict order
+   inline and the settle's death instant is out of line. *)
+let[@inline] touch r i now joules =
   let t = r.ledger in
-  let was = alive t i in
-  charge_row t i now joules;
-  if was && not (alive t i) then r.on_death i;
-  alive t i
+  let a = t.lg in
+  let b = i * stride in
+  let last = fget a (b + f_last) in
+  fset a (b + f_last) now;
+  if not (Float.is_nan (fget a (b + f_died))) then false
+  else begin
+    let cap = fget a (b + f_capacity) in
+    let dt = now -. last in
+    let before = fget a (b + f_reserve) in
+    let settled = if dt > 0.0 then settle t a b i ~now ~last ~dt ~before ~cap else before in
+    if dt > 0.0 && empties cap settled then begin
+      (* the settle itself emptied the row: no charge *)
+      fset a (b + f_reserve) settled;
+      r.on_death i;
+      false
+    end
+    else begin
+      fset a (b + f_consumed) (fget a (b + f_consumed) +. joules);
+      let left = settled -. (joules /. fget a (b + f_regulator)) in
+      fset a (b + f_reserve) left;
+      if empties cap left then begin
+        fset a (b + f_died) now;
+        r.on_death i;
+        false
+      end
+      else true
+    end
+  end
 
 let[@inline] drop c = c.dropped <- c.dropped + 1
 
@@ -315,10 +347,10 @@ let[@inline] forward r src now =
              the sink, or a reader the RX tariff, for a hop the
              per-object walk classifies from [u] and [p]. *)
           let k = Array.unsafe_get r.hop_kind u in
-          let sender_ok = charge_hop r u now tx_j in
+          let sender_ok = touch r u now tx_j in
           let receiver_ok =
-            if k = Link_layer.hop_tag then charge_hop r p now r.reader_j
-            else k = Link_layer.hop_sink_parent || charge_hop r p now r.rx_j
+            if k = Link_layer.hop_tag then touch r p now r.reader_j
+            else k = Link_layer.hop_sink_parent || touch r p now r.rx_j
           in
           if sender_ok && receiver_ok then begin
             node := p;
@@ -339,7 +371,7 @@ let report r i =
        that dies mid-activation still counts the report as generated
        (and dropped). *)
     let act = fget r.activation i in
-    if act > 0.0 then ignore (charge_hop r i now act : bool);
+    if act > 0.0 then ignore (touch r i now act : bool);
     forward r i now;
     true
   end

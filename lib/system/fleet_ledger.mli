@@ -43,11 +43,14 @@ val died_at_s : t -> int -> float
 val account : t -> int -> now:float -> unit
 (** {!Node_agent.account} on the columns. *)
 
-val charge : t -> int -> now:float -> float -> unit
-(** {!Node_agent.charge} on the columns. *)
-
 val crash : t -> int -> now:float -> unit
 (** {!Node_agent.crash} on the columns. *)
+
+val clamp : float -> float -> float
+(** [clamp cap v] — [Float.min cap v], bit for bit on every input
+    (signed zeros and NaNs included), as the kernels inline it: one
+    compare decides a strict order, and only equal operands and NaNs
+    take [Float.min]'s [sign_bit] path. *)
 
 val account_all : ?pool:Amb_sim.Domain_pool.t -> t -> now:float -> on_death:(int -> unit) -> unit
 (** Settle every node to [now], firing [on_death i] between a node's

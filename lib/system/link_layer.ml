@@ -75,16 +75,15 @@ let set_fade t ~a ~b ~db =
   let x, y = key a b in
   t.fades <- (x, y, db) :: List.filter (fun (p, q, _) -> (p, q) <> (x, y)) t.fades
 
-(* Called once per Dijkstra relaxation: a fade-free run returns before
-   building the key pair or walking the list. *)
-let fade_db t a b =
-  match t.fades with
-  | [] -> 0.0
-  | fades -> (
-    let x, y = key a b in
-    match List.find_opt (fun (p, q, _) -> p = x && q = y) fades with
-    | Some (_, _, db) -> db
-    | None -> 0.0)
+let find_fade fades a b =
+  let x, y = key a b in
+  match List.find_opt (fun (p, q, _) -> p = x && q = y) fades with
+  | Some (_, _, db) -> db
+  | None -> 0.0
+
+(* Called once per Dijkstra relaxation: a fade-free run returns at
+   once, without a call or a key pair. *)
+let[@inline] fade_db t a b = match t.fades with [] -> 0.0 | fades -> find_fade fades a b
 
 (* TX joules over a faded pair: the extra loss shows up as an effective
    distance under the log-distance exponent. *)
@@ -161,22 +160,30 @@ let refresh_hop_tariff t ~sink ~parent ~tx_j ~hop_kind node =
       (if t.is_tag node then hop_tag else if p = sink then hop_sink_parent else hop_normal)
   end
 
-(* Route sweeps relax from the sink outward and call [weight_j t u v]
-   with [u] the settled parent-side node and [v] the candidate child —
+(* Route sweeps relax from the sink outward and price [u -> v] with
+   [u] the settled parent-side node and [v] the candidate child —
    traffic on the edge flows v -> u.  Symmetric PHY weights never
    noticed, but the tag tariff must read the pair in that order: a tag
    appears only as the child [v], priced at the full reader-paid
-   transaction toward a reader [u], and never as a parent. *)
-let weight_j t i j =
-  if t.is_tag i then Float.nan  (* nothing routes into or through a tag *)
+   transaction toward a reader [u], and never as a parent.  [k] is the
+   pair's slot in the router's rows, in either direction (the cache
+   holds one value for both), so an unfaded PHY pair reads its joules
+   by index; the answer goes to [c], unboxed. *)
+let weight_into t i j k (c : Route_tree.cell) =
+  if t.is_tag i then c.v <- Float.nan  (* nothing routes into or through a tag *)
   else if t.is_tag j then
     (* The full transaction price, so the tree attaches each tag to the
        cheapest reader that closes. *)
-    if tag_edge_ok t j i then t.tag_tx_j +. t.reader_rx_j else Float.nan
+    c.v <- (if tag_edge_ok t j i then t.tag_tx_j +. t.reader_rx_j else Float.nan)
   else begin
     let db = fade_db t i j in
-    if db = 0.0 then Routing.link_energy_j t.router i j
-    else faded_tx_j t i j db +. Routing.receiver_energy_j t.router
+    if db = 0.0 then Routing.link_energy_into t.router k c
+    else c.v <- faded_tx_j t i j db +. Routing.receiver_energy_j t.router
   end
+
+let weight_j t i j =
+  let c = { Route_tree.v = Float.nan } in
+  weight_into t i j (Routing.slot t.router i j) c;
+  c.v
 
 let sampling_power_w t = t.sampling_w

@@ -106,5 +106,13 @@ val weight_j : t -> int -> int -> float
     a reader parent, and is NaN as a parent (nothing routes into or
     through a tag). *)
 
+val weight_into : t -> int -> int -> int -> Amb_net.Route_tree.cell -> unit
+(** [weight_into t u v k c] — [weight_j t u v] stored in [c.v], priced
+    from the pair's slot [k] in the router's rows (see
+    {!Amb_net.Route_tree.weight}): an unfaded PHY pair reads the
+    router's [edge_tx_j.(k)] with no row search; [k < 0] means out of
+    range.  Tags and faded pairs price from the pair as [weight_j]
+    does.  Allocates nothing on an unfaded pair. *)
+
 val sampling_power_w : t -> float
 (** Continuous MAC channel-sampling drain per node; 0 outside [Mac]. *)

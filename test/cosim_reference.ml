@@ -96,6 +96,8 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
     end
   in
   let weight =
+    Routing_dense_reference.pair_weight
+    @@
     match cfg.policy with
     | Routing.Min_hop ->
       fun i j -> if Float.is_nan (Link_layer.weight_j link i j) then Float.nan else 1.0

@@ -25,7 +25,8 @@ let run (cfg : Net_sim.config) ~seed : Net_sim.outcome =
   let tree = Route_tree.create ~rows:(Routing.rows router) ~sink in
   let generated = ref 0 and delivered = ref 0 and dropped = ref 0 in
   let spent = ref 0.0 and first_death = ref None in
-  let weight i j =
+  let weight =
+    Routing_dense_reference.pair_weight @@ fun i j ->
     let joules = Routing.link_energy_j router i j in
     match cfg.policy with
     | Routing.Min_hop -> if Float.is_nan joules then Float.nan else 1.0

@@ -49,3 +49,9 @@ let complete_rows n =
     done
   done;
   (offsets, neighbors)
+
+(* A pair weight as a [Route_tree.weight]: priced from the pair alone,
+   the row slot ignored.  Complete-row trees need it (their slots index
+   no router cache), and the reference runs use it so that their
+   row-search pricing checks the simulators' slot-indexed one. *)
+let pair_weight f : Route_tree.weight = fun u v _ c -> c.Route_tree.v <- f u v

@@ -85,11 +85,11 @@ let prop_calendar_pop_order =
           times
       in
       let cal = Amb_sim.Calendar_queue.create () in
-      let heap = Amb_sim.Event_queue.create () in
+      let heap = Event_queue.create () in
       List.iteri
         (fun i t ->
           Amb_sim.Calendar_queue.push cal ~time:t ~seq:i ~i1:i ~i2:(-i);
-          Amb_sim.Event_queue.push heap ~time:t i)
+          Event_queue.push heap ~time:t i)
         times;
       let ok = ref true in
       List.iter
@@ -102,7 +102,7 @@ let prop_calendar_pop_order =
               && Amb_sim.Calendar_queue.out_i1 cal = i
               && Amb_sim.Calendar_queue.out_i2 cal = -i)
           then ok := false)
-        (Amb_sim.Event_queue.drain heap);
+        (Event_queue.drain heap);
       !ok && Amb_sim.Calendar_queue.length cal = 0)
 
 let prop_calendar_interleaved =
@@ -111,21 +111,21 @@ let prop_calendar_interleaved =
     (fun seed ->
       let rng = Amb_sim.Rng.create (9000 + seed) in
       let cal = Amb_sim.Calendar_queue.create () in
-      let heap = Amb_sim.Event_queue.create () in
+      let heap = Event_queue.create () in
       let seq = ref 0 in
       let clock = ref 0.0 in
       let ok = ref true in
       for _ = 1 to 400 do
-        if Amb_sim.Rng.int rng 3 > 0 || Amb_sim.Event_queue.is_empty heap then begin
+        if Amb_sim.Rng.int rng 3 > 0 || Event_queue.is_empty heap then begin
           (* Engine-style push: never in the past, occasionally tied. *)
           let t = !clock +. Amb_sim.Rng.uniform rng 0.0 50.0 in
           let t = if Amb_sim.Rng.int rng 8 = 0 then !clock else t in
           Amb_sim.Calendar_queue.push cal ~time:t ~seq:!seq ~i1:0 ~i2:!seq;
-          Amb_sim.Event_queue.push heap ~time:t !seq;
+          Event_queue.push heap ~time:t !seq;
           incr seq
         end
         else
-          match Amb_sim.Event_queue.pop heap with
+          match Event_queue.pop heap with
           | None -> ()
           | Some (t, i) ->
             clock := t;
@@ -136,7 +136,7 @@ let prop_calendar_interleaved =
                 && Amb_sim.Calendar_queue.out_i2 cal = i)
             then ok := false
       done;
-      !ok && Amb_sim.Calendar_queue.length cal = Amb_sim.Event_queue.length heap)
+      !ok && Amb_sim.Calendar_queue.length cal = Event_queue.length heap)
 
 (* The engine must produce the identical event chronology on both queue
    tiers: same callbacks, same clock readings, same final time. *)
@@ -615,7 +615,7 @@ let prop_route_tree_csr_equiv =
       let router = Routing.make ~topology:topo ~link ~packet:Packet.sensor_report () in
       let alive = Array.make n true in
       let alive_fn i = alive.(i) in
-      let weight i j = Routing.link_energy_j router i j in
+      let weight = Routing_dense_reference.pair_weight (Routing.link_energy_j router) in
       let sink = 0 in
       let dense = Route_tree.create ~rows:(Routing_dense_reference.complete_rows n) ~sink in
       let csr = Route_tree.create ~rows:(Routing.rows router) ~sink in

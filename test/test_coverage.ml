@@ -130,10 +130,10 @@ let test_distribution_sample_positive () =
   done
 
 let test_queue_clear () =
-  let q = Amb_sim.Event_queue.create () in
-  Amb_sim.Event_queue.push q ~time:1.0 ();
-  Amb_sim.Event_queue.clear q;
-  Alcotest.(check bool) "empty" true (Amb_sim.Event_queue.is_empty q)
+  let q = Event_queue.create () in
+  Event_queue.push q ~time:1.0 ();
+  Event_queue.clear q;
+  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 let test_trace_pp () =
   let t = Amb_sim.Trace.create () in

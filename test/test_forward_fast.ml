@@ -60,7 +60,7 @@ let initial_parents fleet =
   let tree =
     Amb_net.Route_tree.create ~rows:(Amb_net.Routing.rows router) ~sink:fleet.Fleet.sink
   in
-  Amb_net.Route_tree.rebuild tree ~weight:(Link_layer.weight_j link) ~alive:(fun _ -> true);
+  Amb_net.Route_tree.rebuild tree ~weight:(Link_layer.weight_into link) ~alive:(fun _ -> true);
   Array.init n (Amb_net.Route_tree.parent tree)
 
 let children prev =
@@ -858,10 +858,134 @@ let test_faults_inside_a_batch () =
   Alcotest.(check bool) (ctx ^ ": relay 2 carried the leaf") true
     (Node_agent.consumed_j o.agents.(2) > Node_agent.consumed_j o.agents.(1))
 
+(* --- the capacity clamp and the fused touch ------------------------------ *)
+
+(* The kernels clamp a settled reserve with an inline compare that must
+   return [Float.min]'s bits on every input, not just an equal value:
+   the sign of a zero and NaN propagation are where the two could
+   part. *)
+let clamp_specials =
+  [| 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+     Int64.float_of_bits 0xFFF8_0000_0000_0000L (* NaN, sign bit set *);
+     Int64.float_of_bits 0x7FF0_0000_0000_0001L (* signalling NaN payload *);
+     4.9e-324; -4.9e-324; Float.min_float; -.Float.min_float;
+     Float.pred Float.min_float (* largest subnormal *); Float.max_float; -.Float.max_float;
+     1.0; -1.0; 1.5e-3 |]
+
+let check_clamp cap v =
+  let got = Fleet_ledger.clamp cap v and want = Float.min cap v in
+  if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)) then
+    Alcotest.failf "clamp %h %h = %h, Float.min gives %h" cap v got want
+
+let test_clamp_specials () =
+  Array.iter (fun cap -> Array.iter (fun v -> check_clamp cap v) clamp_specials) clamp_specials
+
+let prop_clamp_bitwise =
+  let operand =
+    QCheck.Gen.(
+      frequency
+        [ (2, oneofa clamp_specials);
+          (3, map Int64.float_of_bits ui64);
+          (3, float);
+          (1, map (fun x -> Float.of_int x *. 1e-300 *. 1e-20) small_signed_int) ])
+  in
+  let pair =
+    QCheck.Gen.(
+      frequency
+        [ (4, pair operand operand);
+          (1, map (fun x -> (x, x)) operand);
+          (1, map (fun x -> (x, -.x)) operand) ])
+  in
+  QCheck.Test.make ~name:"capacity clamp is Float.min bit for bit" ~count:20_000
+    (QCheck.make ~print:(fun (c, v) -> Printf.sprintf "(%h, %h)" c v) pair)
+    (fun (cap, v) ->
+      check_clamp cap v;
+      true)
+
+(* One report of node 1 straight into the sink 0, on a ledger built
+   from [cfg] and advanced to [at]; the same charges are replayed on a
+   reference [Node_agent], and every ledger field must match it bit for
+   bit.  Returns the written-back agent and the nodes [on_death] saw. *)
+let one_hop ~ctx ~cfg ~activation ~tx ~at =
+  let agents = Array.init 2 (fun id -> Node_agent.create ~id ~cfg ()) in
+  let ledger = Fleet_ledger.of_agents agents in
+  let deaths = ref [] in
+  let counts = Fleet_ledger.tally () in
+  let route =
+    Fleet_ledger.route ledger ~clock:{ Amb_sim.Engine.v = at } ~sink:0 ~parent:[| -1; 0 |]
+      ~hop_tx:[| Float.nan; tx |]
+      ~hop_kind:[| Link_layer.hop_normal; Link_layer.hop_sink_parent |]
+      ~activation:[| 0.0; activation |] ~rx_j:0.0 ~reader_j:0.0 ~counts
+      ~on_death:(fun i -> deaths := i :: !deaths)
+  in
+  Alcotest.(check bool) (ctx ^ ": report generated") true (Fleet_ledger.report route 1);
+  Fleet_ledger.write_back ledger agents;
+  let reference = Node_agent.create ~id:1 ~cfg () in
+  if activation > 0.0 then Node_agent.charge reference ~now:at activation;
+  if Node_agent.alive reference then Node_agent.charge reference ~now:at tx;
+  let got = agents.(1) in
+  check_bits (ctx ^ ": reserve") (Node_agent.reserve_j reference) (Node_agent.reserve_j got);
+  check_bits (ctx ^ ": consumed") (Node_agent.consumed_j reference) (Node_agent.consumed_j got);
+  check_bits (ctx ^ ": harvested") (Node_agent.harvested_j reference) (Node_agent.harvested_j got);
+  check_bits (ctx ^ ": last") (Node_agent.last_account_s reference) (Node_agent.last_account_s got);
+  check_bits (ctx ^ ": died") (Node_agent.died_at_s reference) (Node_agent.died_at_s got);
+  Alcotest.(check int) (ctx ^ ": counted once") 1
+    (counts.Fleet_ledger.delivered + counts.Fleet_ledger.dropped);
+  (got, !deaths)
+
+(* A battery relay with no harvester, so nothing but [sleep_w] moves
+   the reserve between charges. *)
+let one_hop_cfg ~sleep_w ~budget_j =
+  let relay = Fleet.milliwatt_relay () in
+  { relay with
+    Fleet.sleep_power = Power.watts sleep_w;
+    supply = { relay.Fleet.supply with Amb_energy.Supply.harvester = None };
+    budget_override = Some (Energy.joules budget_j) }
+
+(* A settle with zero net flow lands exactly on capacity: the clamp's
+   equal-operand path. *)
+let test_settle_lands_on_capacity () =
+  let ctx = "settle onto capacity" in
+  let got, deaths =
+    one_hop ~ctx ~cfg:(one_hop_cfg ~sleep_w:0.0 ~budget_j:2.0) ~activation:0.0 ~tx:0.0 ~at:60.0
+  in
+  check_bits (ctx ^ ": reserve is the capacity") 2.0 (Node_agent.reserve_j got);
+  Alcotest.(check (list int)) (ctx ^ ": no death") [] deaths
+
+(* A hop charge that takes the reserve to exactly 0.0 kills the sender
+   at the charge instant, and [on_death] fires once. *)
+let test_charge_to_exact_zero () =
+  let ctx = "charge to exactly zero" in
+  let cfg = one_hop_cfg ~sleep_w:0.0 ~budget_j:2.0 in
+  let reg = Node_agent.regulator_efficiency (Node_agent.create ~id:1 ~cfg ()) in
+  let tx = ref (2.0 *. reg) and steps = ref 0 in
+  while !tx /. reg <> 2.0 && !steps < 64 do
+    tx := (if !tx /. reg < 2.0 then Float.succ !tx else Float.pred !tx);
+    incr steps
+  done;
+  if !tx /. reg <> 2.0 then Alcotest.failf "%s: no tariff drains exactly 2 J" ctx;
+  let got, deaths = one_hop ~ctx ~cfg ~activation:0.0 ~tx:!tx ~at:60.0 in
+  check_bits (ctx ^ ": reserve") 0.0 (Node_agent.reserve_j got);
+  check_bits (ctx ^ ": death instant") 60.0 (Node_agent.died_at_s got);
+  Alcotest.(check (list int)) (ctx ^ ": one death callback") [ 1 ] deaths
+
+(* A settle whose sleep drain empties the battery: the interpolated
+   death instant (the out-of-line path), no charge after it. *)
+let test_settle_death_interpolates () =
+  let ctx = "settle death" in
+  let got, deaths =
+    one_hop ~ctx ~cfg:(one_hop_cfg ~sleep_w:1e-3 ~budget_j:1.0) ~activation:1e-4 ~tx:1e-4
+      ~at:5000.0
+  in
+  let died = Node_agent.died_at_s got in
+  if not (died > 0.0 && died < 5000.0) then
+    Alcotest.failf "%s: death instant %h is not inside the settled interval" ctx died;
+  Alcotest.(check (list int)) (ctx ^ ": one death callback") [ 1 ] deaths
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_fast_path_oracle; prop_city_repair_oracle; prop_pooled_ticks_oracle; prop_scale_at_oracle;
-      prop_ledger_diurnal_oracle ]
+      prop_ledger_diurnal_oracle; prop_clamp_bitwise ]
   @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
       Alcotest.test_case "fast path minor words per event under office lighting" `Quick
@@ -879,4 +1003,9 @@ let suite =
       Alcotest.test_case "counters: quiet run makes no repairs" `Quick test_counters_quiet_run;
       Alcotest.test_case "counters: one leaf death re-attaches its subtree" `Quick
         test_counters_one_leaf_death;
+      Alcotest.test_case "capacity clamp on special operands" `Quick test_clamp_specials;
+      Alcotest.test_case "settle landing exactly on capacity" `Quick test_settle_lands_on_capacity;
+      Alcotest.test_case "charge to exactly zero reserve" `Quick test_charge_to_exact_zero;
+      Alcotest.test_case "settle death interpolates its instant" `Quick
+        test_settle_death_interpolates;
     ]

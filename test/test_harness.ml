@@ -230,6 +230,32 @@ let test_store_rejects_corruption () =
         Alcotest.(check bool) "names the line" true
           (String.length msg > 0))
 
+(* A garbled row after blank lines is reported at its own file line
+   (not at one past the rows loaded so far), and a failed load writes
+   nothing: not even the torn tail a good load would truncate. *)
+let test_store_error_names_file_line () =
+  with_temp_file (fun path ->
+      let row seed =
+        Printf.sprintf
+          "{\"schema\":\"amblib-matrix-row/1\",\"config\":\"abc\",\"seed\":%d,\"status\":\"ok\"}\n"
+          seed
+      in
+      let garbled = "{\"schema\":\"amblib-matrix-row/1\",\"conf\n" in
+      (* lines: 1-2 blank, 3 a row, 4 blank, 5 a row, 6 blanks only,
+         7 garbled, 8-9 rows, then a torn tail *)
+      let contents =
+        "\n\n" ^ row 1 ^ "\n" ^ row 2 ^ "  \n" ^ garbled ^ row 3 ^ row 4 ^ "{\"torn"
+      in
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      (match Result_store.load path with
+      | Ok _ -> Alcotest.fail "garbled row accepted"
+      | Error msg ->
+        let expected = Printf.sprintf "%s: line 7: " path in
+        Alcotest.(check string) "names file line 7" expected
+          (String.sub msg 0 (Stdlib.min (String.length msg) (String.length expected))));
+      Alcotest.(check string) "file untouched" contents
+        (In_channel.with_open_bin path In_channel.input_all))
+
 let test_store_rejects_duplicate_key () =
   let store = Result_store.in_memory () in
   let row =
@@ -337,6 +363,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_resume_byte_identity;
     ("store rejects foreign rows", `Quick, test_store_rejects_corruption);
     ("store rejects duplicate keys", `Quick, test_store_rejects_duplicate_key);
+    ("store errors name the file line", `Quick, test_store_error_names_file_line);
     ("matrix rows jobs-independent", `Quick, test_matrix_rows_jobs_independent);
     ("serve answers repeats from cache", `Quick, test_serve_caches_repeat_requests);
     ("serve survives hostile input", `Quick, test_serve_survives_bad_input);

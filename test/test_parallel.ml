@@ -201,13 +201,13 @@ let prop_float_heap_matches_event_queue =
     QCheck.(list (pair (float_bound_inclusive 1e3) small_nat))
     (fun entries ->
       let h = Amb_sim.Float_heap.create () in
-      let q = Amb_sim.Event_queue.create () in
+      let q = Event_queue.create () in
       List.iter
         (fun (key, payload) ->
           Amb_sim.Float_heap.push h ~key payload;
-          Amb_sim.Event_queue.push q ~time:key payload)
+          Event_queue.push q ~time:key payload)
         entries;
-      drain_heap h = Amb_sim.Event_queue.drain q)
+      drain_heap h = Event_queue.drain q)
 
 (* --- Event_queue.of_list --- *)
 
@@ -218,7 +218,7 @@ let prop_of_list_pops_ties_in_list_order =
       (* Coarse integer times force many collisions; payloads record list
          position. *)
       let entries = List.mapi (fun i t -> (Float.of_int t, (t, i))) times in
-      let popped = Amb_sim.Event_queue.drain (Amb_sim.Event_queue.of_list entries) in
+      let popped = Event_queue.drain (Event_queue.of_list entries) in
       let rec ok = function
         | (ta, (_, ia)) :: ((tb, (_, ib)) :: _ as rest) ->
           (ta < tb || (ta = tb && ia < ib)) && ok rest
@@ -231,10 +231,10 @@ let prop_of_list_equals_pushes =
     QCheck.(list (float_bound_inclusive 100.0))
     (fun times ->
       let entries = List.mapi (fun i t -> (t, i)) times in
-      let q = Amb_sim.Event_queue.create () in
-      List.iter (fun (t, p) -> Amb_sim.Event_queue.push q ~time:t p) entries;
-      Amb_sim.Event_queue.drain (Amb_sim.Event_queue.of_list entries)
-      = Amb_sim.Event_queue.drain q)
+      let q = Event_queue.create () in
+      List.iter (fun (t, p) -> Event_queue.push q ~time:t p) entries;
+      Event_queue.drain (Event_queue.of_list entries)
+      = Event_queue.drain q)
 
 (* --- Parallel experiment suite determinism --- *)
 

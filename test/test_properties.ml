@@ -11,9 +11,9 @@ let prop_queue_sorted =
   QCheck.Test.make ~name:"event queue pops in time order" ~count
     QCheck.(list (float_bound_inclusive 1e6))
     (fun times ->
-      let q = Amb_sim.Event_queue.create () in
-      List.iter (fun t -> Amb_sim.Event_queue.push q ~time:t ()) times;
-      let popped = List.map fst (Amb_sim.Event_queue.drain q) in
+      let q = Event_queue.create () in
+      List.iter (fun t -> Event_queue.push q ~time:t ()) times;
+      let popped = List.map fst (Event_queue.drain q) in
       let rec sorted = function a :: (b :: _ as r) -> a <= b && sorted r | _ -> true in
       List.length popped = List.length times && sorted popped)
 
@@ -21,9 +21,9 @@ let prop_queue_multiset =
   QCheck.Test.make ~name:"event queue preserves the multiset of times" ~count
     QCheck.(list (float_bound_inclusive 1e3))
     (fun times ->
-      let q = Amb_sim.Event_queue.create () in
-      List.iter (fun t -> Amb_sim.Event_queue.push q ~time:t ()) times;
-      let popped = List.map fst (Amb_sim.Event_queue.drain q) in
+      let q = Event_queue.create () in
+      List.iter (fun t -> Event_queue.push q ~time:t ()) times;
+      let popped = List.map fst (Event_queue.drain q) in
       List.sort compare popped = List.sort compare times)
 
 (* --- Quantity algebra --- *)
