@@ -13,9 +13,17 @@ test:
 # content digests, so model drift fails the chain — and finally the CLI
 # end-to-end: a small fleet co-simulation emitted as JSON must round-trip
 # through the typed report pipeline, and the CS-D case study (the
-# backscatter/four-class tables) must round-trip report by report.
+# backscatter/four-class tables) must round-trip report by report.  A
+# NaN or infinite horizon must be refused with an error status, not run
+# until killed (timeout's own status, 124).
 check: build
 	dune runtest
+	for h in nan inf; do \
+	  timeout 10 dune exec bin/ambient.exe -- system --leaves 3 --relays 1 --hours $$h \
+	    > /dev/null 2>&1; s=$$?; \
+	  if [ $$s -eq 0 ] || [ $$s -eq 124 ]; then \
+	    echo "system --hours $$h exited $$s"; exit 1; fi; \
+	done
 	dune exec bench/main.exe -- --json /tmp/amblib-bench-check.json
 	dune exec bench/main.exe -- --check-json /tmp/amblib-bench-check.json
 	dune exec bin/ambient.exe -- system --leaves 5 --relays 1 --hours 6 \

@@ -15,7 +15,8 @@
      serve        resident batch service (JSON requests on stdin)
 
    Report-producing subcommands take --format text|json|csv; bad
-   arguments exit with status 1. *)
+   arguments exit with status 1, and a `system` horizon that is not
+   finite or exceeds the per-cell cost bound exits with status 2. *)
 
 open Cmdliner
 open Amb_units
@@ -535,6 +536,16 @@ let system_cmd =
         "need non-negative counts with at least one leaf or tag (got %d leaves, %d relays, %d tags)\n"
         leaves relays tags;
       exit 1
+    end;
+    (* A horizon that could never finish (NaN, infinite, or beyond the
+       matrix's per-cell cost bound) is refused before anything is
+       built, with its own exit status. *)
+    let nodes = leaves + relays + tags + 1 in
+    let bound = Amb_harness.Matrix.max_cost_node_hours in
+    if not (Float.is_finite hours && Float.of_int nodes *. hours <= bound) then begin
+      Printf.eprintf "--hours %g: the run must be finite and at most %g node-hours (%d nodes)\n"
+        hours bound nodes;
+      exit 2
     end;
     if hours <= 0.0 || budget < 0.0 then begin
       Printf.eprintf "--hours must be positive and --leaf-budget-j non-negative (got %g, %g)\n"

@@ -83,10 +83,10 @@ let dijkstra g ~src =
   dist.(src) <- 0.0;
   (* Unboxed (distance, node) heap; stale entries are skipped. *)
   let heap = Amb_sim.Float_heap.create ~capacity:(Stdlib.max 16 g.node_count) () in
-  Amb_sim.Float_heap.push heap ~key:0.0 src;
-  (* Popped keys come back through a flat float cell: no allocation
-     per pop. *)
-  let key = { Amb_sim.Float_heap.v = 0.0 } in
+  (* Keys go in and come back out through flat float cells: no
+     allocation per push or pop. *)
+  let key = { Amb_sim.Float_heap.v = 0.0 } and pushed = { Amb_sim.Float_heap.v = 0.0 } in
+  Amb_sim.Float_heap.push_cell heap pushed src;
   while not (Amb_sim.Float_heap.is_empty heap) do
     let u = Amb_sim.Float_heap.pop_min heap key in
     if (not visited.(u)) && key.v <= dist.(u) then begin
@@ -99,7 +99,8 @@ let dijkstra g ~src =
         if candidate < dist.(v) then begin
           dist.(v) <- candidate;
           prev.(v) <- u;
-          Amb_sim.Float_heap.push heap ~key:candidate v
+          pushed.v <- candidate;
+          Amb_sim.Float_heap.push_cell heap pushed v
         end
       done
     end

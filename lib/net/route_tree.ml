@@ -100,7 +100,8 @@ let[@inline] relax t ~(weight : weight) ~alive ~admit ~u ~base j k =
       if candidate < t.dist.(j) then begin
         t.dist.(j) <- candidate;
         t.prev.(j) <- u;
-        Amb_sim.Float_heap.push t.heap ~key:candidate j
+        t.w.v <- candidate;
+        Amb_sim.Float_heap.push_cell t.heap t.w j
       end
     end
   end
@@ -137,7 +138,8 @@ let rebuild t ~weight ~alive =
   t.affected_count <- t.n;
   dist.(t.sink) <- 0.0;
   Amb_sim.Float_heap.clear t.heap;
-  Amb_sim.Float_heap.push t.heap ~key:0.0 t.sink;
+  t.w.v <- 0.0;
+  Amb_sim.Float_heap.push_cell t.heap t.w t.sink;
   sweep t ~weight ~alive ~admit:all_nodes
 
 (* In-place ascending heapsort of [a.(0 .. len - 1)]. *)
@@ -232,7 +234,10 @@ let repair_from t ~(weight : weight) ~alive ~root =
       for k = t.offsets.(v) to t.offsets.(v + 1) - 1 do
         seed_from v t.neighbors.(k) k
       done;
-      if dist.(v) < Float.infinity then Amb_sim.Float_heap.push t.heap ~key:dist.(v) v
+      if dist.(v) < Float.infinity then begin
+        t.w.v <- dist.(v);
+        Amb_sim.Float_heap.push_cell t.heap t.w v
+      end
     end
   done;
   sweep t ~weight ~alive ~admit:(fun j -> mark.(j) = e)

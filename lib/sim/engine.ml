@@ -5,18 +5,18 @@
     node- and network-level simulations in the toolkit run on this
     engine.
 
-    The inner loop is allocation-free and free of write barriers: the
-    pending events live in four parallel pointer-free arrays (an
-    unboxed float-keyed binary heap with in-place hole sifting, same
-    discipline as {!Float_heap}) or, above a population threshold, in
-    an equally pointer-free {!Calendar_queue}; an event is a time, a
-    sequence number and two ints.  A closure event's closure and label
-    wait in a slot table with a free list, and the event carries the
-    slot, so a sift moves no pointer and pays no [caml_modify].  The
-    clock is a raw double, and trace hooks reduce to a single branch
-    when no trace was requested.  The [Time_span.t] entry points
-    survive as thin wrappers over the [_s] float API used by the hot
-    simulators. *)
+    The inner loop is allocation-free and free of write barriers.
+    Pending events live in two kinds of pointer-free queue: an unboxed
+    float-keyed binary heap (three parallel arrays, in-place hole
+    sifting, same discipline as {!Float_heap}) for closure events, and
+    one flat FIFO ring per distinct period for the periodic stream
+    channel.  A closure event's closure and label wait in a slot table
+    with a free list, and the event carries the slot, so a sift moves no
+    pointer and pays no [caml_modify].  The run loop fires the
+    (time, seq)-least of the heap root and the ring heads.  The clock is
+    a raw double, and trace hooks reduce to a single branch when no
+    trace was requested.  The [Time_span.t] entry points survive as thin
+    wrappers over the [_s] float API used by the hot simulators. *)
 
 open Amb_units
 
@@ -25,84 +25,77 @@ open Amb_units
    every assignment.  The clock is written once per event. *)
 type cell = Float_heap.cell = { mutable v : float }
 
+(* One ring of the periodic channel: every stream of one period.  Each
+   stream has at most one report pending, so [capacity] (the stream
+   count) bounds the population and the columns never grow.  Entries
+   [head .. head + count - 1] (mod capacity) are in (time, seq) order
+   once [sorted]. *)
+type ring = {
+  period : float;
+  r_times : float array;
+  r_seqs : int array;
+  r_idxs : int array;
+  mutable head : int;
+  mutable count : int;
+  mutable sorted : bool;
+}
+
 type t = {
   mutable times : float array;  (** heap keys: absolute seconds, unboxed *)
   mutable seqs : int array;  (** insertion order; equal times pop FIFO *)
-  mutable hids : int array;
-      (** indexed-channel handler id per pending event; -1 = closure
-          event *)
-  mutable idxs : int array;
-      (** int payload handed to the handler, or the closure event's
-          slot *)
+  mutable slots : int array;  (** the closure event's slot *)
   mutable size : int;
   mutable next_seq : int;
   clock : cell;  (** current simulation time, seconds *)
   at : cell;  (** time hand-off into [push_at] (keeps the float unboxed) *)
+  least_time : cell;  (** time of the event [least] picked *)
   mutable running : bool;
   mutable executed : int;
   trace : Trace.t option;  (** optional schedule/fire recorder *)
-  calendar_threshold : int;
-  mutable cal : Calendar_queue.t option;
-      (** calendar queue the pending set migrates into once it outgrows
-          [calendar_threshold]; [None] = binary heap (the path every
-          existing experiment stays on) *)
   mutable slot_fns : (t -> unit) array;
       (** closure-event slot table: the callback of each pending
-          closure event, addressed by the event's [idx] *)
+          closure event, addressed by the event's slot *)
   mutable slot_labels : string array;
   mutable slot_next : int array;  (** free-list link per free slot; -1 = end *)
   mutable free_slot : int;  (** head of the free list; -1 = table full *)
-  mutable handlers : (t -> int -> unit) array;
-      (** indexed event channel: one registered handler shared by any
-          number of pending events, each carrying only an int — a
-          100k-node fleet schedules 100k reports against one closure *)
-  mutable handler_labels : string array;
-  mutable n_handlers : int;
-  mutable batch_hid : int;
-      (** handler id whose consecutive events drain as one batch;
-          -1 = batching off (every existing experiment) *)
-  mutable batch_window : float;
-      (** batch horizon: a drain never reaches [first time + window],
-          so re-arms scheduled by the batch body cannot be overtaken *)
-  mutable batch_fn : t -> int -> unit;
+  mutable rings : ring array;  (** the periodic channel, one ring per period *)
+  mutable stream_ring : int array;  (** ring of each stream; -1 = no stream *)
+  mutable stream_fn : t -> int -> unit;
+  mutable stream_label : string;
+  mutable min_period : float;
+  mutable batch_fn : (t -> int -> unit) option;
+      (** drains consecutive stream events as one batch; [None] fires
+          them one by one *)
   mutable bt_times : float array;  (** drained fire times, in pop order *)
-  mutable bt_idxs : int array;  (** drained event indices, in pop order *)
+  mutable bt_idxs : int array;  (** drained stream indices, in pop order *)
 }
 
 let nop (_ : t) = ()
 let nop2 (_ : t) (_ : int) = ()
 
-(* Pending-event population above which the binary heap hands over to
-   the calendar queue.  Every experiment in the suite keeps well under
-   a thousand events in flight, so the heap (and its byte-exact event
-   chronology) remains their path; only city-scale fleets migrate. *)
-let default_calendar_threshold = 4096
-
-let create ?trace ?(calendar_threshold = default_calendar_threshold) () =
+let create ?trace () =
   {
     times = Array.make 16 0.0;
     seqs = Array.make 16 0;
-    hids = Array.make 16 (-1);
-    idxs = Array.make 16 0;
+    slots = Array.make 16 0;
     size = 0;
     next_seq = 0;
     clock = { v = 0.0 };
     at = { v = 0.0 };
+    least_time = { v = 0.0 };
     running = false;
     executed = 0;
     trace;
-    calendar_threshold;
-    cal = None;
     slot_fns = Array.make 16 nop;
     slot_labels = Array.make 16 "";
     slot_next = Array.init 16 (fun i -> if i = 15 then -1 else i + 1);
     free_slot = 0;
-    handlers = Array.make 4 nop2;
-    handler_labels = Array.make 4 "";
-    n_handlers = 0;
-    batch_hid = -1;
-    batch_window = 0.0;
-    batch_fn = nop2;
+    rings = [||];
+    stream_ring = [||];
+    stream_fn = nop2;
+    stream_label = "";
+    min_period = Float.infinity;
+    batch_fn = None;
     bt_times = Array.make 16 0.0;
     bt_idxs = Array.make 16 0;
   }
@@ -112,19 +105,16 @@ let grow engine =
   let bigger = Stdlib.max 16 (capacity * 2) in
   let times = Array.make bigger 0.0
   and seqs = Array.make bigger 0
-  and hids = Array.make bigger (-1)
-  and idxs = Array.make bigger 0 in
+  and slots = Array.make bigger 0 in
   Array.blit engine.times 0 times 0 engine.size;
   Array.blit engine.seqs 0 seqs 0 engine.size;
-  Array.blit engine.hids 0 hids 0 engine.size;
-  Array.blit engine.idxs 0 idxs 0 engine.size;
+  Array.blit engine.slots 0 slots 0 engine.size;
   engine.times <- times;
   engine.seqs <- seqs;
-  engine.hids <- hids;
-  engine.idxs <- idxs
+  engine.slots <- slots
 
 (* The closure slot table.  A closure event parks its callback and
-   label here and enqueues only the slot number, so neither queue ever
+   label here and enqueues only the slot number, so the heap never
    moves a pointer.  Freed slots are reused first (LIFO), so the table
    stays as large as the peak number of pending closure events — a
    periodic process re-arming from its own callback takes back the slot
@@ -158,57 +148,23 @@ let release_slot engine s =
   engine.slot_next.(s) <- engine.free_slot;
   engine.free_slot <- s
 
-(* One-way hand-over from the binary heap to the calendar queue once
-   the pending population outgrows the threshold.  (time, seq) pairs
-   carry over verbatim, so the pop order is unchanged — the calendar
-   sorts them itself, heap order is irrelevant here.  The closing
-   [remeasure] sizes the bucket width from the handed-over population:
-   the queue's first own resize waits for 4x the threshold, and until
-   then the 1 s default width files a whole second of events per chain
-   (at city report rates, hundreds — 3.5–5x slower runs measured for
-   4 096–16 384 pending events). *)
-let migrate engine =
-  let q = Calendar_queue.create ~buckets:(2 * engine.calendar_threshold) () in
-  for i = 0 to engine.size - 1 do
-    Calendar_queue.push q ~time:engine.times.(i) ~seq:engine.seqs.(i)
-      ~i1:engine.hids.(i) ~i2:engine.idxs.(i)
-  done;
-  Calendar_queue.remeasure q;
-  engine.times <- Array.make 16 0.0;
-  engine.seqs <- Array.make 16 0;
-  engine.hids <- Array.make 16 (-1);
-  engine.idxs <- Array.make 16 0;
-  engine.size <- 0;
-  engine.cal <- Some q
-
-(* Every insertion goes through [push_at] or [push_idx] so the trace
-   sees each scheduling, including the internal re-arming of periodic
-   processes.  The event time arrives in [engine.at] rather than as an
-   argument: a float argument to a non-inlined call would be boxed, a
-   cell store is not.  The NaN check comes before a slot is taken, so a
-   rejected event leaks none.  A freshly pushed event carries the
-   largest sequence number, so the sift-up only needs the strict time
-   comparison to keep FIFO ties. *)
+(* Every closure insertion goes through [push_at] so the trace sees each
+   scheduling, including the internal re-arming of periodic processes.
+   The event time arrives in [engine.at] rather than as an argument: a
+   float argument to a non-inlined call would be boxed, a cell store is
+   not.  The NaN check comes before a slot is taken, so a rejected event
+   leaks none.  A freshly pushed event carries the largest sequence
+   number, so the sift-up only needs the strict time comparison to keep
+   FIFO ties. *)
 let check_time engine =
   if Float.is_nan engine.at.v then invalid_arg "Engine: NaN event time"
 
-let push_raw engine ~hid ~idx =
+let push_heap engine ~slot =
   let time = engine.at.v in
-  (match engine.cal with
-  | None when engine.size >= engine.calendar_threshold -> migrate engine
-  | _ -> ());
-  match engine.cal with
-  | Some q ->
-    let seq = engine.next_seq in
-    engine.next_seq <- seq + 1;
-    (Calendar_queue.time_cell q).Calendar_queue.f <- time;
-    Calendar_queue.push_cell q ~seq ~i1:hid ~i2:idx
-  | None ->
   if engine.size >= Array.length engine.times then grow engine;
   let seq = engine.next_seq in
   engine.next_seq <- seq + 1;
-  let times = engine.times and seqs = engine.seqs in
-  let hids = engine.hids and idxs = engine.idxs in
+  let times = engine.times and seqs = engine.seqs and slots = engine.slots in
   let i = ref engine.size in
   engine.size <- engine.size + 1;
   let sifting = ref (!i > 0) in
@@ -217,8 +173,7 @@ let push_raw engine ~hid ~idx =
     if time < times.(parent) then begin
       times.(!i) <- times.(parent);
       seqs.(!i) <- seqs.(parent);
-      hids.(!i) <- hids.(parent);
-      idxs.(!i) <- idxs.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent;
       sifting := parent > 0
     end
@@ -226,15 +181,14 @@ let push_raw engine ~hid ~idx =
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  hids.(!i) <- hid;
-  idxs.(!i) <- idx
+  slots.(!i) <- slot
 
 let push_at engine ~label fn =
   check_time engine;
   (match engine.trace with
   | None -> ()
   | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ label));
-  push_raw engine ~hid:(-1) ~idx:(alloc_slot engine fn label)
+  push_heap engine ~slot:(alloc_slot engine fn label)
 
 (** [now_s engine] — current simulation time in raw seconds.  The
     float return is boxed at every call from another module: dune's
@@ -250,8 +204,7 @@ let now engine = Time_span.seconds engine.clock.v
 let event_count engine = engine.executed
 
 (** [pending engine] — number of scheduled, not-yet-run callbacks. *)
-let pending engine =
-  match engine.cal with None -> engine.size | Some q -> Calendar_queue.length q
+let pending engine = Array.fold_left (fun acc g -> acc + g.count) engine.size engine.rings
 
 (** [closure_slots engine] — capacity of the closure slot table. *)
 let closure_slots engine = Array.length engine.slot_fns
@@ -303,92 +256,147 @@ let schedule_cell ?(label = "event") engine callback =
   engine.at.v <- engine.clock.v +. engine.at.v;
   push_at engine ~label callback
 
-(* The indexed event channel.  A closure event costs one heap closure
-   per pending event plus a per-fire indirect call through it; a fleet
-   scheduling one report stream per node pays that 100k times over.
-   [register_handler] stores one shared [(t -> int -> unit)] and hands
-   back its id; [schedule_idx_s] then enqueues (handler id, int) pairs
-   that ride the same (time, seq) ordering — unboxed ints in the heap
-   and calendar alike, zero allocation per event.  Trace labels are
-   built only when a trace is attached, as ["<handler label>:<idx>"],
-   matching what the equivalent per-node closure would have recorded. *)
+(* The periodic stream channel.  A fleet reporting on fixed periods
+   pays a heap sift per report re-arm; the rings make it O(1).  Each
+   stream [idx] has one period and at most one pending report, and
+   every stream of one period shares one ring.  A re-arm lands at
+   [fire +. period] with a fresh (largest) seq, and every other pending
+   report of that ring sits at an initial phase below the period or at
+   an earlier fire plus the same period: float addition is monotone, so
+   the re-arm is never earlier than the ring's tail and appending keeps
+   the ring in (time, seq) order.  Initial phases may
+   arrive in any order; each ring is sorted once, in place, when a run
+   starts.  After that an append earlier than the tail means the
+   fixed-period contract is broken, and it raises rather than re-sort.
+   Trace labels are built only when a trace is attached, as
+   ["<label>:<idx>"] — what a per-stream closure would have recorded. *)
 
-(** [register_handler ?label engine fn] — register [fn] on the indexed
-    channel and return its handler id for {!schedule_idx_s}. *)
-let register_handler ?(label = "handler") engine fn =
-  let id = engine.n_handlers in
-  if id >= Array.length engine.handlers then begin
-    let cap = Array.length engine.handlers * 2 in
-    let handlers = Array.make cap nop2 and hl = Array.make cap "" in
-    Array.blit engine.handlers 0 handlers 0 id;
-    Array.blit engine.handler_labels 0 hl 0 id;
-    engine.handlers <- handlers;
-    engine.handler_labels <- hl
-  end;
-  engine.handlers.(id) <- fn;
-  engine.handler_labels.(id) <- label;
-  engine.n_handlers <- id + 1;
-  id
+(** [periodic_channel ?label engine ~periods fn] — install the stream
+    channel; see the interface. *)
+let periodic_channel ?(label = "stream") engine ~periods fn =
+  if Array.length engine.stream_ring > 0 then
+    invalid_arg "Engine.periodic_channel: already installed";
+  let n = Array.length periods in
+  let stream_ring = Array.make n (-1) in
+  (* Rings are keyed by the exact period value: a linear search over
+     the distinct periods met so far, with their stream counts. *)
+  let distinct = ref [||] and counts = ref [||] in
+  for i = 0 to n - 1 do
+    let p = periods.(i) in
+    if p > 0.0 && Float.is_finite p then begin
+      let d = !distinct in
+      let r = ref 0 in
+      while !r < Array.length d && d.(!r) <> p do
+        incr r
+      done;
+      if !r = Array.length d then begin
+        distinct := Array.append d [| p |];
+        counts := Array.append !counts [| 0 |]
+      end;
+      !counts.(!r) <- !counts.(!r) + 1;
+      stream_ring.(i) <- !r
+    end
+  done;
+  let rings =
+    Array.map2
+      (fun p c ->
+        { period = p; r_times = Array.make c 0.0; r_seqs = Array.make c 0; r_idxs = Array.make c 0;
+          head = 0; count = 0; sorted = false })
+      !distinct !counts
+  in
+  engine.rings <- rings;
+  engine.stream_ring <- stream_ring;
+  engine.stream_fn <- fn;
+  engine.stream_label <- label;
+  engine.min_period <- Array.fold_left (fun m g -> Float.min m g.period) Float.infinity rings
 
-let idx_label engine ~handler ~idx = engine.handler_labels.(handler) ^ ":" ^ Int.to_string idx
+let stream_label engine idx = engine.stream_label ^ ":" ^ Int.to_string idx
 
-let push_idx engine ~handler ~idx =
+let ring_of engine idx =
+  let r =
+    if idx >= 0 && idx < Array.length engine.stream_ring then engine.stream_ring.(idx) else -1
+  in
+  if r < 0 then invalid_arg "Engine: not a periodic stream";
+  engine.rings.(r)
+
+(* Append stream [idx]'s next report to its ring [g] at [engine.at.v]. *)
+let append engine g idx =
   check_time engine;
+  let cap = Array.length g.r_times in
+  if g.count >= cap then invalid_arg "Engine: periodic ring full";
+  let time = engine.at.v in
+  let tail = g.head + g.count - 1 in
+  let tail = if tail >= cap then tail - cap else tail in
+  if g.sorted && g.count > 0 && time < g.r_times.(tail) then
+    invalid_arg "Engine: periodic re-arm earlier than its ring's tail";
   (match engine.trace with
   | None -> ()
-  | Some tr ->
-    Trace.record tr ~time:engine.clock.v ("schedule:" ^ idx_label engine ~handler ~idx));
-  push_raw engine ~hid:handler ~idx
+  | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ stream_label engine idx));
+  let k = if tail + 1 >= cap then tail + 1 - cap else tail + 1 in
+  g.r_times.(k) <- time;
+  g.r_seqs.(k) <- engine.next_seq;
+  g.r_idxs.(k) <- idx;
+  engine.next_seq <- engine.next_seq + 1;
+  g.count <- g.count + 1
 
-(** [schedule_idx_s engine ~handler ~idx ~delay_s] — enqueue the indexed
-    event (handler, idx) after [delay_s] seconds. *)
-let schedule_idx_s engine ~handler ~idx ~delay_s =
-  if delay_s < 0.0 then invalid_arg "Engine.schedule_idx: negative delay";
+(** [arm_s engine ~idx ~delay_s] — first report of stream [idx]. *)
+let arm_s engine ~idx ~delay_s =
+  if delay_s < 0.0 then invalid_arg "Engine.arm: negative delay";
+  let g = ring_of engine idx in
   engine.at.v <- engine.clock.v +. delay_s;
-  push_idx engine ~handler ~idx
+  append engine g idx
 
-(** [schedule_idx_cell engine ~handler ~idx] — [schedule_idx_s] with the
-    delay taken from {!delay_cell}: the fully unboxed re-arming path
-    (two immediate ints, a cell store, no float crossing a boundary). *)
-let schedule_idx_cell engine ~handler ~idx =
-  if engine.at.v < 0.0 then invalid_arg "Engine.schedule_idx: negative delay";
-  engine.at.v <- engine.clock.v +. engine.at.v;
-  push_idx engine ~handler ~idx
+(** [rearm engine ~idx] — next report of stream [idx], one period from
+    now. *)
+let rearm engine ~idx =
+  let g = ring_of engine idx in
+  engine.at.v <- engine.clock.v +. g.period;
+  append engine g idx
 
-(* Batch drain for the indexed channel.  When the next pending event
-   belongs to the batched handler, the run loop pops the maximal run of
-   consecutive events on that channel — stopping at the horizon, at any
-   event on another channel or a closure event, and strictly before
-   [first time + window] — into [bt_times]/[bt_idxs], then calls
-   [batch_fn engine count] once instead of the handler [count] times.
+(* In-place heapsort of a not-yet-popped ring ([head] = 0) by
+   (time, seq): seqs are unique, so the order is total and the sort
+   needs no stability.  No allocation. *)
+let sort_ring g =
+  let times = g.r_times and seqs = g.r_seqs and idxs = g.r_idxs in
+  let before i j = times.(i) < times.(j) || (times.(i) = times.(j) && seqs.(i) < seqs.(j)) in
+  let swap i j =
+    let t = times.(i) and s = seqs.(i) and x = idxs.(i) in
+    times.(i) <- times.(j);
+    seqs.(i) <- seqs.(j);
+    idxs.(i) <- idxs.(j);
+    times.(j) <- t;
+    seqs.(j) <- s;
+    idxs.(j) <- x
+  in
+  let rec sift root limit =
+    let child = (2 * root) + 1 in
+    if child < limit then begin
+      let child = if child + 1 < limit && before child (child + 1) then child + 1 else child in
+      if before root child then begin
+        swap root child;
+        sift child limit
+      end
+    end
+  in
+  let n = g.count in
+  for root = (n / 2) - 1 downto 0 do
+    sift root n
+  done;
+  for last = n - 1 downto 1 do
+    swap 0 last;
+    sift 0 last
+  done;
+  g.sorted <- true
 
-   The window is the caller's no-overtake guarantee: if every batched
-   stream re-arms itself no sooner than [window] after its own fire
-   time, then (float addition being monotone) no re-arm pushed by the
-   batch body can be earlier than [first + window], so draining up to
-   that horizon can never pop an event ahead of one it causes.  The
-   batch body owns the per-event observables the loop would have
-   produced: it must advance the clock cell to each event's time as it
-   replays it and record any "fire:" trace lines itself (the drain
-   records none); [executed] is bumped by the whole batch up front. *)
-
-(** [set_batch_handler engine ~handler ~window_s fn] — drain consecutive
-    events of [handler] as batches into [fn].  [window_s] must be a
-    positive lower bound on every batched stream's re-arm delay. *)
-let set_batch_handler engine ~handler ~window_s fn =
-  if handler < 0 || handler >= engine.n_handlers then
-    invalid_arg "Engine.set_batch_handler: unknown handler";
-  if not (window_s > 0.0) then invalid_arg "Engine.set_batch_handler: non-positive window";
-  engine.batch_hid <- handler;
-  engine.batch_window <- window_s;
-  engine.batch_fn <- fn
+(** [set_batch_handler engine fn] — drain consecutive stream events as
+    batches into [fn]. *)
+let set_batch_handler engine fn = engine.batch_fn <- Some fn
 
 (** [batch_times engine] — fire times of the current batch, valid for
-    the first [count] slots during a [batch_fn] call.  Re-fetch inside
-    every call: the array is replaced when a larger batch grows it. *)
+    the first [count] slots during a batch call. *)
 let batch_times engine = engine.bt_times
 
-(** [batch_idxs engine] — event indices of the current batch (same
+(** [batch_idxs engine] — stream indices of the current batch (same
     validity rule as {!batch_times}). *)
 let batch_idxs engine = engine.bt_idxs
 
@@ -411,13 +419,11 @@ let stop engine = engine.running <- false
 (* Remove the heap root (whose payload the caller has already read):
    drop the last entry into the hole and sift it down. *)
 let heap_remove_root engine =
-  let times = engine.times and seqs = engine.seqs in
-  let hids = engine.hids and idxs = engine.idxs in
+  let times = engine.times and seqs = engine.seqs and slots = engine.slots in
   let last = engine.size - 1 in
   engine.size <- last;
   if last > 0 then begin
-    let lt = times.(last) and ls = seqs.(last) in
-    let lh = hids.(last) and lx = idxs.(last) in
+    let lt = times.(last) and ls = seqs.(last) and lx = slots.(last) in
     let i = ref 0 in
     let sifting = ref true in
     while !sifting do
@@ -435,8 +441,7 @@ let heap_remove_root engine =
         if times.(c) < lt || (times.(c) = lt && seqs.(c) < ls) then begin
           times.(!i) <- times.(c);
           seqs.(!i) <- seqs.(c);
-          hids.(!i) <- hids.(c);
-          idxs.(!i) <- idxs.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else sifting := false
@@ -444,130 +449,115 @@ let heap_remove_root engine =
     done;
     times.(!i) <- lt;
     seqs.(!i) <- ls;
-    hids.(!i) <- lh;
-    idxs.(!i) <- lx
+    slots.(!i) <- lx
   end
 
-(* Fire one popped event at the current clock: an indexed event calls
-   its handler (its trace label rebuilt only when a trace is attached,
-   the bytes the scheduling recorded), a closure event takes its
-   callback and label out of the slot table and frees the slot before
-   the callback runs, so a periodic re-arm reuses it. *)
-let fire engine ~hid ~idx =
+(* The (time, seq)-least pending event: -1 for the heap root, a ring
+   number for that ring's head, -2 when nothing is pending.  Its time
+   lands in [least_time] (a float return would box). *)
+let least engine =
+  let best = ref (-2) and best_seq = ref 0 in
+  let bt = engine.least_time in
+  if engine.size > 0 then begin
+    best := -1;
+    bt.v <- engine.times.(0);
+    best_seq := engine.seqs.(0)
+  end;
+  let rings = engine.rings in
+  for r = 0 to Array.length rings - 1 do
+    let g = Array.unsafe_get rings r in
+    if g.count > 0 then begin
+      let t = g.r_times.(g.head) in
+      if !best = -2 || t < bt.v || (t = bt.v && g.r_seqs.(g.head) < !best_seq) then begin
+        best := r;
+        bt.v <- t;
+        best_seq := g.r_seqs.(g.head)
+      end
+    end
+  done;
+  !best
+
+(* Pop ring [g]'s head and return its stream index. *)
+let ring_pop g =
+  let idx = g.r_idxs.(g.head) in
+  let h = g.head + 1 in
+  g.head <- (if h = Array.length g.r_idxs then 0 else h);
+  g.count <- g.count - 1;
+  idx
+
+(* Fire one popped closure event at the current clock: take its callback
+   and label out of the slot table and free the slot before the
+   callback runs, so a periodic re-arm reuses it. *)
+let fire_closure engine slot =
   engine.executed <- engine.executed + 1;
-  if hid >= 0 then begin
-    (match engine.trace with
-    | None -> ()
-    | Some tr ->
-      Trace.record tr ~time:engine.clock.v ("fire:" ^ idx_label engine ~handler:hid ~idx));
-    engine.handlers.(hid) engine idx
-  end
-  else begin
-    let fn = engine.slot_fns.(idx) in
-    (match engine.trace with
-    | None -> ()
-    | Some tr -> Trace.record tr ~time:engine.clock.v ("fire:" ^ engine.slot_labels.(idx)));
-    release_slot engine idx;
-    fn engine
-  end
+  let fn = engine.slot_fns.(slot) in
+  (match engine.trace with
+  | None -> ()
+  | Some tr -> Trace.record tr ~time:engine.clock.v ("fire:" ^ engine.slot_labels.(slot)));
+  release_slot engine slot;
+  fn engine
 
-(* Drain a batch off the heap: the caller has established that the root
-   is a batch-channel event at admissible time [t0]. *)
-let drain_heap_batch engine ~limit t0 =
-  let wend = t0 +. engine.batch_window in
+let fire_stream engine idx =
+  engine.executed <- engine.executed + 1;
+  (match engine.trace with
+  | None -> ()
+  | Some tr -> Trace.record tr ~time:engine.clock.v ("fire:" ^ stream_label engine idx));
+  engine.stream_fn engine idx
+
+(* Batch drain: the caller has established that ring [r]'s head is the
+   least event, at admissible time [t0].  Pop the maximal run of
+   consecutive stream events — stopping at the horizon, at a heap event
+   and strictly before [t0 +. min_period] — then call the body once.
+   Every stream re-arms one period, at least [min_period], after its
+   own fire, so no re-arm the body appends can be earlier than a
+   drained event. *)
+let drain_batch engine fn ~limit r t0 =
+  let wend = t0 +. engine.min_period in
   let count = ref 0 in
+  let r = ref r in
   let draining = ref true in
   while !draining do
-    let t = engine.times.(0) in
-    let idx = engine.idxs.(0) in
-    heap_remove_root engine;
+    let g = engine.rings.(!r) in
     if !count >= Array.length engine.bt_times then grow_batch engine;
-    engine.bt_times.(!count) <- t;
-    engine.bt_idxs.(!count) <- idx;
+    engine.bt_times.(!count) <- g.r_times.(g.head);
+    engine.bt_idxs.(!count) <- ring_pop g;
     incr count;
-    draining :=
-      engine.size > 0
-      && engine.hids.(0) = engine.batch_hid
-      && engine.times.(0) <= limit
-      && engine.times.(0) < wend
+    r := least engine;
+    draining := !r >= 0 && engine.least_time.v <= limit && engine.least_time.v < wend
   done;
   engine.executed <- engine.executed + !count;
   engine.clock.v <- t0;
-  engine.batch_fn engine !count
-
-(* Same drain off the calendar queue; [peek] shares the queue's cached
-   minimum with the [pop] that follows, so each admission test costs
-   one search.  Times are read from the queue's cells: a float returned
-   from another module would be boxed on every drained event. *)
-let drain_calendar_batch engine q ~limit t0 =
-  let wend = t0 +. engine.batch_window in
-  let min_time = Calendar_queue.min_time_cell q in
-  let out_time = Calendar_queue.out_time_cell q in
-  let count = ref 0 in
-  let draining = ref true in
-  while !draining do
-    ignore (Calendar_queue.pop_no_shrink q : bool);
-    if !count >= Array.length engine.bt_times then grow_batch engine;
-    engine.bt_times.(!count) <- out_time.Calendar_queue.f;
-    engine.bt_idxs.(!count) <- Calendar_queue.out_i2 q;
-    incr count;
-    draining :=
-      Calendar_queue.length q > 0
-      && Calendar_queue.peek q = engine.batch_hid
-      && min_time.Calendar_queue.f <= limit
-      && min_time.Calendar_queue.f < wend
-  done;
-  engine.executed <- engine.executed + !count;
-  engine.clock.v <- t0;
-  engine.batch_fn engine !count
-
-(* One calendar-queue event: peek (cached by the queue), honour the
-   horizon, pop through the out-fields and fire.  Same chronology and
-   trace discipline as the heap path. *)
-let step_calendar engine q ~limit looping =
-  if Calendar_queue.length q = 0 then looping := false
-  else begin
-    let hid = Calendar_queue.peek q in
-    let time = (Calendar_queue.min_time_cell q).Calendar_queue.f in
-    if time > limit then begin
-      engine.clock.v <- limit;
-      looping := false
-    end
-    else if engine.batch_hid >= 0 && hid = engine.batch_hid then
-      drain_calendar_batch engine q ~limit time
-    else begin
-      ignore (Calendar_queue.pop q : bool);
-      engine.clock.v <- time;
-      fire engine ~hid:(Calendar_queue.out_i1 q) ~idx:(Calendar_queue.out_i2 q)
-    end
-  end
+  fn engine !count
 
 (** [run_s ?until_s engine] — [run] on raw seconds. *)
 let run_s ?until_s engine =
   let limit = match until_s with None -> Float.infinity | Some s -> s in
+  Array.iter (fun g -> if not g.sorted then sort_ring g) engine.rings;
   engine.running <- true;
   let looping = ref true in
   while !looping do
     if not engine.running then looping := false
-    else
-      match engine.cal with
-      | Some q -> step_calendar engine q ~limit looping
-      | None ->
-    if engine.size = 0 then looping := false
     else begin
-      let time = engine.times.(0) in
-      if time > limit then begin
+      let r = least engine in
+      let time = engine.least_time.v in
+      if r = -2 then looping := false
+      else if time > limit then begin
         engine.clock.v <- limit;
         looping := false
       end
-      else if engine.batch_hid >= 0 && engine.hids.(0) = engine.batch_hid then
-        drain_heap_batch engine ~limit time
+      else if r >= 0 then begin
+        match engine.batch_fn with
+        | Some fn -> drain_batch engine fn ~limit r time
+        | None ->
+          let idx = ring_pop engine.rings.(r) in
+          engine.clock.v <- time;
+          fire_stream engine idx
+      end
       else begin
-        let hid = engine.hids.(0) in
-        let idx = engine.idxs.(0) in
+        let slot = engine.slots.(0) in
         heap_remove_root engine;
         engine.clock.v <- time;
-        fire engine ~hid ~idx
+        fire_closure engine slot
       end
     end
   done;

@@ -4,10 +4,11 @@
     Two parallel APIs expose the same engine.  The [Time_span.t] entry
     points are the readable default; the [_s] suffixed variants work on
     raw float seconds and are the per-event fast path — with no trace
-    attached, a run through [every_s]/[run_s] and the cell API
-    ({!clock_cell}, {!schedule_cell}, {!schedule_idx_cell}) allocates
-    no per-event garbage (events live in unboxed parallel arrays, the
-    clock is a raw double, trace hooks cost one branch).  A computed
+    attached, a run through [every_s]/[run_s], the cell API
+    ({!clock_cell}, {!schedule_cell}) and the periodic channel
+    ({!rearm}) allocates no per-event garbage (events live in unboxed
+    parallel arrays, the clock is a raw double, trace hooks cost one
+    branch).  A computed
     float handed to [schedule_s] from another module is boxed at the
     call: nothing is inlined across modules under dune's default
     [-opaque] build. *)
@@ -16,21 +17,11 @@ open Amb_units
 
 type t
 
-val default_calendar_threshold : int
-(** Pending-event population above which the engine migrates its
-    binary heap into a {!Calendar_queue} (4096).  Every experiment in
-    the suite stays far below it — only city-scale fleets migrate. *)
-
-val create : ?trace:Trace.t -> ?calendar_threshold:int -> unit -> t
+val create : ?trace:Trace.t -> unit -> t
 (** [create ?trace ()] — fresh engine at time 0.  When [trace] is given,
     every scheduling records ["schedule:<label>"] at the current clock
     and every executed callback records ["fire:<label>"] at its fire
-    time, so tests can assert event ordering.  [calendar_threshold]
-    (default {!default_calendar_threshold}) sets the pending-event
-    population at which the binary heap hands the pending set over to a
-    calendar queue — amortized O(1) scheduling for 10^5+ concurrent
-    events, with the identical (time, insertion) pop order; the
-    hand-over is one-way and invisible to callers. *)
+    time, so tests can assert event ordering. *)
 
 val now : t -> Time_span.t
 (** Current simulation time. *)
@@ -48,7 +39,7 @@ val pending : t -> int
 
 val closure_slots : t -> int
 (** Capacity of the slot table that holds pending closure events'
-    callbacks and labels (the queues themselves carry only the slot
+    callbacks and labels (the heap itself carries only the slot
     number).  Freed slots are reused, so it tracks the peak number of
     closure events pending at once — at most twice it, and at least 16
     — not the number ever scheduled. *)
@@ -91,48 +82,61 @@ val schedule_cell : ?label:string -> t -> (t -> unit) -> unit
     self-re-arming event loop fully allocation-free.  Raises
     [Invalid_argument] on a negative delay. *)
 
-val register_handler : ?label:string -> t -> (t -> int -> unit) -> int
-(** Register a shared handler on the engine's indexed event channel and
-    return its id.  One handler serves any number of pending events, so
-    a fleet scheduling a report stream per node stores one closure plus
-    an int per event instead of one closure per node.  With a trace
-    attached, each event records ["<label>:<idx>"] (default label
-    ["handler"]) — the same strings the equivalent per-node closures
-    would have produced. *)
+val periodic_channel :
+  ?label:string -> t -> periods:float array -> (t -> int -> unit) -> unit
+(** Install the engine's periodic stream channel: stream [i] reports
+    every [periods.(i)] seconds through the shared handler [fn engine i]
+    (a non-positive or non-finite entry means no stream [i]).  A fleet
+    reporting per node stores one closure plus an int per pending
+    report instead of a closure per node.  With a trace attached, each
+    scheduling and firing records ["schedule:<label>:<i>"] /
+    ["fire:<label>:<i>"] (default label ["stream"]) — the same strings
+    the equivalent per-stream closures would have produced.
 
-val schedule_idx_s : t -> handler:int -> idx:int -> delay_s:float -> unit
-(** Enqueue the indexed event [(handler, idx)] after [delay_s] seconds:
-    at fire time the registered handler is called with [idx].  Indexed
-    events share the engine's single (time, insertion-seq) order with
-    closure events — interleavings are identical to the closure
-    encoding.  Raises [Invalid_argument] on a negative delay. *)
+    Streams of one period share one ring: a flat FIFO sized once to
+    their count, since a stream has at most one report pending.  A
+    re-arm lands at [fire time +. period] with the largest sequence
+    number so far, and float addition is monotone, so it is never
+    earlier than any report pending in its ring and an O(1) append
+    keeps the ring in (time, insertion) order.  Initial reports
+    ({!arm_s}) may arrive in any order: each ring is sorted once when a
+    run starts.  The run loop fires the (time, insertion)-least of the
+    closure heap and the ring heads, so the chronology is exactly that
+    of self-re-arming closures.  Cost per event is O(number of distinct
+    periods) — meant for a handful.  Raises [Invalid_argument] when a
+    channel is already installed. *)
 
-val schedule_idx_cell : t -> handler:int -> idx:int -> unit
-(** [schedule_idx_s] with the delay taken from {!delay_cell}: the fully
-    unboxed re-arming path (two immediate ints and a cell store, no
-    float crossing a call boundary). *)
+val arm_s : t -> idx:int -> delay_s:float -> unit
+(** Schedule stream [idx]'s first report [delay_s] seconds from now
+    (an initial phase, normally below the period).  Raises
+    [Invalid_argument] on a negative or NaN delay, for an index that is
+    not a stream, when the stream's ring is full (as many reports of
+    that period pending as it has streams), and, once the ring has
+    been sorted, for a time earlier than the ring's tail. *)
 
-val set_batch_handler : t -> handler:int -> window_s:float -> (t -> int -> unit) -> unit
-(** Drain consecutive pending events of [handler] as batches.  When the
-    run loop (heap or calendar backend alike) meets a pending event on
-    that channel, it pops the maximal run of consecutive same-channel
-    events — stopping at the run horizon, at any event on another
-    channel or a plain closure event, and strictly before
-    [first fire time + window_s] — and calls [fn engine count] once
-    with the drained [(time, idx)] pairs readable through
-    {!batch_times}/{!batch_idxs}.
+val rearm : t -> idx:int -> unit
+(** Schedule stream [idx]'s next report one period from now — what the
+    handler calls as the report fires.  Same errors as {!arm_s}: an
+    out-of-order append means the fixed-period contract is broken, and
+    the engine raises rather than re-sort. *)
 
-    The contract that keeps chronology exact: [window_s] must be a
-    positive lower bound on the re-arm delay of every stream scheduled
-    on the channel, so nothing the batch body pushes can land inside
-    the drained window.  The body owns the per-event observables the
-    loop would have produced — it must write each event's fire time
-    into {!clock_cell} as it replays the event (the one sanctioned
-    exception to the cell's read-only rule) and record any
-    ["fire:<label>:<idx>"] trace lines itself; the drain records no
-    fire lines and bumps {!event_count} by the whole batch up front.
-    Raises [Invalid_argument] for an unregistered handler or a
-    non-positive window. *)
+val set_batch_handler : t -> (t -> int -> unit) -> unit
+(** Drain consecutive stream events as batches.  When the run loop meets
+    a stream event, it pops the maximal run of consecutive stream events
+    — stopping at the run horizon, at any closure event, and strictly
+    before [first fire time + the shortest period] — and calls [fn
+    engine count] once with the drained [(time, idx)] pairs readable
+    through {!batch_times}/{!batch_idxs}.
+
+    Every stream re-arms one period after its own fire, so nothing the
+    body re-arms can land inside the drained window; the body must not
+    schedule anything else inside it either.  The body owns the
+    per-event observables the loop would have produced — it must write
+    each event's fire time into {!clock_cell} as it replays the event
+    (the one sanctioned exception to the cell's read-only rule) and
+    record any ["fire:<label>:<idx>"] trace lines itself; the drain
+    records no fire lines and bumps {!event_count} by the whole batch
+    up front. *)
 
 val batch_times : t -> float array
 (** Fire times of the current batch, in pop order; only the first
@@ -141,7 +145,7 @@ val batch_times : t -> float array
     it. *)
 
 val batch_idxs : t -> int array
-(** Event indices of the current batch (same validity rule as
+(** Stream indices of the current batch (same validity rule as
     {!batch_times}). *)
 
 val stop : t -> unit

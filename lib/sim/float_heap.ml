@@ -68,9 +68,7 @@ let ensure_capacity h =
     h.seqs <- grow (fun n -> Array.make n 0) h.seqs
   end
 
-(** [push h ~key payload] — enqueue; raises [Invalid_argument] for NaN
-    keys. *)
-let push h ~key payload =
+let[@inline] push_key h key payload =
   if Float.is_nan key then invalid_arg "Float_heap.push: NaN key";
   ensure_capacity h;
   h.keys.(h.size) <- key;
@@ -80,7 +78,16 @@ let push h ~key payload =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
+(** [push h ~key payload] — enqueue; raises [Invalid_argument] for NaN
+    keys. *)
+let push h ~key payload = push_key h key payload
+
 type cell = { mutable v : float }
+
+(** [push_cell h cell payload] — [push] with the key read from [cell]:
+    a float argument of a call from another module is boxed, a cell
+    read is not. *)
+let push_cell h cell payload = push_key h cell.v payload
 
 (** [pop_min h cell] — remove the smallest entry, store its key in
     [cell] and return its payload.  A flat float cell instead of a

@@ -40,11 +40,16 @@ type config = {
 let config ?(link = Link_layer.Cached) ?(policy = Routing.Min_energy)
     ?(rebuild_period = Time_span.hours 4.0) ?(accounting_period = Time_span.minutes 10.0)
     ?diurnal ?(faults = Fault_plan.none) ?(availability_threshold = 0.9) ~fleet ~horizon () =
-  if Time_span.to_seconds horizon <= 0.0 then invalid_arg "Cosim.config: non-positive horizon";
-  if Time_span.to_seconds rebuild_period <= 0.0 then
-    invalid_arg "Cosim.config: non-positive rebuild period";
-  if Time_span.to_seconds accounting_period <= 0.0 then
-    invalid_arg "Cosim.config: non-positive accounting period";
+  (* NaN fails every comparison, so finiteness is checked first: a NaN
+     or infinite horizon or period would run until killed. *)
+  let check what span =
+    let s = Time_span.to_seconds span in
+    if not (Float.is_finite s) then invalid_arg ("Cosim.config: non-finite " ^ what);
+    if s <= 0.0 then invalid_arg ("Cosim.config: non-positive " ^ what)
+  in
+  check "horizon" horizon;
+  check "rebuild period" rebuild_period;
+  check "accounting period" accounting_period;
   if availability_threshold < 0.0 || availability_threshold > 1.0 then
     invalid_arg "Cosim.config: availability threshold outside [0,1]";
   { fleet; link; policy; horizon; rebuild_period; accounting_period; diurnal; faults;
@@ -384,18 +389,19 @@ let account_tick ?pool t now =
   Fleet_ledger.account_all ?pool t.s.ledger ~now ~on_death:(fun i -> record_death t i now)
 
 (* --- stage 3: the report channel ----------------------------------------
-   Report streams on the engine's indexed channel: one shared handler
-   plus per-node period/activation columns.  Phases are drawn from the
-   run seed in node order, exactly as Net_sim does, so the (time, seq)
+   Report streams on the engine's periodic channel: one shared handler,
+   one ring per distinct report period.  Phases are drawn from the run
+   seed in node order, exactly as Net_sim does, so the (time, seq)
    chronology and, with a trace, the "report:<n>" labels are those of
    one closure per node.  Each report runs {!Fleet_ledger.report}: the
    activation charge, then the walk over [parent]/[hop_tx]/[hop_kind].
    A charge that kills a node calls back into [record_death], whose
-   repair refreshes the three arrays before the walk goes on.  The
-   batch drain hands maximal runs of consecutive report events to one
-   body that replays them in order — it saves the per-event queue pops,
-   not the walks (DESIGN.md records why a parallel replay was
-   removed).  What [forward_s] times. *)
+   repair refreshes the three arrays before the walk goes on; a dead or
+   crashed node is simply not re-armed.  The batch drain hands maximal
+   runs of consecutive report events to one body that replays them in
+   order — it saves the per-event dispatch, not the walks (DESIGN.md
+   records why a parallel replay was removed).  What [forward_s]
+   times. *)
 
 let schedule_reports ?phase t ~seed =
   let s = t.s in
@@ -409,15 +415,7 @@ let schedule_reports ?phase t ~seed =
       ~reader_j:(Link_layer.reader_cost_rx_j s.link) ~counts:s.counts
       ~on_death:(fun i -> record_death t i clk.Engine.v)
   in
-  let hid = ref (-1) in
-  let report_event e idx =
-    if Fleet_ledger.report route idx then begin
-      (Engine.delay_cell e).v <- period.(idx);
-      Engine.schedule_idx_cell e ~handler:!hid ~idx
-    end
-  in
-  let handler = Engine.register_handler ~label:"report" engine report_event in
-  hid := handler;
+  let report_event e idx = if Fleet_ledger.report route idx then Engine.rearm e ~idx in
   (* The fire time comes from the clock cell, not an argument: a float
      passed to a closure is boxed on every call. *)
   let note_fire idx =
@@ -443,26 +441,22 @@ let schedule_reports ?phase t ~seed =
         replay e count;
         pt.forward_s <- pt.forward_s +. (pt.clock () -. t0)
   in
-  let min_period = ref Float.infinity in
   for node = 0 to n - 1 do
     if node <> s.sink then begin
       let tier_cfg = Fleet.config_of fleet fleet.Fleet.tiers.(node) in
       match tier_cfg.Fleet.report_period with
       | None -> ()
       | Some p ->
-        let period_s = Time_span.to_seconds p in
-        let phase = Rng.uniform rng 0.0 period_s in
-        period.(node) <- period_s;
-        activation.(node) <- Energy.to_joules tier_cfg.Fleet.activation_energy;
-        if period_s < !min_period then min_period := period_s;
-        Engine.schedule_idx_s engine ~handler ~idx:node ~delay_s:phase
+        period.(node) <- Time_span.to_seconds p;
+        activation.(node) <- Energy.to_joules tier_cfg.Fleet.activation_energy
     end
   done;
-  (* Arm the drain once the window is known: every report stream re-arms
-     no sooner than the minimum period after its own fire time, the
-     engine's no-overtake precondition. *)
-  if !min_period > 0.0 && Float.is_finite !min_period then
-    Engine.set_batch_handler engine ~handler ~window_s:!min_period replay
+  Engine.periodic_channel ~label:"report" engine ~periods:period report_event;
+  Engine.set_batch_handler engine replay;
+  for node = 0 to n - 1 do
+    if period.(node) > 0.0 && Float.is_finite period.(node) then
+      Engine.arm_s engine ~idx:node ~delay_s:(Rng.uniform rng 0.0 period.(node))
+  done
 
 (* --- stage 4: faults ----------------------------------------------------
    Crash and fade events, each a tree repair or rebuild, so their wall

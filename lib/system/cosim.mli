@@ -44,8 +44,8 @@ val config :
 (** Defaults: [Cached] link costs, [Min_energy] policy, 4 h rebuilds,
     10 min accounting (matching {!Amb_node.Lifetime_sim}), no diurnal
     profile, no faults, availability threshold 0.9.  Raises
-    [Invalid_argument] on non-positive horizons/periods or a threshold
-    outside [0,1]. *)
+    [Invalid_argument] on non-positive or non-finite (NaN, infinite)
+    horizons/periods or a threshold outside [0,1]. *)
 
 type outcome = {
   generated : int;

@@ -154,8 +154,8 @@ val city :
     identical to the pre-tag layout); the field is sized by [nodes]
     alone — tags generate traffic but never relay.  Leaf placement
     draws from per-block RNG streams split off the seed before any
-    parallel work, and the routing cache builds sparse above the dense
-    threshold — so the fleet is a pure function of [seed], bitwise
+    parallel work, and the routing cache is built as CSR rows — so the
+    fleet is a pure function of [seed], bitwise
     independent of [jobs], and O(n + edges) in memory.  Raises
     [Invalid_argument] when [nodes] < 4 or [tags] < 0. *)
 

@@ -1,6 +1,6 @@
 (** Reference binary-heap priority queue: the simulation kernel's first
-    event queue, kept with the tests as the plain oracle the calendar
-    queue and the float heap are checked against.  Events are ordered
+    event queue, kept with the tests as the plain oracle the float heap
+    is checked against.  Events are ordered
     by (time, insertion sequence): ties in time pop in insertion order,
     keeping simulations deterministic. *)
 

@@ -1,6 +1,6 @@
 (* City-scale fast-path oracles: every structure the large-fleet path
-   swaps in (spatial grid, CSR routing cache, CSR route tree, calendar
-   event queue, sharded construction) is checked for exact agreement
+   swaps in (spatial grid, CSR routing cache, CSR route tree, periodic
+   event rings, sharded construction) is checked for exact agreement
    with the historic O(n^2)/heap implementation it replaces — the same
    bits, not just the same statistics. *)
 
@@ -71,78 +71,102 @@ let test_connectivity_grid_tier () =
     Alcotest.(check int) (Printf.sprintf "prev %d" i) prev_b.(i) prev_g.(i)
   done
 
-(* --- calendar queue vs binary-heap order ----------------------------- *)
+(* --- periodic rings vs self-re-arming closures ------------------------- *)
 
-let prop_calendar_pop_order =
-  QCheck.Test.make ~name:"calendar queue pops in binary-heap order" ~count
-    QCheck.(list (float_bound_inclusive 1e6))
-    (fun times ->
-      (* Sprinkle far-future and infinite times to exercise the
-         overflow chain alongside the calendar proper. *)
-      let times =
-        List.concat_map
-          (fun t -> if t < 10.0 then [ t; t +. 1e17; Float.infinity ] else [ t ])
-          times
-      in
-      let cal = Amb_sim.Calendar_queue.create () in
-      let heap = Event_queue.create () in
-      List.iteri
-        (fun i t ->
-          Amb_sim.Calendar_queue.push cal ~time:t ~seq:i ~i1:i ~i2:(-i);
-          Event_queue.push heap ~time:t i)
-        times;
-      let ok = ref true in
-      List.iter
-        (fun (t, i) ->
-          if
-            not
-              (Amb_sim.Calendar_queue.min_time cal = t
-              && Amb_sim.Calendar_queue.pop cal
-              && Amb_sim.Calendar_queue.out_time cal = t
-              && Amb_sim.Calendar_queue.out_i1 cal = i
-              && Amb_sim.Calendar_queue.out_i2 cal = -i)
-          then ok := false)
-        (Event_queue.drain heap);
-      !ok && Amb_sim.Calendar_queue.length cal = 0)
-
-let prop_calendar_interleaved =
-  QCheck.Test.make ~name:"calendar queue matches heap under interleaved push/pop" ~count
-    QCheck.(small_nat)
+(* The same report streams on the engine's periodic rings and as
+   self-re-arming closures on its heap: one period per stream drawn
+   from a few values (equal periods share a ring), phases on a
+   half-second grid below the period (ties within and across rings),
+   streams that stop re-arming after a drawn number of fires, one-shot
+   closures (some scheduling a child, one calling [stop]) and a run
+   resumed to the horizon after [until] and [stop].  The chronology,
+   the traced schedule/fire bytes, the executed count and every
+   returned clock must be equal — unbatched and through the batch
+   drain alike. *)
+let prop_rings_equal_closures =
+  QCheck.Test.make ~name:"engine rings replay self-re-arming closures" ~count
+    QCheck.small_nat
     (fun seed ->
       let rng = Amb_sim.Rng.create (9000 + seed) in
-      let cal = Amb_sim.Calendar_queue.create () in
-      let heap = Event_queue.create () in
-      let seq = ref 0 in
-      let clock = ref 0.0 in
-      let ok = ref true in
-      for _ = 1 to 400 do
-        if Amb_sim.Rng.int rng 3 > 0 || Event_queue.is_empty heap then begin
-          (* Engine-style push: never in the past, occasionally tied. *)
-          let t = !clock +. Amb_sim.Rng.uniform rng 0.0 50.0 in
-          let t = if Amb_sim.Rng.int rng 8 = 0 then !clock else t in
-          Amb_sim.Calendar_queue.push cal ~time:t ~seq:!seq ~i1:0 ~i2:!seq;
-          Event_queue.push heap ~time:t !seq;
-          incr seq
-        end
-        else
-          match Event_queue.pop heap with
-          | None -> ()
-          | Some (t, i) ->
-            clock := t;
-            if
-              not
-                (Amb_sim.Calendar_queue.pop cal
-                && Amb_sim.Calendar_queue.out_time cal = t
-                && Amb_sim.Calendar_queue.out_i2 cal = i)
-            then ok := false
-      done;
-      !ok && Amb_sim.Calendar_queue.length cal = Event_queue.length heap)
+      let pick k = Amb_sim.Rng.int rng k in
+      let choices = [| 1.0; 1.5; 2.0; 3.0; 4.5 |] in
+      let m = 1 + pick 3 in
+      let streams = 1 + pick 60 in
+      let periods = Array.init streams (fun _ -> choices.(pick m + pick 2)) in
+      let phases =
+        Array.map (fun p -> 0.5 *. Float.of_int (pick (int_of_float (2.0 *. p)))) periods
+      in
+      let stop_after = Array.init streams (fun _ -> if pick 3 = 0 then 1 + pick 20 else 0) in
+      let closures =
+        Array.init (pick 20) (fun _ -> (0.5 *. Float.of_int (pick 80), pick 4, pick 10 = 0))
+      in
+      let first_until = 0.5 *. Float.of_int (pick 60) in
+      let horizon = 40.0 in
+      let run mode =
+        let trace = Amb_sim.Trace.create ~capacity:100_000 () in
+        let e = Amb_sim.Engine.create ~trace () in
+        let log = Buffer.create 4096 in
+        let clk = Amb_sim.Engine.clock_cell e in
+        let fires = Array.make streams 0 in
+        let report idx =
+          Buffer.add_string log (Printf.sprintf "r%d@%h;" idx clk.Amb_sim.Engine.v);
+          fires.(idx) <- fires.(idx) + 1;
+          stop_after.(idx) = 0 || fires.(idx) < stop_after.(idx)
+        in
+        (match mode with
+        | `Closures ->
+          for idx = 0 to streams - 1 do
+            let label = "report:" ^ Int.to_string idx in
+            let rec tick e =
+              if report idx then Amb_sim.Engine.schedule_s ~label e ~delay_s:periods.(idx) tick
+            in
+            Amb_sim.Engine.schedule_s ~label e ~delay_s:phases.(idx) tick
+          done
+        | `Rings | `Batched ->
+          let handler e idx = if report idx then Amb_sim.Engine.rearm e ~idx in
+          Amb_sim.Engine.periodic_channel ~label:"report" e ~periods handler;
+          if mode = `Batched then
+            Amb_sim.Engine.set_batch_handler e (fun e count ->
+                let ts = Amb_sim.Engine.batch_times e and xs = Amb_sim.Engine.batch_idxs e in
+                for k = 0 to count - 1 do
+                  clk.Amb_sim.Engine.v <- ts.(k);
+                  Amb_sim.Trace.record trace ~time:ts.(k) ("fire:report:" ^ Int.to_string xs.(k));
+                  handler e xs.(k)
+                done);
+          for idx = 0 to streams - 1 do
+            Amb_sim.Engine.arm_s e ~idx ~delay_s:phases.(idx)
+          done);
+        Array.iteri
+          (fun i (at, child, stops) ->
+            Amb_sim.Engine.schedule_at_s ~label:(Printf.sprintf "once%d" i) e at (fun e ->
+                Buffer.add_string log (Printf.sprintf "c%d@%h;" i clk.Amb_sim.Engine.v);
+                if child > 0 then
+                  Amb_sim.Engine.schedule_s ~label:"child" e ~delay_s:(0.5 *. Float.of_int child)
+                    (fun _ -> Buffer.add_string log (Printf.sprintf "k%d;" i));
+                if stops then Amb_sim.Engine.stop e))
+          closures;
+        let clocks = ref [ Amb_sim.Engine.run_s ~until_s:first_until e ] in
+        for _ = 1 to 1 + Array.length closures do
+          clocks := Amb_sim.Engine.run_s ~until_s:horizon e :: !clocks
+        done;
+        let traced =
+          List.map
+            (fun (x : Amb_sim.Trace.entry) -> Printf.sprintf "%h %s" x.time x.label)
+            (Amb_sim.Trace.to_list trace)
+        in
+        (Buffer.contents log, traced, !clocks, Amb_sim.Engine.event_count e,
+         Amb_sim.Engine.pending e)
+      in
+      let reference = run `Closures in
+      run `Rings = reference && run `Batched = reference)
 
-(* The engine must produce the identical event chronology on both queue
-   tiers: same callbacks, same clock readings, same final time. *)
-let test_engine_calendar_equiv () =
-  let run ~calendar_threshold =
-    let e = Amb_sim.Engine.create ~calendar_threshold () in
+(* 2 000 one-shot closures around 20 periodic streams (periods 3..22 s,
+   a ring each, re-armed up to 450 s): the ring engine fires them in
+   the order of the same streams as [every_s] closures — same
+   callbacks, same clock readings, same final time. *)
+let test_engine_rings_equal_closures () =
+  let run ~rings =
+    let e = Amb_sim.Engine.create () in
     let rng = Amb_sim.Rng.create 77 in
     let log = Buffer.create 4096 in
     for i = 0 to 1999 do
@@ -151,60 +175,72 @@ let test_engine_calendar_equiv () =
           Buffer.add_string log
             (Printf.sprintf "%d@%.17g;" i (Amb_sim.Engine.now_s e)))
     done;
-    for k = 0 to 19 do
-      Amb_sim.Engine.every_s e ~period_s:(3.0 +. Float.of_int k) ~until_s:450.0 (fun e ->
-          Buffer.add_string log (Printf.sprintf "p%d@%.17g;" k (Amb_sim.Engine.now_s e));
-          true)
-    done;
+    let period k = 3.0 +. Float.of_int k in
+    let tick e k = Buffer.add_string log (Printf.sprintf "p%d@%.17g;" k (Amb_sim.Engine.now_s e)) in
+    if rings then begin
+      Amb_sim.Engine.periodic_channel e ~periods:(Array.init 20 period) (fun e k ->
+          tick e k;
+          if Amb_sim.Engine.now_s e +. period k <= 450.0 then Amb_sim.Engine.rearm e ~idx:k);
+      for k = 0 to 19 do
+        Amb_sim.Engine.arm_s e ~idx:k ~delay_s:(period k)
+      done
+    end
+    else
+      for k = 0 to 19 do
+        Amb_sim.Engine.every_s e ~period_s:(period k) ~until_s:450.0 (fun e ->
+            tick e k;
+            true)
+      done;
     let final = Amb_sim.Engine.run_s ~until_s:480.0 e in
     (Buffer.contents log, final, Amb_sim.Engine.event_count e)
   in
-  let log_h, final_h, count_h = run ~calendar_threshold:max_int in
-  let log_c, final_c, count_c = run ~calendar_threshold:16 in
-  Alcotest.(check string) "event chronology" log_h log_c;
-  Alcotest.(check (float 0.0)) "final clock" final_h final_c;
-  Alcotest.(check int) "events executed" count_h count_c
+  let log_h, final_h, count_h = run ~rings:false in
+  let log_r, final_r, count_r = run ~rings:true in
+  Alcotest.(check string) "event chronology" log_h log_r;
+  Alcotest.(check (float 0.0)) "final clock" final_h final_r;
+  Alcotest.(check int) "events executed" count_h count_r
 
-(* Dense same-second bursts across the hand-over: [streams] indexed
-   report streams on 30 s periods whose phases pile hundreds of events
-   onto each whole second (a third of them on exact ties), plus a few
-   closure events.  With 1-4x [Engine.default_calendar_threshold]
-   pending, the default engine migrates mid-arming — the largest
-   population also crosses the calendar's first resize — and its fire
-   sequence must equal an engine that never leaves the heap. *)
-let test_engine_burst_migration () =
-  let run ~calendar_threshold ~streams =
-    let e = Amb_sim.Engine.create ~calendar_threshold () in
+(* Dense same-second bursts: [streams] report streams on one 30 s ring
+   whose phases pile hundreds of events onto each whole second (a third
+   of them on exact ties), plus a few closure events.  At 1-4x 4 096
+   streams, the city's pending population, the ring engine's fire
+   sequence must equal the same streams as closures on the heap. *)
+let test_engine_ring_bursts () =
+  let run ~rings ~streams =
+    let e = Amb_sim.Engine.create () in
     let fired = Buffer.create (1 lsl 16) in
     let log tag idx e =
       Buffer.add_string fired
         (Printf.sprintf "%c%d@%h;" tag idx (Amb_sim.Engine.clock_cell e).Amb_sim.Engine.v)
     in
-    let hid = ref (-1) in
-    let handler e idx =
-      log 'r' idx e;
-      (Amb_sim.Engine.delay_cell e).Amb_sim.Engine.v <- 30.0;
-      Amb_sim.Engine.schedule_idx_cell e ~handler:!hid ~idx
-    in
-    hid := Amb_sim.Engine.register_handler e handler;
+    if rings then
+      Amb_sim.Engine.periodic_channel e ~periods:(Array.make streams 30.0) (fun e idx ->
+          log 'r' idx e;
+          Amb_sim.Engine.rearm e ~idx);
     for i = 0 to streams - 1 do
       let phase = Float.of_int (i mod 30) +. (0.25 *. Float.of_int (i mod 3 * (i mod 2))) in
-      Amb_sim.Engine.schedule_idx_s e ~handler:!hid ~idx:i ~delay_s:phase;
+      if rings then Amb_sim.Engine.arm_s e ~idx:i ~delay_s:phase
+      else begin
+        let rec tick e =
+          log 'r' i e;
+          Amb_sim.Engine.schedule_s e ~delay_s:30.0 tick
+        in
+        Amb_sim.Engine.schedule_s e ~delay_s:phase tick
+      end;
       if i mod 1000 = 0 then Amb_sim.Engine.schedule_at_s e phase (log 'c' i)
     done;
     let final = Amb_sim.Engine.run_s ~until_s:75.0 e in
     (Buffer.contents fired, final, Amb_sim.Engine.event_count e)
   in
-  let threshold = Amb_sim.Engine.default_calendar_threshold in
   List.iter
     (fun streams ->
-      let log_h, final_h, count_h = run ~calendar_threshold:max_int ~streams in
-      let log_c, final_c, count_c = run ~calendar_threshold:threshold ~streams in
+      let log_h, final_h, count_h = run ~rings:false ~streams in
+      let log_r, final_r, count_r = run ~rings:true ~streams in
       let ctx = Printf.sprintf "%d streams" streams in
-      Alcotest.(check int) (ctx ^ ": events executed") count_h count_c;
-      Alcotest.(check bool) (ctx ^ ": fire sequence") true (String.equal log_h log_c);
-      Alcotest.(check (float 0.0)) (ctx ^ ": final clock") final_h final_c)
-    [ threshold + 1; 2 * threshold; (4 * threshold) + 500 ]
+      Alcotest.(check int) (ctx ^ ": events executed") count_h count_r;
+      Alcotest.(check bool) (ctx ^ ": fire sequence") true (String.equal log_h log_r);
+      Alcotest.(check (float 0.0)) (ctx ^ ": final clock") final_h final_r)
+    [ 4097; 8192; 16884 ]
 
 (* --- the engine's closure slot table ----------------------------------- *)
 
@@ -212,52 +248,43 @@ let test_engine_burst_migration () =
    table and frees the slot as it fires, so the table tracks the peak
    number of closure events pending at once, not how many were ever
    scheduled: three periodic streams tick ~1.1e5 times between them
-   around one burst of 200 one-shot events (peak 203 pending), on
-   either queue. *)
+   around one burst of 200 one-shot events (peak 203 pending). *)
 let test_closure_slots_track_peak () =
-  List.iter
-    (fun calendar_threshold ->
-      let e = Amb_sim.Engine.create ~calendar_threshold () in
-      for k = 0 to 2 do
-        Amb_sim.Engine.every_s e ~period_s:(1.0 +. Float.of_int k) ~until_s:60_000.0 (fun _ ->
-            true)
-      done;
-      let burst = 200 in
-      Amb_sim.Engine.schedule_at_s e 100.0 (fun e ->
-          for k = 1 to burst do
-            Amb_sim.Engine.schedule_s e ~delay_s:(Float.of_int k) (fun _ -> ())
-          done);
-      ignore (Amb_sim.Engine.run_s ~until_s:400.0 e : float);
-      let after_burst = Amb_sim.Engine.closure_slots e in
-      ignore (Amb_sim.Engine.run_s e : float);
-      let ctx = Printf.sprintf "threshold %d" calendar_threshold in
-      let peak = burst + 3 in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %d slots hold the peak of %d" ctx after_burst peak)
-        true
-        (after_burst >= peak && after_burst <= 2 * peak);
-      Alcotest.(check int) (ctx ^ ": no growth over the periodic tail") after_burst
-        (Amb_sim.Engine.closure_slots e);
-      Alcotest.(check int) (ctx ^ ": events") (60_000 + 30_000 + 20_000 + burst + 1)
-        (Amb_sim.Engine.event_count e))
-    [ max_int; 16 ]
+  let e = Amb_sim.Engine.create () in
+  for k = 0 to 2 do
+    Amb_sim.Engine.every_s e ~period_s:(1.0 +. Float.of_int k) ~until_s:60_000.0 (fun _ -> true)
+  done;
+  let burst = 200 in
+  Amb_sim.Engine.schedule_at_s e 100.0 (fun e ->
+      for k = 1 to burst do
+        Amb_sim.Engine.schedule_s e ~delay_s:(Float.of_int k) (fun _ -> ())
+      done);
+  ignore (Amb_sim.Engine.run_s ~until_s:400.0 e : float);
+  let after_burst = Amb_sim.Engine.closure_slots e in
+  ignore (Amb_sim.Engine.run_s e : float);
+  let peak = burst + 3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d slots hold the peak of %d" after_burst peak)
+    true
+    (after_burst >= peak && after_burst <= 2 * peak);
+  Alcotest.(check int) "no growth over the periodic tail" after_burst
+    (Amb_sim.Engine.closure_slots e);
+  Alcotest.(check int) "events" (60_000 + 30_000 + 20_000 + burst + 1)
+    (Amb_sim.Engine.event_count e)
 
-(* [stop] leaves closure events pending in the slot table; resuming
-   must fire them exactly as an uninterrupted run does: the traced
-   schedule/fire log (closure, periodic and indexed events interleaved)
-   and the final clock are identical. *)
+(* [stop] leaves closure and ring events pending; resuming must fire
+   them exactly as an uninterrupted run does: the traced schedule/fire
+   log (closure, periodic and ring events interleaved) and the final
+   clock are identical. *)
 let test_stop_resume_closure_log () =
-  let run ~calendar_threshold ~stop =
+  let run ~stop =
     let trace = Amb_sim.Trace.create ~capacity:100_000 () in
-    let e = Amb_sim.Engine.create ~trace ~calendar_threshold () in
+    let e = Amb_sim.Engine.create ~trace () in
     Amb_sim.Engine.every_s ~label:"tick" e ~period_s:7.0 ~until_s:500.0 (fun _ -> true);
-    let hid = ref (-1) in
-    hid :=
-      Amb_sim.Engine.register_handler ~label:"idx" e (fun e idx ->
-          if idx < 40 then
-            Amb_sim.Engine.schedule_idx_s e ~handler:!hid ~idx:(idx + 10) ~delay_s:11.0);
+    Amb_sim.Engine.periodic_channel ~label:"idx" e ~periods:(Array.make 50 11.0) (fun e idx ->
+        if idx < 40 then Amb_sim.Engine.arm_s e ~idx:(idx + 10) ~delay_s:11.0);
     for i = 0 to 9 do
-      Amb_sim.Engine.schedule_idx_s e ~handler:!hid ~idx:i ~delay_s:(Float.of_int i)
+      Amb_sim.Engine.arm_s e ~idx:i ~delay_s:(Float.of_int i)
     done;
     for i = 0 to 59 do
       Amb_sim.Engine.schedule_at_s ~label:(Printf.sprintf "once%d" i) e
@@ -278,45 +305,11 @@ let test_stop_resume_closure_log () =
     in
     (log, final, paused)
   in
-  List.iter
-    (fun calendar_threshold ->
-      let ctx = Printf.sprintf "threshold %d" calendar_threshold in
-      let log, final, _ = run ~calendar_threshold ~stop:false in
-      let log', final', paused = run ~calendar_threshold ~stop:true in
-      Alcotest.(check bool) (ctx ^ ": stopped with closure events pending") true (paused > 0);
-      Alcotest.(check (list string)) (ctx ^ ": traced log") log log';
-      Alcotest.(check (float 0.0)) (ctx ^ ": final clock") final final')
-    [ max_int; 16 ]
-
-(* Pushing a dense burst into a fresh queue (1 s buckets, so every push
-   walks a chain of hundreds of same-second events) must not allocate
-   per chain step: 2 words per push are the boxed time argument, and the
-   cell push allocates nothing.  An untyped (polymorphic) comparison
-   boxed both times at every step, ~130 words per push. *)
-let test_calendar_push_words () =
-  let fill push =
-    let q = Amb_sim.Calendar_queue.create ~buckets:8192 () in
-    for k = 0 to 999 do
-      push q k
-    done;
-    let n = 12_000 in
-    let before = Gc.minor_words () in
-    for k = 1000 to 999 + n do
-      push q k
-    done;
-    (Gc.minor_words () -. before) /. Float.of_int n
-  in
-  let[@inline] time k = Float.of_int (k mod 30) +. (0.001 *. Float.of_int (k mod 7)) in
-  let boxed =
-    fill (fun q k -> Amb_sim.Calendar_queue.push q ~time:(time k) ~seq:k ~i1:0 ~i2:k)
-  in
-  let cell =
-    fill (fun q k ->
-        (Amb_sim.Calendar_queue.time_cell q).Amb_sim.Calendar_queue.f <- time k;
-        Amb_sim.Calendar_queue.push_cell q ~seq:k ~i1:0 ~i2:k)
-  in
-  if boxed > 4.0 then Alcotest.failf "Calendar_queue.push: %.1f minor words/push (budget 4)" boxed;
-  if cell > 1.0 then Alcotest.failf "Calendar_queue.push_cell: %.1f minor words/push (budget 1)" cell
+  let log, final, _ = run ~stop:false in
+  let log', final', paused = run ~stop:true in
+  Alcotest.(check bool) "stopped with events pending" true (paused > 0);
+  Alcotest.(check (list string)) "traced log" log log';
+  Alcotest.(check (float 0.0)) "final clock" final final'
 
 (* --- CSR routing cache vs the dense reference grid ------------------- *)
 
@@ -742,20 +735,16 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_spatial_neighbors;
       prop_spatial_distances;
-      prop_calendar_pop_order;
-      prop_calendar_interleaved;
+      prop_rings_equal_closures;
       prop_sparse_routing_equiv;
       prop_route_tree_csr_equiv;
       prop_tx_tariff_exact;
     ]
   @ [ Alcotest.test_case "connectivity grid tier equals brute force" `Quick
         test_connectivity_grid_tier;
-      Alcotest.test_case "engine calendar tier equals heap tier" `Quick
-        test_engine_calendar_equiv;
-      Alcotest.test_case "engine hand-over under same-second bursts" `Quick
-        test_engine_burst_migration;
-      Alcotest.test_case "calendar push allocates no chain boxes" `Quick
-        test_calendar_push_words;
+      Alcotest.test_case "engine rings equal closures" `Quick
+        test_engine_rings_equal_closures;
+      Alcotest.test_case "ring bursts equal closures" `Quick test_engine_ring_bursts;
       Alcotest.test_case "closure slot table holds the pending peak" `Quick
         test_closure_slots_track_peak;
       Alcotest.test_case "stop and resume keep the traced log" `Quick

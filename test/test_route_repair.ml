@@ -402,11 +402,13 @@ let test_engine_allocation_free () =
 
 (* One fade-free rebuild on an 8 000-node city relaxes every CSR edge
    once.  The heap pop hands its key back through a float cell, the
-   fade lookup returns before building a key pair, and the pricing
-   reads the edge by its row slot and answers through a cell, so what
-   is left is the boxed key of each heap push (~0.18 words per edge).
-   Read 13.8 words per edge before the first two, 4.2 while each weight
-   call still returned a boxed float. *)
+   push takes its key from one, the fade lookup returns before building
+   a key pair, and the pricing reads the edge by its row slot and
+   answers through a cell, so the sweep allocates nothing per edge —
+   under min-energy and min-hop pricing alike (max-lifetime pricing
+   still reads a boxed reserve per edge).  Read 13.8 words per edge
+   before the first two, 4.2 while each weight call still returned a
+   boxed float, 0.18 while each push boxed its key. *)
 let test_rebuild_allocation () =
   let open Amb_system in
   let fleet = Fleet.city ~nodes:8000 ~seed:42 () in
@@ -414,16 +416,24 @@ let test_rebuild_allocation () =
   let n = Fleet.node_count fleet in
   let offsets, _ as rows = Routing.rows router in
   let link = Link_layer.create ~router ~mode:Link_layer.Cached () in
-  let weight i j k c = Link_layer.weight_into link i j k c in
+  let min_energy i j k c = Link_layer.weight_into link i j k c in
+  let min_hop i j k c =
+    Link_layer.weight_into link i j k c;
+    if not (Float.is_nan c.Route_tree.v) then c.Route_tree.v <- 1.0
+  in
   let alive _ = true in
-  let tree = Route_tree.create ~rows ~sink:fleet.Fleet.sink in
-  Route_tree.rebuild tree ~weight ~alive;
-  let before = Gc.minor_words () in
-  Route_tree.rebuild tree ~weight ~alive;
-  let words = Gc.minor_words () -. before in
-  let per_edge = words /. Float.of_int offsets.(n) in
-  if per_edge > 0.5 then
-    Alcotest.failf "rebuild allocates %.2f minor words per edge (budget 0.5)" per_edge
+  List.iter
+    (fun (name, weight) ->
+      let tree = Route_tree.create ~rows ~sink:fleet.Fleet.sink in
+      Route_tree.rebuild tree ~weight ~alive;
+      let before = Gc.minor_words () in
+      Route_tree.rebuild tree ~weight ~alive;
+      let words = Gc.minor_words () -. before in
+      let per_edge = words /. Float.of_int offsets.(n) in
+      if per_edge > 0.02 then
+        Alcotest.failf "%s rebuild allocates %.3f minor words per edge (budget 0.02)" name
+          per_edge)
+    [ ("min-energy", min_energy); ("min-hop", min_hop) ]
 
 (* The stochastic-core counterpart of the engine budget above: 1M
    uniform draws.  Through the batch kernel the whole run must stay

@@ -141,73 +141,108 @@ let test_engine_past_rejected () =
         (fun () -> Engine.schedule_at e (Time_span.seconds 1.0) (fun _ -> ())));
   ignore (Engine.run engine)
 
-(* --- Engine batch drain --- *)
+(* --- Engine periodic rings and batch drain --- *)
 
-(* A batched engine must replay the exact chronology of an unbatched
-   one: same (time, idx) pairs in the same order, same interleaving
-   with closure events and other channels, same executed count.
-   [calendar_threshold] picks the backend under test — a huge value
-   keeps the run on the binary heap, a tiny one migrates the pending
-   set into the calendar queue. *)
-let batch_drain_check ~calendar_threshold =
+(* A ring engine, with and without the batch drain, must replay the
+   exact chronology of the same streams run as self-re-arming closures
+   on the heap: same (time, idx) pairs in the same order, same
+   interleaving with closure events, same executed count and final
+   clock.  Six periods over 24 streams (four streams per ring), phases
+   on a whole-second grid so reports tie across rings.  [closures] adds
+   one-shot closure events, one of them tied with a report, so the drain
+   must also stop at heap events. *)
+let batch_drain_check ~closures =
   let streams = 24 in
   let window = 5.0 in
-  let period k = window +. (0.25 *. Float.of_int k) in
+  let period k = window +. (0.25 *. Float.of_int (k mod 6)) in
+  let phase k = Float.of_int (k mod 4) in
   let horizon = 120.0 in
   let batch_calls = ref 0 and max_batch = ref 0 in
-  let run ~batched =
-    let engine = Engine.create ~calendar_threshold () in
+  let run mode =
+    let engine = Engine.create () in
     let seen = ref [] in
     let record t idx = seen := (t, idx) :: !seen in
-    let hid = ref (-1) in
-    let handler =
-      Engine.register_handler engine (fun e idx ->
+    (match mode with
+    | `Closures ->
+      for k = 0 to streams - 1 do
+        let rec tick e =
+          record (Engine.now_s e) k;
+          Engine.schedule_s e ~delay_s:(period k) tick
+        in
+        Engine.schedule_s engine ~delay_s:(phase k) tick
+      done
+    | `Rings | `Batched ->
+      Engine.periodic_channel engine ~periods:(Array.init streams period) (fun e idx ->
           record (Engine.now_s e) idx;
-          Engine.schedule_idx_s e ~handler:!hid ~idx ~delay_s:(period idx))
-    in
-    hid := handler;
-    (* A second, unbatched channel and plain closure events: both must
-       break batches without perturbing the order. *)
-    let other = Engine.register_handler engine (fun e idx -> record (Engine.now_s e) (1000 + idx)) in
-    if batched then
-      Engine.set_batch_handler engine ~handler ~window_s:window (fun e count ->
-          incr batch_calls;
-          if count > !max_batch then max_batch := count;
-          let ts = Engine.batch_times e and xs = Engine.batch_idxs e in
-          let clk = Engine.clock_cell e in
-          if ts.(count - 1) >= ts.(0) +. window then
-            Alcotest.failf "batch spans %.3f s, window %.3f" (ts.(count - 1) -. ts.(0)) window;
-          for k = 0 to count - 1 do
-            let t = ts.(k) and idx = xs.(k) in
-            clk.Engine.v <- t;
-            record t idx;
-            Engine.schedule_idx_s e ~handler ~idx ~delay_s:(period idx)
-          done);
-    for k = 0 to streams - 1 do
-      Engine.schedule_idx_s engine ~handler ~idx:k ~delay_s:(period k)
-    done;
-    Engine.schedule_idx_s engine ~handler:other ~idx:3 ~delay_s:7.3;
-    Engine.schedule_idx_s engine ~handler:other ~idx:4 ~delay_s:33.0;
-    Engine.schedule_at_s engine 18.25 (fun e -> record (Engine.now_s e) (-1));
+          Engine.rearm e ~idx);
+      if mode = `Batched then
+        Engine.set_batch_handler engine (fun e count ->
+            incr batch_calls;
+            if count > !max_batch then max_batch := count;
+            let ts = Engine.batch_times e and xs = Engine.batch_idxs e in
+            let clk = Engine.clock_cell e in
+            if ts.(count - 1) >= ts.(0) +. window then
+              Alcotest.failf "batch spans %.3f s, window %.3f" (ts.(count - 1) -. ts.(0)) window;
+            for k = 0 to count - 1 do
+              let t = ts.(k) and idx = xs.(k) in
+              clk.Engine.v <- t;
+              record t idx;
+              Engine.rearm e ~idx
+            done);
+      for k = 0 to streams - 1 do
+        Engine.arm_s engine ~idx:k ~delay_s:(phase k)
+      done);
+    if closures then begin
+      Engine.schedule_at_s engine 7.3 (fun e -> record (Engine.now_s e) 1003);
+      Engine.schedule_at_s engine 33.0 (fun e -> record (Engine.now_s e) 1004);
+      Engine.schedule_at_s engine 18.25 (fun e -> record (Engine.now_s e) (-1));
+      (* Stream 0 reports at 0, 5, 10, ...: a tie, fired after it. *)
+      Engine.schedule_at_s engine 10.0 (fun e -> record (Engine.now_s e) (-2))
+    end;
     let final = Engine.run_s ~until_s:horizon engine in
     (List.rev !seen, Engine.event_count engine, final)
   in
-  let plain, count_p, final_p = run ~batched:false in
-  let drained, count_d, final_d = run ~batched:true in
-  Alcotest.(check int) "same executed count" count_p count_d;
-  Alcotest.(check (float 0.0)) "same final time" final_p final_d;
-  Alcotest.(check int) "same chronology length" (List.length plain) (List.length drained);
-  List.iter2
-    (fun (tp, ip) (td, id) ->
-      Alcotest.(check int) "same idx" ip id;
-      if not (Int64.equal (Int64.bits_of_float tp) (Int64.bits_of_float td)) then
-        Alcotest.failf "fire time diverged at idx %d: %h <> %h" ip tp td)
-    plain drained;
+  let plain, count_p, final_p = run `Closures in
+  List.iter
+    (fun (name, mode) ->
+      let got, count_g, final_g = run mode in
+      Alcotest.(check int) (name ^ ": same executed count") count_p count_g;
+      Alcotest.(check (float 0.0)) (name ^ ": same final time") final_p final_g;
+      Alcotest.(check int) (name ^ ": same chronology length") (List.length plain)
+        (List.length got);
+      List.iter2
+        (fun (tp, ip) (tg, ig) ->
+          Alcotest.(check int) (name ^ ": same idx") ip ig;
+          if not (Int64.equal (Int64.bits_of_float tp) (Int64.bits_of_float tg)) then
+            Alcotest.failf "%s: fire time diverged at idx %d: %h <> %h" name ip tp tg)
+        plain got)
+    [ ("rings", `Rings); ("batched rings", `Batched) ];
   if !batch_calls = 0 then Alcotest.fail "no batch was drained";
   if !max_batch < 2 then Alcotest.fail "no batch held more than one event"
 
-let test_engine_batch_drain_heap () = batch_drain_check ~calendar_threshold:max_int
-let test_engine_batch_drain_calendar () = batch_drain_check ~calendar_threshold:8
+let test_engine_batch_drain_heap () = batch_drain_check ~closures:true
+let test_engine_batch_drain_rings () = batch_drain_check ~closures:false
+
+(* The fixed-period contract is checked, not assumed: once a ring has
+   been sorted (the run started), an append earlier than its tail
+   raises instead of silently re-sorting. *)
+let test_ring_out_of_order_append () =
+  let engine = Engine.create () in
+  Engine.periodic_channel engine ~periods:[| 10.0; 10.0; 10.0 |] (fun e idx ->
+      if idx = 0 then
+        Alcotest.check_raises "append before the tail"
+          (Invalid_argument "Engine: periodic re-arm earlier than its ring's tail") (fun () ->
+            Engine.arm_s e ~idx:2 ~delay_s:1.0));
+  Engine.arm_s engine ~idx:1 ~delay_s:9.0;
+  Engine.arm_s engine ~idx:0 ~delay_s:2.0;
+  ignore (Engine.run_s ~until_s:5.0 engine : float);
+  (* One report pending; the ring holds three. *)
+  Engine.arm_s engine ~idx:1 ~delay_s:6.0;
+  Engine.arm_s engine ~idx:1 ~delay_s:6.0;
+  Alcotest.check_raises "ring full" (Invalid_argument "Engine: periodic ring full") (fun () ->
+      Engine.arm_s engine ~idx:1 ~delay_s:6.0);
+  Alcotest.check_raises "not a stream" (Invalid_argument "Engine: not a periodic stream")
+    (fun () -> Engine.arm_s engine ~idx:3 ~delay_s:1.0)
 
 (* --- Rng --- *)
 
@@ -427,7 +462,8 @@ let suite =
     ("engine every", `Quick, test_engine_every);
     ("engine rejects past", `Quick, test_engine_past_rejected);
     ("engine batch drain (heap)", `Quick, test_engine_batch_drain_heap);
-    ("engine batch drain (calendar)", `Quick, test_engine_batch_drain_calendar);
+    ("engine batch drain (rings)", `Quick, test_engine_batch_drain_rings);
+    ("ring rejects out-of-order append", `Quick, test_ring_out_of_order_append);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng uniform range", `Quick, test_rng_uniform_range);
     ("rng exponential mean", `Quick, test_rng_exponential_mean);

@@ -57,6 +57,29 @@ let test_fleet_rejects_bad_counts () =
   Alcotest.check_raises "city too small" (Invalid_argument "Fleet.city: need at least four nodes")
     (fun () -> ignore (Fleet.city ~nodes:1 ~seed:1 ()))
 
+(* NaN fails every comparison, so a NaN horizon or period used to pass
+   the non-positive checks and an infinite one ran until killed: both
+   are refused up front, for the horizon and both periods. *)
+let test_config_rejects_non_finite () =
+  let fleet = Fleet.make ~leaves:2 ~relays:1 ~seed:1 () in
+  let h = Time_span.hours 1.0 in
+  List.iter
+    (fun (what, v) ->
+      let span = Time_span.seconds v in
+      let name = Printf.sprintf "%s %g" what v in
+      Alcotest.check_raises (name ^ " horizon")
+        (Invalid_argument "Cosim.config: non-finite horizon") (fun () ->
+          ignore (Cosim.config ~fleet ~horizon:span ()));
+      Alcotest.check_raises (name ^ " rebuild period")
+        (Invalid_argument "Cosim.config: non-finite rebuild period") (fun () ->
+          ignore (Cosim.config ~rebuild_period:span ~fleet ~horizon:h ()));
+      Alcotest.check_raises (name ^ " accounting period")
+        (Invalid_argument "Cosim.config: non-finite accounting period") (fun () ->
+          ignore (Cosim.config ~accounting_period:span ~fleet ~horizon:h ())))
+    [ ("nan", Float.nan); ("inf", Float.infinity); ("-inf", Float.neg_infinity) ];
+  Alcotest.check_raises "zero horizon" (Invalid_argument "Cosim.config: non-positive horizon")
+    (fun () -> ignore (Cosim.config ~fleet ~horizon:(Time_span.seconds 0.0) ()))
+
 (* Degenerate shapes that must construct: a tags-only fleet (the sink
    serves nothing but backscatter tags) and the single-leaf minimum. *)
 let test_fleet_degenerate_shapes () =
@@ -467,6 +490,7 @@ let suite =
   [ ("fleet shape", `Quick, test_fleet_shape);
     ("fleet layout deterministic", `Quick, test_fleet_layout_deterministic);
     ("fleet rejects bad counts", `Quick, test_fleet_rejects_bad_counts);
+    ("config rejects non-finite spans", `Quick, test_config_rejects_non_finite);
     ("fleet degenerate shapes", `Quick, test_fleet_degenerate_shapes);
     ("tags preserve layout", `Quick, test_fleet_tags_preserve_layout);
     ("tag tariff matches link budget", `Quick, test_tag_tariff_matches_link_budget);
