@@ -267,11 +267,6 @@ let run_cell c =
 (* ------------------------------------------------------------------ *)
 (* Batch execution on the domain pool                                  *)
 
-let status_of_line line =
-  match Result_store.entry_of_line line with
-  | Ok entry -> entry.Result_store.status
-  | Error _ -> "error"
-
 (* Cells run in grid-order chunks; inside a chunk tasks go to the pool
    longest-expected-first and gather back at their chunk index, and the
    chunk's rows append to the store in grid order before the next chunk
@@ -305,11 +300,11 @@ let execute ?(jobs = 1) ?pool ~(store : Result_store.t) (spec : Scenario_spec.t)
   let pending = ref [] in
   Array.iteri
     (fun i c ->
-      match Result_store.find store ~config:(config_digest c) ~seed:c.seed with
-      | Some line ->
+      match Result_store.find_entry store ~config:(config_digest c) ~seed:c.seed with
+      | Some entry ->
         incr cached;
-        if status_of_line line = "error" then incr errors;
-        results.(i) <- Some (line, Hit)
+        if entry.Result_store.status = "error" then incr errors;
+        results.(i) <- Some (entry.Result_store.line, Hit)
       | None -> pending := i :: !pending)
     cells;
   let pending = Array.of_list (List.rev !pending) in
@@ -324,9 +319,9 @@ let execute ?(jobs = 1) ?pool ~(store : Result_store.t) (spec : Scenario_spec.t)
       Array.iteri
         (fun k i ->
           let line = rows.(k) in
-          Result_store.append store line;
+          let entry = Result_store.append_entry store line in
           incr ran;
-          let failed = status_of_line line = "error" in
+          let failed = entry.Result_store.status = "error" in
           if failed then incr errors;
           results.(i) <- Some (line, if failed then Failed else Ran))
         idx;

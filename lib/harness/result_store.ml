@@ -107,8 +107,9 @@ let load path =
 
 let mem t ~config ~seed = Hashtbl.mem t.index (make_key ~config ~seed)
 
-let find t ~config ~seed =
-  Option.map (fun e -> e.line) (Hashtbl.find_opt t.index (make_key ~config ~seed))
+let find_entry t ~config ~seed = Hashtbl.find_opt t.index (make_key ~config ~seed)
+
+let find t ~config ~seed = Option.map (fun e -> e.line) (find_entry t ~config ~seed)
 
 let size t = t.count
 
@@ -123,7 +124,7 @@ let ensure_out t =
     t.oc <- Some oc;
     Some oc
 
-let append t line =
+let append_entry t line =
   match entry_of_line line with
   | Error msg -> invalid_arg ("Result_store.append: " ^ msg)
   | Ok entry ->
@@ -135,7 +136,10 @@ let append t line =
     | Some oc ->
       output_string oc line;
       output_char oc '\n';
-      flush oc)
+      flush oc);
+    entry
+
+let append t line = ignore (append_entry t line : entry)
 
 let close t =
   match t.oc with

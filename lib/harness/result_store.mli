@@ -41,11 +41,18 @@ val load : string -> (t, string) result
 val mem : t -> config:string -> seed:int -> bool
 val find : t -> config:string -> seed:int -> string option
 
+val find_entry : t -> config:string -> seed:int -> entry option
+(** {!find}, answering with the indexed entry, so a caller reads the
+    row's [status] without parsing the line again. *)
+
 val append : t -> string -> unit
 (** Append one row line (no trailing newline): validated, indexed, and —
     when file-backed — written and flushed immediately so an interrupt
     never loses a completed cell.  Raises [Invalid_argument] on a
     malformed row or duplicate key. *)
+
+val append_entry : t -> string -> entry
+(** {!append}, answering with the entry it validated and indexed. *)
 
 val size : t -> int
 val entries : t -> entry list

@@ -13,7 +13,8 @@
     channel.  A closure event's closure and label wait in a slot table
     with a free list, and the event carries the slot, so a sift moves no
     pointer and pays no [caml_modify].  The run loop fires the
-    (time, seq)-least of the heap root and the ring heads.  The clock is
+    (time, seq)-least of the heap root and the ring heads, draining a
+    ring in place while its head stays the least.  The clock is
     a raw double, and trace hooks reduce to a single branch when no
     trace was requested.  The [Time_span.t] entry points survive as thin
     wrappers over the [_s] float API used by the hot simulators. *)
@@ -60,18 +61,17 @@ type t = {
   mutable free_slot : int;  (** head of the free list; -1 = table full *)
   mutable rings : ring array;  (** the periodic channel, one ring per period *)
   mutable stream_ring : int array;  (** ring of each stream; -1 = no stream *)
-  mutable stream_fn : t -> int -> unit;
+  mutable stream_fn : int -> bool;  (** the channel handler; [true] re-arms *)
   mutable stream_label : string;
-  mutable min_period : float;
-  mutable batch_fn : (t -> int -> unit) option;
-      (** drains consecutive stream events as one batch; [None] fires
-          them one by one *)
-  mutable bt_times : float array;  (** drained fire times, in pop order *)
-  mutable bt_idxs : int array;  (** drained stream indices, in pop order *)
+  mutable drain_timer : ((unit -> float) * (float -> unit)) option;
+      (** read on entry to and exit from every drain *)
+  mutable arms : int;  (** {!arm_s} calls so far: a drain's other-ring bound is stale *)
+  other : cell;  (** time of the least head among the rings not draining *)
+  mutable other_seq : int;  (** its seq; [max_int] when those rings are empty *)
 }
 
 let nop (_ : t) = ()
-let nop2 (_ : t) (_ : int) = ()
+let no_stream (_ : int) = false
 
 let create ?trace () =
   {
@@ -92,12 +92,12 @@ let create ?trace () =
     free_slot = 0;
     rings = [||];
     stream_ring = [||];
-    stream_fn = nop2;
+    stream_fn = no_stream;
     stream_label = "";
-    min_period = Float.infinity;
-    batch_fn = None;
-    bt_times = Array.make 16 0.0;
-    bt_idxs = Array.make 16 0;
+    drain_timer = None;
+    arms = 0;
+    other = { v = 0.0 };
+    other_seq = 0;
   }
 
 let grow engine =
@@ -271,9 +271,9 @@ let schedule_cell ?(label = "event") engine callback =
    Trace labels are built only when a trace is attached, as
    ["<label>:<idx>"] — what a per-stream closure would have recorded. *)
 
-(** [periodic_channel ?label engine ~periods fn] — install the stream
-    channel; see the interface. *)
-let periodic_channel ?(label = "stream") engine ~periods fn =
+(** [periodic_channel ?label ?timer engine ~periods fn] — install the
+    stream channel; see the interface. *)
+let periodic_channel ?(label = "stream") ?timer engine ~periods fn =
   if Array.length engine.stream_ring > 0 then
     invalid_arg "Engine.periodic_channel: already installed";
   let n = Array.length periods in
@@ -308,7 +308,7 @@ let periodic_channel ?(label = "stream") engine ~periods fn =
   engine.stream_ring <- stream_ring;
   engine.stream_fn <- fn;
   engine.stream_label <- label;
-  engine.min_period <- Array.fold_left (fun m g -> Float.min m g.period) Float.infinity rings
+  engine.drain_timer <- timer
 
 let stream_label engine idx = engine.stream_label ^ ":" ^ Int.to_string idx
 
@@ -319,39 +319,29 @@ let ring_of engine idx =
   if r < 0 then invalid_arg "Engine: not a periodic stream";
   engine.rings.(r)
 
-(* Append stream [idx]'s next report to its ring [g] at [engine.at.v]. *)
-let append engine g idx =
-  check_time engine;
-  let cap = Array.length g.r_times in
-  if g.count >= cap then invalid_arg "Engine: periodic ring full";
-  let time = engine.at.v in
-  let tail = g.head + g.count - 1 in
-  let tail = if tail >= cap then tail - cap else tail in
-  if g.sorted && g.count > 0 && time < g.r_times.(tail) then
-    invalid_arg "Engine: periodic re-arm earlier than its ring's tail";
-  (match engine.trace with
-  | None -> ()
-  | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ stream_label engine idx));
-  let k = if tail + 1 >= cap then tail + 1 - cap else tail + 1 in
-  g.r_times.(k) <- time;
-  g.r_seqs.(k) <- engine.next_seq;
-  g.r_idxs.(k) <- idx;
-  engine.next_seq <- engine.next_seq + 1;
-  g.count <- g.count + 1
-
-(** [arm_s engine ~idx ~delay_s] — first report of stream [idx]. *)
+(** [arm_s engine ~idx ~delay_s] — first report of stream [idx],
+    appended to its ring. *)
 let arm_s engine ~idx ~delay_s =
   if delay_s < 0.0 then invalid_arg "Engine.arm: negative delay";
   let g = ring_of engine idx in
   engine.at.v <- engine.clock.v +. delay_s;
-  append engine g idx
-
-(** [rearm engine ~idx] — next report of stream [idx], one period from
-    now. *)
-let rearm engine ~idx =
-  let g = ring_of engine idx in
-  engine.at.v <- engine.clock.v +. g.period;
-  append engine g idx
+  check_time engine;
+  let cap = Array.length g.r_times in
+  if g.count >= cap then invalid_arg "Engine: periodic ring full";
+  let time = engine.at.v in
+  let k = g.head + g.count in
+  let k = if k >= cap then k - cap else k in
+  if g.sorted && g.count > 0 && time < g.r_times.(if k = 0 then cap - 1 else k - 1) then
+    invalid_arg "Engine: periodic re-arm earlier than its ring's tail";
+  (match engine.trace with
+  | None -> ()
+  | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ stream_label engine idx));
+  g.r_times.(k) <- time;
+  g.r_seqs.(k) <- engine.next_seq;
+  g.r_idxs.(k) <- idx;
+  engine.next_seq <- engine.next_seq + 1;
+  g.count <- g.count + 1;
+  engine.arms <- engine.arms + 1
 
 (* In-place heapsort of a not-yet-popped ring ([head] = 0) by
    (time, seq): seqs are unique, so the order is total and the sort
@@ -387,27 +377,6 @@ let sort_ring g =
     sift 0 last
   done;
   g.sorted <- true
-
-(** [set_batch_handler engine fn] — drain consecutive stream events as
-    batches into [fn]. *)
-let set_batch_handler engine fn = engine.batch_fn <- Some fn
-
-(** [batch_times engine] — fire times of the current batch, valid for
-    the first [count] slots during a batch call. *)
-let batch_times engine = engine.bt_times
-
-(** [batch_idxs engine] — stream indices of the current batch (same
-    validity rule as {!batch_times}). *)
-let batch_idxs engine = engine.bt_idxs
-
-let grow_batch engine =
-  let cap = Array.length engine.bt_times in
-  let bigger = Stdlib.max 16 (cap * 2) in
-  let times = Array.make bigger 0.0 and idxs = Array.make bigger 0 in
-  Array.blit engine.bt_times 0 times 0 cap;
-  Array.blit engine.bt_idxs 0 idxs 0 cap;
-  engine.bt_times <- times;
-  engine.bt_idxs <- idxs
 
 (** [schedule engine ~delay callback] — run [callback] after [delay]. *)
 let schedule ?label engine ~delay callback =
@@ -477,14 +446,6 @@ let least engine =
   done;
   !best
 
-(* Pop ring [g]'s head and return its stream index. *)
-let ring_pop g =
-  let idx = g.r_idxs.(g.head) in
-  let h = g.head + 1 in
-  g.head <- (if h = Array.length g.r_idxs then 0 else h);
-  g.count <- g.count - 1;
-  idx
-
 (* Fire one popped closure event at the current clock: take its callback
    and label out of the slot table and free the slot before the
    callback runs, so a periodic re-arm reuses it. *)
@@ -497,37 +458,85 @@ let fire_closure engine slot =
   release_slot engine slot;
   fn engine
 
-let fire_stream engine idx =
-  engine.executed <- engine.executed + 1;
-  (match engine.trace with
-  | None -> ()
-  | Some tr -> Trace.record tr ~time:engine.clock.v ("fire:" ^ stream_label engine idx));
-  engine.stream_fn engine idx
+(* The (time, seq)-least head among the rings other than [skip], into
+   [other]/[other_seq]; (infinity, max_int), which every event beats,
+   when they are all empty. *)
+let other_heads engine skip =
+  let o = engine.other in
+  o.v <- Float.infinity;
+  engine.other_seq <- max_int;
+  let rings = engine.rings in
+  for r = 0 to Array.length rings - 1 do
+    let g = Array.unsafe_get rings r in
+    if r <> skip && g.count > 0 then begin
+      let t = g.r_times.(g.head) and s = g.r_seqs.(g.head) in
+      if t < o.v || (t = o.v && s < engine.other_seq) then begin
+        o.v <- t;
+        engine.other_seq <- s
+      end
+    end
+  done
 
-(* Batch drain: the caller has established that ring [r]'s head is the
-   least event, at admissible time [t0].  Pop the maximal run of
-   consecutive stream events — stopping at the horizon, at a heap event
-   and strictly before [t0 +. min_period] — then call the body once.
-   Every stream re-arms one period, at least [min_period], after its
-   own fire, so no re-arm the body appends can be earlier than a
-   drained event. *)
-let drain_batch engine fn ~limit r t0 =
-  let wend = t0 +. engine.min_period in
-  let count = ref 0 in
-  let r = ref r in
+(* Drain ring [r], whose head the caller found to be the least pending
+   event and within [limit]: fire its events in place for as long as
+   its head stays the least event.  Per event: pop, set the clock,
+   count, trace, call the handler and, on [true], append the re-arm one
+   period after this fire through every {!arm_s} guard (a NaN time, a
+   full ring, a time before the tail).  Only this
+   ring pops, so the other rings' heads move only when {!arm_s} fills
+   an empty one, and [arms] says when to re-read them; the heap root is
+   re-read every event, since the handler may schedule closures. *)
+let drain engine ~limit r =
+  let g = engine.rings.(r) in
+  let fn = engine.stream_fn and other = engine.other in
+  other_heads engine r;
+  let arms = ref engine.arms in
   let draining = ref true in
   while !draining do
-    let g = engine.rings.(!r) in
-    if !count >= Array.length engine.bt_times then grow_batch engine;
-    engine.bt_times.(!count) <- g.r_times.(g.head);
-    engine.bt_idxs.(!count) <- ring_pop g;
-    incr count;
-    r := least engine;
-    draining := !r >= 0 && engine.least_time.v <= limit && engine.least_time.v < wend
-  done;
-  engine.executed <- engine.executed + !count;
-  engine.clock.v <- t0;
-  fn engine !count
+    let h = g.head in
+    let time = g.r_times.(h) and idx = g.r_idxs.(h) in
+    g.head <- (if h + 1 = Array.length g.r_idxs then 0 else h + 1);
+    g.count <- g.count - 1;
+    engine.clock.v <- time;
+    engine.executed <- engine.executed + 1;
+    (match engine.trace with
+    | None -> ()
+    | Some tr -> Trace.record tr ~time:engine.clock.v ("fire:" ^ stream_label engine idx));
+    if fn idx then begin
+      (* [arm_s]'s guards and append, inline: as a call they cost
+         about an eighth of the event.  The ring is sorted (the run
+         sorted it), so the tail check always applies. *)
+      let at = time +. g.period in
+      if Float.is_nan at then invalid_arg "Engine: NaN event time";
+      let cap = Array.length g.r_times in
+      if g.count >= cap then invalid_arg "Engine: periodic ring full";
+      let k = g.head + g.count in
+      let k = if k >= cap then k - cap else k in
+      if g.count > 0 && at < g.r_times.(if k = 0 then cap - 1 else k - 1) then
+        invalid_arg "Engine: periodic re-arm earlier than its ring's tail";
+      (match engine.trace with
+      | None -> ()
+      | Some tr -> Trace.record tr ~time:engine.clock.v ("schedule:" ^ stream_label engine idx));
+      g.r_times.(k) <- at;
+      g.r_seqs.(k) <- engine.next_seq;
+      g.r_idxs.(k) <- idx;
+      engine.next_seq <- engine.next_seq + 1;
+      g.count <- g.count + 1
+    end;
+    if engine.arms <> !arms then begin
+      other_heads engine r;
+      arms := engine.arms
+    end;
+    draining :=
+      engine.running && g.count > 0
+      &&
+      let t = g.r_times.(g.head) and s = g.r_seqs.(g.head) in
+      t <= limit
+      && (t < other.v || (t = other.v && s < engine.other_seq))
+      && (engine.size = 0
+         || t < engine.times.(0)
+         || (t = engine.times.(0) && s < engine.seqs.(0)))
+  done
 
 (** [run_s ?until_s engine] — [run] on raw seconds. *)
 let run_s ?until_s engine =
@@ -546,12 +555,12 @@ let run_s ?until_s engine =
         looping := false
       end
       else if r >= 0 then begin
-        match engine.batch_fn with
-        | Some fn -> drain_batch engine fn ~limit r time
-        | None ->
-          let idx = ring_pop engine.rings.(r) in
-          engine.clock.v <- time;
-          fire_stream engine idx
+        match engine.drain_timer with
+        | None -> drain engine ~limit r
+        | Some (clock, add) ->
+          let t0 = clock () in
+          drain engine ~limit r;
+          add (clock () -. t0)
       end
       else begin
         let slot = engine.slots.(0) in

@@ -6,7 +6,7 @@
     raw float seconds and are the per-event fast path — with no trace
     attached, a run through [every_s]/[run_s], the cell API
     ({!clock_cell}, {!schedule_cell}) and the periodic channel
-    ({!rearm}) allocates no per-event garbage (events live in unboxed
+    ({!periodic_channel}) allocates no per-event garbage (events live in unboxed
     parallel arrays, the clock is a raw double, trace hooks cost one
     branch).  A computed
     float handed to [schedule_s] from another module is boxed at the
@@ -83,15 +83,22 @@ val schedule_cell : ?label:string -> t -> (t -> unit) -> unit
     [Invalid_argument] on a negative delay. *)
 
 val periodic_channel :
-  ?label:string -> t -> periods:float array -> (t -> int -> unit) -> unit
+  ?label:string ->
+  ?timer:(unit -> float) * (float -> unit) ->
+  t ->
+  periods:float array ->
+  (int -> bool) ->
+  unit
 (** Install the engine's periodic stream channel: stream [i] reports
-    every [periods.(i)] seconds through the shared handler [fn engine i]
-    (a non-positive or non-finite entry means no stream [i]).  A fleet
-    reporting per node stores one closure plus an int per pending
-    report instead of a closure per node.  With a trace attached, each
-    scheduling and firing records ["schedule:<label>:<i>"] /
-    ["fire:<label>:<i>"] (default label ["stream"]) — the same strings
-    the equivalent per-stream closures would have produced.
+    every [periods.(i)] seconds through the shared handler [fn i] (a
+    non-positive or non-finite entry means no stream [i]).  [fn i]
+    returns [true] to re-arm stream [i] one period after this fire and
+    [false] to end it.  A fleet reporting per node stores one closure
+    plus an int per pending report instead of a closure per node.  With
+    a trace attached, each scheduling and firing records
+    ["schedule:<label>:<i>"] / ["fire:<label>:<i>"] (default label
+    ["stream"]) — the same strings the equivalent per-stream closures
+    would have produced.
 
     Streams of one period share one ring: a flat FIFO sized once to
     their count, since a stream has at most one report pending.  A
@@ -100,11 +107,26 @@ val periodic_channel :
     earlier than any report pending in its ring and an O(1) append
     keeps the ring in (time, insertion) order.  Initial reports
     ({!arm_s}) may arrive in any order: each ring is sorted once when a
-    run starts.  The run loop fires the (time, insertion)-least of the
-    closure heap and the ring heads, so the chronology is exactly that
-    of self-re-arming closures.  Cost per event is O(number of distinct
-    periods) — meant for a handful.  Raises [Invalid_argument] when a
-    channel is already installed. *)
+    run starts.
+
+    When a ring head is the (time, insertion)-least pending event, the
+    run loop drains that ring in place: per event it pops the head,
+    sets the clock, counts the event, records the fire line, calls
+    [fn] and appends the re-arm on [true].  It goes on while the ring's
+    new head still precedes every other ring's head and the closure
+    heap's root, and stops at the run horizon and on {!stop}.  The
+    chronology is exactly that of self-re-arming closures, and [fn] may
+    schedule closures, {!arm_s} streams or {!stop} the run.  A re-arm
+    raises [Invalid_argument] like {!arm_s} (NaN time, ring full, or
+    earlier than the ring's tail: the fixed-period contract is broken,
+    and the engine raises rather than re-sort).
+
+    [timer], when given, is a clock and an accumulator: the run loop
+    reads the clock on entry to and exit from every drain and passes
+    the difference to the accumulator — one interval per drain, not
+    per event.  Cost per event is O(1); a drain entry is O(number of
+    distinct periods) — meant for a handful.  Raises
+    [Invalid_argument] when a channel is already installed. *)
 
 val arm_s : t -> idx:int -> delay_s:float -> unit
 (** Schedule stream [idx]'s first report [delay_s] seconds from now
@@ -113,40 +135,6 @@ val arm_s : t -> idx:int -> delay_s:float -> unit
     not a stream, when the stream's ring is full (as many reports of
     that period pending as it has streams), and, once the ring has
     been sorted, for a time earlier than the ring's tail. *)
-
-val rearm : t -> idx:int -> unit
-(** Schedule stream [idx]'s next report one period from now — what the
-    handler calls as the report fires.  Same errors as {!arm_s}: an
-    out-of-order append means the fixed-period contract is broken, and
-    the engine raises rather than re-sort. *)
-
-val set_batch_handler : t -> (t -> int -> unit) -> unit
-(** Drain consecutive stream events as batches.  When the run loop meets
-    a stream event, it pops the maximal run of consecutive stream events
-    — stopping at the run horizon, at any closure event, and strictly
-    before [first fire time + the shortest period] — and calls [fn
-    engine count] once with the drained [(time, idx)] pairs readable
-    through {!batch_times}/{!batch_idxs}.
-
-    Every stream re-arms one period after its own fire, so nothing the
-    body re-arms can land inside the drained window; the body must not
-    schedule anything else inside it either.  The body owns the
-    per-event observables the loop would have produced — it must write
-    each event's fire time into {!clock_cell} as it replays the event
-    (the one sanctioned exception to the cell's read-only rule) and
-    record any ["fire:<label>:<idx>"] trace lines itself; the drain
-    records no fire lines and bumps {!event_count} by the whole batch
-    up front. *)
-
-val batch_times : t -> float array
-(** Fire times of the current batch, in pop order; only the first
-    [count] slots of a [fn engine count] call are meaningful.  Re-fetch
-    inside every call — the array is replaced when a batch outgrows
-    it. *)
-
-val batch_idxs : t -> int array
-(** Stream indices of the current batch (same validity rule as
-    {!batch_times}). *)
 
 val stop : t -> unit
 (** Abort the run after the current callback returns. *)

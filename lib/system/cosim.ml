@@ -213,10 +213,7 @@ let tree ?phase s ~router =
     | Routing.Max_lifetime ->
       fun i j k c ->
         Link_layer.weight_into link i j k c;
-        if not (Float.is_nan c.v) then begin
-          let r = Fleet_ledger.reserve_j s.ledger i in
-          c.v <- (if r <= 0.0 then Float.max_float /. 1e6 else c.v /. r)
-        end
+        Fleet_ledger.lifetime_weight_into s.ledger i c
   in
   {
     s;
@@ -393,15 +390,14 @@ let account_tick ?pool t now =
    one ring per distinct report period.  Phases are drawn from the run
    seed in node order, exactly as Net_sim does, so the (time, seq)
    chronology and, with a trace, the "report:<n>" labels are those of
-   one closure per node.  Each report runs {!Fleet_ledger.report}: the
-   activation charge, then the walk over [parent]/[hop_tx]/[hop_kind].
-   A charge that kills a node calls back into [record_death], whose
-   repair refreshes the three arrays before the walk goes on; a dead or
-   crashed node is simply not re-armed.  The batch drain hands maximal
-   runs of consecutive report events to one body that replays them in
-   order — it saves the per-event dispatch, not the walks (DESIGN.md
-   records why a parallel replay was removed).  What [forward_s]
-   times. *)
+   one closure per node.  The handler is {!Fleet_ledger.report}: the
+   activation charge, then the walk over [parent]/[hop_tx]/[hop_kind],
+   and [true] re-arms the stream.  A charge that kills a node calls
+   back into [record_death], whose repair refreshes the three arrays
+   before the walk goes on; a dead or crashed node answers [false] and
+   is not re-armed.  The engine fires each ring's reports in place
+   until another event comes first; [forward_s] times those drains, one
+   clock read at each end of a drain. *)
 
 let schedule_reports ?phase t ~seed =
   let s = t.s in
@@ -415,32 +411,7 @@ let schedule_reports ?phase t ~seed =
       ~reader_j:(Link_layer.reader_cost_rx_j s.link) ~counts:s.counts
       ~on_death:(fun i -> record_death t i clk.Engine.v)
   in
-  let report_event e idx = if Fleet_ledger.report route idx then Engine.rearm e ~idx in
-  (* The fire time comes from the clock cell, not an argument: a float
-     passed to a closure is boxed on every call. *)
-  let note_fire idx =
-    match s.trace with
-    | None -> ()
-    | Some tr -> Trace.record tr ~time:clk.Engine.v ("fire:report:" ^ Int.to_string idx)
-  in
-  let replay e count =
-    let times = Engine.batch_times e and idxs = Engine.batch_idxs e in
-    for k = 0 to count - 1 do
-      let idx = Array.unsafe_get idxs k in
-      clk.Engine.v <- Array.unsafe_get times k;
-      note_fire idx;
-      report_event e idx
-    done
-  in
-  let replay =
-    match phase with
-    | None -> replay
-    | Some pt ->
-      fun e count ->
-        let t0 = pt.clock () in
-        replay e count;
-        pt.forward_s <- pt.forward_s +. (pt.clock () -. t0)
-  in
+  let timer = Option.map (fun pt -> (pt.clock, fun d -> pt.forward_s <- pt.forward_s +. d)) phase in
   for node = 0 to n - 1 do
     if node <> s.sink then begin
       let tier_cfg = Fleet.config_of fleet fleet.Fleet.tiers.(node) in
@@ -451,8 +422,8 @@ let schedule_reports ?phase t ~seed =
         activation.(node) <- Energy.to_joules tier_cfg.Fleet.activation_energy
     end
   done;
-  Engine.periodic_channel ~label:"report" engine ~periods:period report_event;
-  Engine.set_batch_handler engine replay;
+  Engine.periodic_channel ~label:"report" ?timer engine ~periods:period
+    (Fleet_ledger.report route);
   for node = 0 to n - 1 do
     if period.(node) > 0.0 && Float.is_finite period.(node) then
       Engine.arm_s engine ~idx:node ~delay_s:(Rng.uniform rng 0.0 period.(node))

@@ -74,7 +74,7 @@ val run : ?trace:Amb_sim.Trace.t -> config -> seed:int -> outcome
 type phase_times = {
   clock : unit -> float;  (** wall-clock source, e.g. [Unix.gettimeofday] *)
   mutable forward_s : float;
-      (** report batches: walks, charges, re-arms, and the route repair
+      (** report drains: walks, charges, re-arms, and the route repair
           of every battery death a walk causes *)
   mutable account_s : float;
       (** periodic + final accounting ticks, and the route repair of
@@ -96,7 +96,8 @@ type phase_times = {
 (** Wall-clock accumulators for a run's three bulk phases, plus the
     collection tree's update counters, filled when passed to
     {!run_with_router}.  Each timer covers one stage of the run:
-    [forward_s] the report channel's drained batches, [account_s] the
+    [forward_s] the report channel's ring drains (one interval per
+    drain: a clock read as it starts and one as it ends), [account_s] the
     ledger's accounting ticks, [rebuild_s] the collection tree's
     rebuilds and fault repairs.  Purely observational — timing and
     counting never feed back into the simulation.  Repairs after a
@@ -123,7 +124,7 @@ val run_with_router :
     ranges ({!Fleet_ledger.account_all}); a tick with a predicted death
     falls back to the sequential node order, so outcomes are bitwise
     identical at every pool size.  It is kept for the benchmark's
-    pooled re-check; report batches always replay sequentially.
+    pooled re-check; reports always fire sequentially.
     [phase] accumulates per-stage wall clock and the tree's update
     counters (see {!phase_times}).
 

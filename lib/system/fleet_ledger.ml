@@ -102,6 +102,15 @@ let[@inline] alive t i = Float.is_nan (fget t.lg ((i * stride) + f_died))
 let[@inline] reserve_j t i = fget t.lg ((i * stride) + f_reserve)
 let[@inline] died_at_s t i = fget t.lg ((i * stride) + f_died)
 
+(* The max-lifetime edge price, in place: the link cost in [c] over the
+   sender's reserve.  Read across the module boundary, the reserve
+   came back boxed on every relaxed edge; here it stays a raw load. *)
+let lifetime_weight_into t i (c : Engine.cell) =
+  if not (Float.is_nan c.v) then begin
+    let r = reserve_j t i in
+    c.v <- (if r <= 0.0 then Float.max_float /. 1e6 else c.v /. r)
+  end
+
 (* {!Day_profile.income_multiplier} on the profile's flat table, same
    float ops.  Called through the closure the agents hold it cost a
    boxed argument and a boxed result per accounting touch; read here

@@ -40,6 +40,12 @@ val reserve_j : t -> int -> float
 val died_at_s : t -> int -> float
 (** Raw death instant; NaN while alive. *)
 
+val lifetime_weight_into : t -> int -> Amb_sim.Engine.cell -> unit
+(** [lifetime_weight_into ledger i c] — the max-lifetime price of a hop
+    sent by [i]: [c.v] (the link cost; NaN = no link, left as is) over
+    [i]'s reserve, or [Float.max_float /. 1e6] when the reserve is
+    spent.  Allocates nothing: the reserve never leaves this module. *)
+
 val account : t -> int -> now:float -> unit
 (** {!Node_agent.account} on the columns. *)
 
@@ -63,7 +69,7 @@ val account_all : ?pool:Amb_sim.Domain_pool.t -> t -> now:float -> on_death:(int
     callback interleaving — which rebuilds routes and re-reads
     mid-tick reserves — stays bit-for-bit deterministic at every
     [jobs].  These ticks are the only part of a {!Cosim} run that a
-    pool shards; report batches replay sequentially. *)
+    pool shards; reports fire sequentially. *)
 
 (** {2 The report kernel} *)
 

@@ -6,7 +6,7 @@
    through [Link_layer.cost_tx_j]/[tag_hop], one labelled closure per
    report stream re-arming itself, every tree change (death, fade or
    periodic refresh) a from-scratch [Route_tree.rebuild] followed by a
-   whole-fleet parent sync and leaf recount, no batch drain, no pool and
+   whole-fleet parent sync and leaf recount, no ring drain, no pool and
    no phase timing.  [Cosim] splices only the affected subtree after a
    [Min_energy] death or a worsened tree edge; that splice is exact when
    shortest paths are unique, which the continuous positions of these

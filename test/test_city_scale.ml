@@ -81,8 +81,7 @@ let test_connectivity_grid_tier () =
    closures (some scheduling a child, one calling [stop]) and a run
    resumed to the horizon after [until] and [stop].  The chronology,
    the traced schedule/fire bytes, the executed count and every
-   returned clock must be equal — unbatched and through the batch
-   drain alike. *)
+   returned clock must be equal. *)
 let prop_rings_equal_closures =
   QCheck.Test.make ~name:"engine rings replay self-re-arming closures" ~count
     QCheck.small_nat
@@ -122,17 +121,8 @@ let prop_rings_equal_closures =
             in
             Amb_sim.Engine.schedule_s ~label e ~delay_s:phases.(idx) tick
           done
-        | `Rings | `Batched ->
-          let handler e idx = if report idx then Amb_sim.Engine.rearm e ~idx in
-          Amb_sim.Engine.periodic_channel ~label:"report" e ~periods handler;
-          if mode = `Batched then
-            Amb_sim.Engine.set_batch_handler e (fun e count ->
-                let ts = Amb_sim.Engine.batch_times e and xs = Amb_sim.Engine.batch_idxs e in
-                for k = 0 to count - 1 do
-                  clk.Amb_sim.Engine.v <- ts.(k);
-                  Amb_sim.Trace.record trace ~time:ts.(k) ("fire:report:" ^ Int.to_string xs.(k));
-                  handler e xs.(k)
-                done);
+        | `Rings ->
+          Amb_sim.Engine.periodic_channel ~label:"report" e ~periods report;
           for idx = 0 to streams - 1 do
             Amb_sim.Engine.arm_s e ~idx ~delay_s:phases.(idx)
           done);
@@ -158,7 +148,7 @@ let prop_rings_equal_closures =
          Amb_sim.Engine.pending e)
       in
       let reference = run `Closures in
-      run `Rings = reference && run `Batched = reference)
+      run `Rings = reference)
 
 (* 2 000 one-shot closures around 20 periodic streams (periods 3..22 s,
    a ring each, re-armed up to 450 s): the ring engine fires them in
@@ -178,9 +168,9 @@ let test_engine_rings_equal_closures () =
     let period k = 3.0 +. Float.of_int k in
     let tick e k = Buffer.add_string log (Printf.sprintf "p%d@%.17g;" k (Amb_sim.Engine.now_s e)) in
     if rings then begin
-      Amb_sim.Engine.periodic_channel e ~periods:(Array.init 20 period) (fun e k ->
+      Amb_sim.Engine.periodic_channel e ~periods:(Array.init 20 period) (fun k ->
           tick e k;
-          if Amb_sim.Engine.now_s e +. period k <= 450.0 then Amb_sim.Engine.rearm e ~idx:k);
+          Amb_sim.Engine.now_s e +. period k <= 450.0);
       for k = 0 to 19 do
         Amb_sim.Engine.arm_s e ~idx:k ~delay_s:(period k)
       done
@@ -214,9 +204,9 @@ let test_engine_ring_bursts () =
         (Printf.sprintf "%c%d@%h;" tag idx (Amb_sim.Engine.clock_cell e).Amb_sim.Engine.v)
     in
     if rings then
-      Amb_sim.Engine.periodic_channel e ~periods:(Array.make streams 30.0) (fun e idx ->
+      Amb_sim.Engine.periodic_channel e ~periods:(Array.make streams 30.0) (fun idx ->
           log 'r' idx e;
-          Amb_sim.Engine.rearm e ~idx);
+          true);
     for i = 0 to streams - 1 do
       let phase = Float.of_int (i mod 30) +. (0.25 *. Float.of_int (i mod 3 * (i mod 2))) in
       if rings then Amb_sim.Engine.arm_s e ~idx:i ~delay_s:phase
@@ -281,8 +271,9 @@ let test_stop_resume_closure_log () =
     let trace = Amb_sim.Trace.create ~capacity:100_000 () in
     let e = Amb_sim.Engine.create ~trace () in
     Amb_sim.Engine.every_s ~label:"tick" e ~period_s:7.0 ~until_s:500.0 (fun _ -> true);
-    Amb_sim.Engine.periodic_channel ~label:"idx" e ~periods:(Array.make 50 11.0) (fun e idx ->
-        if idx < 40 then Amb_sim.Engine.arm_s e ~idx:(idx + 10) ~delay_s:11.0);
+    Amb_sim.Engine.periodic_channel ~label:"idx" e ~periods:(Array.make 50 11.0) (fun idx ->
+        if idx < 40 then Amb_sim.Engine.arm_s e ~idx:(idx + 10) ~delay_s:11.0;
+        false);
     for i = 0 to 9 do
       Amb_sim.Engine.arm_s e ~idx:i ~delay_s:(Float.of_int i)
     done;

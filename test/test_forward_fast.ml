@@ -20,7 +20,7 @@
    pins each one deterministically: a death on the receive charge, a
    sender dying on its hop into the sink, a tag served by the sink as
    its reader, an orphaned sender, and a crash and a fade inside one
-   drained report batch.
+   ring drain.
 
    The allocation tests pin the point of the exercise: the event loop
    must stay allocation-free, measured as minor words per event. *)
@@ -242,7 +242,7 @@ let city_leaf = Fleet.microwatt_leaf ~report_period:(Time_span.seconds 300.0) ()
    - a node with descendants crashes late, after two of those
      descendants have run flat;
    - a few dozen weak relaying leaves die on report charges, so
-     several deaths land inside one drained report batch;
+     several deaths land inside one ring drain;
    - a fade worsens one tree edge (a local splice with a whole-fleet
      refresh).
    Returns the late crash and its flat descendants. *)
@@ -305,8 +305,7 @@ let city_scenario trial =
 
 (* Pairs of consecutive deaths with nothing but report fires between
    them in the trace: both happened inside one uninterrupted run of
-   report events, which the engine drains as batches of up to one
-   report period. *)
+   report events: ring drains with no closure event between them. *)
 let deaths_between_reports trace =
   let pairs = ref 0 and after_death = ref false in
   List.iter
@@ -396,9 +395,9 @@ let test_counters_one_leaf_death () =
 
 (* Fleets of a few hundred nodes with tiny battery budgets, so deaths
    (and the route repairs they trigger) land inside the horizon while
-   the pooled run shards its accounting ticks.  Report batches replay
+   the pooled run shards its accounting ticks.  Reports fire
    sequentially with or without a pool; crashes and fades cut the
-   engine's drained batches short.  [test_account_all_pooled] below
+   engine's ring drains short.  [test_account_all_pooled] below
    covers the tick's death fallback directly. *)
 let big_scenario ~trial =
   let rng = Amb_sim.Rng.create (5200 + trial) in
@@ -653,6 +652,33 @@ let test_minor_words_budget_rings_diurnal () =
   minor_words_per_event ~diurnal:Amb_energy.Day_profile.office_lighting ~nodes:8000
     ~hours:1.0 ()
 
+(* A serve-sized cell — a sink, 2 relays and 10 leaves under office
+   lighting — runs ~40 report events per node-hour, so per-run setup
+   would swamp a per-event ratio.  Differencing a 12 h and a 6 h run of
+   the same fleet cancels the setup: what is left is the event loop,
+   plus a few words per accounting tick and rebuild, and must stay near
+   zero per event.  Reads 0.044 words per event; 0.24 under the batch
+   drain the in-place ring drain replaced. *)
+let test_minor_words_small_fleet () =
+  let fleet = Fleet.make ~leaves:10 ~relays:2 ~seed:5 () in
+  let measure hours =
+    let cfg =
+      Cosim.config ~diurnal:Amb_energy.Day_profile.office_lighting ~fleet
+        ~horizon:(Time_span.hours hours) ()
+    in
+    ignore (Cosim.run cfg ~seed:7);
+    let before = Gc.minor_words () in
+    let o = Cosim.run cfg ~seed:7 in
+    (Gc.minor_words () -. before, o.Cosim.events)
+  in
+  let w6, e6 = measure 6.0 in
+  let w12, e12 = measure 12.0 in
+  if e12 - e6 < 3000 then Alcotest.failf "only %d events between the horizons" (e12 - e6);
+  let per_event = (w12 -. w6) /. Float.of_int (e12 - e6) in
+  if per_event > 0.1 then
+    Alcotest.failf "13-node run allocates %.3f minor words per event past setup (budget 0.1)"
+      per_event
+
 (* --- one deterministic case per branch of the walk -------------------- *)
 
 (* A diamond: the sink (0), relays 1 and 2 in range of it, and node 3
@@ -667,7 +693,7 @@ let test_minor_words_budget_rings_diurnal () =
      the sink ([`Tag]) or moves it out of everyone's range
      ([`Orphan]);
    - [relays_report] gives the relays their own 30 s report streams, so
-     one drained report batch holds three reports;
+     one ring drain fires three reports;
    - [faults] are appended to the plan. *)
 let diamond ?capacity_j ?(node3 = `Leaf) ?(relays_report = false) ?(faults = []) () =
   let flat =
@@ -811,10 +837,10 @@ let test_orphan_drops_uncharged () =
       check_bits (Printf.sprintf "%s: node %d uncharged" ctx i) 0.0 (Node_agent.consumed_j ag))
     o.agents
 
-(* A relay crash and a link fade inside one drained report batch.  A
-   non-report event ends a drain, so the report right after an
-   accounting tick opens one, and with three 30 s streams the drain
-   would take the next two reports too.  A fault-free reference run
+(* A relay crash and a link fade inside one ring drain.  A non-report
+   event ends a drain, so the report right after an accounting tick
+   opens one, and with three 30 s streams on one ring the drain would
+   take the next two reports too.  A fault-free reference run
    finds those three instants; the crash lands between the first two,
    the fade (on the leaf's fallback link to relay 2) between the last
    two, so the drain is cut twice and the walks after each cut read a
@@ -993,6 +1019,8 @@ let suite =
         test_minor_words_budget_rings;
       Alcotest.test_case "8000-node minor words per event under office lighting" `Quick
         test_minor_words_budget_rings_diurnal;
+      Alcotest.test_case "13-node minor words per event under office lighting" `Quick
+        test_minor_words_small_fleet;
       Alcotest.test_case "relay dying on its receive charge" `Quick test_relay_dies_receiving;
       Alcotest.test_case "sender dying mid-walk" `Quick test_sender_dies_forwarding;
       Alcotest.test_case "tag read by the sink" `Quick test_tag_read_by_sink;

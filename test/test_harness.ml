@@ -267,6 +267,29 @@ let test_store_rejects_duplicate_key () =
   | () -> Alcotest.fail "duplicate accepted"
   | exception Invalid_argument _ -> ()
 
+(* [append_entry] and [find_entry] answer with the entry the store
+   validated, so [Matrix.execute] reads a row's status without parsing
+   the line a second time. *)
+let test_store_hands_back_entries () =
+  let store = Result_store.in_memory () in
+  let row status =
+    Printf.sprintf
+      "{\"schema\":\"amblib-matrix-row/1\",\"config\":\"c-%s\",\"seed\":3,\"status\":\"%s\"}"
+      status status
+  in
+  List.iter
+    (fun status ->
+      let line = row status in
+      let e = Result_store.append_entry store line in
+      Alcotest.(check string) "appended status" status e.Result_store.status;
+      Alcotest.(check string) "appended line" line e.Result_store.line;
+      match Result_store.find_entry store ~config:("c-" ^ status) ~seed:3 with
+      | Some f -> Alcotest.(check bool) "found the same entry" true (f = e)
+      | None -> Alcotest.fail "appended entry not found")
+    [ "ok"; "error" ];
+  Alcotest.(check bool) "absent key" true
+    (Result_store.find_entry store ~config:"c-ok" ~seed:4 = None)
+
 (* --- Matrix determinism --- *)
 
 let test_matrix_rows_jobs_independent () =
@@ -363,6 +386,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_resume_byte_identity;
     ("store rejects foreign rows", `Quick, test_store_rejects_corruption);
     ("store rejects duplicate keys", `Quick, test_store_rejects_duplicate_key);
+    ("store hands back entries", `Quick, test_store_hands_back_entries);
     ("store errors name the file line", `Quick, test_store_error_names_file_line);
     ("matrix rows jobs-independent", `Quick, test_matrix_rows_jobs_independent);
     ("serve answers repeats from cache", `Quick, test_serve_caches_repeat_requests);

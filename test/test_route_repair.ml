@@ -405,10 +405,12 @@ let test_engine_allocation_free () =
    push takes its key from one, the fade lookup returns before building
    a key pair, and the pricing reads the edge by its row slot and
    answers through a cell, so the sweep allocates nothing per edge —
-   under min-energy and min-hop pricing alike (max-lifetime pricing
-   still reads a boxed reserve per edge).  Read 13.8 words per edge
-   before the first two, 4.2 while each weight call still returned a
-   boxed float, 0.18 while each push boxed its key. *)
+   under min-energy, min-hop and max-lifetime pricing alike (the
+   lifetime division runs inside the ledger, so the sender's reserve
+   is never boxed).  Read 13.8 words per edge before the first two,
+   4.2 while each weight call still returned a boxed float, 0.18 while
+   each push boxed its key; max-lifetime read about 2 words per edge
+   while its reserve crossed the module boundary. *)
 let test_rebuild_allocation () =
   let open Amb_system in
   let fleet = Fleet.city ~nodes:8000 ~seed:42 () in
@@ -420,6 +422,15 @@ let test_rebuild_allocation () =
   let min_hop i j k c =
     Link_layer.weight_into link i j k c;
     if not (Float.is_nan c.Route_tree.v) then c.Route_tree.v <- 1.0
+  in
+  let ledger =
+    Fleet_ledger.of_agents
+      (Array.init n (fun i ->
+           Node_agent.create ~id:i ~cfg:(Fleet.config_of fleet fleet.Fleet.tiers.(i)) ()))
+  in
+  let max_lifetime i j k c =
+    Link_layer.weight_into link i j k c;
+    Fleet_ledger.lifetime_weight_into ledger i c
   in
   let alive _ = true in
   List.iter
@@ -433,7 +444,7 @@ let test_rebuild_allocation () =
       if per_edge > 0.02 then
         Alcotest.failf "%s rebuild allocates %.3f minor words per edge (budget 0.02)" name
           per_edge)
-    [ ("min-energy", min_energy); ("min-hop", min_hop) ]
+    [ ("min-energy", min_energy); ("min-hop", min_hop); ("max-lifetime", max_lifetime) ]
 
 (* The stochastic-core counterpart of the engine budget above: 1M
    uniform draws.  Through the batch kernel the whole run must stay

@@ -141,23 +141,23 @@ let test_engine_past_rejected () =
         (fun () -> Engine.schedule_at e (Time_span.seconds 1.0) (fun _ -> ())));
   ignore (Engine.run engine)
 
-(* --- Engine periodic rings and batch drain --- *)
+(* --- Engine periodic rings and their drain --- *)
 
-(* A ring engine, with and without the batch drain, must replay the
-   exact chronology of the same streams run as self-re-arming closures
-   on the heap: same (time, idx) pairs in the same order, same
-   interleaving with closure events, same executed count and final
-   clock.  Six periods over 24 streams (four streams per ring), phases
-   on a whole-second grid so reports tie across rings.  [closures] adds
-   one-shot closure events, one of them tied with a report, so the drain
-   must also stop at heap events. *)
-let batch_drain_check ~closures =
+(* A ring engine must replay the exact chronology of the same streams
+   run as self-re-arming closures on the heap: same (time, idx) pairs
+   in the same order, same interleaving with closure events, same
+   executed count and final clock.  Six periods over 24 streams (four
+   streams per ring), phases on a whole-second grid so reports tie
+   across rings.  [closures] adds one-shot closure events, one of them
+   tied with a report, so a drain must also stop at heap events.  The
+   drain timer, fed the event count as its clock, sees each drain's
+   length: at least one must fire more than one event. *)
+let drain_check ~closures =
   let streams = 24 in
-  let window = 5.0 in
-  let period k = window +. (0.25 *. Float.of_int (k mod 6)) in
+  let period k = 5.0 +. (0.25 *. Float.of_int (k mod 6)) in
   let phase k = Float.of_int (k mod 4) in
   let horizon = 120.0 in
-  let batch_calls = ref 0 and max_batch = ref 0 in
+  let drains = ref 0 and longest = ref 0 in
   let run mode =
     let engine = Engine.create () in
     let seen = ref [] in
@@ -171,24 +171,16 @@ let batch_drain_check ~closures =
         in
         Engine.schedule_s engine ~delay_s:(phase k) tick
       done
-    | `Rings | `Batched ->
-      Engine.periodic_channel engine ~periods:(Array.init streams period) (fun e idx ->
-          record (Engine.now_s e) idx;
-          Engine.rearm e ~idx);
-      if mode = `Batched then
-        Engine.set_batch_handler engine (fun e count ->
-            incr batch_calls;
-            if count > !max_batch then max_batch := count;
-            let ts = Engine.batch_times e and xs = Engine.batch_idxs e in
-            let clk = Engine.clock_cell e in
-            if ts.(count - 1) >= ts.(0) +. window then
-              Alcotest.failf "batch spans %.3f s, window %.3f" (ts.(count - 1) -. ts.(0)) window;
-            for k = 0 to count - 1 do
-              let t = ts.(k) and idx = xs.(k) in
-              clk.Engine.v <- t;
-              record t idx;
-              Engine.rearm e ~idx
-            done);
+    | `Rings ->
+      let timer =
+        ( (fun () -> Float.of_int (Engine.event_count engine)),
+          fun d ->
+            incr drains;
+            longest := Stdlib.max !longest (int_of_float d) )
+      in
+      Engine.periodic_channel ~timer engine ~periods:(Array.init streams period) (fun idx ->
+          record (Engine.now_s engine) idx;
+          true);
       for k = 0 to streams - 1 do
         Engine.arm_s engine ~idx:k ~delay_s:(phase k)
       done);
@@ -203,36 +195,125 @@ let batch_drain_check ~closures =
     (List.rev !seen, Engine.event_count engine, final)
   in
   let plain, count_p, final_p = run `Closures in
-  List.iter
-    (fun (name, mode) ->
-      let got, count_g, final_g = run mode in
-      Alcotest.(check int) (name ^ ": same executed count") count_p count_g;
-      Alcotest.(check (float 0.0)) (name ^ ": same final time") final_p final_g;
-      Alcotest.(check int) (name ^ ": same chronology length") (List.length plain)
-        (List.length got);
-      List.iter2
-        (fun (tp, ip) (tg, ig) ->
-          Alcotest.(check int) (name ^ ": same idx") ip ig;
-          if not (Int64.equal (Int64.bits_of_float tp) (Int64.bits_of_float tg)) then
-            Alcotest.failf "%s: fire time diverged at idx %d: %h <> %h" name ip tp tg)
-        plain got)
-    [ ("rings", `Rings); ("batched rings", `Batched) ];
-  if !batch_calls = 0 then Alcotest.fail "no batch was drained";
-  if !max_batch < 2 then Alcotest.fail "no batch held more than one event"
+  let got, count_g, final_g = run `Rings in
+  Alcotest.(check int) "same executed count" count_p count_g;
+  Alcotest.(check (float 0.0)) "same final time" final_p final_g;
+  Alcotest.(check int) "same chronology length" (List.length plain) (List.length got);
+  List.iter2
+    (fun (tp, ip) (tg, ig) ->
+      Alcotest.(check int) "same idx" ip ig;
+      if not (Int64.equal (Int64.bits_of_float tp) (Int64.bits_of_float tg)) then
+        Alcotest.failf "fire time diverged at idx %d: %h <> %h" ip tp tg)
+    plain got;
+  if !drains = 0 then Alcotest.fail "no ring was drained";
+  if !longest < 2 then Alcotest.fail "no drain fired more than one event"
 
-let test_engine_batch_drain_heap () = batch_drain_check ~closures:true
-let test_engine_batch_drain_rings () = batch_drain_check ~closures:false
+let test_engine_drain_heap () = drain_check ~closures:true
+let test_engine_drain_rings () = drain_check ~closures:false
+
+(* The drain contract, held to closures: the same streams on the
+   periodic channel and as self-re-arming [schedule_s] closures must
+   give the same fire order, trace bytes, returned clocks, executed
+   count and pending count.  Up to four rings (periods drawn from five
+   values, so equal and unequal ones), phases on a half-second grid
+   (ties within and across rings), some streams dormant at the start.
+   Each fire looks up an action: nothing, schedule a one-shot child
+   closure (a zero delay ties with the report), [arm_s] a dormant
+   stream one period out, or [stop] the run, which the test resumes to
+   the horizon.  A stream ends (its handler returns [false]) after a
+   drawn number of fires. *)
+let prop_drain_equals_closures =
+  QCheck.Test.make ~name:"fused drain equals self-re-arming closures" ~count:150
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create (4100 + seed) in
+      let pick k = Rng.int rng k in
+      let choices = [| 1.0; 1.5; 2.0; 3.0; 4.5 |] in
+      let m = 1 + pick 4 in
+      let streams = 1 + pick 40 in
+      let periods = Array.init streams (fun _ -> choices.(pick m + pick 2)) in
+      let phases =
+        Array.map (fun p -> 0.5 *. Float.of_int (pick (int_of_float (2.0 *. p)))) periods
+      in
+      let armed = Array.init streams (fun _ -> pick 4 <> 0) in
+      let ends = Array.init streams (fun _ -> if pick 3 = 0 then 1 + pick 20 else 0) in
+      let actions =
+        Array.init streams (fun _ ->
+            Array.init 8 (fun _ ->
+                match pick 20 with
+                | 0 | 1 | 2 -> `Child (0.5 *. Float.of_int (pick 4))
+                | 3 | 4 | 5 -> `Arm (pick streams)
+                | 6 -> `Stop
+                | _ -> `Nothing))
+      in
+      let first_until = 0.5 *. Float.of_int (pick 40) in
+      let horizon = 30.0 in
+      let run mode =
+        let trace = Trace.create ~capacity:100_000 () in
+        let e = Engine.create ~trace () in
+        let log = Buffer.create 4096 in
+        let fires = Array.make streams 0 and live = Array.copy armed in
+        let arm = ref (fun (_ : int) -> ()) in
+        let handler idx =
+          let k = fires.(idx) in
+          fires.(idx) <- k + 1;
+          Buffer.add_string log (Printf.sprintf "r%d@%h;" idx (Engine.now_s e));
+          (match actions.(idx).(k mod 8) with
+          | `Child d ->
+            Engine.schedule_s ~label:"child" e ~delay_s:d (fun e ->
+                Buffer.add_string log (Printf.sprintf "k%d@%h;" idx (Engine.now_s e)))
+          | `Arm j ->
+            if not live.(j) then begin
+              live.(j) <- true;
+              !arm j
+            end
+          | `Stop -> Engine.stop e
+          | `Nothing -> ());
+          let again = ends.(idx) = 0 || k + 1 < ends.(idx) in
+          if not again then live.(idx) <- false;
+          again
+        in
+        (match mode with
+        | `Closures ->
+          let label idx = "report:" ^ Int.to_string idx in
+          let rec tick idx e =
+            if handler idx then
+              Engine.schedule_s ~label:(label idx) e ~delay_s:periods.(idx) (tick idx)
+          in
+          arm := (fun j -> Engine.schedule_s ~label:(label j) e ~delay_s:periods.(j) (tick j));
+          Array.iteri
+            (fun idx on ->
+              if on then Engine.schedule_s ~label:(label idx) e ~delay_s:phases.(idx) (tick idx))
+            armed
+        | `Rings ->
+          Engine.periodic_channel ~label:"report" e ~periods handler;
+          arm := (fun j -> Engine.arm_s e ~idx:j ~delay_s:periods.(j));
+          Array.iteri (fun idx on -> if on then Engine.arm_s e ~idx ~delay_s:phases.(idx)) armed);
+        let clocks = ref [ Engine.run_s ~until_s:first_until e ] in
+        let resumes = ref 0 in
+        while List.hd !clocks < horizon && Engine.pending e > 0 && !resumes < 10_000 do
+          incr resumes;
+          clocks := Engine.run_s ~until_s:horizon e :: !clocks
+        done;
+        let traced =
+          List.map
+            (fun (x : Trace.entry) -> Printf.sprintf "%h %s" x.time x.label)
+            (Trace.to_list trace)
+        in
+        (Buffer.contents log, traced, !clocks, Engine.event_count e, Engine.pending e)
+      in
+      run `Rings = run `Closures)
 
 (* The fixed-period contract is checked, not assumed: once a ring has
    been sorted (the run started), an append earlier than its tail
    raises instead of silently re-sorting. *)
 let test_ring_out_of_order_append () =
   let engine = Engine.create () in
-  Engine.periodic_channel engine ~periods:[| 10.0; 10.0; 10.0 |] (fun e idx ->
+  Engine.periodic_channel engine ~periods:[| 10.0; 10.0; 10.0 |] (fun idx ->
       if idx = 0 then
         Alcotest.check_raises "append before the tail"
           (Invalid_argument "Engine: periodic re-arm earlier than its ring's tail") (fun () ->
-            Engine.arm_s e ~idx:2 ~delay_s:1.0));
+            Engine.arm_s engine ~idx:2 ~delay_s:1.0);
+      false);
   Engine.arm_s engine ~idx:1 ~delay_s:9.0;
   Engine.arm_s engine ~idx:0 ~delay_s:2.0;
   ignore (Engine.run_s ~until_s:5.0 engine : float);
@@ -461,8 +542,9 @@ let suite =
     ("engine stop", `Quick, test_engine_stop);
     ("engine every", `Quick, test_engine_every);
     ("engine rejects past", `Quick, test_engine_past_rejected);
-    ("engine batch drain (heap)", `Quick, test_engine_batch_drain_heap);
-    ("engine batch drain (rings)", `Quick, test_engine_batch_drain_rings);
+    ("engine ring drain (heap)", `Quick, test_engine_drain_heap);
+    ("engine ring drain (rings)", `Quick, test_engine_drain_rings);
+    QCheck_alcotest.to_alcotest prop_drain_equals_closures;
     ("ring rejects out-of-order append", `Quick, test_ring_out_of_order_append);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng uniform range", `Quick, test_rng_uniform_range);
