@@ -853,12 +853,10 @@ let run_fleet_point ~jobs ~nodes =
   let events_per_s =
     if run_s > 0.0 then Float.of_int outcome.Amb_system.Cosim.events /. run_s else Float.nan
   in
-  (* The ledger's struct-of-arrays footprint, measured on a fresh
-     snapshot of the run's agents — this is what the words/node gate
-     holds down. *)
+  (* The footprint of the run's own ledger, read off the outcome — this
+     is what the words/node gate holds down. *)
   let ledger_words_per_node =
-    Float.of_int (Amb_system.Fleet_ledger.words
-                    (Amb_system.Fleet_ledger.of_agents outcome.Amb_system.Cosim.agents))
+    Float.of_int (Amb_system.Fleet_ledger.words outcome.Amb_system.Cosim.agents)
     /. Float.of_int nodes
   in
   Printf.printf
@@ -1026,24 +1024,23 @@ let outcome_mismatches (a : Amb_system.Cosim.outcome) (b : Amb_system.Cosim.outc
          a.deaths b.deaths
   in
   let agents_eq =
-    let module A = Amb_system.Node_agent in
-    Array.length a.agents = Array.length b.agents
+    let module L = Amb_system.Fleet_ledger in
+    let x = a.agents and y = b.agents in
+    L.length x = L.length y
     && begin
          let ok = ref true in
-         Array.iteri
-           (fun i x ->
-             let y = b.agents.(i) in
-             if
-               not
-                 (A.id x = A.id y && A.alive x = A.alive y
-                 && A.is_crashed x = A.is_crashed y
-                 && feq (A.reserve_j x) (A.reserve_j y)
-                 && feq (A.consumed_j x) (A.consumed_j y)
-                 && feq (A.harvested_j x) (A.harvested_j y)
-                 && feq (A.last_account_s x) (A.last_account_s y)
-                 && feq (A.died_at_s x) (A.died_at_s y))
-             then ok := false)
-           a.agents;
+         for i = 0 to L.length x - 1 do
+           if
+             not
+               (L.alive x i = L.alive y i
+               && L.crashed x i = L.crashed y i
+               && feq (L.reserve_j x i) (L.reserve_j y i)
+               && feq (L.consumed_j x i) (L.consumed_j y i)
+               && feq (L.harvested_j x i) (L.harvested_j y i)
+               && feq (L.last_account_s x i) (L.last_account_s y i)
+               && feq (L.died_at_s x i) (L.died_at_s y i))
+           then ok := false
+         done;
          !ok
        end
   in

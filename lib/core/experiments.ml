@@ -1186,7 +1186,7 @@ let e31 () =
   in
   let tier_consumed tier =
     Array.fold_left
-      (fun acc i -> acc +. Energy.to_joules (Node_agent.consumed_energy o.Cosim.agents.(i)))
+      (fun acc i -> acc +. Fleet_ledger.consumed_j o.Cosim.agents i)
       0.0 (Fleet.tier_nodes fleet tier)
   in
   Report.make ~title:r.Report.title ~header:r.Report.header r.Report.rows

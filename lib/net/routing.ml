@@ -54,24 +54,7 @@ type t = {
   rx_j : float;  (** RX-side joules per packet (distance-independent) *)
   tariff : float -> float;
       (** staged distance (m) -> TX-side joules; NaN beyond radio reach *)
-  tx_memo : (float, float) Hashtbl.t;
-      (** distance (m) -> TX-side joules for distances off the pair
-          cache only (faded links, [path_energy], [hop_energy]); owned by
-          this router instance and unsynchronised — parallel shards each
-          build their own router *)
 }
-
-(** [tx_energy_j_at router ~distance_m] — memoized TX-side joules for an
-    arbitrary hop length; NaN beyond radio reach.  Keyed on the exact
-    distance, so repeated lookups (per-pair fades, path walks) skip the
-    tariff. *)
-let tx_energy_j_at router ~distance_m =
-  match Hashtbl.find_opt router.tx_memo distance_m with
-  | Some e -> e
-  | None ->
-    let e = router.tariff distance_m in
-    Hashtbl.add router.tx_memo distance_m e;
-    e
 
 (* Below this many rows a sharded pass runs inline: a pool batch costs
    more than the work it would split. *)
@@ -180,15 +163,7 @@ let make ?(jobs = 1) ~topology ~link ~packet () =
   in
   let tariff = Link_budget.tx_tariff link ~bits in
   let cache = build_csr ~topology ~tariff ~range_m ~jobs in
-  { topology; link; packet; range_m; cache; rx_j; tariff; tx_memo = Hashtbl.create 64 }
-
-(** [with_private_memo router] — the same router (topology, pair cache
-    and packet shared, all read-only) with a fresh, empty distance memo.
-    The memo is a pure cache over [tariff], so a clone computes
-    bitwise-identical energies; what it buys is isolation: parallel
-    shards whose fault plans fade links each write their own memo
-    instead of racing on the shared one. *)
-let with_private_memo router = { router with tx_memo = Hashtbl.create 64 }
+  { topology; link; packet; range_m; cache; rx_j; tariff }
 
 (** [rows router] — the CSR structure (offsets, neighbour ids).  Route
     trees sweep it to visit only in-range pairs. *)
@@ -241,7 +216,7 @@ let link_energy_j router i j = sender_energy_j router i j +. router.rx_j
     [distance_m]: minimum closing TX energy plus RX energy; [None] beyond
     radio reach. *)
 let hop_energy router ~distance_m =
-  let tx = tx_energy_j_at router ~distance_m in
+  let tx = router.tariff distance_m in
   if Float.is_nan tx then None else Some (Energy.joules (tx +. router.rx_j))
 
 (** [build_graph router ~policy ~residual] — weighted graph for [policy],
@@ -294,9 +269,9 @@ let path_energy router path =
   walk path
 
 (** [sender_energy router ~distance_m] — TX-side-only energy for one hop
-    (used when accounting per-node depletion); memoized per distance. *)
+    (used when accounting per-node depletion, and to price faded links). *)
 let sender_energy router ~distance_m =
-  let tx = tx_energy_j_at router ~distance_m in
+  let tx = router.tariff distance_m in
   if Float.is_nan tx then None else Some (Energy.joules tx)
 
 (** [receiver_energy router] — RX-side-only energy for one hop (cached). *)

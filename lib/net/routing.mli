@@ -27,15 +27,12 @@ type t = {
   tariff : float -> float;
       (** staged distance (m) -> TX-side joules ({!Link_budget.tx_tariff}
           for this link and packet); NaN beyond radio reach.  The only
-          tariff the router evaluates: the pair cache is filled from it
-          and [tx_memo] misses call it. *)
-  tx_memo : (float, float) Hashtbl.t;
-      (** distance (m) -> TX-side joules for distances off the pair
-          cache only: faded links, {!path_energy} and {!hop_energy}
-          ({!make} fills the cache without it).  Owned by this router
-          instance and not synchronised: parallel shards must each
-          build their own router (the experiment suite already does). *)
+          tariff the router evaluates: the pair cache is filled from
+          it, and distances off the cache (faded links, {!path_energy},
+          {!hop_energy}) are priced by calling it. *)
 }
+(** Immutable once {!make} returns, so any number of runs — on any
+    number of domains — may share one router. *)
 
 val make :
   ?jobs:int ->
@@ -57,14 +54,6 @@ val make :
     CSR row passes (degrees, upper halves, lower halves) shards across a
     domain pool; the cache is a pure function of the positions, so the
     result is bitwise independent of [jobs]. *)
-
-val with_private_memo : t -> t
-(** The same router — topology, per-pair cache and packet shared,
-    read-only — with a fresh, empty distance memo.  The memo is a pure
-    cache over [tariff], so every lookup through the
-    clone is bitwise identical; cloning exists so parallel shards whose
-    fault plans fade links each own their memo instead of racing on the
-    shared table. *)
 
 val rows : t -> int array * int array
 (** [(offsets, neighbors)] of the CSR in-range structure: row [i] is
@@ -91,12 +80,7 @@ val adjacency : t -> (int array * int array) option
 
 val hop_energy : t -> distance_m:float -> Energy.t option
 (** Energy to move one packet one hop: minimum closing TX energy plus RX
-    energy; [None] beyond radio reach.  Memoized per distance. *)
-
-val tx_energy_j_at : t -> distance_m:float -> float
-(** Memoized TX-side joules for an arbitrary hop length; NaN beyond
-    radio reach.  Keyed on the exact distance, so repeated lookups
-    (per-pair fades, path walks) skip the tariff. *)
+    energy; [None] beyond radio reach. *)
 
 val sender_energy_j : t -> int -> int -> float
 (** Cached TX-side joules to move one packet between a node pair; NaN
@@ -119,8 +103,8 @@ val path_energy : t -> int list -> Energy.t option
 (** Total radio energy to deliver one packet along a path. *)
 
 val sender_energy : t -> distance_m:float -> Energy.t option
-(** TX-side-only energy for one hop (per-node depletion accounting);
-    memoized per distance. *)
+(** TX-side-only energy for one hop (per-node depletion accounting,
+    faded links). *)
 
 val receiver_energy : t -> Energy.t
 (** RX-side-only energy for one hop. *)

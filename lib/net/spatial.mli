@@ -1,10 +1,9 @@
 (** Uniform-grid spatial index over node positions.
 
-    The city-scale fast path: {!Topology.connectivity},
-    {!Topology.neighbors_within} and the sparse {!Routing} cache replace
-    their all-pairs O(n²) scans with range queries against this grid,
-    whose cell edge is tied to the radio range so a query touches a
-    constant-size cell ring.  Build is O(n + cells), memory O(n + cells),
+    Every range query on a run path goes through this grid: the
+    {!Routing} CSR build asks it for each node's in-range neighbours
+    instead of scanning all O(n²) pairs.  Its cell edge is tied to the
+    radio range, so a query touches a constant-size cell ring.  Build is O(n + cells), memory O(n + cells),
     and the cell count is clamped to O(n) regardless of the requested
     cell size.
 
@@ -15,8 +14,8 @@
     [Float.hypot dx dy <= range_m] and return bit-identical distances to
     the brute-force scan (the same [Float.hypot] on the same
     coordinates), so swapping the index in never moves an experiment
-    digest — property-tested against the pair scan on random and
-    boundary layouts. *)
+    digest — property-tested against the all-pairs scan (kept as a
+    test-side reference) on random and boundary layouts. *)
 
 type t
 

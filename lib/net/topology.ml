@@ -1,8 +1,7 @@
-(** Node placement and radio-range connectivity.
+(** Node placement in a rectangular field (metres).
 
-    Positions live in a rectangular field (metres).  Connectivity derives
-    from a maximum link range, giving the geometric graphs over which the
-    routing and lifetime experiments run. *)
+    Radio-range queries over the positions go through a {!Spatial} grid
+    ({!spatial}); {!Routing} builds its in-range rows on one. *)
 
 type position = { x : float; y : float }
 
@@ -77,61 +76,6 @@ let spatial topo ~cell_m =
     ys.(i) <- topo.positions.(i).y
   done;
   Spatial.make ~xs ~ys ~width_m:topo.width_m ~height_m:topo.height_m ~cell_m
-
-(* Below this node count the all-pairs scan wins: the grid build is ~2n
-   array passes, which only pays off once n dwarfs the per-query cell
-   ring.  The two paths return identical results (same [Float.hypot] on
-   the same pairs; the grid enumerates a superset of the in-range set),
-   so the threshold is purely a performance knob. *)
-let spatial_threshold = 512
-
-(** [connectivity topo ~range_m] — undirected graph with an edge wherever
-    two nodes are within [range_m]; edge weight is the distance.  Above
-    {!spatial_threshold} nodes the pair scan is replaced by grid range
-    queries; edge insertion order (ascending [i], then ascending [j]) is
-    preserved, so the resulting graph is identical. *)
-let connectivity topo ~range_m =
-  if range_m <= 0.0 then invalid_arg "Topology.connectivity: non-positive range";
-  let n = node_count topo in
-  let g = Graph.create n in
-  if n < spatial_threshold then
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let d = pair_distance topo i j in
-        if d <= range_m then Graph.add_undirected g i j ~weight:(Float.max d 1e-3)
-      done
-    done
-  else begin
-    let index = spatial topo ~cell_m:range_m in
-    (* Per node: collect the forward (j > i) in-range ids, restore the
-       ascending order the pair scan produced, then insert. *)
-    let scratch = ref [] in
-    for i = 0 to n - 1 do
-      scratch := [];
-      Spatial.iter_within index i ~range_m (fun j _ -> if j > i then scratch := j :: !scratch);
-      List.iter
-        (fun j ->
-          Graph.add_undirected g i j ~weight:(Float.max (pair_distance topo i j) 1e-3))
-        (List.sort Stdlib.compare !scratch)
-    done
-  end;
-  g
-
-(** [neighbors_within topo i ~range_m] — ids of nodes within range of
-    [i], ascending.  Large topologies answer from a grid range query;
-    repeated callers should build one {!spatial} index and query it
-    directly. *)
-let neighbors_within topo i ~range_m =
-  let n = node_count topo in
-  if n >= spatial_threshold then
-    Spatial.neighbors_within (spatial topo ~cell_m:range_m) i ~range_m
-  else
-    let rec collect j acc =
-      if j >= n then List.rev acc
-      else if j <> i && pair_distance topo i j <= range_m then collect (j + 1) (j :: acc)
-      else collect (j + 1) acc
-    in
-    collect 0 []
 
 (** [density topo] — nodes per square metre. *)
 let density topo =

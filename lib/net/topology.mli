@@ -1,6 +1,6 @@
-(** Node placement in a rectangular field (metres) and radio-range
-    connectivity — the geometric graphs the routing and lifetime
-    experiments run on. *)
+(** Node placement in a rectangular field (metres) — the layouts the
+    routing and lifetime experiments run on.  Radio-range queries go
+    through a {!Spatial} grid over the positions ({!spatial}). *)
 
 type position = { x : float; y : float }
 
@@ -33,15 +33,6 @@ val spatial : t -> cell_m:float -> Spatial.t
 (** Uniform-grid index over the node positions; callers tie [cell_m] to
     the radio range.  Build one and query it directly when issuing many
     range queries. *)
-
-val connectivity : t -> range_m:float -> Graph.t
-(** Undirected graph with an edge wherever two nodes are within range;
-    edge weight is the distance.  Backed by a grid range query above a
-    size threshold — same graph, same edge order, O(n + edges) instead
-    of O(n²). *)
-
-val neighbors_within : t -> int -> range_m:float -> int list
-(** Ascending ids of nodes within range of a node. *)
 
 val density : t -> float
 (** Nodes per square metre. *)

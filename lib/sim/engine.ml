@@ -276,6 +276,9 @@ let schedule_cell ?(label = "event") engine callback =
 let periodic_channel ?(label = "stream") ?timer engine ~periods fn =
   if Array.length engine.stream_ring > 0 then
     invalid_arg "Engine.periodic_channel: already installed";
+  (* Rings are sorted when a run starts; one installed mid-run would
+     fire its initial phases in arm order. *)
+  if engine.running then invalid_arg "Engine.periodic_channel: installed while running";
   let n = Array.length periods in
   let stream_ring = Array.make n (-1) in
   (* Rings are keyed by the exact period value: a linear search over

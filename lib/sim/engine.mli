@@ -126,7 +126,10 @@ val periodic_channel :
     the difference to the accumulator — one interval per drain, not
     per event.  Cost per event is O(1); a drain entry is O(number of
     distinct periods) — meant for a handful.  Raises
-    [Invalid_argument] when a channel is already installed. *)
+    [Invalid_argument] when a channel is already installed, and when
+    called while {!run_s} is running (from a callback): rings are
+    sorted as a run starts.  Between a {!stop} and the next run it is
+    legal. *)
 
 val arm_s : t -> idx:int -> delay_s:float -> unit
 (** Schedule stream [idx]'s first report [delay_s] seconds from now

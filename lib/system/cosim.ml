@@ -3,21 +3,20 @@
     The forwarding loop, death-triggered rebuilds and report-phase RNG
     discipline deliberately mirror {!Amb_net.Net_sim} statement for
     statement; the continuous energy accounting mirrors
-    {!Amb_node.Lifetime_sim} through the {!Fleet_ledger} rows, whose
-    kernels replay {!Node_agent}'s arithmetic float-op for float-op.
-    The degenerate cross-check experiments (E27) depend on both
-    mirrors, and [test/cosim_reference.ml] holds the whole run to a
-    plain per-object reference bit for bit.
+    {!Amb_node.Lifetime_sim} through the {!Fleet_ledger} rows, the
+    run's one energy state.  The degenerate cross-check experiments
+    (E27) depend on both mirrors, and [test/cosim_reference.ml] holds
+    the whole run to a plain per-object reference bit for bit.
 
-    A run is five stages, each below under its own header: setup
-    (agents, battery faults, the ledger, the link layer), the
-    collection tree (parents, hop tariffs, coverage, rebuilds and
-    repairs), the report channel, faults, and finalize.  Topology events
-    under the tie-free [Min_energy] policy splice the affected subtree
-    instead of re-running Dijkstra over all pairs — node deaths
-    re-attach the orphaned subtree, link fades that only worsen a pair
-    repair the faded tree edge (or no-op on non-tree edges).
-    [Min_hop] (global tie-breaks) and [Max_lifetime]
+    A run is five stages, each below under its own header: setup (the
+    link layer, the ledger built from the tier configs, battery
+    faults), the collection tree (parents, hop tariffs, coverage,
+    rebuilds and repairs), the report channel, faults, and finalize.
+    Topology events under the tie-free [Min_energy] policy splice the
+    affected subtree instead of re-running Dijkstra over all pairs —
+    node deaths re-attach the orphaned subtree, link fades that only
+    worsen a pair repair the faded tree edge (or no-op on non-tree
+    edges).  [Min_hop] (global tie-breaks) and [Max_lifetime]
     (residual-dependent weights), as well as fades that improve a pair
     (a smaller fade replacing a larger one), keep the full rebuild. *)
 
@@ -69,7 +68,7 @@ type outcome = {
   mean_coverage : float;
   rebuilds : int;
   events : int;
-  agents : Node_agent.t array;
+  agents : Fleet_ledger.t;
 }
 
 type phase_times = {
@@ -101,10 +100,9 @@ let add_account pt d = pt.account_s <- pt.account_s +. d
 let add_rebuild pt d = pt.rebuild_s <- pt.rebuild_s +. d
 
 (* --- stage 1: setup -----------------------------------------------------
-   Agents built from the fleet's tier parameters, battery faults applied
-   before the clock starts, then the ledger snapshot — from here on
-   the [Fleet_ledger] rows, not the agent records, are the run's energy
-   truth; the agents are restored from them at run end. *)
+   The ledger built from the fleet's tier configs, battery faults
+   applied to it before the clock starts: from here to the outcome its
+   rows are the run's energy state. *)
 
 type setup = {
   cfg : config;
@@ -116,7 +114,6 @@ type setup = {
          without flambda, [now_s]'s return is boxed at every call. *)
   trace : Trace.t option;
   link : Link_layer.t;
-  agents : Node_agent.t array;
   ledger : Fleet_ledger.t;
   alive : int -> bool;
   counts : Fleet_ledger.tally;
@@ -137,28 +134,17 @@ let setup ?trace ~router cfg =
            fleet.Fleet.tag_link)
       ~router ~mode:cfg.link ()
   in
-  let sampling = Power.watts (Link_layer.sampling_power_w link) in
-  let income_multiplier = Option.map Amb_energy.Day_profile.income_multiplier cfg.diurnal in
-  let agents =
-    Array.init n (fun i ->
-        (* Tags never sample the shared MAC channel — their downlink is
-           the reader's carrier, so the MAC sleep tax stays off their
-           nanowatt ledger. *)
-        let extra_sleep =
-          if fleet.Fleet.tiers.(i) = Fleet.Tag then Power.zero else sampling
-        in
-        Node_agent.create ?income_multiplier ~extra_sleep ~id:i
-          ~cfg:(Fleet.config_of fleet fleet.Fleet.tiers.(i)) ())
+  let ledger =
+    Fleet_ledger.create ?diurnal:cfg.diurnal ~sampling_w:(Link_layer.sampling_power_w link) fleet
   in
   List.iter
     (function
       | Fault_plan.Battery_scale { node; scale } ->
-        Node_agent.scale_battery agents.(node) ~factor:scale
+        Fleet_ledger.scale_battery ledger node ~factor:scale
       | Fault_plan.Node_crash _ | Fault_plan.Link_fade _ -> ())
     cfg.faults;
-  let ledger = Fleet_ledger.of_agents ?diurnal:cfg.diurnal agents in
   { cfg; n; sink = fleet.Fleet.sink; engine; clk = Engine.clock_cell engine; trace; link;
-    agents; ledger; alive = Fleet_ledger.alive ledger; counts = Fleet_ledger.tally () }
+    ledger; alive = Fleet_ledger.alive ledger; counts = Fleet_ledger.tally () }
 
 (* --- stage 2: the collection tree ---------------------------------------
    Parents and their hop tariffs, coverage and availability, and every
@@ -449,10 +435,10 @@ let schedule_faults ?phase t =
     t.s.cfg.faults
 
 (* --- stage 5: finalize --------------------------------------------------
-   Restore the agents from the ledger so reporting — and callers holding
-   [outcome.agents] — read the run's final state, close the time
-   averages and check the run-end invariant: every report ends its walk
-   delivered or dropped, so nothing is in flight once the run is over. *)
+   Close the time averages, sum the ledger and check the run-end
+   invariant: every report ends its walk delivered or dropped, so
+   nothing is in flight once the run is over.  The outcome hands out
+   the ledger itself as the final per-node state. *)
 
 let finalize (t : tree) ~end_s : outcome =
   let s = t.s in
@@ -461,13 +447,21 @@ let finalize (t : tree) ~end_s : outcome =
     failwith
       (Printf.sprintf "Cosim: %d reports generated but %d delivered + %d dropped" c.generated
          c.delivered c.dropped);
-  Fleet_ledger.write_back s.ledger s.agents;
   Stat.close t.coverage ~time:end_s;
   Stat.close t.avail ~time:end_s;
   let deaths = List.sort (fun (_, a) (_, b) -> Float.compare a b) (List.rev t.deaths) in
+  let ledger = s.ledger in
   let sum f =
-    Energy.joules (Array.fold_left (fun acc a -> acc +. Energy.to_joules (f a)) 0.0 s.agents)
+    let acc = ref 0.0 in
+    for i = 0 to s.n - 1 do
+      acc := !acc +. f ledger i
+    done;
+    Energy.joules !acc
   in
+  let dead = ref 0 in
+  for i = 0 to s.n - 1 do
+    if not (s.alive i) then incr dead
+  done;
   let time_avg tw = let v = Stat.time_average tw in if Float.is_nan v then 1.0 else v in
   {
     generated = c.generated;
@@ -477,24 +471,22 @@ let finalize (t : tree) ~end_s : outcome =
       (if c.generated = 0 then 0.0 else Float.of_int c.delivered /. Float.of_int c.generated);
     first_death = (match deaths with [] -> None | (_, at) :: _ -> Some (Time_span.seconds at));
     deaths = List.map (fun (i, at) -> (i, Time_span.seconds at)) deaths;
-    dead_at_end =
-      Array.fold_left (fun acc a -> if Node_agent.alive a then acc else acc + 1) 0 s.agents;
-    energy_spent = sum Node_agent.consumed_energy;
-    energy_harvested = sum Node_agent.harvested_energy;
+    dead_at_end = !dead;
+    energy_spent = sum Fleet_ledger.consumed_j;
+    energy_harvested = sum Fleet_ledger.harvested_j;
     availability = time_avg t.avail;
     mean_coverage = time_avg t.coverage;
     rebuilds = t.rebuilds;
     events = Engine.event_count s.engine;
-    agents = s.agents;
+    agents = ledger;
   }
 
 (* The stages in order.  The body takes the router explicitly: [run]
-   passes the fleet's own, [run_many]'s parallel shards pass
-   private-memo clones so fade faults (which write per-distance energies
-   through the memo) never race.  The initial rebuild, the report
-   phases, the periodic ticks and the faults are set up in that order —
-   it fixes the engine's insertion sequence, so it is part of the
-   chronology. *)
+   passes the fleet's own, and a caller may pass any router over the
+   same topology — a router is immutable, so concurrent runs share
+   one.  The initial rebuild, the report phases, the periodic ticks and
+   the faults are set up in that order — it fixes the engine's
+   insertion sequence, so it is part of the chronology. *)
 let run_with_router ?trace ?pool ?phase ~router cfg ~seed =
   let s = setup ?trace ~router cfg in
   let t = tree ?phase s ~router in
@@ -519,30 +511,3 @@ let run_with_router ?trace ?pool ?phase ~router cfg ~seed =
 
 let run ?trace cfg ~seed =
   run_with_router ?trace ~router:cfg.fleet.Fleet.router cfg ~seed
-
-(* Independent-scenario sweep.  Each seed's run builds its own engine,
-   agents and link layer; the shared fleet (topology, tiers, routing
-   cache) is only read.  The one shared-mutation hazard is the router's
-   distance memo (fade faults write per-distance energies through it),
-   so parallel shards run through [Routing.with_private_memo] clones —
-   the memo is a pure cache, so outcomes stay bitwise identical to the
-   sequential sweep at every [jobs]. *)
-let run_many ?(jobs = 1) cfg ~seeds =
-  let jobs = Stdlib.max 1 jobs in
-  if jobs = 1 || Array.length seeds <= 1 then
-    Array.map (fun seed -> run cfg ~seed) seeds
-  else
-    let fade_free =
-      List.for_all
-        (function Fault_plan.Link_fade _ -> false | _ -> true)
-        cfg.faults
-    in
-    let router_for_shard () =
-      if fade_free then cfg.fleet.Fleet.router
-      else Routing.with_private_memo cfg.fleet.Fleet.router
-    in
-    Domain_pool.with_pool ~jobs (fun pool ->
-        Domain_pool.run pool
-          (Array.map
-             (fun seed () -> run_with_router ~router:(router_for_shard ()) cfg ~seed)
-             seeds))

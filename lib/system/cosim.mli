@@ -1,7 +1,7 @@
 (** Whole-fleet co-simulation on one discrete-event clock.
 
     One {!Amb_sim.Engine} run couples, per node, the energy state
-    ({!Node_agent}: battery drain, diurnal harvest income) to the traffic
+    ({!Fleet_ledger}: battery drain, diurnal harvest income) to the traffic
     the node actually generates and forwards ({!Link_layer}: per-hop
     TX/RX energy), with collection-tree routing that reacts to node
     deaths and injected faults ({!Fault_plan}).
@@ -61,7 +61,12 @@ type outcome = {
   mean_coverage : float;  (** time-averaged connected-leaf fraction *)
   rebuilds : int;
   events : int;  (** engine callbacks executed *)
-  agents : Node_agent.t array;  (** final per-node energy state *)
+  agents : Fleet_ledger.t;
+      (** final per-node energy state: the run's ledger itself, read
+          through the {!Fleet_ledger} accessors.  The field keeps its
+          pre-ledger name only for the frozen benchmark's one reader
+          (perfbench/bench.ml:358); it will be renamed once that line
+          reads the ledger directly. *)
 }
 
 val run : ?trace:Amb_sim.Trace.t -> config -> seed:int -> outcome
@@ -115,29 +120,20 @@ val run_with_router :
   config ->
   seed:int ->
   outcome
-(** {!run} with the routing cache supplied explicitly (parallel sweeps
-    pass {!Amb_net.Routing.with_private_memo} clones so fade faults
-    never race on the shared memo).  The run keeps its energy state in
-    a {!Fleet_ledger} and walks reports with {!Fleet_ledger.report};
-    [outcome.agents] is restored from the ledger at run end.  [pool]
-    shards only the periodic accounting ticks, over disjoint index
-    ranges ({!Fleet_ledger.account_all}); a tick with a predicted death
-    falls back to the sequential node order, so outcomes are bitwise
-    identical at every pool size.  It is kept for the benchmark's
-    pooled re-check; reports always fire sequentially.
+(** {!run} with the routing cache supplied explicitly.  A router is
+    immutable, so concurrent runs — one per domain of a pool, say —
+    may share one.  The run keeps its energy state in a
+    {!Fleet_ledger} built from the fleet's tier configs, walks reports
+    with {!Fleet_ledger.report} and returns that ledger as
+    [outcome.agents].  [pool] shards only the periodic accounting
+    ticks, over disjoint index ranges ({!Fleet_ledger.account_all}); a
+    tick with a predicted death falls back to the sequential node
+    order, so outcomes are bitwise identical at every pool size.  It is
+    kept for the benchmark's pooled re-check; reports always fire
+    sequentially.
     [phase] accumulates per-stage wall clock and the tree's update
     counters (see {!phase_times}).
 
     Raises [Failure] naming the three counts if a run ends with
     [generated <> delivered + dropped] — every report ends its walk in
     exactly one of the two, so a mismatch is a broken walk. *)
-
-val run_many : ?jobs:int -> config -> seeds:int array -> outcome array
-(** One {!run} per seed, result order matching [seeds]; [jobs] > 1
-    spreads the runs across a domain pool (each run owns its engine and
-    agents, the fleet is shared read-only), so the outcomes are bitwise
-    identical to the sequential sweep at every [jobs].  Fault plans
-    containing a link fade parallelise too: each shard runs through a
-    {!Amb_net.Routing.with_private_memo} clone of the fleet's router, so
-    fades write their per-distance energies into shard-private memos
-    instead of racing on the shared table. *)

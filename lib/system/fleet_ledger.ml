@@ -1,19 +1,22 @@
-(** Struct-of-arrays twin of {!Node_agent} (see .mli for the contract).
+(** The co-simulation's energy ledger (see .mli for the contract).
 
-    Every kernel below performs the float-op sequence of the
-    corresponding {!Node_agent} function operand for operand — same
+    {!create} fills each row from the node's tier config, and every
+    kernel below performs the float-op sequence of the per-object
+    reference ledger in [test/node_agent.ml] operand for operand — same
     reads, same order of [+.]/[-.]/[*.]/[/.], the same capacity clamp
     (an inline, bit-for-bit [Float.min]), same zero-crossing
     interpolation — so a run driven through this ledger produces
-    bit-for-bit the reserves, death instants and report digests of a
-    run driven through the per-object agents.  The qcheck
-    oracle in [test/test_forward_fast.ml] holds {!Cosim} to that
-    standard against the per-object reference run in
-    [test/cosim_reference.ml], across fleet shapes, fault plans,
-    policies and jobs counts. *)
+    bit-for-bit the reserves, death instants and report digests of the
+    per-object reference run in [test/cosim_reference.ml].  The qcheck
+    oracles in [test/test_forward_fast.ml] hold the freshly built rows
+    and whole {!Cosim} runs to that standard, across tier configs,
+    fleet shapes, fault plans, policies and jobs counts. *)
 
+open Amb_units
 open Amb_sim
 module Day_profile = Amb_energy.Day_profile
+module Supply = Amb_energy.Supply
+module Battery = Amb_energy.Battery
 
 (* The nine per-node fields live node-major in one unboxed float matrix
    rather than nine per-field columns: every kernel touches most of a
@@ -25,14 +28,14 @@ let f_last = 1  (* last settled accounting instant *)
 let f_reserve = 2
 let f_consumed = 3
 let f_harvested = 4
-let f_sleep = 5  (* parameters below, copied once per run *)
+let f_sleep = 5  (* parameters below, set once by [create] *)
 let f_regulator = 6
 let f_income = 7
 let f_capacity = 8
 let f_drain = 9
-    (* sleep_w /. regulator, divided once at snapshot time: IEEE
-       division is deterministic, so [stored_quotient *. dt] is
-       bit-identical to Node_agent's [(sleep_w /. regulator) *. dt]
+    (* sleep_w /. regulator, divided once at creation: IEEE division
+       is deterministic, so [stored_quotient *. dt] is bit-identical
+       to the reference's [(sleep_w /. regulator) *. dt]
        while saving a hardware divide on every accounting touch *)
 let stride = 10
 
@@ -44,7 +47,7 @@ type t = {
   diurnal : Day_profile.t;
       (** shared diurnal income profile; consulted only for nodes whose
           [has_mult] bit is set (income > 0 and a profile was supplied),
-          exactly as {!Node_agent} guards its option *)
+          exactly as the reference agent guards its multiplier *)
 }
 
 (* One bit per node: at city scale a [bool array] would spend a word
@@ -55,34 +58,69 @@ let bit_set t i =
   Bytes.unsafe_set t (i lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t (i lsr 3)) lor (1 lsl (i land 7))))
 
-let of_agents ?(diurnal = Day_profile.constant) agents =
-  let n = Array.length agents in
+let create ?diurnal ~sampling_w (fleet : Fleet.t) =
+  let n = Fleet.node_count fleet in
   let t =
     {
       n;
       lg = Array.make (n * stride) 0.0;
       crashed = Bytes.make ((n + 7) / 8) '\000';
       has_mult = Bytes.make ((n + 7) / 8) '\000';
-      diurnal;
+      diurnal = Option.value diurnal ~default:Day_profile.constant;
     }
   in
-  for i = 0 to n - 1 do
-    let ag = agents.(i) in
-    let b = i * stride in
-    t.lg.(b + f_died) <- Node_agent.died_at_s ag;
-    t.lg.(b + f_last) <- Node_agent.last_account_s ag;
-    t.lg.(b + f_reserve) <- Node_agent.reserve_j ag;
-    t.lg.(b + f_consumed) <- Node_agent.consumed_j ag;
-    t.lg.(b + f_harvested) <- Node_agent.harvested_j ag;
-    t.lg.(b + f_sleep) <- Node_agent.sleep_drain_w ag;
-    t.lg.(b + f_regulator) <- Node_agent.regulator_efficiency ag;
-    t.lg.(b + f_income) <- Node_agent.income_w ag;
-    t.lg.(b + f_capacity) <- Node_agent.capacity_j ag;
-    t.lg.(b + f_drain) <- Node_agent.sleep_drain_w ag /. Node_agent.regulator_efficiency ag;
-    if Node_agent.is_crashed ag then bit_set t.crashed i;
-    if Node_agent.has_income_multiplier ag then bit_set t.has_mult i
-  done;
+  (* A row depends on its tier alone, so each tier's fields are derived
+     once and stored into each of its members' rows. *)
+  List.iter
+    (fun tier ->
+      let cfg = Fleet.config_of fleet tier in
+      let supply = cfg.Fleet.supply in
+      let capacity =
+        if supply.Supply.mains then Float.infinity
+        else
+          match cfg.Fleet.budget_override with
+          | Some e -> Energy.to_joules e
+          | None -> (
+            match supply.Supply.battery with
+            | Some b -> Energy.to_joules (Battery.energy b)
+            | None -> 0.0)
+      in
+      let income = Power.to_watts (Supply.harvest_income supply) in
+      let regulator = supply.Supply.regulator_efficiency in
+      (* Tags never sample the shared MAC channel — their downlink is
+         the reader's carrier, so the MAC sleep tax stays off their
+         nanowatt ledger. *)
+      let sleep =
+        Power.to_watts cfg.Fleet.sleep_power +. (if tier = Fleet.Tag then 0.0 else sampling_w)
+      in
+      let samples = income > 0.0 && Option.is_some diurnal in
+      Array.iter
+        (fun i ->
+          let b = i * stride in
+          t.lg.(b + f_died) <- Float.nan;
+          t.lg.(b + f_reserve) <- capacity;
+          t.lg.(b + f_sleep) <- sleep;
+          t.lg.(b + f_regulator) <- regulator;
+          t.lg.(b + f_income) <- income;
+          t.lg.(b + f_capacity) <- capacity;
+          t.lg.(b + f_drain) <- sleep /. regulator;
+          if samples then bit_set t.has_mult i)
+        (Fleet.tier_nodes fleet tier))
+    Fleet.all_tiers;
   t
+
+let scale_battery t i ~factor =
+  if factor <= 0.0 then invalid_arg "Fleet_ledger.scale_battery: non-positive factor";
+  let b = i * stride in
+  let cap = t.lg.(b + f_capacity) in
+  if Float.is_finite cap then begin
+    t.lg.(b + f_capacity) <- cap *. factor;
+    t.lg.(b + f_reserve) <- t.lg.(b + f_reserve) *. factor
+  end
+
+(* A copy of a final ledger under its pre-ledger name, kept only for
+   the frozen benchmark's one reader (perfbench/bench.ml:358). *)
+let of_agents t = { t with lg = Array.copy t.lg; crashed = Bytes.copy t.crashed; has_mult = Bytes.copy t.has_mult }
 
 let length t = t.n
 
@@ -102,6 +140,21 @@ let[@inline] alive t i = Float.is_nan (fget t.lg ((i * stride) + f_died))
 let[@inline] reserve_j t i = fget t.lg ((i * stride) + f_reserve)
 let[@inline] died_at_s t i = fget t.lg ((i * stride) + f_died)
 
+(* Read-only views of a row, for reporting; [i] is bounds-checked. *)
+let consumed_j t i = t.lg.((i * stride) + f_consumed)
+let harvested_j t i = t.lg.((i * stride) + f_harvested)
+let residual_j t i = Float.max 0.0 t.lg.((i * stride) + f_reserve)
+let last_account_s t i = t.lg.((i * stride) + f_last)
+let crashed t i = bit t.crashed i
+
+let row t i =
+  List.mapi
+    (fun k name -> (name, t.lg.((i * stride) + k)))
+    [ "died_at"; "last_account"; "reserve"; "consumed"; "harvested"; "sleep"; "regulator";
+      "income"; "capacity"; "drain" ]
+
+let samples_diurnal t i = bit t.has_mult i
+
 (* The max-lifetime edge price, in place: the link cost in [c] over the
    sender's reserve.  Read across the module boundary, the reserve
    came back boxed on every relaxed edge; here it stays a raw load. *)
@@ -112,9 +165,9 @@ let lifetime_weight_into t i (c : Engine.cell) =
   end
 
 (* {!Day_profile.income_multiplier} on the profile's flat table, same
-   float ops.  Called through the closure the agents hold it cost a
-   boxed argument and a boxed result per accounting touch; read here
-   and inlined into the kernels below it costs nothing. *)
+   float ops.  Called through a closure, as the reference agent does,
+   it costs a boxed argument and a boxed result per accounting touch;
+   read here and inlined into the kernels below it costs nothing. *)
 let[@inline] income_scale (p : Day_profile.t) time_s =
   let period = p.Day_profile.period_s in
   let s = Float.rem time_s period in
@@ -136,18 +189,18 @@ let[@inline] income_scale (p : Day_profile.t) time_s =
    [Float.min]. *)
 let[@inline] clamp cap v = if v < cap then v else if v > cap then cap else Float.min cap v
 
-(* Node_agent's death test, shared by the settle and the charge. *)
+(* The reference agent's death test, shared by the settle and the charge. *)
 let[@inline] empties cap reserve = reserve <= 0.0 && cap > 0.0
 
-(* The death instant of a settle that emptied its row: Node_agent's
+(* The death instant of a settle that emptied its row: the reference's
    zero-crossing interpolation.  A node dies once, so this stays out of
    line, where boxing its arguments costs nothing that matters. *)
 let[@inline never] settle_death a b ~now ~last ~dt ~before ~net =
   let rate = net /. dt in
   fset a (b + f_died) (if rate > 0.0 then last +. (before /. rate) else now)
 
-(* Node_agent.account's settle of live row [b] (node [i]) over [dt > 0]
-   from [last]: same reads, same order of float ops.  Stores consumed
+(* The reference [account]'s settle of live row [b] (node [i]) over
+   [dt > 0] from [last]: same reads, same order of float ops.  Stores consumed
    and harvested, records an emptying settle's death instant, and
    returns the clamped reserve for the caller to store — the report
    kernel charges it first.  Inlined, so no float here is boxed. *)
@@ -173,7 +226,7 @@ let account t i ~now =
          ~cap:(fget a (b + f_capacity)));
   fset a (b + f_last) now
 
-(* Node_agent.crash over a row. *)
+(* The reference [crash] over a row. *)
 let crash t i ~now =
   account t i ~now;
   let b = i * stride in
@@ -288,7 +341,7 @@ let route ledger ~clock ~sink ~parent ~hop_tx ~hop_kind ~activation ~rx_j ~reade
   { ledger; clock; sink; parent; hop_tx; hop_kind; activation; rx_j; reader_j; counts;
     on_death }
 
-(* One hop's touch of node [i]: Node_agent.charge — settle to [now],
+(* One hop's touch of node [i]: the reference [charge] — settle to [now],
    then charge [joules] — fused into one pass over the row, so died,
    last, reserve and capacity are read once and the settled reserve is
    charged straight from a register.  False once the node is gone.  A
@@ -385,15 +438,6 @@ let report r i =
     true
   end
   else false
-
-let write_back t agents =
-  for i = 0 to t.n - 1 do
-    let b = i * stride in
-    Node_agent.restore agents.(i) ~reserve_j:t.lg.(b + f_reserve)
-      ~consumed_j:t.lg.(b + f_consumed) ~harvested_j:t.lg.(b + f_harvested)
-      ~last_account_s:t.lg.(b + f_last) ~died_at_s:t.lg.(b + f_died)
-      ~crashed:(bit t.crashed i)
-  done
 
 let words t =
   let bits b = 1 + ((Bytes.length b + 7) / 8) in

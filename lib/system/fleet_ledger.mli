@@ -1,37 +1,53 @@
-(** Struct-of-arrays energy ledger: the co-simulation's energy state.
+(** The co-simulation's energy ledger: each node's energy state, from
+    a run's setup to its outcome.
 
-    A fleet of per-object {!Node_agent}s costs a pointer chase and a
-    mixed record per accounting touch, so {!Cosim} copies the agents
-    into one unboxed float matrix of node-major ledger rows
+    One unboxed float matrix of node-major rows
     ([died_at]/[last_account]/[reserve]/[consumed]/[harvested] state,
-    [sleep]/[regulator]/[income]/[capacity] parameters, plus a crashed
-    bitset) and runs every charge and accounting tick over those —
+    [sleep]/[regulator]/[income]/[capacity]/[drain] parameters) plus a
+    crashed bitset and a diurnal bitset.  {!Cosim} builds it from the
+    fleet's tier configs ({!create}), applies battery faults to it
+    ({!scale_battery}), runs every charge and accounting tick over it —
     allocation-free array arithmetic whose whole per-node row spans two
-    cache lines instead of nine columns — then one {!write_back} at run
-    end so reporting still reads the agents.
+    cache lines — and hands it out as [outcome.agents], where
+    reporting reads it through the accessors below.
 
-    The kernels replicate {!Node_agent.account}/[charge]/[crash]
-    float-op for float-op, so ledgers, interpolated death instants and
-    digests are bit-for-bit those of a run charged through the agents;
-    the qcheck oracle in [test/test_forward_fast.ml] holds {!Cosim} to
-    the per-object reference run in [test/cosim_reference.ml] across
-    fleet shapes, fault plans, policies and jobs counts.
+    The kernels replicate the per-object reference ledger
+    ([test/node_agent.ml]: [account]/[charge]/[crash]) float-op for
+    float-op, so ledgers, interpolated death instants and digests are
+    bit-for-bit those of a run charged node by node; the qcheck oracles
+    in [test/test_forward_fast.ml] hold the freshly built rows to the
+    reference's fields and {!Cosim} to the per-object reference run in
+    [test/cosim_reference.ml] across fleet shapes, fault plans,
+    policies and jobs counts.
 
-    [died_at] uses the same NaN-while-alive encoding as the agent
-    ledger. *)
+    [died_at] is NaN while a node is alive. *)
 
 type t
 
-val of_agents : ?diurnal:Amb_energy.Day_profile.t -> Node_agent.t array -> t
-(** Snapshot the agents' parameters and state into columns.  Take the
-    snapshot after any {!Node_agent.scale_battery} faults have been
-    applied.  [diurnal] must be the profile whose
-    {!Amb_energy.Day_profile.income_multiplier} the agents were created
-    with; it is consulted only for nodes that actually sample it
-    ({!Node_agent.has_income_multiplier}).  The kernels evaluate it
-    from the profile's flat table inside this module, with the float
-    ops of [income_multiplier], so a diurnal run allocates no more per
-    event than a profile-free one. *)
+val create : ?diurnal:Amb_energy.Day_profile.t -> sampling_w:float -> Fleet.t -> t
+(** One row per node of the fleet, from its tier's config: capacity
+    (infinite for mains, else the [budget_override], else the battery's
+    energy, else 0 — a battery-less node runs on harvest alone and
+    never dies), reserve = capacity, the supply's harvest income and
+    regulator efficiency, and the tier's sleep power plus
+    [sampling_w], the MAC channel-sampling drain ({!Link_layer.sampling_power_w}),
+    which tags never pay.  A node samples [diurnal] when one is given
+    and its income is positive.  The kernels evaluate the profile from
+    its flat table inside this module, with the float ops of
+    {!Amb_energy.Day_profile.income_multiplier}, so a diurnal run
+    allocates no more per event than a profile-free one. *)
+
+val scale_battery : t -> int -> factor:float -> unit
+(** [scale_battery t i ~factor] scales node [i]'s capacity and reserve
+    (a battery-capacity fault, applied before the clock starts); mains
+    rows are left as they are.  Raises [Invalid_argument] on a
+    non-positive factor. *)
+
+val of_agents : t -> t
+(** A fresh copy of a ledger.  It exists only for the frozen benchmark's
+    one reader (perfbench/bench.ml:358), which measures the final
+    ledger of [outcome.agents] under this name; new code reads the
+    outcome's ledger directly. *)
 
 val length : t -> int
 val alive : t -> int -> bool
@@ -40,6 +56,25 @@ val reserve_j : t -> int -> float
 val died_at_s : t -> int -> float
 (** Raw death instant; NaN while alive. *)
 
+val consumed_j : t -> int -> float
+val harvested_j : t -> int -> float
+
+val residual_j : t -> int -> float
+(** Reserve clamped at zero, for reporting (infinite for mains). *)
+
+val last_account_s : t -> int -> float
+(** Last settled accounting instant. *)
+
+val crashed : t -> int -> bool
+(** Failed by a crash fault rather than an empty battery. *)
+
+val row : t -> int -> (string * float) list
+(** Node [i]'s ten fields by name, in storage order — for tests that
+    hold the rows to a reference. *)
+
+val samples_diurnal : t -> int -> bool
+(** Whether node [i]'s income follows the diurnal profile. *)
+
 val lifetime_weight_into : t -> int -> Amb_sim.Engine.cell -> unit
 (** [lifetime_weight_into ledger i c] — the max-lifetime price of a hop
     sent by [i]: [c.v] (the link cost; NaN = no link, left as is) over
@@ -47,10 +82,11 @@ val lifetime_weight_into : t -> int -> Amb_sim.Engine.cell -> unit
     spent.  Allocates nothing: the reserve never leaves this module. *)
 
 val account : t -> int -> now:float -> unit
-(** {!Node_agent.account} on the columns. *)
+(** Settle node [i]'s sleep drain and harvest income since its last
+    accounting instant; may record an interpolated battery death. *)
 
 val crash : t -> int -> now:float -> unit
-(** {!Node_agent.crash} on the columns. *)
+(** Fault injection: settle node [i], then fail it at [now]. *)
 
 val clamp : float -> float -> float
 (** [clamp cap v] — [Float.min cap v], bit for bit on every input
@@ -115,14 +151,9 @@ val report : route -> int -> bool
     sender pays [hop_tx], the receiver [rx_j] ([reader_j] on a tag
     hop, nothing when it is the sink); a missing hop, NaN tariff,
     death or [length] hops drop it.  The float operations and their
-    order are those of the per-object {!Node_agent.charge} walk, so
+    order are those of the per-object reference walk, so
     reserves and death instants are bit-identical to it.  Allocates
     nothing unless [on_death] does. *)
-
-val write_back : t -> Node_agent.t array -> unit
-(** Restore the columns into the agents (via {!Node_agent.restore}) so
-    end-of-run reporting reads them as if the agents had been charged
-    directly. *)
 
 val words : t -> int
 (** Heap words the ledger's columns occupy — the bench gates this per

@@ -27,13 +27,13 @@ let tier_deaths fleet (o : Cosim.outcome) tier =
    time and O(1) extra memory on city-scale fleets. *)
 let tier_energy fleet (o : Cosim.outcome) tier =
   let ids = Fleet.tier_nodes fleet tier in
+  let l = o.Cosim.agents in
   let consumed = ref 0.0 and harvested = ref 0.0 and residual = ref 0.0 in
   Array.iter
     (fun i ->
-      let a = o.Cosim.agents.(i) in
-      consumed := !consumed +. Energy.to_joules (Node_agent.consumed_energy a);
-      harvested := !harvested +. Energy.to_joules (Node_agent.harvested_energy a);
-      residual := !residual +. Energy.to_joules (Node_agent.residual_energy a))
+      consumed := !consumed +. Fleet_ledger.consumed_j l i;
+      harvested := !harvested +. Fleet_ledger.harvested_j l i;
+      residual := !residual +. Fleet_ledger.residual_j l i)
     ids;
   (Energy.joules !consumed, Energy.joules !harvested, Energy.joules !residual)
 
@@ -44,7 +44,7 @@ let report ?(title = "system co-simulation") fleet (o : Cosim.outcome) =
     let ids = Fleet.tier_nodes fleet tier in
     let total = Array.length ids in
     let alive = ref 0 in
-    Array.iter (fun i -> if Node_agent.alive o.Cosim.agents.(i) then incr alive) ids;
+    Array.iter (fun i -> if Fleet_ledger.alive o.Cosim.agents i then incr alive) ids;
     let alive = !alive in
     let consumed, harvested, residual = tier_energy fleet o tier in
     let deaths = tier_deaths fleet o tier in
@@ -60,14 +60,13 @@ let report ?(title = "system co-simulation") fleet (o : Cosim.outcome) =
       txt "-";
     ]
   in
-  let n = Array.length o.Cosim.agents in
+  let n = Fleet_ledger.length o.Cosim.agents in
   let network_row =
-    let residual =
-      Energy.joules
-        (Array.fold_left
-           (fun acc a -> acc +. Energy.to_joules (Node_agent.residual_energy a))
-           0.0 o.Cosim.agents)
-    in
+    let residual = ref 0.0 in
+    for i = 0 to n - 1 do
+      residual := !residual +. Fleet_ledger.residual_j o.Cosim.agents i
+    done;
+    let residual = Energy.joules !residual in
     [ txt "network";
       Report.cell_int n;
       Report.cell_int (n - o.Cosim.dead_at_end);

@@ -15,16 +15,74 @@
    struct-of-arrays [Fleet_ledger], its tariffs are precomputed tables
    and its reports ride the engine's indexed channel.  The oracle in
    [test_forward_fast.ml] holds the two to bitwise equality — every
-   outcome field, every agent ledger, the death list and the full
-   engine trace — so this file is the specification the optimised run
-   must reproduce, and it must stay this plain. *)
+   outcome field, every node's final ledger, the death list and the
+   full engine trace — so this file is the specification the optimised
+   run must reproduce, and it must stay this plain. *)
 
 open Amb_units
 open Amb_sim
 open Amb_net
 open Amb_system
 
-let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
+(* A node's final ledger state, as the oracle compares it. *)
+type node = {
+  reserve : float;
+  consumed : float;
+  harvested : float;
+  last_account : float;
+  died_at : float;
+  crashed : bool;
+}
+
+(* Every field of [Cosim.outcome], with the final ledger as [nodes]. *)
+type outcome = {
+  generated : int;
+  delivered : int;
+  dropped : int;
+  delivery_ratio : float;
+  first_death : Time_span.t option;
+  deaths : (int * Time_span.t) list;
+  dead_at_end : int;
+  energy_spent : Energy.t;
+  energy_harvested : Energy.t;
+  availability : float;
+  mean_coverage : float;
+  rebuilds : int;
+  events : int;
+  nodes : node array;
+}
+
+(* A [Cosim] outcome in the oracle's terms, its nodes read through the
+   ledger's accessors. *)
+let of_cosim (o : Cosim.outcome) =
+  let l = o.agents in
+  {
+    generated = o.generated;
+    delivered = o.delivered;
+    dropped = o.dropped;
+    delivery_ratio = o.delivery_ratio;
+    first_death = o.first_death;
+    deaths = o.deaths;
+    dead_at_end = o.dead_at_end;
+    energy_spent = o.energy_spent;
+    energy_harvested = o.energy_harvested;
+    availability = o.availability;
+    mean_coverage = o.mean_coverage;
+    rebuilds = o.rebuilds;
+    events = o.events;
+    nodes =
+      Array.init (Fleet_ledger.length l) (fun i ->
+          {
+            reserve = Fleet_ledger.reserve_j l i;
+            consumed = Fleet_ledger.consumed_j l i;
+            harvested = Fleet_ledger.harvested_j l i;
+            last_account = Fleet_ledger.last_account_s l i;
+            died_at = Fleet_ledger.died_at_s l i;
+            crashed = Fleet_ledger.crashed l i;
+          });
+  }
+
+let run ?trace ~router (cfg : Cosim.config) ~seed : outcome =
   let fleet = cfg.fleet in
   let topo = fleet.Fleet.topology in
   let n = Topology.node_count topo in
@@ -232,15 +290,13 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
   Stat.close coverage ~time:end_s;
   Stat.close avail ~time:end_s;
   let deaths = List.sort (fun (_, a) (_, b) -> Float.compare a b) (List.rev !deaths) in
-  let sum f =
-    Energy.joules (Array.fold_left (fun acc a -> acc +. Energy.to_joules (f a)) 0.0 agents)
-  in
+  let sum f = Energy.joules (Array.fold_left (fun acc a -> acc +. f a) 0.0 agents) in
   let time_avg tw =
     let v = Stat.time_average tw in
     if Float.is_nan v then 1.0 else v
   in
   {
-    Cosim.generated = !generated;
+    generated = !generated;
     delivered = !delivered;
     dropped = !dropped;
     delivery_ratio =
@@ -249,11 +305,22 @@ let run ?trace ~router (cfg : Cosim.config) ~seed : Cosim.outcome =
     deaths = List.map (fun (i, t) -> (i, Time_span.seconds t)) deaths;
     dead_at_end =
       Array.fold_left (fun acc a -> if Node_agent.alive a then acc else acc + 1) 0 agents;
-    energy_spent = sum Node_agent.consumed_energy;
-    energy_harvested = sum Node_agent.harvested_energy;
+    energy_spent = sum Node_agent.consumed_j;
+    energy_harvested = sum Node_agent.harvested_j;
     availability = time_avg avail;
     mean_coverage = time_avg coverage;
     rebuilds = !rebuilds;
     events = Engine.event_count engine;
-    agents;
+    nodes =
+      Array.map
+        (fun a ->
+          {
+            reserve = Node_agent.reserve_j a;
+            consumed = Node_agent.consumed_j a;
+            harvested = Node_agent.harvested_j a;
+            last_account = Node_agent.last_account_s a;
+            died_at = Node_agent.died_at_s a;
+            crashed = Node_agent.is_crashed a;
+          })
+        agents;
   }

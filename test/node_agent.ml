@@ -1,20 +1,18 @@
-(** Per-node energy agent for the co-simulation.
+(* Per-object reference ledger (see .mli).
 
-    The continuous-flow accounting below is a line-for-line mirror of
-    {!Amb_node.Lifetime_sim}: drain = sleep/regulator, income sampled at
-    the interval midpoint, reserve clamped at capacity, and the zero
-    crossing interpolated inside the interval.  Keeping the arithmetic
-    identical is what lets the degenerate cross-check experiments match
-    the standalone simulators to within a report period. *)
+   The continuous-flow accounting below is a line-for-line mirror of
+   [Amb_node.Lifetime_sim]: drain = sleep/regulator, income sampled at
+   the interval midpoint, reserve clamped at capacity, and the zero
+   crossing interpolated inside the interval.  [Fleet_ledger] repeats
+   these float ops on its rows; keeping this copy plain is what lets
+   the oracles tell a changed kernel from the model. *)
 
 open Amb_units
 open Amb_energy
+open Amb_system
 
-(* All-float ledger: OCaml flattens it into raw doubles, so the
-   per-event accounting stores never box (in the historic mixed record
-   every float store allocated a fresh box).  [died_at] is NaN while
-   alive — a [float option] would re-introduce a pointer field and
-   un-flatten the record. *)
+(* All-float ledger, flattened into raw doubles.  [died_at] is NaN
+   while alive, the encoding the ledger rows use. *)
 type ledger = {
   mutable capacity_j : float;  (** 0 = no battery (immortal); infinity = mains *)
   income_w : float;
@@ -118,11 +116,6 @@ let scale_battery t ~factor =
   end
 
 let reserve_j t = t.lg.reserve_j
-
-(* Raw ledger access for {!Fleet_ledger}: the struct-of-arrays twin
-   copies the parameter columns out once per run and writes the mutable
-   state back once at the end, so the pair stays bit-for-bit without
-   this module growing an array-backed representation itself. *)
 let capacity_j t = t.lg.capacity_j
 let income_w t = t.lg.income_w
 let regulator_efficiency t = t.lg.regulator
@@ -132,18 +125,4 @@ let harvested_j t = t.lg.harvested_j
 let last_account_s t = t.lg.last_account
 let died_at_s t = t.lg.died_at
 let has_income_multiplier t = Option.is_some t.income_multiplier
-
-let restore t ~reserve_j ~consumed_j ~harvested_j ~last_account_s ~died_at_s ~crashed =
-  let lg = t.lg in
-  lg.reserve_j <- reserve_j;
-  lg.consumed_j <- consumed_j;
-  lg.harvested_j <- harvested_j;
-  lg.last_account <- last_account_s;
-  lg.died_at <- died_at_s;
-  t.crashed <- crashed
-
-let residual_energy t = Energy.joules (Float.max 0.0 t.lg.reserve_j)
-let consumed_energy t = Energy.joules t.lg.consumed_j
-let harvested_energy t = Energy.joules t.lg.harvested_j
-let died_at t = if alive t then None else Some (Time_span.seconds t.lg.died_at)
 let is_crashed t = t.crashed

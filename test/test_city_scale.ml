@@ -22,12 +22,9 @@ let prop_spatial_neighbors =
       let index = Topology.spatial topo ~cell_m:range_m in
       List.for_all
         (fun i ->
-          let brute = ref [] in
-          for j = n - 1 downto 0 do
-            if j <> i && Topology.pair_distance topo i j <= range_m then brute := j :: !brute
-          done;
-          Spatial.neighbors_within index i ~range_m = !brute
-          && Spatial.degree index i ~range_m = List.length !brute)
+          let brute = Topology_reference.neighbors_within topo i ~range_m in
+          Spatial.neighbors_within index i ~range_m = brute
+          && Spatial.degree index i ~range_m = List.length brute)
         (List.init n Fun.id))
 
 let prop_spatial_distances =
@@ -46,23 +43,26 @@ let prop_spatial_distances =
       done;
       !ok)
 
-(* Above the size threshold Topology.connectivity routes through the
-   grid: the graph must be identical to the brute-force build — same
-   edges, same weights, same insertion order (checked via Dijkstra,
-   which is sensitive to adjacency order on equal-cost ties). *)
+(* A range graph built from the grid's queries — per node the forward
+   ([j > i]) in-range ids, restored to ascending order — must be the
+   pair scan's graph: same edges, same weights, same insertion order
+   (checked via Dijkstra, which is sensitive to adjacency order on
+   equal-cost ties). *)
 let test_connectivity_grid_tier () =
   let rng = Amb_sim.Rng.create 4242 in
-  let n = 600 (* > Topology.spatial_threshold *) in
+  let n = 600 in
   let topo = Topology.random rng ~nodes:n ~width_m:2000.0 ~height_m:2000.0 in
   let range_m = 150.0 in
-  let g = Topology.connectivity topo ~range_m in
-  let brute = Graph.create n in
+  let index = Topology.spatial topo ~cell_m:range_m in
+  let g = Graph.create n in
   for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let d = Topology.pair_distance topo i j in
-      if d <= range_m then Graph.add_undirected brute i j ~weight:d
-    done
+    let forward = ref [] in
+    Spatial.iter_within index i ~range_m (fun j d -> if j > i then forward := (j, d) :: !forward);
+    List.iter
+      (fun (j, d) -> Graph.add_undirected g i j ~weight:(Float.max d 1e-3))
+      (List.sort compare !forward)
   done;
+  let brute = Topology_reference.connectivity topo ~range_m in
   Alcotest.(check int) "edge count" (Graph.edge_count brute) (Graph.edge_count g);
   let dist_b, prev_b = Graph.dijkstra brute ~src:0 in
   let dist_g, prev_g = Graph.dijkstra g ~src:0 in
@@ -489,20 +489,17 @@ let check_spatial_brute label topo ~cell_m ~range_m =
   let n = Topology.node_count topo in
   let index = Topology.spatial topo ~cell_m in
   for i = 0 to n - 1 do
-    let brute = ref [] in
-    for j = n - 1 downto 0 do
-      if j <> i && Topology.pair_distance topo i j <= range_m then brute := j :: !brute
-    done;
+    let brute = Topology_reference.neighbors_within topo i ~range_m in
     let where = Printf.sprintf "%s (cell %g, range %.17g) node %d" label cell_m range_m i in
-    Alcotest.(check (list int)) (where ^ " neighbors_within") !brute
+    Alcotest.(check (list int)) (where ^ " neighbors_within") brute
       (Spatial.neighbors_within index i ~range_m);
-    Alcotest.(check int) (where ^ " degree") (List.length !brute) (Spatial.degree index i ~range_m);
+    Alcotest.(check int) (where ^ " degree") (List.length brute) (Spatial.degree index i ~range_m);
     let seen = ref [] in
     Spatial.iter_within index i ~range_m (fun j d ->
         if not (same_bits d (Topology.pair_distance topo i j)) then
           Alcotest.failf "%s: distance to %d is %.17g" where j d;
         seen := j :: !seen);
-    Alcotest.(check (list int)) (where ^ " iter_within") !brute (List.sort compare !seen)
+    Alcotest.(check (list int)) (where ^ " iter_within") brute (List.sort compare !seen)
   done
 
 let test_boundary_layouts () =
@@ -664,14 +661,21 @@ let test_tier_nodes_consistent () =
         (Array.to_list (Amb_system.Fleet.tier_nodes fleet tier)))
     Amb_system.Fleet.all_tiers
 
-let test_run_many_jobs_independent () =
+(* A seed sweep over a domain pool, one [Cosim.run] per seed, every run
+   sharing the fleet's one router: the outcomes equal the sequential
+   sweep's at every pool size. *)
+let test_pool_sweep_jobs_independent () =
   let fleet = Amb_system.Fleet.make ~leaves:24 ~relays:4 ~seed:5 () in
   let cfg =
     Amb_system.Cosim.config ~fleet ~horizon:(Amb_units.Time_span.hours 2.0) ()
   in
   let seeds = [| 1; 2; 3; 4 |] in
-  let seq = Amb_system.Cosim.run_many ~jobs:1 cfg ~seeds in
-  let par = Amb_system.Cosim.run_many ~jobs:4 cfg ~seeds in
+  let seq = Array.map (fun seed -> Amb_system.Cosim.run cfg ~seed) seeds in
+  let par =
+    Amb_sim.Domain_pool.with_pool ~jobs:4 (fun pool ->
+        Amb_sim.Domain_pool.run pool
+          (Array.map (fun seed () -> Amb_system.Cosim.run cfg ~seed) seeds))
+  in
   Alcotest.(check int) "sweep size" (Array.length seq) (Array.length par);
   Array.iteri
     (fun k (a : Amb_system.Cosim.outcome) ->
@@ -745,8 +749,8 @@ let suite =
       Alcotest.test_case "city layout is jobs-independent" `Quick test_city_jobs_independent;
       Alcotest.test_case "tier membership arrays are consistent" `Quick
         test_tier_nodes_consistent;
-      Alcotest.test_case "run_many sweep is jobs-independent" `Quick
-        test_run_many_jobs_independent;
+      Alcotest.test_case "pool seed sweep is jobs-independent" `Quick
+        test_pool_sweep_jobs_independent;
       Alcotest.test_case "boundary layouts: grid and CSR equal brute force" `Quick
         test_boundary_layouts;
       Alcotest.test_case "CSR adjacency is symmetric on every layout and size" `Quick

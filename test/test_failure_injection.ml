@@ -124,9 +124,9 @@ let test_net_guards () =
         [| { Amb_net.Topology.x = 20.0; y = 0.0 } |]);
   check_guard "grid zero spacing" (fun () ->
       Amb_net.Topology.grid ~columns:2 ~rows:2 ~spacing_m:0.0);
-  check_guard "connectivity zero range" (fun () ->
-      Amb_net.Topology.connectivity (Amb_net.Topology.grid ~columns:2 ~rows:1 ~spacing_m:1.0)
-        ~range_m:0.0);
+  check_guard "spatial zero cell" (fun () ->
+      Amb_net.Topology.spatial (Amb_net.Topology.grid ~columns:2 ~rows:1 ~spacing_m:1.0)
+        ~cell_m:0.0);
   check_guard "cluster one node" (fun () ->
       Amb_net.Cluster.make ~nodes:1 ~field_m:10.0 ~sink_distance_m:10.0 ~e_elec_nj_per_bit:1.0
         ~e_amp_pj_per_bit_m2:1.0 ~bits_per_round:1.0 ());

@@ -144,23 +144,20 @@ let scenario ~trial =
   in
   (fleet, cfg)
 
-(* Fades write per-distance energies into the routing memo, so every
-   run gets a private clone — exactly what [Cosim.run_many] shards do —
-   keeping the runs independent. *)
 let traced fleet run =
   let trace = Amb_sim.Trace.create ~capacity:500_000 () in
-  let router = Amb_net.Routing.with_private_memo fleet.Fleet.router in
-  (run trace router, trace)
+  (run trace fleet.Fleet.router, trace)
 
 let run_one ?pool fleet cfg ~seed =
-  traced fleet (fun trace router -> Cosim.run_with_router ~trace ?pool ~router cfg ~seed)
+  traced fleet (fun trace router ->
+      Cosim_reference.of_cosim (Cosim.run_with_router ~trace ?pool ~router cfg ~seed))
 
 let run_reference fleet cfg ~seed =
   traced fleet (fun trace router -> Cosim_reference.run ~trace ~router cfg ~seed)
 
 (* --- bitwise comparison ---------------------------------------------- *)
 
-let check_same ~ctx (a : Cosim.outcome) ta (b : Cosim.outcome) tb =
+let check_same ~ctx (a : Cosim_reference.outcome) ta (b : Cosim_reference.outcome) tb =
   let ck name = Printf.sprintf "%s: %s" ctx name in
   Alcotest.(check int) (ck "generated") a.generated b.generated;
   Alcotest.(check int) (ck "delivered") a.delivered b.delivered;
@@ -186,18 +183,18 @@ let check_same ~ctx (a : Cosim.outcome) ta (b : Cosim.outcome) tb =
       Alcotest.(check int) (ck "death node") na nb;
       check_bits (ck "death instant") (Time_span.to_seconds ta) (Time_span.to_seconds tb))
     a.deaths b.deaths;
-  Alcotest.(check int) (ck "agent count") (Array.length a.agents) (Array.length b.agents);
+  Alcotest.(check int) (ck "node count") (Array.length a.nodes) (Array.length b.nodes);
   Array.iteri
-    (fun i ag ->
-      let bg = b.agents.(i) in
-      let ck name = Printf.sprintf "%s: agent %d %s" ctx i name in
-      check_bits (ck "reserve") (Node_agent.reserve_j ag) (Node_agent.reserve_j bg);
-      check_bits (ck "consumed") (Node_agent.consumed_j ag) (Node_agent.consumed_j bg);
-      check_bits (ck "harvested") (Node_agent.harvested_j ag) (Node_agent.harvested_j bg);
-      check_bits (ck "last_account") (Node_agent.last_account_s ag) (Node_agent.last_account_s bg);
-      check_bits (ck "died_at") (Node_agent.died_at_s ag) (Node_agent.died_at_s bg);
-      Alcotest.(check bool) (ck "crashed") (Node_agent.is_crashed ag) (Node_agent.is_crashed bg))
-    a.agents;
+    (fun i (x : Cosim_reference.node) ->
+      let y = b.nodes.(i) in
+      let ck name = Printf.sprintf "%s: node %d %s" ctx i name in
+      check_bits (ck "reserve") x.reserve y.reserve;
+      check_bits (ck "consumed") x.consumed y.consumed;
+      check_bits (ck "harvested") x.harvested y.harvested;
+      check_bits (ck "last_account") x.last_account y.last_account;
+      check_bits (ck "died_at") x.died_at y.died_at;
+      Alcotest.(check bool) (ck "crashed") x.crashed y.crashed)
+    a.nodes;
   (* The trace is the event chronology itself: same instants, same
      labels, same order — this is what pins the (time, seq) event
      ordering and the lazily built "report:<n>" labels. *)
@@ -446,27 +443,26 @@ let prop_pooled_ticks_oracle =
 (* --- pooled accounting tick ------------------------------------------ *)
 
 (* [Fleet_ledger.account_all ?pool] against the sequential tick on a
-   small ledger: battery-only relays (one with a 1 J budget that dies in
-   the second tick) interleaved with solar leaves on a diurnal income
-   multiplier.  The death-free tick must commit on the pool; the tick
-   with a death must fall back, firing the same callbacks in the same
-   order — each callback snapshots every reserve, so a callback fired
-   before or after the wrong node's settlement is caught — and both
-   must leave every row bitwise equal. *)
+   small ledger: battery-only relays (one scaled down to a 1 J budget
+   that dies in the second tick) beside solar leaves on a diurnal
+   income multiplier.  The death-free tick must commit on the pool; the
+   tick with a death must fall back, firing the same callbacks in the
+   same order — each callback snapshots every reserve, so a callback
+   fired before or after the wrong node's settlement is caught — and
+   both must leave every row bitwise equal. *)
 let test_account_all_pooled () =
   let leaf = { (Fleet.microwatt_leaf ()) with Fleet.budget_override = Some (Energy.joules 1.0) } in
-  let relay budget =
-    { (Fleet.milliwatt_relay ()) with Fleet.budget_override = Some (Energy.joules budget) }
+  let relay =
+    { (Fleet.milliwatt_relay ()) with Fleet.budget_override = Some (Energy.joules 100.0) }
   in
   let diurnal = Amb_energy.Day_profile.office_lighting in
-  let mult = Amb_energy.Day_profile.income_multiplier diurnal in
-  let n = 7 and dying = 3 in
-  let agents () =
-    Array.init n (fun id ->
-        let cfg = if id mod 2 = 0 then leaf else relay (if id = dying then 1.0 else 100.0) in
-        Node_agent.create ~income_multiplier:mult ~id ~cfg ())
+  let fleet = Fleet.make ~leaf ~relay ~leaves:3 ~relays:3 ~seed:1 () in
+  let n = Fleet.node_count fleet and dying = 2 in
+  let ledger () =
+    let l = Fleet_ledger.create ~diurnal ~sampling_w:0.0 fleet in
+    Fleet_ledger.scale_battery l dying ~factor:0.01;
+    l
   in
-  let ledger () = Fleet_ledger.of_agents ~diurnal (agents ()) in
   let seq = ledger () and pooled = ledger () in
   let tick ?pool lg now =
     let calls = ref [] in
@@ -475,19 +471,11 @@ let test_account_all_pooled () =
     List.rev !calls
   in
   let check_rows ctx =
-    let a = agents () and b = agents () in
-    Fleet_ledger.write_back seq a;
-    Fleet_ledger.write_back pooled b;
-    Array.iteri
-      (fun i x ->
-        let y = b.(i) in
-        let field name f = check_bits (Printf.sprintf "%s node %d %s" ctx i name) (f x) (f y) in
-        field "reserve" Node_agent.reserve_j;
-        field "consumed" Node_agent.consumed_j;
-        field "harvested" Node_agent.harvested_j;
-        field "last_account" Node_agent.last_account_s;
-        field "died_at" Node_agent.died_at_s)
-      a
+    for i = 0 to n - 1 do
+      List.iter2
+        (fun (name, x) (_, y) -> check_bits (Printf.sprintf "%s node %d %s" ctx i name) x y)
+        (Fleet_ledger.row seq i) (Fleet_ledger.row pooled i)
+    done
   in
   let check_calls ctx expect a b =
     Alcotest.(check (list int)) (ctx ^ ": deaths") expect (List.map fst a);
@@ -570,6 +558,25 @@ let prop_scale_at_oracle =
         (oracle_times p random);
       true)
 
+(* A ledger over a two-node fleet: the sink 0 and node 1, both on
+   [cfg]'s energy parameters, with no MAC sampling drain — node 1's row
+   is the one a reference [Node_agent.create ~cfg] starts from. *)
+let pair_ledger ?diurnal cfg =
+  let topology = Amb_net.Topology.grid ~columns:2 ~rows:1 ~spacing_m:1.0 in
+  Fleet_ledger.create ?diurnal ~sampling_w:0.0
+    (Fleet.homogeneous ~topology ~sink:0 ~node:cfg ())
+
+(* Node [i]'s ledger state against a reference agent, bit for bit. *)
+let check_node ctx agent ledger i =
+  let field name f g = check_bits (Printf.sprintf "%s %s" ctx name) (f agent) (g ledger i) in
+  field "reserve" Node_agent.reserve_j Fleet_ledger.reserve_j;
+  field "consumed" Node_agent.consumed_j Fleet_ledger.consumed_j;
+  field "harvested" Node_agent.harvested_j Fleet_ledger.harvested_j;
+  field "last_account" Node_agent.last_account_s Fleet_ledger.last_account_s;
+  field "died_at" Node_agent.died_at_s Fleet_ledger.died_at_s;
+  Alcotest.(check bool) (ctx ^ " crashed") (Node_agent.is_crashed agent)
+    (Fleet_ledger.crashed ledger i)
+
 (* One solar leaf accounted by the agent (whose income multiplier is
    the reference walk) and by the ledger (whose kernel reads the
    profile's table): every ledger field must match.  A chain of steps
@@ -589,20 +596,12 @@ let prop_ledger_diurnal_oracle =
         (fun budget ->
           let cfg = { (Fleet.microwatt_leaf ()) with Fleet.budget_override = budget } in
           let pair () =
-            let agent = Node_agent.create ~income_multiplier:mult ~id:0 ~cfg () in
-            let twin = Node_agent.create ~income_multiplier:mult ~id:0 ~cfg () in
-            (agent, twin, Fleet_ledger.of_agents ~diurnal:p [| twin |])
+            (Node_agent.create ~income_multiplier:mult ~id:1 ~cfg (), pair_ledger ~diurnal:p cfg)
           in
-          let step (agent, twin, ledger) ctx now =
+          let step (agent, ledger) ctx now =
             Node_agent.account agent ~now;
-            Fleet_ledger.account ledger 0 ~now;
-            Fleet_ledger.write_back ledger [| twin |];
-            let field name f = check_bits (Printf.sprintf "%s %s" ctx name) (f agent) (f twin) in
-            field "reserve" Node_agent.reserve_j;
-            field "consumed" Node_agent.consumed_j;
-            field "harvested" Node_agent.harvested_j;
-            field "last_account" Node_agent.last_account_s;
-            field "died_at" Node_agent.died_at_s
+            Fleet_ledger.account ledger 1 ~now;
+            check_node ctx agent ledger 1
           in
           let chain = pair () in
           List.iter (fun now -> step chain (Printf.sprintf "chain at %h:" now) now) instants;
@@ -617,14 +616,14 @@ let prop_ledger_diurnal_oracle =
 let minor_words_per_event ?diurnal ~nodes ~hours () =
   let fleet = Fleet.city ~nodes ~seed:3 () in
   let cfg = Cosim.config ?diurnal ~fleet ~horizon:(Time_span.hours hours) () in
-  (* Warm once so lazy setup (routing memo fills, engine growth) is out
-     of the measured run. *)
+  (* Warm once so lazy setup (engine growth) is out of the measured
+     run. *)
   ignore (Cosim.run_with_router ~router:fleet.Fleet.router cfg ~seed:7);
   let before = Gc.minor_words () in
   let o = Cosim.run_with_router ~router:fleet.Fleet.router cfg ~seed:7 in
   let per_event = (Gc.minor_words () -. before) /. Float.of_int o.Cosim.events in
-  (* Per-run setup (agents, ledger snapshot, tariff arrays, write_back)
-     is a few words per NODE amortised over ~12 events each; the event
+  (* Per-run setup (the ledger, tariff arrays) is a few words per
+     NODE amortised over ~12 events each; the event
      loop itself must add nothing.  A boxed tariff or a closure per
      report — what [Cosim_reference] does — costs hundreds of words per
      event.  A diurnal profile evaluated through a closure call boxes
@@ -785,9 +784,9 @@ let check_mid_walk_death ~ctx ~capacity_j () =
   Alcotest.(check int) (ck "delivered") (o.generated - 1) o.delivered;
   (* Relay 2 never reports, so it paid for every later hop. *)
   Alcotest.(check bool) (ck "leaf re-parented onto relay 2") true
-    (Node_agent.consumed_j o.agents.(2) > 0.0);
+    (o.nodes.(2).consumed > 0.0);
   (* The sink listens for free, also on the hop whose sender died. *)
-  check_bits (ck "sink never charged") 0.0 (Node_agent.consumed_j o.agents.(0))
+  check_bits (ck "sink never charged") 0.0 o.nodes.(0).consumed
 
 (* Relay 1 holds less than one receive charge. *)
 let test_relay_dies_receiving =
@@ -823,7 +822,7 @@ let test_tag_read_by_sink () =
     paid := !paid +. reader_j
   done;
   check_bits (ctx ^ ": sink paid one reader tariff per report") !paid
-    (Node_agent.consumed_j o.agents.(0))
+    o.nodes.(0).consumed
 
 (* A sender with no parent ([parent = -2]) drops every report before
    pricing a hop: nothing is charged anywhere. *)
@@ -833,9 +832,9 @@ let test_orphan_drops_uncharged () =
   Alcotest.(check bool) (ctx ^ ": the leaf reports") true (o.generated > 0);
   Alcotest.(check int) (ctx ^ ": every report dropped") o.generated o.dropped;
   Array.iteri
-    (fun i ag ->
-      check_bits (Printf.sprintf "%s: node %d uncharged" ctx i) 0.0 (Node_agent.consumed_j ag))
-    o.agents
+    (fun i (x : Cosim_reference.node) ->
+      check_bits (Printf.sprintf "%s: node %d uncharged" ctx i) 0.0 x.consumed)
+    o.nodes
 
 (* A relay crash and a link fade inside one ring drain.  A non-report
    event ends a drain, so the report right after an accounting tick
@@ -881,7 +880,7 @@ let test_faults_inside_a_batch () =
   check_bits (ctx ^ ": fade instant") fade_at (fired "fire:fault:fade:3-2");
   (* After the crash the leaf's reports go through relay 2. *)
   Alcotest.(check bool) (ctx ^ ": relay 2 carried the leaf") true
-    (Node_agent.consumed_j o.agents.(2) > Node_agent.consumed_j o.agents.(1))
+    (o.nodes.(2).consumed > o.nodes.(1).consumed)
 
 (* --- the capacity clamp and the fused touch ------------------------------ *)
 
@@ -930,10 +929,9 @@ let prop_clamp_bitwise =
 (* One report of node 1 straight into the sink 0, on a ledger built
    from [cfg] and advanced to [at]; the same charges are replayed on a
    reference [Node_agent], and every ledger field must match it bit for
-   bit.  Returns the written-back agent and the nodes [on_death] saw. *)
+   bit.  Returns the ledger and the nodes [on_death] saw. *)
 let one_hop ~ctx ~cfg ~activation ~tx ~at =
-  let agents = Array.init 2 (fun id -> Node_agent.create ~id ~cfg ()) in
-  let ledger = Fleet_ledger.of_agents agents in
+  let ledger = pair_ledger cfg in
   let deaths = ref [] in
   let counts = Fleet_ledger.tally () in
   let route =
@@ -944,19 +942,13 @@ let one_hop ~ctx ~cfg ~activation ~tx ~at =
       ~on_death:(fun i -> deaths := i :: !deaths)
   in
   Alcotest.(check bool) (ctx ^ ": report generated") true (Fleet_ledger.report route 1);
-  Fleet_ledger.write_back ledger agents;
   let reference = Node_agent.create ~id:1 ~cfg () in
   if activation > 0.0 then Node_agent.charge reference ~now:at activation;
   if Node_agent.alive reference then Node_agent.charge reference ~now:at tx;
-  let got = agents.(1) in
-  check_bits (ctx ^ ": reserve") (Node_agent.reserve_j reference) (Node_agent.reserve_j got);
-  check_bits (ctx ^ ": consumed") (Node_agent.consumed_j reference) (Node_agent.consumed_j got);
-  check_bits (ctx ^ ": harvested") (Node_agent.harvested_j reference) (Node_agent.harvested_j got);
-  check_bits (ctx ^ ": last") (Node_agent.last_account_s reference) (Node_agent.last_account_s got);
-  check_bits (ctx ^ ": died") (Node_agent.died_at_s reference) (Node_agent.died_at_s got);
+  check_node (ctx ^ ":") reference ledger 1;
   Alcotest.(check int) (ctx ^ ": counted once") 1
     (counts.Fleet_ledger.delivered + counts.Fleet_ledger.dropped);
-  (got, !deaths)
+  (ledger, !deaths)
 
 (* A battery relay with no harvester, so nothing but [sleep_w] moves
    the reserve between charges. *)
@@ -974,7 +966,7 @@ let test_settle_lands_on_capacity () =
   let got, deaths =
     one_hop ~ctx ~cfg:(one_hop_cfg ~sleep_w:0.0 ~budget_j:2.0) ~activation:0.0 ~tx:0.0 ~at:60.0
   in
-  check_bits (ctx ^ ": reserve is the capacity") 2.0 (Node_agent.reserve_j got);
+  check_bits (ctx ^ ": reserve is the capacity") 2.0 (Fleet_ledger.reserve_j got 1);
   Alcotest.(check (list int)) (ctx ^ ": no death") [] deaths
 
 (* A hop charge that takes the reserve to exactly 0.0 kills the sender
@@ -990,8 +982,8 @@ let test_charge_to_exact_zero () =
   done;
   if !tx /. reg <> 2.0 then Alcotest.failf "%s: no tariff drains exactly 2 J" ctx;
   let got, deaths = one_hop ~ctx ~cfg ~activation:0.0 ~tx:!tx ~at:60.0 in
-  check_bits (ctx ^ ": reserve") 0.0 (Node_agent.reserve_j got);
-  check_bits (ctx ^ ": death instant") 60.0 (Node_agent.died_at_s got);
+  check_bits (ctx ^ ": reserve") 0.0 (Fleet_ledger.reserve_j got 1);
+  check_bits (ctx ^ ": death instant") 60.0 (Fleet_ledger.died_at_s got 1);
   Alcotest.(check (list int)) (ctx ^ ": one death callback") [ 1 ] deaths
 
 (* A settle whose sleep drain empties the battery: the interpolated
@@ -1002,7 +994,7 @@ let test_settle_death_interpolates () =
     one_hop ~ctx ~cfg:(one_hop_cfg ~sleep_w:1e-3 ~budget_j:1.0) ~activation:1e-4 ~tx:1e-4
       ~at:5000.0
   in
-  let died = Node_agent.died_at_s got in
+  let died = Fleet_ledger.died_at_s got 1 in
   if not (died > 0.0 && died < 5000.0) then
     Alcotest.failf "%s: death instant %h is not inside the settled interval" ctx died;
   Alcotest.(check (list int)) (ctx ^ ": one death callback") [ 1 ] deaths

@@ -76,18 +76,18 @@ let test_random_within_field () =
 
 let test_connectivity_by_range () =
   let topo = Topology.grid ~columns:3 ~rows:1 ~spacing_m:10.0 in
-  let g_short = Topology.connectivity topo ~range_m:10.5 in
+  let g_short = Topology_reference.connectivity topo ~range_m:10.5 in
   Alcotest.(check bool) "chain connected" true (Graph.is_connected g_short);
   let hops = Graph.hops g_short ~src:0 in
   Alcotest.(check int) "two hops across chain" 2 hops.(2);
-  let g_long = Topology.connectivity topo ~range_m:25.0 in
+  let g_long = Topology_reference.connectivity topo ~range_m:25.0 in
   let hops_long = Graph.hops g_long ~src:0 in
   Alcotest.(check int) "direct within long range" 1 hops_long.(2)
 
 let test_neighbors_within () =
   let topo = Topology.grid ~columns:3 ~rows:1 ~spacing_m:10.0 in
   Alcotest.(check (list int)) "middle sees both" [ 0; 2 ]
-    (Topology.neighbors_within topo 1 ~range_m:10.5)
+    (Spatial.neighbors_within (Topology.spatial topo ~cell_m:10.5) 1 ~range_m:10.5)
 
 (* --- Routing --- *)
 

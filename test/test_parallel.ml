@@ -254,13 +254,13 @@ let test_run_all_parallel_byte_identical () =
       Alcotest.(check string) (id_s ^ " report bytes") text_s text_p)
     sequential parallel
 
-(* --- run_many with fades: parallel shards, private memos --- *)
+(* --- fades over a pool: one shared router --- *)
 
-let test_run_many_fade_plan_jobs_invariant () =
-  (* Link fades write per-distance energies through the router's memo;
-     run_many gives each parallel shard a private-memo clone, so the
-     outcomes must stay bitwise identical to the sequential sweep —
-     fade plans no longer force jobs=1. *)
+let test_fade_plan_shared_router_jobs_invariant () =
+  (* Link fades price their faded pairs through the router's tariff.
+     The router is immutable, so runs on every domain of a pool share
+     the fleet's one router, and the outcomes must stay bitwise
+     identical to the sequential sweep. *)
   let open Amb_system in
   let fleet = Fleet.make ~leaves:8 ~relays:2 ~seed:11 () in
   let faults =
@@ -270,10 +270,13 @@ let test_run_many_fade_plan_jobs_invariant () =
   in
   let cfg = Cosim.config ~faults ~fleet ~horizon:(Amb_units.Time_span.hours 8.0) () in
   let seeds = Array.init 6 (fun i -> 40 + i) in
-  let reference = Cosim.run_many ~jobs:1 cfg ~seeds in
+  let sweep () = Array.map (fun seed () -> Cosim.run cfg ~seed) seeds in
+  let reference = Array.map (fun run -> run ()) (sweep ()) in
   List.iter
     (fun jobs ->
-      let parallel = Cosim.run_many ~jobs cfg ~seeds in
+      let parallel =
+        Amb_sim.Domain_pool.with_pool ~jobs (fun pool -> Amb_sim.Domain_pool.run pool (sweep ()))
+      in
       Array.iteri
         (fun i (r : Cosim.outcome) ->
           let p = parallel.(i) in
@@ -343,7 +346,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_of_list_pops_ties_in_list_order;
     QCheck_alcotest.to_alcotest prop_of_list_equals_pushes;
     ("run_all parallel output byte-identical", `Slow, test_run_all_parallel_byte_identical);
-    ("run_many fade plan jobs-invariant", `Quick, test_run_many_fade_plan_jobs_invariant);
+    ("fade plan on a shared router jobs-invariant", `Quick,
+     test_fade_plan_shared_router_jobs_invariant);
     ("monte carlo invariant in jobs", `Quick, test_monte_carlo_jobs_invariant);
     ("monte carlo shard boundaries", `Quick, test_monte_carlo_shard_boundary);
   ]

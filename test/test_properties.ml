@@ -125,7 +125,7 @@ let prop_dijkstra_triangle =
   QCheck.Test.make ~name:"dijkstra distances satisfy the triangle inequality over edges" ~count:100
     topo_arb
     (fun topo ->
-      let g = Amb_net.Topology.connectivity topo ~range_m:40.0 in
+      let g = Topology_reference.connectivity topo ~range_m:40.0 in
       let dist, _ = Amb_net.Graph.dijkstra g ~src:0 in
       let ok = ref true in
       for u = 0 to Amb_net.Graph.node_count g - 1 do
@@ -141,7 +141,7 @@ let prop_dijkstra_triangle =
 let prop_shortest_path_cost_matches_distance =
   QCheck.Test.make ~name:"shortest path cost equals dijkstra distance" ~count:100 topo_arb
     (fun topo ->
-      let g = Amb_net.Topology.connectivity topo ~range_m:50.0 in
+      let g = Topology_reference.connectivity topo ~range_m:50.0 in
       let n = Amb_net.Graph.node_count g in
       let dist, _ = Amb_net.Graph.dijkstra g ~src:0 in
       let check v =

@@ -423,11 +423,7 @@ let test_rebuild_allocation () =
     Link_layer.weight_into link i j k c;
     if not (Float.is_nan c.Route_tree.v) then c.Route_tree.v <- 1.0
   in
-  let ledger =
-    Fleet_ledger.of_agents
-      (Array.init n (fun i ->
-           Node_agent.create ~id:i ~cfg:(Fleet.config_of fleet fleet.Fleet.tiers.(i)) ()))
-  in
+  let ledger = Fleet_ledger.create ~sampling_w:0.0 fleet in
   let max_lifetime i j k c =
     Link_layer.weight_into link i j k c;
     Fleet_ledger.lifetime_weight_into ledger i c

@@ -325,6 +325,31 @@ let test_ring_out_of_order_append () =
   Alcotest.check_raises "not a stream" (Invalid_argument "Engine: not a periodic stream")
     (fun () -> Engine.arm_s engine ~idx:3 ~delay_s:1.0)
 
+(* Rings are sorted as a run starts, so a channel installed from a
+   callback while the run is going is refused; one installed after
+   [stop], before the next run, is sorted by that run and fires in
+   time order, not arm order. *)
+let test_channel_install_mid_run () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let install () =
+    Engine.periodic_channel engine ~periods:[| 10.0; 10.0 |] (fun idx ->
+        fired := (idx, Engine.now_s engine) :: !fired;
+        false);
+    Engine.arm_s engine ~idx:0 ~delay_s:5.0;
+    Engine.arm_s engine ~idx:1 ~delay_s:2.0
+  in
+  Engine.schedule_s engine ~delay_s:1.0 (fun e ->
+      Alcotest.check_raises "installed mid-run"
+        (Invalid_argument "Engine.periodic_channel: installed while running") install;
+      Engine.stop e);
+  ignore (Engine.run_s engine : float);
+  Alcotest.(check (float 0.0)) "stopped at the callback" 1.0 (Engine.now_s engine);
+  install ();
+  ignore (Engine.run_s engine : float);
+  Alcotest.(check (list (pair int (float 0.0))))
+    "fires in time order" [ (1, 3.0); (0, 6.0) ] (List.rev !fired)
+
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -546,6 +571,7 @@ let suite =
     ("engine ring drain (rings)", `Quick, test_engine_drain_rings);
     QCheck_alcotest.to_alcotest prop_drain_equals_closures;
     ("ring rejects out-of-order append", `Quick, test_ring_out_of_order_append);
+    ("channel install refused mid-run", `Quick, test_channel_install_mid_run);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng uniform range", `Quick, test_rng_uniform_range);
     ("rng exponential mean", `Quick, test_rng_exponential_mean);

@@ -158,7 +158,7 @@ let test_tag_fleet_reader_pays_the_radio_bill () =
   Alcotest.(check int) "every in-range report is delivered" out.Cosim.generated
     out.Cosim.delivered;
   Alcotest.(check int) "batteryless tags never die" 0 (List.length out.Cosim.deaths);
-  let consumed i = Energy.to_joules (Node_agent.consumed_energy out.Cosim.agents.(i)) in
+  let consumed i = Fleet_ledger.consumed_j out.Cosim.agents i in
   let sleep_j cfg_tier =
     Power.to_watts cfg_tier.Fleet.sleep_power *. Time_span.to_seconds horizon
   in
@@ -309,7 +309,7 @@ let test_crash_fault_kills_at_instant () =
   | Some death ->
     check_float "death at the crash instant" (Time_span.to_seconds at)
       (Time_span.to_seconds death);
-    Alcotest.(check bool) "agent marked crashed" true (Node_agent.is_crashed o.Cosim.agents.(1))
+    Alcotest.(check bool) "agent marked crashed" true (Fleet_ledger.crashed o.Cosim.agents 1)
 
 let test_battery_scale_hastens_death () =
   let fleet = small_fleet () in
