@@ -611,6 +611,132 @@ let prop_ledger_diurnal_oracle =
         [ None; Some (Energy.joules 0.05) ];
       true)
 
+(* --- ledger construction oracle ---------------------------------------- *)
+
+(* A tier config drawn around one of the four reference designs, with
+   its battery or harvester dropped, the mains flag, a budget override,
+   the regulator efficiency and the sleep power drawn independently —
+   so every capacity rule (mains, override, battery, none) meets zero
+   and non-zero income. *)
+let ledger_cfg_gen =
+  let open QCheck.Gen in
+  let* base =
+    oneofl
+      [ Fleet.microwatt_leaf (); Fleet.milliwatt_relay (); Fleet.watt_sink ();
+        Fleet.nanowatt_tag () ]
+  and* drop_battery = bool
+  and* drop_harvester = bool
+  and* mains = frequencyl [ (1, true); (3, false) ]
+  and* budget = opt (float_range 0.01 50.0)
+  and* regulator = float_range 0.3 1.0
+  and* sleep_uw = frequency [ (1, return 0.0); (4, float_range 0.01 3000.0) ] in
+  let s = base.Fleet.supply in
+  return
+    { base with
+      Fleet.sleep_power = Power.microwatts sleep_uw;
+      budget_override = Option.map Energy.joules budget;
+      supply =
+        { s with
+          Amb_energy.Supply.battery = (if drop_battery then None else s.Amb_energy.Supply.battery);
+          harvester = (if drop_harvester then None else s.Amb_energy.Supply.harvester);
+          mains;
+          regulator_efficiency = regulator } }
+
+(* Four tier configs, a small fleet, the link mode (MAC sampling or
+   none), diurnal income on or off, and battery scales on any node —
+   the sink included — with NaN and infinite factors among them (the
+   reference accepts both). *)
+let ledger_scenario_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* cfgs = quad ledger_cfg_gen ledger_cfg_gen ledger_cfg_gen ledger_cfg_gen
+    and* shape = quad (int_range 1 6) (int_range 0 3) (int_range 0 4) small_nat
+    and* mac = bool
+    and* diurnal = bool
+    and* scales =
+      list_size (int_range 0 6)
+        (pair small_nat
+           (frequency
+              [ (8, float_range 0.05 4.0); (1, return Float.nan); (1, return Float.infinity) ]))
+    in
+    return (cfgs, shape, (mac, diurnal), scales)
+  in
+  QCheck.make gen ~print:(fun ((leaf, relay, sink, tag), (leaves, relays, tags, seed), (mac, diurnal), scales) ->
+      let cfg (c : Fleet.tier_config) =
+        let s = c.Fleet.supply in
+        Printf.sprintf "{battery %b; harvester %b; mains %b; budget %s; reg %h; sleep %h}"
+          (Option.is_some s.Amb_energy.Supply.battery)
+          (Option.is_some s.Amb_energy.Supply.harvester)
+          s.Amb_energy.Supply.mains
+          (match c.Fleet.budget_override with
+          | Some e -> Printf.sprintf "%h" (Energy.to_joules e)
+          | None -> "-")
+          s.Amb_energy.Supply.regulator_efficiency (Power.to_watts c.Fleet.sleep_power)
+      in
+      Printf.sprintf "leaf %s relay %s sink %s tag %s; %d leaves %d relays %d tags seed %d; mac %b diurnal %b; scales %s"
+        (cfg leaf) (cfg relay) (cfg sink) (cfg tag) leaves relays tags seed mac diurnal
+        (String.concat "," (List.map (fun (k, f) -> Printf.sprintf "%d*%h" k f) scales)))
+
+(* [Fleet_ledger.create] and [scale_battery] against the reference
+   agents [Cosim_reference] builds — same tier config, the MAC sampling
+   drain on every node but tags, the diurnal multiplier, the same
+   scales in the same order: every field of every row, and both bits,
+   bit for bit. *)
+let prop_ledger_construction_oracle =
+  QCheck.Test.make ~name:"ledger rows built from tier configs equal the agents' fields"
+    ~count:200 ledger_scenario_arb
+    (fun ((leaf, relay, sink, tag), (leaves, relays, tags, seed), (mac, diurnal), scales) ->
+      let fleet = Fleet.make ~leaf ~relay ~sink ~tag ~leaves ~relays ~tags ~seed () in
+      let n = Fleet.node_count fleet in
+      let router = fleet.Fleet.router in
+      let mode =
+        if mac then
+          Link_layer.Mac
+            (Amb_radio.Mac_duty_cycle.make
+               ~radio:router.Amb_net.Routing.link.Amb_radio.Link_budget.radio
+               ~t_wakeup:(Time_span.seconds 2.0) ~packet:router.Amb_net.Routing.packet ())
+        else Link_layer.Cached
+      in
+      let sampling_w = Link_layer.sampling_power_w (Link_layer.create ~router ~mode ()) in
+      if mac && not (sampling_w > 0.0) then Alcotest.fail "MAC mode with no sampling drain";
+      let diurnal = if diurnal then Some Amb_energy.Day_profile.office_lighting else None in
+      let ledger = Fleet_ledger.create ?diurnal ~sampling_w fleet in
+      let income_multiplier = Option.map Amb_energy.Day_profile.income_multiplier diurnal in
+      let agents =
+        Array.init n (fun i ->
+            let tier = fleet.Fleet.tiers.(i) in
+            let extra_sleep = if tier = Fleet.Tag then Power.zero else Power.watts sampling_w in
+            Node_agent.create ?income_multiplier ~extra_sleep ~id:i
+              ~cfg:(Fleet.config_of fleet tier) ())
+      in
+      List.iter
+        (fun (k, factor) ->
+          Fleet_ledger.scale_battery ledger (k mod n) ~factor;
+          Node_agent.scale_battery agents.(k mod n) ~factor)
+        scales;
+      Array.iteri
+        (fun i a ->
+          let ctx name =
+            Printf.sprintf "node %d (%s) %s" i (Fleet.tier_name fleet.Fleet.tiers.(i)) name
+          in
+          let expect =
+            [ ("died_at", Node_agent.died_at_s a); ("last_account", Node_agent.last_account_s a);
+              ("reserve", Node_agent.reserve_j a); ("consumed", Node_agent.consumed_j a);
+              ("harvested", Node_agent.harvested_j a); ("sleep", Node_agent.sleep_drain_w a);
+              ("regulator", Node_agent.regulator_efficiency a); ("income", Node_agent.income_w a);
+              ("capacity", Node_agent.capacity_j a);
+              ("drain", Node_agent.sleep_drain_w a /. Node_agent.regulator_efficiency a) ]
+          in
+          let got = Fleet_ledger.row ledger i in
+          Alcotest.(check (list string)) (ctx "fields") (List.map fst expect) (List.map fst got);
+          List.iter2 (fun (name, e) (_, g) -> check_bits (ctx name) e g) expect got;
+          Alcotest.(check bool) (ctx "diurnal bit") (Node_agent.has_income_multiplier a)
+            (Fleet_ledger.samples_diurnal ledger i);
+          Alcotest.(check bool) (ctx "crashed bit") (Node_agent.is_crashed a)
+            (Fleet_ledger.crashed ledger i))
+        agents;
+      true)
+
 (* --- allocation budget ----------------------------------------------- *)
 
 let minor_words_per_event ?diurnal ~nodes ~hours () =
@@ -1002,7 +1128,7 @@ let test_settle_death_interpolates () =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_fast_path_oracle; prop_city_repair_oracle; prop_pooled_ticks_oracle; prop_scale_at_oracle;
-      prop_ledger_diurnal_oracle; prop_clamp_bitwise ]
+      prop_ledger_diurnal_oracle; prop_ledger_construction_oracle; prop_clamp_bitwise ]
   @ [ Alcotest.test_case "pooled account_all matches sequential" `Quick test_account_all_pooled;
       Alcotest.test_case "fast path minor words per event" `Quick test_minor_words_budget;
       Alcotest.test_case "fast path minor words per event under office lighting" `Quick
