@@ -1,11 +1,18 @@
-(* Per-object reference ledger (see .mli).
+(* Per-object reference ledger: one mutable agent per node, coupling
+   a tier's supply (battery capacity, regulator, harvest income) to the
+   continuous sleep drain and the discrete charges the traffic it
+   carries causes.  [Fleet_ledger]'s rows and kernels are held to this
+   arithmetic bit for bit: [Cosim_reference] charges one agent per
+   node, and the ledger-construction oracle compares freshly built
+   rows with agents' fields.
 
-   The continuous-flow accounting below is a line-for-line mirror of
+   The continuous-flow accounting is a line-for-line mirror of
    [Amb_node.Lifetime_sim]: drain = sleep/regulator, income sampled at
    the interval midpoint, reserve clamped at capacity, and the zero
-   crossing interpolated inside the interval.  [Fleet_ledger] repeats
-   these float ops on its rows; keeping this copy plain is what lets
-   the oracles tell a changed kernel from the model. *)
+   crossing interpolated inside the interval.  Mains supplies get an
+   infinite reserve; a battery-less, non-mains supply gets capacity 0
+   and never dies.  [extra_sleep] adds a continuous drain (MAC channel
+   sampling) on top of the tier's sleep power. *)
 
 open Amb_units
 open Amb_energy
