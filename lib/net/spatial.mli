@@ -3,9 +3,9 @@
     Every range query on a run path goes through this grid: the
     {!Routing} CSR build asks it for each node's in-range neighbours
     instead of scanning all O(n²) pairs.  Its cell edge is tied to the
-    radio range, so a query touches a constant-size cell ring.  Build is O(n + cells), memory O(n + cells),
-    and the cell count is clamped to O(n) regardless of the requested
-    cell size.
+    radio range, so a query touches a constant-size cell ring.  Build
+    is O(n + cells), memory O(n + cells), and the cell count is clamped
+    to O(n) regardless of the requested cell size.
 
     Coordinates are kept in slot (cell) order, so a query scans each
     grid row of its ring as one contiguous slot range, and screens

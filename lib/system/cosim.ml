@@ -8,15 +8,15 @@
     (E27) depend on both mirrors, and [test/cosim_reference.ml] holds
     the whole run to a plain per-object reference bit for bit.
 
-    A run is five stages, each below under its own header: setup (the
-    link layer, the ledger built from the tier configs, battery
-    faults), the collection tree (parents, hop tariffs, coverage,
-    rebuilds and repairs), the report channel, faults, and finalize.
-    Topology events under the tie-free [Min_energy] policy splice the
-    affected subtree instead of re-running Dijkstra over all pairs —
-    node deaths re-attach the orphaned subtree, link fades that only
-    worsen a pair repair the faded tree edge (or no-op on non-tree
-    edges).  [Min_hop] (global tie-breaks) and [Max_lifetime]
+    A run is five stages, each below under its own header: setup
+    (the link layer, the ledger, battery faults), the
+    collection tree (parents, hop tariffs, coverage, rebuilds and
+    repairs), the report channel, faults, and finalize.  Topology events
+    under the tie-free [Min_energy] policy splice the affected subtree
+    instead of re-running Dijkstra over all pairs — node deaths
+    re-attach the orphaned subtree, link fades that only worsen a pair
+    repair the faded tree edge (or no-op on non-tree edges).
+    [Min_hop] (global tie-breaks) and [Max_lifetime]
     (residual-dependent weights), as well as fades that improve a pair
     (a smaller fade replacing a larger one), keep the full rebuild. *)
 

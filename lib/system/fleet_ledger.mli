@@ -30,8 +30,8 @@ val create : ?diurnal:Amb_energy.Day_profile.t -> sampling_w:float -> Fleet.t ->
     energy, else 0 — a battery-less node runs on harvest alone and
     never dies), reserve = capacity, the supply's harvest income and
     regulator efficiency, and the tier's sleep power plus
-    [sampling_w], the MAC channel-sampling drain ({!Link_layer.sampling_power_w}),
-    which tags never pay.  A node samples [diurnal] when one is given
+    [sampling_w], the MAC channel-sampling drain
+    ({!Link_layer.sampling_power_w}), which tags never pay.  A node samples [diurnal] when one is given
     and its income is positive.  The kernels evaluate the profile from
     its flat table inside this module, with the float ops of
     {!Amb_energy.Day_profile.income_multiplier}, so a diurnal run

@@ -43,34 +43,6 @@ let prop_spatial_distances =
       done;
       !ok)
 
-(* A range graph built from the grid's queries — per node the forward
-   ([j > i]) in-range ids, restored to ascending order — must be the
-   pair scan's graph: same edges, same weights, same insertion order
-   (checked via Dijkstra, which is sensitive to adjacency order on
-   equal-cost ties). *)
-let test_connectivity_grid_tier () =
-  let rng = Amb_sim.Rng.create 4242 in
-  let n = 600 in
-  let topo = Topology.random rng ~nodes:n ~width_m:2000.0 ~height_m:2000.0 in
-  let range_m = 150.0 in
-  let index = Topology.spatial topo ~cell_m:range_m in
-  let g = Graph.create n in
-  for i = 0 to n - 1 do
-    let forward = ref [] in
-    Spatial.iter_within index i ~range_m (fun j d -> if j > i then forward := (j, d) :: !forward);
-    List.iter
-      (fun (j, d) -> Graph.add_undirected g i j ~weight:(Float.max d 1e-3))
-      (List.sort compare !forward)
-  done;
-  let brute = Topology_reference.connectivity topo ~range_m in
-  Alcotest.(check int) "edge count" (Graph.edge_count brute) (Graph.edge_count g);
-  let dist_b, prev_b = Graph.dijkstra brute ~src:0 in
-  let dist_g, prev_g = Graph.dijkstra g ~src:0 in
-  for i = 0 to n - 1 do
-    Alcotest.(check (float 0.0)) (Printf.sprintf "dist %d" i) dist_b.(i) dist_g.(i);
-    Alcotest.(check int) (Printf.sprintf "prev %d" i) prev_b.(i) prev_g.(i)
-  done
-
 (* --- periodic rings vs self-re-arming closures ------------------------- *)
 
 (* The same report streams on the engine's periodic rings and as
@@ -735,9 +707,7 @@ let suite =
       prop_route_tree_csr_equiv;
       prop_tx_tariff_exact;
     ]
-  @ [ Alcotest.test_case "connectivity grid tier equals brute force" `Quick
-        test_connectivity_grid_tier;
-      Alcotest.test_case "engine rings equal closures" `Quick
+  @ [ Alcotest.test_case "engine rings equal closures" `Quick
         test_engine_rings_equal_closures;
       Alcotest.test_case "ring bursts equal closures" `Quick test_engine_ring_bursts;
       Alcotest.test_case "closure slot table holds the pending peak" `Quick

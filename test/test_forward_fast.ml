@@ -661,20 +661,7 @@ let ledger_scenario_arb =
     in
     return (cfgs, shape, (mac, diurnal), scales)
   in
-  let print ((leaf, relay, sink, tag), (leaves, relays, tags, seed), (mac, diurnal), scales) =
-    let cfg (c : Fleet.tier_config) =
-      let s = c.Fleet.supply in
-      Printf.sprintf "{battery %b harvester %b mains %b budget %s reg %h sleep %h}"
-        (Option.is_some s.Amb_energy.Supply.battery) (Option.is_some s.harvester) s.mains
-        (Option.fold ~none:"-" ~some:(fun e -> Printf.sprintf "%h" (Energy.to_joules e))
-           c.Fleet.budget_override)
-        s.regulator_efficiency (Power.to_watts c.Fleet.sleep_power)
-    in
-    Printf.sprintf "leaf %s relay %s sink %s tag %s; %d/%d/%d seed %d; mac %b diurnal %b; %s"
-      (cfg leaf) (cfg relay) (cfg sink) (cfg tag) leaves relays tags seed mac diurnal
-      (String.concat "," (List.map (fun (k, f) -> Printf.sprintf "%d*%h" k f) scales))
-  in
-  QCheck.make gen ~print
+  QCheck.make gen
 
 (* [Fleet_ledger.create] and [scale_battery] against the reference
    agents [Cosim_reference] builds — same tier config, the MAC sampling
