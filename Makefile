@@ -45,8 +45,10 @@ bench: build
 # hard-fails if the raw RNG draw kernels exceed their minor-word budget.
 # --fleet is the city-scale gate: 10^5 nodes, one simulated hour, and a
 # hard floor/ceiling on events/sec and peak heap words per node.
-# --fleet-scale re-simulates one build at jobs=1 and jobs=4 and requires
-# bitwise-identical outcomes; its speedup is reported, not gated.
+# --fleet-scale builds the city at jobs=1 and jobs=4 and requires
+# bitwise-identical CSR arrays, then re-simulates one build at jobs=1 and
+# jobs=4 and requires bitwise-identical outcomes; its speedup is
+# reported, not gated.
 bench-quick: build
 	dune exec bench/main.exe -- --quick --json /tmp/amblib-bench-quick.json
 	dune exec bench/main.exe -- --check-json /tmp/amblib-bench-quick.json

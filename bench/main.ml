@@ -27,10 +27,12 @@
                                          two snapshots; >1.5x slowdown exits 1
      bench/main.exe --time E16 5         wall-clock best-of-N for one builder
                                          (quote the best on noisy machines)
-     bench/main.exe --fleet-scale N      build one N-node fleet, co-simulate at
-                                         jobs=1 then jobs=<--jobs>, require the
-                                         outcomes bitwise identical (speedup
-                                         reported, not gated)
+     bench/main.exe --fleet-scale N      build one N-node fleet at jobs=1 and
+                                         at jobs=<--jobs>, require the CSR
+                                         arrays bitwise identical, co-simulate
+                                         at jobs=1 then jobs=<--jobs>, require
+                                         the outcomes bitwise identical
+                                         (speedup reported, not gated)
      bench/main.exe --gc-stats           RNG allocation gate (1M batched draws
                                          must stay under a hard minor-word
                                          budget) + minor words/run per experiment
@@ -997,9 +999,10 @@ let run_fleet ~jobs ~nodes_list ~json_path =
     points
 
 (* ------------------------------------------------------------------ *)
-(* Two-point identity gate (--fleet-scale): build one fleet, co-simulate
-   it twice — jobs=1 then jobs=N — and hold the pooled run to the
-   sequential one bit for bit.  The identity check and the sequential
+(* Two-point identity gate (--fleet-scale): build one fleet at jobs=N,
+   hold its CSR arrays to a jobs=1 build's bit for bit, co-simulate it
+   twice — jobs=1 then jobs=N — and hold the pooled run to the
+   sequential one bit for bit.  The identity checks and the sequential
    events/s floor are the gates; the run-phase speedup is reported, not
    gated: the pool carries only the accounting ticks, a fraction of a
    percent of the run phase, so the ratio reads host noise. *)
@@ -1067,11 +1070,38 @@ let outcome_mismatches (a : Amb_system.Cosim.outcome) (b : Amb_system.Cosim.outc
   in
   List.filter_map (fun (name, ok) -> if ok then None else Some name) checks
 
+(* The names of the CSR arrays that differ between two routers, the
+   joules compared bit for bit. *)
+let csr_mismatches (a : Amb_net.Routing.t) (b : Amb_net.Routing.t) =
+  let open Amb_net.Routing in
+  let x = a.cache and y = b.cache in
+  let same_bits u v =
+    Array.length u = Array.length v
+    && Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)) u v
+  in
+  List.filter_map
+    (fun (name, ok) -> if ok then None else Some name)
+    [ ("offsets", x.offsets = y.offsets); ("neighbors", x.neighbors = y.neighbors);
+      ("edge_tx_j", same_bits x.edge_tx_j y.edge_tx_j) ]
+
 let run_fleet_scale ~jobs ~nodes ~json_path =
   Printf.printf
     "=== fleet scale: %d nodes, one build, jobs 1 vs %d (%.0f s period, %.0f s horizon) ===\n%!"
     nodes jobs fleet_report_period_s fleet_horizon_s;
+  Printf.printf "jobs=%d: %!" jobs;
   let fleet, _edges, _build_s, _timing = build_city_fleet ~jobs ~nodes in
+  (* The build itself must not depend on the pool either: the same city
+     at jobs=1 must give the same CSR arrays. *)
+  (Printf.printf "jobs=1: %!";
+   let sequential, _, _, _ = build_city_fleet ~jobs:1 ~nodes in
+   match
+     csr_mismatches sequential.Amb_system.Fleet.router fleet.Amb_system.Fleet.router
+   with
+   | [] -> Printf.printf "CSR build bitwise identical across pool sizes\n%!"
+   | arrays ->
+     Printf.eprintf "fleet-scale gate: jobs=%d CSR build diverges from jobs=1 on: %s\n" jobs
+       (String.concat ", " arrays);
+     exit 1);
   let o1, run1_s, _ = simulate_city_fleet ~jobs:1 fleet in
   let eps1 = if run1_s > 0.0 then Float.of_int o1.Amb_system.Cosim.events /. run1_s else Float.nan in
   Printf.printf "jobs=1: %d events in %.2f s (%.0f events/s)\n%!" o1.Amb_system.Cosim.events

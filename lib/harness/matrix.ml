@@ -108,13 +108,7 @@ let config_digest c = Digest.to_hex (Digest.string (canonical_config c))
 
 let json_string = Amb_report.Report_io.json_string
 
-(* Report_io's float discipline: %.17g round-trips binary64, non-finite
-   values become tagged strings. *)
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+let json_float = Amb_report.Report_io.json_float
 
 let cell_json c =
   Printf.sprintf

@@ -8,11 +8,12 @@
     - [Max_lifetime] — avoid draining bottleneck nodes (energy cost scaled
       by the inverse of the forwarder's residual energy).
 
-    Every hop is priced by one staged tariff ({!Link_budget.tx_tariff}):
-    the distance-independent link-budget and front-end terms are
-    computed once per router, and each distance costs only the
-    per-distance float operations, bit for bit the unstaged
-    [required_tx_dbm] + [transmit_energy] result.
+    Every hop is priced by one staged tariff ({!Link_budget.tx_tariff},
+    or its slice form while the cache is built): the
+    distance-independent link-budget and front-end terms are computed
+    once per router, and each distance costs only the per-distance
+    float operations, bit for bit the unstaged [required_tx_dbm] +
+    [transmit_energy] result.
 
     Per-pair storage is a CSR adjacency over the in-range pairs only
     (offsets / neighbour ids / per-edge TX joules), O(n + edges) memory
@@ -22,12 +23,15 @@
     (exact, since the distance is symmetric).  Per-pair lookups are a
     binary search of the (short, sorted) neighbour row; route trees
     read the rows directly and price an edge by its slot.  The build
-    queries a {!Spatial} grid whose coordinates sit in cell order,
-    prices only the upper half of each row ([j > i]) and fills the
-    lower half by transposing the upper halves.  With [jobs] > 1 and at least 4096 nodes, each of its three
-    row passes (degrees, upper halves, lower halves) shards across
-    {!Amb_sim.Domain_pool}; the cache is a pure function of the node
-    positions, so the result is bitwise independent of [jobs]. *)
+    enumerates each unordered pair once, from the forward half ring of
+    a {!Spatial} grid slot, to count and then to fill the upper half of
+    its lower id's row ([j > i]); it sorts and prices the upper halves
+    in place with the slice form of the tariff
+    ({!Link_budget.tx_tariff_slice}) and fills the lower halves by
+    transposing them.  With [jobs] > 1 and at least 4096 nodes, its
+    four passes run on {!Amb_sim.Domain_pool}; the cache is a pure
+    function of the node positions, so the result is bitwise
+    independent of [jobs]. *)
 
 open Amb_units
 open Amb_radio
@@ -61,72 +65,90 @@ type t = {
 let shard_min_rows = 4096
 
 (* CSR adjacency over the in-range pairs, neighbours ascending per row,
-   in three row-sharded passes:
-   1. degrees (grid range counts), then a serial prefix sum;
-   2. per row [i], the upper half: the in-range ids [j > i] and their
-      exact distances straight from the grid, insertion-sorted by id
-      into the end of the row, then priced in place by the staged
-      tariff;
-   3. per row [i], the lower half by transposition: scanning the upper
+   in four passes over one pair enumeration, the forward half ring of
+   each grid slot ({!Spatial.count_pairs}), which meets every in-range
+   unordered pair [{l, h}], [l < h], exactly once:
+   1. count: each pair adds to the degrees of [l] and [h] and to the
+      upper-half size of [l]; then a serial prefix sum gives the row
+      bounds, and the upper half of row [l] is its last [up.(l)] slots;
+   2. fill: each pair writes [h] and the exact distance into the upper
+      half of row [l] ({!Spatial.fill_pairs}), in scan order;
+   3. per row, the upper half is insertion-sorted by id, then priced in
+      place by the staged slice tariff;
+   4. per row [i], the lower half by transposition: scanning the upper
       halves of rows [j < i] in ascending [j] meets every pair [(j, i)]
       in the order row [i] needs, so each is appended at a per-row
       cursor with its mirror's joules — no search, no sort.  A shard
       scans the upper halves of every row below its end and keeps the
       targets it owns.
-   The mirror copy is exact because the acceptance test and the distance
-   are symmetric: [(-dx)² = dx²] and [hypot (-dx) (-dy) = hypot dx dy].
-   Every pass writes only its own rows' slots (pass 3 only lower halves,
-   while it reads upper halves) from read-only inputs, so sharding
-   cannot move a bit. *)
-let build_csr ~topology ~tariff ~range_m ~jobs =
+   Passes 1 and 2 shard over slot ranges, each shard counting into its
+   own [deg] / [up] arrays.  In pass 2, shard [s] fills the upper half
+   of row [l] downwards from its end less the counts of the shards
+   after it, so the shards' spans are disjoint and shard 0's cursors end
+   on the upper halves' first slots.  Passes 3 and 4 shard over rows,
+   each writing only its own rows' slots (pass 4 only lower halves,
+   while it reads upper halves).  Every slot's content is fixed by the
+   positions alone, whatever the partition, so sharding cannot move a
+   bit.  The mirror copy is exact because the acceptance test and the
+   distance are symmetric: [(-dx)² = dx²] and
+   [hypot (-dx) (-dy) = hypot dx dy]. *)
+let build_csr ~topology ~price ~range_m ~jobs =
   let n = Topology.node_count topology in
   (* A link that cannot close even at contact has range 0, where the
-     grid queries list no pair; any positive cell edge serves then. *)
+     pair kernels list no pair; any positive cell edge serves then. *)
   let index =
     Topology.spatial topology
       ~cell_m:(if range_m > 0.0 then range_m else topology.Topology.width_m)
   in
-  let offsets = Array.make (n + 1) 0 in
-  let upper = Array.make n 0 in  (* row -> first slot of its upper half *)
-  (* [shard task] runs [task lo hi] over a partition of the rows. *)
-  let build shard =
-    shard (fun lo hi ->
-        for i = lo to hi - 1 do
-          offsets.(i + 1) <- Spatial.degree index i ~range_m
-        done);
-    for i = 1 to n do
-      offsets.(i) <- offsets.(i) + offsets.(i - 1)
+  (* [run parts task] runs [task p lo hi] over the [parts] ranges of an
+     even partition of [0, n). *)
+  let build ~slot_parts ~row_parts run =
+    (* Shard 0 counts degrees into what becomes [offsets]. *)
+    let deg = Array.init slot_parts (fun s -> Array.make (if s = 0 then n + 1 else n) 0) in
+    let up = Array.init slot_parts (fun _ -> Array.make n 0) in
+    run slot_parts (fun s lo hi -> Spatial.count_pairs index ~range_m lo hi ~deg:deg.(s) ~up:up.(s));
+    let offsets = deg.(0) in
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      let d = ref offsets.(i) in
+      for s = 1 to slot_parts - 1 do
+        d := !d + deg.(s).(i)
+      done;
+      offsets.(i) <- !total;
+      total := !total + !d;
+      (* [up.(s).(i)] becomes shard [s]'s fill cursor: the end of row
+         [i] less the upper-half counts of the shards after [s]. *)
+      let c = ref !total in
+      for s = slot_parts - 1 downto 0 do
+        let u = up.(s).(i) in
+        up.(s).(i) <- !c;
+        c := !c - u
+      done
     done;
-    let edges = offsets.(n) in
+    offsets.(n) <- !total;
+    let edges = !total in
     let neighbors = Array.make edges 0 in
     let edge_tx_j = Array.create_float edges in
-    shard (fun lo hi ->
+    run slot_parts (fun s lo hi ->
+        Spatial.fill_pairs index ~range_m lo hi ~cursor:up.(s) ~ids:neighbors ~dists:edge_tx_j);
+    let upper = up.(0) in  (* row -> first slot of its upper half *)
+    run row_parts (fun _ lo hi ->
         for i = lo to hi - 1 do
-          let rlo = offsets.(i) in
-          let m = Spatial.fill_above index i ~range_m neighbors edge_tx_j rlo in
-          let rhi = offsets.(i + 1) in
-          let top = rhi - (m - rlo) in
-          (* Insertion sort from the scratch run [rlo, m) into the row's
-             end [top, rhi), reading the run backwards: the sorted part
-             grows down from [rhi] and never overtakes the unread
-             entries, since [m <= rhi]. *)
-          for src = m - 1 downto rlo do
-            let v = neighbors.(src) and d = edge_tx_j.(src) in
-            let p = ref (src + rhi - m) in
-            while !p < rhi - 1 && neighbors.(!p + 1) < v do
-              neighbors.(!p) <- neighbors.(!p + 1);
-              edge_tx_j.(!p) <- edge_tx_j.(!p + 1);
-              incr p
+          let top = upper.(i) and rhi = offsets.(i + 1) in
+          for a = top + 1 to rhi - 1 do
+            let v = neighbors.(a) and d = edge_tx_j.(a) in
+            let p = ref a in
+            while !p > top && neighbors.(!p - 1) > v do
+              neighbors.(!p) <- neighbors.(!p - 1);
+              edge_tx_j.(!p) <- edge_tx_j.(!p - 1);
+              decr p
             done;
             neighbors.(!p) <- v;
             edge_tx_j.(!p) <- d
           done;
-          for k = top to rhi - 1 do
-            edge_tx_j.(k) <- tariff edge_tx_j.(k)
-          done;
-          upper.(i) <- top
+          price edge_tx_j top rhi
         done);
-    shard (fun lo hi ->
+    run row_parts (fun _ lo hi ->
         let cursor = Array.sub offsets lo (hi - lo) in
         for j = 0 to hi - 2 do
           let k = ref upper.(j) and stop = offsets.(j + 1) in
@@ -143,15 +165,21 @@ let build_csr ~topology ~tariff ~range_m ~jobs =
         done);
     { offsets; neighbors; edge_tx_j }
   in
-  if jobs <= 1 || n < shard_min_rows then build (fun task -> task 0 n)
+  let bounds parts p = (p * n / parts, (p + 1) * n / parts) in
+  if jobs <= 1 || n < shard_min_rows then
+    build ~slot_parts:1 ~row_parts:1 (fun parts task ->
+        for p = 0 to parts - 1 do
+          let lo, hi = bounds parts p in
+          task p lo hi
+        done)
   else
     Amb_sim.Domain_pool.with_pool ~jobs (fun pool ->
-        let chunk = (n + (4 * jobs) - 1) / (4 * jobs) in
-        let chunks = (n + chunk - 1) / chunk in
-        build (fun task ->
+        build ~slot_parts:jobs ~row_parts:(4 * jobs) (fun parts task ->
             ignore
               (Amb_sim.Domain_pool.run pool
-                 (Array.init chunks (fun c () -> task (c * chunk) (Stdlib.min n ((c + 1) * chunk))))
+                 (Array.init parts (fun p () ->
+                      let lo, hi = bounds parts p in
+                      task p lo hi))
                 : unit array)))
 
 let make ?(jobs = 1) ~topology ~link ~packet () =
@@ -162,7 +190,7 @@ let make ?(jobs = 1) ~topology ~link ~packet () =
       (Amb_circuit.Radio_frontend.receive_energy link.Link_budget.radio ~bits ~include_startup:true)
   in
   let tariff = Link_budget.tx_tariff link ~bits in
-  let cache = build_csr ~topology ~tariff ~range_m ~jobs in
+  let cache = build_csr ~topology ~price:(Link_budget.tx_tariff_slice link ~bits) ~range_m ~jobs in
   { topology; link; packet; range_m; cache; rx_j; tariff }
 
 (** [rows router] — the CSR structure (offsets, neighbour ids).  Route

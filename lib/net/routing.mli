@@ -26,10 +26,11 @@ type t = {
   rx_j : float;  (** RX-side joules per packet (distance-independent) *)
   tariff : float -> float;
       (** staged distance (m) -> TX-side joules ({!Link_budget.tx_tariff}
-          for this link and packet); NaN beyond radio reach.  The only
-          tariff the router evaluates: the pair cache is filled from
-          it, and distances off the cache (faded links, {!path_energy},
-          {!hop_energy}) are priced by calling it. *)
+          for this link and packet); NaN beyond radio reach.  The pair
+          cache is filled by its slice form
+          ({!Link_budget.tx_tariff_slice}, bit for bit the same
+          prices), and distances off the cache (faded links,
+          {!path_energy}, {!hop_energy}) are priced by calling it. *)
 }
 (** Immutable once {!make} returns, so any number of runs — on any
     number of domains — may share one router. *)
@@ -44,14 +45,17 @@ val make :
 (** The radio range is derived from the link budget at maximum TX power.
     The per-pair link-energy cache is computed here, once, and reused by
     every tree rebuild under every policy.  Each unordered in-range
-    pair is priced once with the staged tariff ([tariff]) and its joules
+    pair is priced once with the staged tariff and its joules
     copied to both directions; a pair is in range when
     [Float.hypot dx dy <= range_m], screened first on [dx²+dy²].  Only
-    the in-range pairs are stored: CSR rows from a {!Spatial} grid with
-    cell-ordered coordinates, the upper half of each row priced and
-    sorted in place, the lower half filled by transposing the upper
-    halves.  With [jobs] > 1 and at least 4096 nodes, each of the three
-    CSR row passes (degrees, upper halves, lower halves) shards across a
+    the in-range pairs are stored: CSR rows built from one enumeration
+    of the pairs over a {!Spatial} grid, each pair met once, counted,
+    then written into the upper half of its lower id's row; the upper
+    halves are sorted and priced in place (one
+    {!Link_budget.tx_tariff_slice} call per row), the lower halves
+    filled by transposing them.  With [jobs] > 1 and at least 4096
+    nodes, the four passes (pair counts and pair fills over slot
+    ranges, sort-and-price and transposition over rows) run on a
     domain pool; the cache is a pure function of the positions, so the
     result is bitwise independent of [jobs]. *)
 

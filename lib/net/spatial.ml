@@ -3,10 +3,10 @@
     Buckets are laid out CSR-style in flat arrays (counting sort), so
     building is O(n + cells) with no per-cell allocation.  Node ids
     inside a cell are ascending (the counting sort fills them in id
-    order), which keeps query results deterministic.  The coordinates
+    order), which keeps the pair order deterministic.  The coordinates
     are copied into slot order beside the ids, and cells of one grid row
-    occupy consecutive slots, so a query scans each grid row of its
-    covering ring as one contiguous slot range.
+    occupy consecutive slots, so the pair kernels scan each grid row of
+    a slot's forward half ring as one contiguous slot range.
 
     Candidates are screened on [dx²+dy²] against [range_m²(1∓1e-9)]:
     a pair clearly inside or outside the disc is decided without a
@@ -18,9 +18,7 @@
     brute-force pair scan. *)
 
 type t = {
-  xs : float array;  (** by node id *)
-  ys : float array;
-  sx : float array;  (** [xs] in slot order: [sx.(k) = xs.(order.(k))] *)
+  sx : float array;  (** x in slot order: [sx.(k)] is node [order.(k)]'s *)
   sy : float array;
   cell_m : float;  (** actual cell edge after the cell-count clamp *)
   cols : int;
@@ -80,9 +78,9 @@ let make ~xs ~ys ~width_m ~height_m ~cell_m =
     sy.(k) <- ys.(i);
     cursor.(c) <- k + 1
   done;
-  { xs; ys; sx; sy; cell_m; cols; rows; start; order }
+  { sx; sy; cell_m; cols; rows; start; order }
 
-let node_count t = Array.length t.xs
+let node_count t = Array.length t.order
 let cell_m t = t.cell_m
 
 (** [sq_band range_m] — [(lo, hi)] such that, for one pair's [dx, dy],
@@ -97,89 +95,113 @@ let sq_band range_m =
     (r2 *. (1.0 -. 1e-9), r2 *. (1.0 +. 1e-9))
   else (Float.neg_infinity, Float.infinity)
 
-(* Run [row lo hi] over the contiguous slot range of every grid row of
-   the cell ring covering node [i]'s range disc, rows ascending. *)
-let[@inline] iter_ring t i ~range_m row =
-  let r_cells = int_of_float (Float.ceil (range_m /. t.cell_m)) in
-  let cx = clamp 0 (t.cols - 1) (int_of_float (t.xs.(i) /. t.cell_m))
-  and cy = clamp 0 (t.rows - 1) (int_of_float (t.ys.(i) /. t.cell_m)) in
-  let x0 = Int.max 0 (cx - r_cells) and x1 = Int.min (t.cols - 1) (cx + r_cells) in
-  let y0 = Int.max 0 (cy - r_cells) and y1 = Int.min (t.rows - 1) (cy + r_cells) in
-  for gy = y0 to y1 do
-    let base = gy * t.cols in
-    row t.start.(base + x0) t.start.(base + x1 + 1)
-  done
+(* Cells of the ring around a node's cell that can hold a node within
+   [range_m] (at least 1; at most the whole grid). *)
+let ring_cells t ~range_m =
+  let r = Float.ceil (range_m /. t.cell_m) in
+  if r < Float.of_int (t.cols + t.rows) then Stdlib.max 1 (int_of_float r) else t.cols + t.rows
 
-(** [iter_within t i ~range_m f] — call [f j d] for every node [j <> i]
-    with [d = distance i j <= range_m].  Visits candidates cell by cell
-    (row-major over the covering ring), ids ascending within a cell. *)
-let iter_within t i ~range_m f =
-  if range_m > 0.0 then begin
-    let x = t.xs.(i) and y = t.ys.(i) in
-    let _, hi = sq_band range_m in
-    iter_ring t i ~range_m (fun lo_slot hi_slot ->
-        for k = lo_slot to hi_slot - 1 do
-          let dx = t.sx.(k) -. x and dy = t.sy.(k) -. y in
-          if not ((dx *. dx) +. (dy *. dy) > hi) then begin
-            let j = t.order.(k) in
-            if j <> i then begin
-              let d = Float.hypot dx dy in
-              if d <= range_m then f j d
-            end
-          end
-        done)
+(* The cell holding slot [k] (for [0 <= k < n]): the last cell whose
+   first slot is at or before [k]; empty cells before it share its
+   first slot. *)
+let cell_of_slot t k =
+  let lo = ref 0 and hi = ref ((t.cols * t.rows) - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if t.start.(mid) <= k then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* The pair enumeration both kernels below share, written out in each
+   so that no closure sits in the inner loop.  For slot [a] in cell
+   [(cx, cy)], scanning a slot range cell by cell, the forward half ring
+   is the rest of its grid row from slot [a + 1] through cell [cx + r]
+   (one contiguous slot range), then grid rows [cy + 1 .. cy + r] over
+   cells [cx - r .. cx + r].  Cells of a grid row take consecutive
+   slots in [cx] order, so each unordered pair of nodes whose cells lie
+   within [r] of each other on both axes is met exactly once, from the
+   lower slot when they share a grid row and from the lower row
+   otherwise. *)
+
+(** [count_pairs t ~range_m lo hi ~deg ~up] — see the .mli. *)
+let count_pairs t ~range_m lo hi ~deg ~up =
+  if range_m > 0.0 && lo < hi then begin
+    let r = ring_cells t ~range_m in
+    let blo, bhi = sq_band range_m in
+    let cols = t.cols and start = t.start and order = t.order and sx = t.sx and sy = t.sy in
+    let c = ref (cell_of_slot t lo) and k = ref lo in
+    while !k < hi do
+      while start.(!c + 1) <= !k do incr c done;
+      let cx = !c mod cols and cy = !c / cols in
+      let x0 = Int.max 0 (cx - r) and x1 = Int.min (cols - 1) (cx + r) in
+      let y1 = Int.min (t.rows - 1) (cy + r) in
+      let own_end = start.((cy * cols) + x1 + 1) in
+      let cell_end = Int.min hi start.(!c + 1) in
+      for a = !k to cell_end - 1 do
+        let i = order.(a) and x = sx.(a) and y = sy.(a) in
+        let di = ref 0 and ui = ref 0 in
+        for gy = cy to y1 do
+          let b0 = if gy = cy then a + 1 else start.((gy * cols) + x0) in
+          let b1 = if gy = cy then own_end else start.((gy * cols) + x1 + 1) in
+          for b = b0 to b1 - 1 do
+            let dx = sx.(b) -. x and dy = sy.(b) -. y in
+            let s = (dx *. dx) +. (dy *. dy) in
+            let j = order.(b) in
+            (* Branch-free over the bulk: about a third of the half ring
+               is inside, in no order a branch predictor could learn;
+               only the thin band between [blo] and [bhi] branches. *)
+            let acc =
+              if Bool.to_int (s >= blo) land Bool.to_int (s <= bhi) = 1 then
+                Bool.to_int (Float.hypot dx dy <= range_m)
+              else Bool.to_int (s < blo)
+            in
+            let j_low = Bool.to_int (j < i) in
+            di := !di + acc;
+            ui := !ui + (acc land (1 - j_low));
+            deg.(j) <- deg.(j) + acc;
+            up.(j) <- up.(j) + (acc land j_low)
+          done
+        done;
+        deg.(i) <- deg.(i) + !di;
+        up.(i) <- up.(i) + !ui
+      done;
+      k := cell_end
+    done
   end
 
-(** [neighbors_within t i ~range_m] — ascending ids within range of [i];
-    identical to the brute-force ascending pair scan. *)
-let neighbors_within t i ~range_m =
-  let acc = ref [] in
-  iter_within t i ~range_m (fun j _ -> acc := j :: !acc);
-  List.sort Stdlib.compare !acc
-
-(** [degree t i ~range_m] — number of nodes within range of [i].  The
-    CSR build runs this once per node, so the bulk of candidates is
-    counted branch-free: about half the ring is inside, in no order a
-    branch predictor could learn. *)
-let degree t i ~range_m =
-  let c = ref 0 in
-  if range_m > 0.0 then begin
-    let x = t.xs.(i) and y = t.ys.(i) in
-    let lo, hi = sq_band range_m in
-    iter_ring t i ~range_m (fun lo_slot hi_slot ->
-        for k = lo_slot to hi_slot - 1 do
-          let dx = t.sx.(k) -. x and dy = t.sy.(k) -. y in
-          let s = (dx *. dx) +. (dy *. dy) in
-          let j = t.order.(k) in
-          c := !c + (Bool.to_int (s < lo) land Bool.to_int (j <> i));
-          if Bool.to_int (s >= lo) land Bool.to_int (s <= hi) = 1
-             && j <> i && Float.hypot dx dy <= range_m
-          then incr c
-        done)
-  end;
-  !c
-
-(** [fill_above t i ~range_m ids dists pos] — write the ids [j > i] and
-    exact distances of the nodes within range of [i] into [ids] /
-    [dists] from slot [pos] on, in {!iter_within} order; returns the
-    next free slot. *)
-let fill_above t i ~range_m ids dists pos =
-  let c = ref pos in
-  if range_m > 0.0 then begin
-    let x = t.xs.(i) and y = t.ys.(i) in
-    let lo, hi = sq_band range_m in
-    iter_ring t i ~range_m (fun lo_slot hi_slot ->
-        for k = lo_slot to hi_slot - 1 do
-          let dx = t.sx.(k) -. x and dy = t.sy.(k) -. y in
-          let s = (dx *. dx) +. (dy *. dy) in
-          if not (s > hi) then begin
-            let j = t.order.(k) in
-            if j > i && (s < lo || Float.hypot dx dy <= range_m) then begin
-              ids.(!c) <- j;
-              dists.(!c) <- Float.hypot dx dy;
-              incr c
+(** [fill_pairs t ~range_m lo hi ~cursor ~ids ~dists] — see the .mli. *)
+let fill_pairs t ~range_m lo hi ~cursor ~ids ~dists =
+  if range_m > 0.0 && lo < hi then begin
+    let r = ring_cells t ~range_m in
+    let blo, bhi = sq_band range_m in
+    let cols = t.cols and start = t.start and order = t.order and sx = t.sx and sy = t.sy in
+    let c = ref (cell_of_slot t lo) and k = ref lo in
+    while !k < hi do
+      while start.(!c + 1) <= !k do incr c done;
+      let cx = !c mod cols and cy = !c / cols in
+      let x0 = Int.max 0 (cx - r) and x1 = Int.min (cols - 1) (cx + r) in
+      let y1 = Int.min (t.rows - 1) (cy + r) in
+      let own_end = start.((cy * cols) + x1 + 1) in
+      let cell_end = Int.min hi start.(!c + 1) in
+      for a = !k to cell_end - 1 do
+        let i = order.(a) and x = sx.(a) and y = sy.(a) in
+        for gy = cy to y1 do
+          let b0 = if gy = cy then a + 1 else start.((gy * cols) + x0) in
+          let b1 = if gy = cy then own_end else start.((gy * cols) + x1 + 1) in
+          for b = b0 to b1 - 1 do
+            let dx = sx.(b) -. x and dy = sy.(b) -. y in
+            let s = (dx *. dx) +. (dy *. dy) in
+            if s < blo || (s <= bhi && Float.hypot dx dy <= range_m) then begin
+              let j = order.(b) in
+              let l = Int.min i j in
+              let p = cursor.(l) - 1 in
+              ids.(p) <- i + j - l;
+              dists.(p) <- Float.hypot dx dy;
+              cursor.(l) <- p
             end
-          end
-        done)
-  end;
-  !c
+          done
+        done
+      done;
+      k := cell_end
+    done
+  end

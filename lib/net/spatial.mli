@@ -1,20 +1,23 @@
 (** Uniform-grid spatial index over node positions.
 
     Every range query on a run path goes through this grid: the
-    {!Routing} CSR build asks it for each node's in-range neighbours
-    instead of scanning all O(n²) pairs.  Its cell edge is tied to the
-    radio range, so a query touches a constant-size cell ring.  Build
-    is O(n + cells), memory O(n + cells), and the cell count is clamped
-    to O(n) regardless of the requested cell size.
+    {!Routing} CSR build enumerates the in-range pairs from it instead
+    of scanning all O(n²) pairs.  Its cell edge is tied to the radio
+    range, so each slot's scan touches a constant-size cell ring.
+    Build is O(n + cells), memory O(n + cells), and the cell count is
+    clamped to O(n) regardless of the requested cell size.
 
-    Coordinates are kept in slot (cell) order, so a query scans each
-    grid row of its ring as one contiguous slot range, and screens
-    candidates on the squared distance ({!sq_band}) before any square
-    root.  Queries accept exactly the pairs with
-    [Float.hypot dx dy <= range_m] and return bit-identical distances to
-    the brute-force scan (the same [Float.hypot] on the same
-    coordinates), so swapping the index in never moves an experiment
-    digest — property-tested against the all-pairs scan (kept as a
+    Coordinates are kept in slot (cell) order.  The pair kernels visit
+    each slot's {e forward half ring}: the rest of its grid row from the
+    next slot on, then the grid rows above it, each as one contiguous
+    slot range.  Every unordered pair of nodes in neighbouring cells is
+    met exactly once.  Candidates are screened on the squared distance
+    ({!sq_band}) before any square root.  The kernels accept exactly the
+    pairs with [Float.hypot dx dy <= range_m] and report bit-identical
+    distances to the brute-force scan (the same [Float.hypot] on the
+    same coordinates; its sign symmetry makes the direction of the
+    difference immaterial), so swapping the index in never moves an
+    experiment digest — tested against the all-pairs scan (kept as a
     test-side reference) on random and boundary layouts. *)
 
 type t
@@ -31,25 +34,33 @@ val node_count : t -> int
 val cell_m : t -> float
 (** Actual cell edge after clamping. *)
 
-val iter_within : t -> int -> range_m:float -> (int -> float -> unit) -> unit
-(** [iter_within t i ~range_m f] calls [f j d] for every node [j <> i]
-    within [range_m] of node [i] ([d] is their exact distance).
-    Deterministic order: cells row-major over the covering ring, ids
-    ascending within a cell — not globally sorted. *)
+val count_pairs :
+  t -> range_m:float -> int -> int -> deg:int array -> up:int array -> unit
+(** [count_pairs t ~range_m lo hi ~deg ~up] visits the forward half
+    ring of every slot in [lo, hi) and, for each in-range pair [{i, j}]
+    met there, adds 1 to [deg.(i)], [deg.(j)] and [up.(min i j)].  Run
+    over the ranges of any partition of the slots [0 .. node_count - 1],
+    it adds node [i]'s in-range degree to [deg.(i)] in total, and the
+    number of its in-range neighbours [j > i] to [up.(i)].  No pair when
+    [range_m <= 0]. *)
 
-val neighbors_within : t -> int -> range_m:float -> int list
-(** Ascending node ids within range — element-for-element identical to
-    the brute-force ascending pair scan. *)
-
-val degree : t -> int -> range_m:float -> int
-(** Number of nodes within range — the length of {!neighbors_within}. *)
-
-val fill_above : t -> int -> range_m:float -> int array -> float array -> int -> int
-(** [fill_above t i ~range_m ids dists pos] writes the ids and exact
-    distances of the nodes [j > i] within range of [i] into [ids] /
-    [dists] from slot [pos] on, in {!iter_within} order, and returns the
-    next free slot.  The CSR build's half scan: the other half of each
-    symmetric pair comes from its mirror. *)
+val fill_pairs :
+  t ->
+  range_m:float ->
+  int ->
+  int ->
+  cursor:int array ->
+  ids:int array ->
+  dists:float array ->
+  unit
+(** [fill_pairs t ~range_m lo hi ~cursor ~ids ~dists] meets the same
+    pairs as {!count_pairs} and, for each, with [l = min i j],
+    decrements [cursor.(l)] and writes [max i j] into [ids.(cursor.(l))]
+    and the pair's exact distance into [dists.(cursor.(l))]: each row's
+    span fills downwards from its cursor, in scan order, not by id.
+    Runs over disjoint slot ranges write disjoint slots when each run's
+    cursors start at the ends of spans as long as {!count_pairs}
+    counted over the same range. *)
 
 val sq_band : float -> float * float
 (** [sq_band range_m] is [(lo, hi)] with [dx*.dx +. dy*.dy < lo]

@@ -52,6 +52,39 @@ let required_tx_dbm link ~distance_m =
   let needed = link.radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db +. loss in
   if needed > link.radio.Radio_frontend.max_tx_dbm then None else Some needed
 
+(* The distance-independent terms of the per-hop price (an all-float
+   record, so its fields are read unboxed). *)
+type tariff_terms = {
+  threshold : float;  (** sensitivity plus fade margin, dBm *)
+  max_tx_dbm : float;
+  p_electronics : float;  (** W *)
+  pa_efficiency : float;
+  airtime : float;  (** s *)
+  startup : float;  (** J *)
+}
+
+let tariff_terms link ~bits =
+  let radio = link.radio in
+  {
+    threshold = radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db;
+    max_tx_dbm = radio.Radio_frontend.max_tx_dbm;
+    p_electronics = Power.to_watts radio.Radio_frontend.p_tx_electronics;
+    pa_efficiency = radio.Radio_frontend.pa_efficiency;
+    airtime = Time_span.to_seconds (Data_rate.transfer_time radio.Radio_frontend.bitrate bits);
+    startup = Energy.to_joules (Radio_frontend.startup_energy radio);
+  }
+
+(* The per-distance operations from a path loss (dB) to the burst's
+   joules, shared by [tx_tariff] and [tx_tariff_slice].  The RF output
+   is [Decibel.power_of_dbm] unfolded ([1e-3 *. 10 ** (dBm / 10)]; the
+   unit wrappers are identities), so no float is boxed. *)
+let[@inline] price t loss =
+  let needed = t.threshold +. loss in
+  if needed > t.max_tx_dbm then Float.nan
+  else
+    let rf_out = 1e-3 *. (10.0 ** (needed /. 10.0)) in
+    ((t.p_electronics +. (rf_out /. t.pa_efficiency)) *. t.airtime) +. t.startup
+
 (** [tx_tariff link ~bits] — the per-hop price, staged: a function from
     distance to the joules of one [bits]-bit TX burst (start-up
     included) at the minimum closing level, NaN where
@@ -64,20 +97,21 @@ let required_tx_dbm link ~distance_m =
     [Radio_frontend.tx_power] is dropped: the level it would clamp is
     already at most [max_tx_dbm]. *)
 let tx_tariff link ~bits =
-  let radio = link.radio in
-  let loss = Path_loss.loss_fn link.channel ~carrier_hz:radio.Radio_frontend.carrier_hz in
-  let threshold = radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db in
-  let max_tx_dbm = radio.Radio_frontend.max_tx_dbm in
-  let p_electronics = Power.to_watts radio.Radio_frontend.p_tx_electronics in
-  let pa_efficiency = radio.Radio_frontend.pa_efficiency in
-  let airtime = Time_span.to_seconds (Data_rate.transfer_time radio.Radio_frontend.bitrate bits) in
-  let startup = Energy.to_joules (Radio_frontend.startup_energy radio) in
-  fun distance_m ->
-    let needed = threshold +. loss distance_m in
-    if needed > max_tx_dbm then Float.nan
-    else
-      let rf_out = Power.to_watts (Decibel.power_of_dbm needed) in
-      ((p_electronics +. (rf_out /. pa_efficiency)) *. airtime) +. startup
+  let loss = Path_loss.loss_fn link.channel ~carrier_hz:link.radio.Radio_frontend.carrier_hz in
+  let t = tariff_terms link ~bits in
+  fun distance_m -> price t (loss distance_m)
+
+(** [tx_tariff_slice link ~bits] — {!tx_tariff} over an array slice, in
+    place: the distances become their losses ({!Path_loss.loss_slice}),
+    then their prices, one call per slice and no float boxed. *)
+let tx_tariff_slice link ~bits =
+  let loss = Path_loss.loss_slice link.channel ~carrier_hz:link.radio.Radio_frontend.carrier_hz in
+  let t = tariff_terms link ~bits in
+  fun a lo hi ->
+    loss a lo hi;
+    for k = lo to hi - 1 do
+      Array.unsafe_set a k (price t (Array.unsafe_get a k))
+    done
 
 (** [energy_per_delivered_bit link ~distance_m ~packet_bits] — TX energy
     per bit at the minimum closing TX level, including amortised start-up;

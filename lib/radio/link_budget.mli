@@ -34,6 +34,13 @@ val tx_tariff : t -> bits:float -> float -> float
     ~include_startup:true], with every distance-independent term
     computed once at staging. *)
 
+val tx_tariff_slice : t -> bits:float -> float array -> int -> int -> unit
+(** [tx_tariff_slice link ~bits] is {!tx_tariff} over an array slice:
+    [f a lo hi] replaces each distance [a.(k)], [lo <= k < hi], by
+    [tx_tariff link ~bits a.(k)], bit for bit, with no float boxed per
+    element.  Staged like {!tx_tariff}; the caller keeps the slice in
+    bounds. *)
+
 val energy_per_delivered_bit : t -> distance_m:float -> packet_bits:float -> Amb_units.Energy.t option
 (** TX energy per bit at the minimum closing level, including amortised
     start-up (the E8 curve); [None] when the link cannot close. *)

@@ -31,8 +31,17 @@ val loss_fn : model -> carrier_hz:float -> float -> float
     ~distance_m:d], staged: the distance-independent terms are computed
     once.  Raises [Invalid_argument] on a non-positive carrier. *)
 
+val loss_slice : model -> carrier_hz:float -> float array -> int -> int -> unit
+(** [loss_slice model ~carrier_hz] is {!loss_fn} over an array slice:
+    [f a lo hi] replaces each distance [a.(k)], [lo <= k < hi], by its
+    loss, bit for bit [loss_fn model ~carrier_hz a.(k)], with no float
+    boxed per element.  Staged like {!loss_fn}; the caller keeps the
+    slice in bounds. *)
+
 val received_dbm : model -> tx_dbm:float -> carrier_hz:float -> distance_m:float -> float
 
 val max_range : model -> tx_dbm:float -> carrier_hz:float -> threshold_dbm:float -> float
 (** Largest distance keeping the received level above a threshold
-    (monotone bisection); 0 when even contact fails. *)
+    (monotone bisection on the model staged once, as {!loss_fn} stages
+    it; bit for bit the bisection over {!received_dbm}); 0 when even
+    contact fails. *)

@@ -28,6 +28,11 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* The C formatter behind [Printf]'s float conversions: for "%.17g" on a
+   finite value [Printf.sprintf] returns exactly its string, without
+   parsing the format at every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Non-finite floats have no JSON number form; encode them as tagged
    strings so [of_json] can restore them exactly.  Finite values use %.17g,
    which round-trips binary64 exactly. *)
@@ -35,7 +40,7 @@ let json_float v =
   if Float.is_nan v then "\"nan\""
   else if v = Float.infinity then "\"inf\""
   else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+  else format_float "%.17g" v
 
 (* ------------------------------------------------------------------ *)
 (* Envelope emission                                                   *)

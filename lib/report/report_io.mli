@@ -9,6 +9,12 @@ val json_string : string -> string
 (** A quoted, escaped JSON string literal — for frontends composing
     larger envelopes around {!to_json} documents. *)
 
+val json_float : float -> string
+(** A float as JSON: finite values as ["%.17g"] (byte for byte
+    [Printf.sprintf "%.17g"], which round-trips binary64), NaN and the
+    infinities as the tagged strings ["\"nan\""], ["\"inf\""] and
+    ["\"-inf\""] that {!of_json} restores. *)
+
 val to_json : ?id:string -> Report.t -> string
 (** The [amblib-report/1] document: experiment id (when known), title,
     typed columns with unit kind, typed rows with numeric payloads in SI

@@ -12,35 +12,48 @@ let count = 100
 
 (* --- spatial grid vs brute-force pair scan --------------------------- *)
 
+(* The pair kernels over a random partition of the slots into at most
+   five ranges, on a grid whose cell edge is the range, its half or its
+   third. *)
+let kernel_rows rng topo ~range_m =
+  let n = Topology.node_count topo in
+  let cell_m = range_m /. Float.of_int (1 + Amb_sim.Rng.int rng 3) in
+  let cuts = List.init (Amb_sim.Rng.int rng 5) (fun _ -> Amb_sim.Rng.int rng (n + 1)) in
+  Spatial_pairs.rows (Topology.spatial topo ~cell_m) ~range_m ~cuts
+
 let prop_spatial_neighbors =
-  QCheck.Test.make ~name:"spatial neighbors_within matches the pair scan" ~count
+  QCheck.Test.make ~name:"spatial pair kernels match the pair scan" ~count
     QCheck.(pair small_nat (float_range 10.0 200.0))
     (fun (seed, range_m) ->
       let rng = Amb_sim.Rng.create (7000 + seed) in
       let n = 1 + Amb_sim.Rng.int rng 120 in
       let topo = Topology.random rng ~nodes:n ~width_m:300.0 ~height_m:250.0 in
-      let index = Topology.spatial topo ~cell_m:range_m in
+      let rows = kernel_rows rng topo ~range_m in
       List.for_all
         (fun i ->
           let brute = Topology_reference.neighbors_within topo i ~range_m in
-          Spatial.neighbors_within index i ~range_m = brute
-          && Spatial.degree index i ~range_m = List.length brute)
+          List.map fst rows.Spatial_pairs.nbrs.(i) = brute
+          && rows.Spatial_pairs.deg.(i) = List.length brute
+          && rows.Spatial_pairs.up.(i) = List.length (List.filter (fun j -> j > i) brute))
         (List.init n Fun.id))
 
 let prop_spatial_distances =
-  QCheck.Test.make ~name:"spatial iter_within reports exact distances" ~count
+  QCheck.Test.make ~name:"spatial pair kernels report exact distances" ~count
     QCheck.(pair small_nat (float_range 20.0 150.0))
     (fun (seed, range_m) ->
       let rng = Amb_sim.Rng.create (8000 + seed) in
       let n = 2 + Amb_sim.Rng.int rng 80 in
       let topo = Topology.random rng ~nodes:n ~width_m:200.0 ~height_m:200.0 in
-      let index = Topology.spatial topo ~cell_m:range_m in
+      let rows = kernel_rows rng topo ~range_m in
       let ok = ref true in
-      for i = 0 to n - 1 do
-        Spatial.iter_within index i ~range_m (fun j d ->
-            (* Bit-identical to the historic scan's Float.hypot. *)
-            if d <> Topology.pair_distance topo i j then ok := false)
-      done;
+      Array.iteri
+        (fun i row ->
+          List.iter
+            (fun (j, d) ->
+              (* Bit-identical to the historic scan's Float.hypot. *)
+              if d <> Topology.pair_distance topo i j then ok := false)
+            row)
+        rows.Spatial_pairs.nbrs;
       !ok)
 
 (* --- periodic rings vs self-re-arming closures ------------------------- *)
@@ -381,9 +394,10 @@ let prop_sparse_routing_equiv =
 
 (* The CSR build is a pure function of positions: jobs must not move a
    bit.  n is sized past the 4096-row cutoff below which a sharded pass
-   runs inline, so all three sharded passes (degrees, upper halves,
-   mirrored lower halves) go to the jobs=3 pool — checked on the pool's
-   batch counter — and the arrays must come out identical. *)
+   runs inline, so all four sharded passes (pair counts and pair fills
+   over slot ranges, sorting and pricing the upper halves, mirrored
+   lower halves) go to the jobs=3 pool — checked on the pool's batch
+   counter — and the arrays must come out identical. *)
 let test_sparse_fill_jobs_independent () =
   let rng = Amb_sim.Rng.create 31 in
   let n = 4500 in
@@ -393,7 +407,7 @@ let test_sparse_fill_jobs_independent () =
   let r1 = Routing.make ~jobs:1 ~topology:topo ~link ~packet () in
   let before = Amb_sim.Domain_pool.parallel_batches () in
   let r3 = Routing.make ~jobs:3 ~topology:topo ~link ~packet () in
-  Alcotest.(check int) "sharded passes run on the pool" 3
+  Alcotest.(check int) "sharded passes run on the pool" 4
     (Amb_sim.Domain_pool.parallel_batches () - before);
   let a = r1.Routing.cache and b = r3.Routing.cache in
   Alcotest.(check bool) "has edges" true (a.Routing.offsets.(n) > n);
@@ -455,24 +469,34 @@ let boundary_layouts r =
     ("cell edges and field boundary", edges); ("coincident nodes", coincident);
     ("ring at range", ring) ]
 
-(* [degree], [iter_within] and [neighbors_within] against the brute
-   [Float.hypot ... <= range_m] scan, on every node. *)
+(* The pair kernels against the brute [Float.hypot ... <= range_m]
+   scan, on every node: the degrees, the upper-half counts, the
+   neighbour ids and their exact distances, with the slots in one range
+   and in three. *)
 let check_spatial_brute label topo ~cell_m ~range_m =
   let n = Topology.node_count topo in
   let index = Topology.spatial topo ~cell_m in
-  for i = 0 to n - 1 do
-    let brute = Topology_reference.neighbors_within topo i ~range_m in
-    let where = Printf.sprintf "%s (cell %g, range %.17g) node %d" label cell_m range_m i in
-    Alcotest.(check (list int)) (where ^ " neighbors_within") brute
-      (Spatial.neighbors_within index i ~range_m);
-    Alcotest.(check int) (where ^ " degree") (List.length brute) (Spatial.degree index i ~range_m);
-    let seen = ref [] in
-    Spatial.iter_within index i ~range_m (fun j d ->
-        if not (same_bits d (Topology.pair_distance topo i j)) then
-          Alcotest.failf "%s: distance to %d is %.17g" where j d;
-        seen := j :: !seen);
-    Alcotest.(check (list int)) (where ^ " iter_within") brute (List.sort compare !seen)
-  done
+  List.iter
+    (fun parts ->
+      let rows = Spatial_pairs.rows index ~range_m ~cuts:(Spatial_pairs.even_cuts n parts) in
+      for i = 0 to n - 1 do
+        let brute = Topology_reference.neighbors_within topo i ~range_m in
+        let where =
+          Printf.sprintf "%s (cell %g, range %.17g, %d ranges) node %d" label cell_m range_m parts i
+        in
+        let row = rows.Spatial_pairs.nbrs.(i) in
+        Alcotest.(check (list int)) (where ^ " neighbours") brute (List.map fst row);
+        Alcotest.(check int) (where ^ " degree") (List.length brute) rows.Spatial_pairs.deg.(i);
+        Alcotest.(check int) (where ^ " upper half")
+          (List.length (List.filter (fun j -> j > i) brute))
+          rows.Spatial_pairs.up.(i);
+        List.iter
+          (fun (j, d) ->
+            if not (same_bits d (Topology.pair_distance topo i j)) then
+              Alcotest.failf "%s: distance to %d is %.17g" where j d)
+          row
+      done)
+    [ 1; 3 ]
 
 let test_boundary_layouts () =
   let link = default_link () in
@@ -484,7 +508,13 @@ let test_boundary_layouts () =
         (fun range_m ->
           List.iter
             (fun cell_m -> check_spatial_brute label topo ~cell_m ~range_m)
-            [ range_m; range_m /. 2.0 ])
+            [ range_m; range_m /. 2.0; range_m /. 3.0 ];
+          (* A cell this small would exceed the 4n-cell budget: the grid
+             inflates it, and the kernels must widen their ring to match. *)
+          let tiny = range_m /. 64.0 in
+          if not (Spatial.cell_m (Topology.spatial topo ~cell_m:tiny) > tiny) then
+            Alcotest.failf "%s: a %g m cell was not inflated" label tiny;
+          check_spatial_brute label topo ~cell_m:tiny ~range_m)
         [ r; Float.pred r; Float.succ r ];
       check_against_grid label (Routing.make ~topology:topo ~link ~packet ()))
     (boundary_layouts r)
@@ -551,6 +581,48 @@ let prop_tx_tariff_exact =
           Float.is_nan got = (Link_budget.required_tx_dbm link ~distance_m:d = None)
           && (Float.is_nan got || same_bits got expected))
         distances)
+
+(* The slice kernel the CSR build prices rows with, against the staged
+   tariff, on a slice inside a longer array whose ends must stay put:
+   at and below zero, about the reference distance, in range, at the
+   closing edge, exactly at [max_range] and beyond it (NaN). *)
+let prop_tx_tariff_slice_exact =
+  let channels =
+    [| (Path_loss.free_space, 1.0); (Path_loss.indoor, 1.0); (Path_loss.open_office, 1.0);
+       (Path_loss.log_distance ~reference_m:5.0 3.0, 5.0) |]
+  in
+  let radios =
+    [| Radio_frontend.low_power_uhf; Radio_frontend.zigbee_class; Radio_frontend.personal_area;
+       Radio_frontend.wlan; Radio_frontend.backscatter_uhf |]
+  in
+  QCheck.Test.make ~name:"slice tariff equals the staged tariff" ~count:120
+    QCheck.(quad (int_bound 3) (int_bound 4) (float_bound_inclusive 1.0) small_nat)
+    (fun (c, r, u, shift) ->
+      let channel, reference_m = channels.(c) in
+      let radio = radios.(r) in
+      let bits = Packet.total_bits Packet.sensor_report in
+      let link = Link_budget.make ~radio ~channel () in
+      let tariff = Link_budget.tx_tariff link ~bits in
+      let slice = Link_budget.tx_tariff_slice link ~bits in
+      let reach = Link_budget.max_range link ~tx_dbm:radio.Radio_frontend.max_tx_dbm in
+      let edge = closing_edge link ~hi:(2.0 *. (reach +. 1.0)) in
+      let distances =
+        [| -1.0; -0.0; 0.0; Float.min_float; reference_m /. 2.0; Float.pred reference_m;
+           reference_m; Float.succ reference_m; u *. reach; Float.pred edge; edge;
+           Float.succ edge; Float.pred reach; reach; Float.succ reach; 2.0 *. (reach +. 1.0);
+           Float.infinity |]
+      in
+      let len = Array.length distances in
+      let lo = 1 + (shift mod 3) in
+      let a = Array.make (lo + len + 2) 7.0 in
+      Array.blit distances 0 a lo len;
+      slice a lo (lo + len);
+      let ends_kept =
+        Array.for_all (fun k -> k >= lo && k < lo + len || a.(k) = 7.0) (Array.init (lo + len + 2) Fun.id)
+      in
+      ends_kept
+      && Array.for_all Fun.id (Array.mapi (fun k d -> same_bits a.(lo + k) (tariff d)) distances)
+      && Float.is_nan a.(lo + len - 2))
 
 (* --- CSR route tree vs the all-pairs sweep ---------------------------- *)
 
@@ -706,6 +778,7 @@ let suite =
       prop_sparse_routing_equiv;
       prop_route_tree_csr_equiv;
       prop_tx_tariff_exact;
+      prop_tx_tariff_slice_exact;
     ]
   @ [ Alcotest.test_case "engine rings equal closures" `Quick
         test_engine_rings_equal_closures;

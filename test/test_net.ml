@@ -86,8 +86,11 @@ let test_connectivity_by_range () =
 
 let test_neighbors_within () =
   let topo = Topology.grid ~columns:3 ~rows:1 ~spacing_m:10.0 in
+  let rows = Spatial_pairs.rows (Topology.spatial topo ~cell_m:10.5) ~range_m:10.5 ~cuts:[] in
   Alcotest.(check (list int)) "middle sees both" [ 0; 2 ]
-    (Spatial.neighbors_within (Topology.spatial topo ~cell_m:10.5) 1 ~range_m:10.5)
+    (List.map fst rows.Spatial_pairs.nbrs.(1));
+  Alcotest.(check (list int)) "ends see the middle" [ 1; 1 ]
+    (List.map fst (rows.Spatial_pairs.nbrs.(0) @ rows.Spatial_pairs.nbrs.(2)))
 
 (* --- Routing --- *)
 

@@ -41,6 +41,43 @@ let test_max_range_consistent () =
   let at_d = Path_loss.received_dbm Path_loss.indoor ~tx_dbm:0.0 ~carrier_hz:868e6 ~distance_m:d in
   Alcotest.(check bool) "threshold met at range" true (Float.abs (at_d -. threshold) < 0.1)
 
+(* The bisection as it stood before [max_range] staged its loss: every
+   probe through [received_dbm], which re-stages the model. *)
+let max_range_unstaged model ~tx_dbm ~carrier_hz ~threshold_dbm =
+  let ok d = Path_loss.received_dbm model ~tx_dbm ~carrier_hz ~distance_m:d >= threshold_dbm in
+  if not (ok 1e-3) then 0.0
+  else
+    let rec bracket hi n = if n = 0 || not (ok hi) then hi else bracket (hi *. 2.0) (n - 1) in
+    let hi = bracket 1.0 60 in
+    if ok hi then hi
+    else
+      let rec bisect lo hi n =
+        if n = 0 then lo
+        else
+          let mid = 0.5 *. (lo +. hi) in
+          if ok mid then bisect mid hi (n - 1) else bisect lo mid (n - 1)
+      in
+      bisect 1e-3 hi 60
+
+let test_max_range_staged () =
+  List.iter
+    (fun (name, model) ->
+      List.iter
+        (fun (radio : Amb_circuit.Radio_frontend.t) ->
+          let carrier_hz = radio.Amb_circuit.Radio_frontend.carrier_hz in
+          let threshold_dbm = radio.Amb_circuit.Radio_frontend.sensitivity_dbm +. 10.0 in
+          List.iter
+            (fun tx_dbm ->
+              let expected = max_range_unstaged model ~tx_dbm ~carrier_hz ~threshold_dbm in
+              let got = Path_loss.max_range model ~tx_dbm ~carrier_hz ~threshold_dbm in
+              if Int64.bits_of_float got <> Int64.bits_of_float expected then
+                Alcotest.failf "%s at %g dBm, %g Hz: %.17g, unstaged %.17g" name tx_dbm carrier_hz
+                  got expected)
+            [ -200.0; -30.0; 0.0; 4.0; 20.0; 36.0; 400.0 ])
+        Amb_circuit.Radio_frontend.(backscatter_uhf :: catalogue))
+    [ ("indoor", Path_loss.indoor); ("open office", Path_loss.open_office);
+      ("free space", Path_loss.free_space) ]
+
 (* --- Modulation --- *)
 
 let test_q_function () =
@@ -237,6 +274,7 @@ let suite =
     ("log-distance slope", `Quick, test_log_distance_slope);
     ("log-distance continuity", `Quick, test_log_distance_matches_friis_at_reference);
     ("max range consistency", `Quick, test_max_range_consistent);
+    ("max range equals the unstaged bisection", `Quick, test_max_range_staged);
     ("Q function", `Quick, test_q_function);
     ("BER ordering", `Quick, test_ber_ordering);
     ("BER monotone", `Quick, test_ber_monotone);

@@ -202,8 +202,34 @@ let test_digest_sensitivity () =
   if Report_io.digest changed_value = d then Alcotest.fail "value change not detected";
   if Report_io.digest changed_kind = d then Alcotest.fail "kind change not detected"
 
+(* --- float rendering ----------------------------------------------------- *)
+
+(* [json_float] skips [Printf]'s format parsing; every bit pattern —
+   subnormals, both zeros, the largest finite values, NaNs and the
+   infinities among them — must render byte for byte as before. *)
+let prop_json_float_matches_printf =
+  let gen =
+    QCheck.Gen.oneof
+      [ QCheck.Gen.map Int64.float_of_bits QCheck.Gen.ui64;
+        QCheck.Gen.oneofl
+          [ 0.0; -0.0; Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
+            Int64.float_of_bits 1L; Int64.float_of_bits (-1L); Float.nan; Float.infinity;
+            Float.neg_infinity; Float.epsilon; 1e-310; 0.1; 1e22; 123456789012345678.0 ] ]
+  in
+  QCheck.Test.make ~name:"json_float renders as Printf %.17g" ~count:2000
+    (QCheck.make ~print:(fun v -> Printf.sprintf "%Lx" (Int64.bits_of_float v)) gen)
+    (fun v ->
+      let expected =
+        if Float.is_nan v then "\"nan\""
+        else if v = Float.infinity then "\"inf\""
+        else if v = Float.neg_infinity then "\"-inf\""
+        else Printf.sprintf "%.17g" v
+      in
+      Report_io.json_float v = expected)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_float_matches_printf;
     Alcotest.test_case "nonfinite payloads round-trip" `Quick test_roundtrip_nonfinite;
     Alcotest.test_case "of_json rejects garbage" `Quick test_of_json_rejects_garbage;
     Alcotest.test_case "all experiments round-trip via JSON" `Quick
