@@ -4,7 +4,8 @@
     nodes forward their whole subtree's traffic, so they die first.
     Network lifetime here is first-node-death, the conventional metric,
     computed from per-node energy budgets and per-round forwarding
-    loads (experiment E11). *)
+    loads (experiment E11).  Trees are {!Route_tree} rebuilds under
+    {!Routing.tree_weight}. *)
 
 open Amb_units
 
@@ -14,16 +15,17 @@ type tree = {
   subtree_size : int array;  (** nodes (incl. self) whose traffic crosses i *)
 }
 
-(** [collection_tree router ~policy ~residual ~sink] — shortest-path tree
-    to [sink] under the routing policy's edge weights. *)
-let collection_tree router ~policy ~residual ~sink =
-  let g = Routing.build_graph router ~policy ~residual in
-  let n = Graph.node_count g in
-  (* Shortest paths from the sink over reversed edges equal paths to the
-     sink; our graphs are symmetric (same weight both ways except for
-     Max_lifetime, where the approximation is conventional). *)
-  let _, prev = Graph.dijkstra g ~src:sink in
-  let parent = Array.init n (fun i -> if i = sink then -1 else if prev.(i) < 0 then -2 else prev.(i)) in
+(* The collection tree of a rebuilt route tree: its parents, with
+   unreachable nodes marked -2, and each node's subtree size. *)
+let of_route route =
+  let n = Route_tree.node_count route and sink = Route_tree.sink route in
+  let parent =
+    Array.init n (fun i ->
+        if i = sink then -1
+        else
+          let p = Route_tree.parent route i in
+          if p < 0 then -2 else p)
+  in
   let subtree_size = Array.make n 0 in
   (* Count descendants by walking each node's path to the sink. *)
   for i = 0 to n - 1 do
@@ -38,6 +40,18 @@ let collection_tree router ~policy ~residual ~sink =
     end
   done;
   { sink; parent; subtree_size }
+
+let all_alive _ = true
+
+(** [collection_tree router ~policy ~residual ~sink] — shortest-path tree
+    to [sink] under the routing policy's edge weights
+    ({!Routing.tree_weight}), grown from the sink: a [Max_lifetime] hop
+    is priced by the residual of its end nearer the sink. *)
+let collection_tree router ~policy ~residual ~sink =
+  let route = Route_tree.create ~rows:(Routing.rows router) ~sink in
+  let residual = Array.init (Route_tree.node_count route) (fun i -> Energy.to_joules (residual i)) in
+  Route_tree.rebuild route ~weight:(Routing.tree_weight router ~policy ~residual) ~alive:all_alive;
+  of_route route
 
 let connected_count tree =
   Array.fold_left (fun acc p -> if p <> -2 then acc + 1 else acc) 0 tree.parent
@@ -83,18 +97,24 @@ let lifetime_rounds router tree ~budget =
     recomputed against the *current* residuals, so the [Max_lifetime]
     policy reroutes around draining bottlenecks while the static policies
     keep their original tree (their weights ignore residuals, so
-    rebuilding would not change them).  Advances in closed-form blocks —
-    no per-round loop — so fields of tens of thousands of rounds stay
-    cheap. *)
+    rebuilding would not change them).  One route tree, priced over the
+    residual array itself, is rebuilt in place for every block.
+    Advances in closed-form blocks — no per-round loop — so fields of
+    tens of thousands of rounds stay cheap. *)
 let simulate_depletion router ~policy ~budget ~sink ~rebuild_every =
+  (* NaN fails every comparison, so finiteness is checked first. *)
+  if not (Float.is_finite rebuild_every) then
+    invalid_arg "Flow.simulate_depletion: non-finite rebuild period";
   if rebuild_every <= 0.0 then invalid_arg "Flow.simulate_depletion: non-positive rebuild period";
-  let n = Topology.node_count router.Routing.topology in
+  let route = Route_tree.create ~rows:(Routing.rows router) ~sink in
+  let n = Route_tree.node_count route in
   let residual = Array.init n (fun i -> Energy.to_joules (budget i)) in
-  let residual_fn i = Energy.joules residual.(i) in
+  let weight = Routing.tree_weight router ~policy ~residual in
   let rec advance rounds_done iterations =
     if iterations > 10_000 then rounds_done
-    else
-      let tree = collection_tree router ~policy ~residual:residual_fn ~sink in
+    else begin
+      Route_tree.rebuild route ~weight ~alive:all_alive;
+      let tree = of_route route in
       (* Per-node spend per round under the current tree. *)
       let spend = Array.init n (fun i -> Energy.to_joules (per_round_energy router tree i)) in
       (* Rounds until the first death under this tree. *)
@@ -111,6 +131,7 @@ let simulate_depletion router ~policy ~budget ~sink ~rebuild_every =
         done;
         if block >= !to_death -. 1e-9 then rounds_done +. block
         else advance (rounds_done +. block) (iterations + 1)
+    end
   in
   advance 0.0 0
 

@@ -12,7 +12,11 @@ type tree = {
 
 val collection_tree :
   Routing.t -> policy:Routing.policy -> residual:(int -> Energy.t) -> sink:int -> tree
-(** Shortest-path tree to the sink under the policy's edge weights. *)
+(** Shortest-path tree to the sink under the policy's edge weights
+    ({!Routing.tree_weight}), one {!Route_tree.rebuild}; a
+    [Max_lifetime] hop is priced by the residual of its end nearer the
+    sink.  Raises [Invalid_argument] on an empty network or a sink
+    outside [0..n-1]. *)
 
 val connected_count : tree -> int
 
@@ -35,7 +39,9 @@ val simulate_depletion :
 (** Rounds to first death with residuals depleted as rounds pass; the
     tree is rebuilt against current residuals every [rebuild_every]
     rounds, so [Max_lifetime] reroutes around draining bottlenecks.
-    Advances in closed-form blocks (no per-round loop). *)
+    Advances in closed-form blocks (no per-round loop), rebuilding one
+    {!Route_tree} in place.  Raises [Invalid_argument] on a non-finite
+    or non-positive [rebuild_every]. *)
 
 val bottleneck : Routing.t -> tree -> budget:(int -> Energy.t) -> (int * float) option
 (** The node that dies first and its rounds-to-death. *)

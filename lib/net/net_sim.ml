@@ -33,9 +33,18 @@ type config = {
 
 let config ?(rebuild_period = Time_span.hours 4.0) ~router ~sink ~policy ~report_period ~budget
     ~horizon () =
-  if Time_span.to_seconds report_period <= 0.0 then
-    invalid_arg "Net_sim.config: non-positive report period";
-  if Time_span.to_seconds horizon <= 0.0 then invalid_arg "Net_sim.config: non-positive horizon";
+  (* NaN fails every comparison, so finiteness is checked first: a NaN
+     horizon would run until every node died. *)
+  let check what span =
+    let s = Time_span.to_seconds span in
+    if not (Float.is_finite s) then invalid_arg ("Net_sim.config: non-finite " ^ what);
+    if s <= 0.0 then invalid_arg ("Net_sim.config: non-positive " ^ what)
+  in
+  check "report period" report_period;
+  check "horizon" horizon;
+  check "rebuild period" rebuild_period;
+  if sink < 0 || sink >= Topology.node_count router.Routing.topology then
+    invalid_arg "Net_sim.config: sink outside 0..n-1";
   { router; sink; policy; report_period; budget; horizon; rebuild_period }
 
 type outcome = {
@@ -55,6 +64,7 @@ type acc = { mutable spent_j : float }
 
 type state = {
   tree : Route_tree.t;
+  weight : Route_tree.weight;  (** {!Routing.tree_weight} over [residual] *)
   residual : float array;
   alive : bool array;
   parent : int array;  (** -1 = sink, -2 = dead/unreachable, else parent id *)
@@ -68,24 +78,6 @@ type state = {
   mutable dropped : int;
   mutable first_death : float option;
 }
-
-(* Policy cost of hop [i -> j] at row slot [k], into [c]: the router's
-   per-pair cache read by slot (and the current residuals for
-   Max_lifetime); NaN = out of range.  Matches the weights the historic
-   Graph-based rebuild materialised. *)
-let tree_weight cfg st : Route_tree.weight =
-  let router = cfg.router in
-  match cfg.policy with
-  | Routing.Min_hop ->
-    fun _ _ k c ->
-      Routing.link_energy_into router k c;
-      if not (Float.is_nan c.v) then c.v <- 1.0
-  | Routing.Min_energy -> fun _ _ k c -> Routing.link_energy_into router k c
-  | Routing.Max_lifetime ->
-    fun i _ k c ->
-      Routing.link_energy_into router k c;
-      if not (Float.is_nan c.v) then
-        c.v <- (if st.residual.(i) <= 0.0 then Float.max_float /. 1e6 else c.v /. st.residual.(i))
 
 (* Project node [i] of the tree into the forwarding arrays. *)
 let sync_node cfg st i =
@@ -113,7 +105,7 @@ let sync_affected cfg st =
    weighting edges by the routing policy (residual-aware for
    Max_lifetime). *)
 let rebuild cfg st =
-  Route_tree.rebuild st.tree ~weight:(tree_weight cfg st) ~alive:(fun i -> st.alive.(i));
+  Route_tree.rebuild st.tree ~weight:st.weight ~alive:(fun i -> st.alive.(i));
   sync_parents cfg st
 
 let kill cfg st engine node =
@@ -122,7 +114,7 @@ let kill cfg st engine node =
     if st.first_death = None then st.first_death <- Some (Engine.now_s engine);
     match cfg.policy with
     | Routing.Min_energy ->
-      Route_tree.repair_death st.tree ~weight:(tree_weight cfg st)
+      Route_tree.repair_death st.tree ~weight:st.weight
         ~alive:(fun i -> st.alive.(i))
         ~tie_free:true ~dead:node;
       sync_affected cfg st
@@ -168,10 +160,12 @@ let run cfg ~seed =
   let n = Topology.node_count topo in
   let rng = Rng.create seed in
   let engine = Engine.create () in
+  let residual = Array.init n (fun i -> Energy.to_joules (cfg.budget i)) in
   let st =
     {
       tree = Route_tree.create ~rows:(Routing.rows cfg.router) ~sink:cfg.sink;
-      residual = Array.init n (fun i -> Energy.to_joules (cfg.budget i));
+      weight = Routing.tree_weight cfg.router ~policy:cfg.policy ~residual;
+      residual;
       alive = Array.make n true;
       parent = Array.make n (-2);
       hop_tx = Array.make n Float.nan;

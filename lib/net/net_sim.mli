@@ -27,7 +27,8 @@ val config :
   unit ->
   config
 (** Default rebuild period 4 hours.  Raises [Invalid_argument] on
-    non-positive periods or horizons. *)
+    non-finite or non-positive periods or horizons, or a sink outside
+    [0..n-1]. *)
 
 type outcome = {
   generated : int;

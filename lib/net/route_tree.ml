@@ -1,16 +1,17 @@
 (** Incrementally repairable shortest-path collection tree.
 
-    The simulators (Net_sim, Cosim) maintain one sink-rooted routing
-    tree over the alive subgraph and historically re-ran {!Graph.dijkstra}
-    from scratch on every topology event.  This module keeps the same
-    tree in reusable scratch arrays and offers two update paths:
+    The collection trees ({!Flow}) and the simulators ({!Net_sim},
+    Cosim) keep one sink-rooted routing tree over the alive subgraph.
+    This module keeps it in reusable scratch arrays and offers two
+    update paths:
 
     - {!rebuild} — a from-scratch Dijkstra that replicates the
-      {!Graph.create}/{!Graph.add_edge}/{!Graph.dijkstra} pipeline
-      byte-for-byte (same descending-destination relaxation order, same
-      FIFO heap tie-breaks, same strict-improvement predecessor rule)
-      without materialising a graph: edges are priced straight by the
-      caller's weight function, over the in-range CSR rows only.
+      [Graph.create]/[Graph.add_edge]/[Graph.dijkstra] pipeline of the
+      test suite's oracle ([test/graph.ml]) byte-for-byte (same
+      descending-destination relaxation order, same FIFO heap
+      tie-breaks, same strict-improvement predecessor rule) without
+      materialising a graph: edges are priced straight by the caller's
+      weight function, over the in-range CSR rows only.
     - {!repair_death} / {!repair_weight_increase} — localized repair:
       only the subtree hanging off the failed node (or the worsened tree
       edge) is re-attached, via a boundary-seeded partial Dijkstra over
@@ -25,7 +26,7 @@
     global heap chronology of the full rebuild, which a local repair
     cannot reproduce, so callers pass [tie_free:false] and the repair
     falls back to {!rebuild}.  Property tests check both paths against
-    the {!Graph.dijkstra} oracle on random fault sequences. *)
+    the [Graph.dijkstra] oracle on random fault sequences. *)
 
 type cell = Amb_sim.Float_heap.cell = { mutable v : float }
 type weight = int -> int -> int -> cell -> unit
@@ -83,7 +84,7 @@ let affected t k =
   t.stack.(k)
 
 (* Dijkstra sweep over [t.heap]; relaxes only destinations [j] admitted
-   by [admit].  Mirrors Graph.dijkstra exactly: stale-entry skip via
+   by [admit].  Mirrors the oracle's Graph.dijkstra exactly: stale-entry skip via
    [d <= dist], strict-improvement predecessor updates, and neighbours
    visited in descending id — Graph stores edges in ascending insertion
    order and iterates them most-recent-first.  The relaxation runs over
@@ -125,7 +126,7 @@ let all_nodes _ = true
 (** [rebuild t ~weight ~alive] — from-scratch Dijkstra from the sink.
     [weight u v k c] stores the directed policy cost of hop [u -> v]
     (NaN = no link) in [c]; only nodes with [alive] participate.
-    Replicates the historic Graph-based rebuild byte-for-byte.  Every
+    Replicates the Graph-based oracle rebuild byte-for-byte.  Every
     node counts as affected. *)
 let rebuild t ~weight ~alive =
   let dist = t.dist and prev = t.prev and visited = t.visited in

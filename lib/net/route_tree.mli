@@ -1,9 +1,11 @@
 (** Incrementally repairable shortest-path collection tree.
 
-    Reusable-scratch replacement for the Graph-materialising rebuild the
-    simulators ran on every topology event: {!rebuild} replicates the
-    {!Graph.dijkstra} pipeline byte-for-byte straight off an edge
-    pricing ({!weight}), while {!repair_death} and
+    The only shortest-path code in the library: {!Flow}, {!Net_sim} and
+    the fleet co-simulation all grow their sink-rooted trees here.
+    {!rebuild} is a from-scratch Dijkstra straight off an edge pricing
+    ({!weight}; {!Routing.tree_weight} for the routing policies), bit
+    for bit the graph-materialising pipeline the test suite keeps as its
+    oracle, while {!repair_death} and
     {!repair_weight_increase} splice only the affected subtree back via
     a boundary-seeded partial Dijkstra — O(subtree) over the in-range
     CSR rows every sweep reads — and the affected list ({!affected})

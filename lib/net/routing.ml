@@ -247,41 +247,25 @@ let hop_energy router ~distance_m =
   let tx = router.tariff distance_m in
   if Float.is_nan tx then None else Some (Energy.joules (tx +. router.rx_j))
 
-(** [build_graph router ~policy ~residual] — weighted graph for [policy],
-    entirely from the per-pair energy cache (no link-budget math).
-    [residual] gives each node's remaining energy (used by
-    [Max_lifetime]); pass the same value for all nodes to recover
-    [Min_energy] behaviour.  Edges are inserted in ascending source, then
-    ascending destination order. *)
-let build_graph router ~policy ~residual =
-  let n = Topology.node_count router.topology in
-  let g = Graph.create n in
-  let add i j tx =
-    let joules = tx +. router.rx_j in
-    if not (Float.is_nan joules) then
-      let weight =
-        match policy with
-        | Min_hop -> 1.0
-        | Min_energy -> joules
-        | Max_lifetime ->
-          let r = Energy.to_joules (residual i) in
-          if r <= 0.0 then Float.max_float /. 1e6 else joules /. r
-      in
-      Graph.add_edge g ~src:i ~dst:j ~weight
-  in
-  let { offsets; neighbors; edge_tx_j } = router.cache in
-  for i = 0 to n - 1 do
-    for k = offsets.(i) to offsets.(i + 1) - 1 do
-      add i neighbors.(k) edge_tx_j.(k)
-    done
-  done;
-  g
-
-(** [route router ~policy ~residual ~src ~dst] — the chosen path, or
-    [None] when disconnected. *)
-let route router ~policy ~residual ~src ~dst =
-  let g = build_graph router ~policy ~residual in
-  Graph.shortest_path g ~src ~dst
+(** [tree_weight router ~policy ~residual] — the {!Route_tree.weight}
+    of [policy] over the pair cache, read by slot: [Min_hop] prices
+    every finite pair 1, [Min_energy] its TX+RX joules, [Max_lifetime]
+    those joules over the forwarder's residual [residual.(u)] (joules;
+    read at each call, so later writes reprice the tree), or
+    [max_float /. 1e6] once that residual is at most 0.  NaN pairs stay
+    NaN (no link). *)
+let tree_weight router ~policy ~(residual : float array) : Route_tree.weight =
+  match policy with
+  | Min_hop ->
+    fun _ _ k c ->
+      link_energy_into router k c;
+      if not (Float.is_nan c.v) then c.v <- 1.0
+  | Min_energy -> fun _ _ k c -> link_energy_into router k c
+  | Max_lifetime ->
+    fun u _ k c ->
+      link_energy_into router k c;
+      if not (Float.is_nan c.v) then
+        c.v <- (if residual.(u) <= 0.0 then Float.max_float /. 1e6 else c.v /. residual.(u))
 
 (** [path_energy router path] — total radio energy to deliver one packet
     along [path]; [None] if a hop is out of range. *)

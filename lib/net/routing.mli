@@ -1,7 +1,8 @@
 (** Multi-hop routing over a radio topology.  Edge costs derive from the
     physical layer (minimum closing TX energy per hop plus RX energy).
     Policies: fewest transmissions, least total energy, or avoid draining
-    bottleneck nodes. *)
+    bottleneck nodes.  Routes are the parent chains of a {!Route_tree}
+    priced by {!tree_weight}. *)
 
 open Amb_units
 open Amb_radio
@@ -97,11 +98,15 @@ val receiver_energy_j : t -> float
 val link_energy_j : t -> int -> int -> float
 (** Cached TX+RX joules for a node pair; NaN when out of range. *)
 
-val build_graph : t -> policy:policy -> residual:(int -> Energy.t) -> Graph.t
-(** Weighted graph for a policy; [residual] feeds [Max_lifetime] (pass a
-    constant to recover [Min_energy] behaviour). *)
-
-val route : t -> policy:policy -> residual:(int -> Energy.t) -> src:int -> dst:int -> int list option
+val tree_weight : t -> policy:policy -> residual:float array -> Route_tree.weight
+(** The policy's edge pricing for {!Route_tree.rebuild} and its
+    repairs, read from the pair cache by slot ({!link_energy_into}):
+    hop [u -> v] costs 1 under [Min_hop], its TX+RX joules under
+    [Min_energy], and under [Max_lifetime] those joules divided by the
+    forwarder's residual [residual.(u)] (joules), or [max_float /. 1e6]
+    when that residual is at most 0.  A NaN pair (no link) stays NaN
+    under every policy.  [residual] is read at each call, so a caller
+    that writes it reprices the next rebuild. *)
 
 val path_energy : t -> int list -> Energy.t option
 (** Total radio energy to deliver one packet along a path. *)

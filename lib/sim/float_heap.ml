@@ -68,8 +68,15 @@ let ensure_capacity h =
     h.seqs <- grow (fun n -> Array.make n 0) h.seqs
   end
 
-let[@inline] push_key h key payload =
-  if Float.is_nan key then invalid_arg "Float_heap.push: NaN key";
+type cell = { mutable v : float }
+
+(** [push_cell h cell payload] — enqueue [payload] with the key read
+    from [cell]: a float argument of a call from another module is
+    boxed, a cell read is not.  Raises [Invalid_argument] for a NaN
+    key. *)
+let push_cell h cell payload =
+  let key = cell.v in
+  if Float.is_nan key then invalid_arg "Float_heap.push_cell: NaN key";
   ensure_capacity h;
   h.keys.(h.size) <- key;
   h.payloads.(h.size) <- payload;
@@ -77,17 +84,6 @@ let[@inline] push_key h key payload =
   h.next_seq <- h.next_seq + 1;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
-
-(** [push h ~key payload] — enqueue; raises [Invalid_argument] for NaN
-    keys. *)
-let push h ~key payload = push_key h key payload
-
-type cell = { mutable v : float }
-
-(** [push_cell h cell payload] — [push] with the key read from [cell]:
-    a float argument of a call from another module is boxed, a cell
-    read is not. *)
-let push_cell h cell payload = push_key h cell.v payload
 
 (** [pop_min h cell] — remove the smallest entry, store its key in
     [cell] and return its payload.  A flat float cell instead of a

@@ -11,16 +11,12 @@ val create : ?capacity:int -> unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val push : t -> key:float -> int -> unit
-(** Raises [Invalid_argument] for NaN keys.  The key is boxed at a call
-    from another module; hot loops use {!push_cell}. *)
-
 type cell = { mutable v : float }
 (** A flat float slot (an all-float record, so stores do not box). *)
 
 val push_cell : t -> cell -> int -> unit
-(** [push] with the key taken from the cell's [.v]: nothing is boxed.
-    Raises [Invalid_argument] for a NaN key. *)
+(** Enqueue a payload with the key taken from the cell's [.v]: nothing
+    is boxed.  Raises [Invalid_argument] for a NaN key. *)
 
 val pop_min : t -> cell -> int
 (** Remove the smallest entry, store its key in the cell and return its

@@ -377,8 +377,9 @@ let prop_sparse_routing_equiv =
       let label, topo = List.nth (layouts rng ~n ~r:(link_range link)) (seed mod 4) in
       let router = Routing.make ~topology:topo ~link ~packet () in
       check_against_grid (Printf.sprintf "seed %d, %d nodes %s" seed n label) router;
-      (* The graph the router builds relaxes to the same distances as
-         one built from the grid in the same insertion order. *)
+      (* A route tree over the router's rows under its policy weights
+         relaxes to the same distances as a graph built from the grid in
+         ascending insertion order. *)
       let grid = Routing_dense_reference.make router in
       let g = Graph.create n in
       for i = 0 to n - 1 do
@@ -387,10 +388,12 @@ let prop_sparse_routing_equiv =
           if not (Float.is_nan joules) then Graph.add_edge g ~src:i ~dst:j ~weight:joules
         done
       done;
-      let residual _ = Amb_units.Energy.joules 1.0 in
       let da, _ = Graph.dijkstra g ~src:0 in
-      let db, _ = Graph.dijkstra (Routing.build_graph router ~policy:Routing.Min_energy ~residual) ~src:0 in
-      Array.for_all2 same_bits da db)
+      let tree = Route_tree.create ~rows:(Routing.rows router) ~sink:0 in
+      Route_tree.rebuild tree
+        ~weight:(Routing.tree_weight router ~policy:Routing.Min_energy ~residual:(Array.make n 1.0))
+        ~alive:(fun _ -> true);
+      Array.for_all2 same_bits da (Array.init n (Route_tree.cost tree)))
 
 (* The CSR build is a pure function of positions: jobs must not move a
    bit.  n is sized past the 4096-row cutoff below which a sharded pass

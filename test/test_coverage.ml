@@ -144,9 +144,9 @@ let test_trace_pp () =
 (* --- Net helpers --- *)
 
 let test_graph_edge_count () =
-  let g = Amb_net.Graph.create 3 in
-  Amb_net.Graph.add_undirected g 0 1 ~weight:1.0;
-  Alcotest.(check int) "two directed edges" 2 (Amb_net.Graph.edge_count g)
+  let g = Graph.create 3 in
+  Graph.add_undirected g 0 1 ~weight:1.0;
+  Alcotest.(check int) "two directed edges" 2 (Graph.edge_count g)
 
 let test_topology_density () =
   let topo = Amb_net.Topology.grid ~columns:2 ~rows:2 ~spacing_m:10.0 in

@@ -115,10 +115,10 @@ let test_radio_guards () =
         ~horizon:(Time_span.seconds 1.0))
 
 let test_net_guards () =
-  check_guard "graph negative count" (fun () -> Amb_net.Graph.create (-1));
+  check_guard "graph negative count" (fun () -> Graph.create (-1));
   check_guard "graph out of range" (fun () ->
-      let g = Amb_net.Graph.create 2 in
-      Amb_net.Graph.add_edge g ~src:0 ~dst:5 ~weight:1.0);
+      let g = Graph.create 2 in
+      Graph.add_edge g ~src:0 ~dst:5 ~weight:1.0);
   check_guard "topology node outside" (fun () ->
       Amb_net.Topology.of_positions ~width_m:10.0 ~height_m:10.0
         [| { Amb_net.Topology.x = 20.0; y = 0.0 } |]);
@@ -130,15 +130,45 @@ let test_net_guards () =
   check_guard "cluster one node" (fun () ->
       Amb_net.Cluster.make ~nodes:1 ~field_m:10.0 ~sink_distance_m:10.0 ~e_elec_nj_per_bit:1.0
         ~e_amp_pj_per_bit_m2:1.0 ~bits_per_round:1.0 ());
-  check_guard "depletion zero rebuild" (fun () ->
-      let topo = Amb_net.Topology.grid ~columns:2 ~rows:1 ~spacing_m:10.0 in
-      let link =
-        Amb_radio.Link_budget.make ~radio:Amb_circuit.Radio_frontend.low_power_uhf
-          ~channel:Amb_radio.Path_loss.indoor ()
-      in
-      let router = Amb_net.Routing.make ~topology:topo ~link ~packet:Amb_radio.Packet.sensor_reading () in
-      Amb_net.Flow.simulate_depletion router ~policy:Amb_net.Routing.Min_hop
-        ~budget:(fun _ -> Energy.joules 1.0) ~sink:0 ~rebuild_every:0.0)
+  let router () =
+    let topo = Amb_net.Topology.grid ~columns:3 ~rows:1 ~spacing_m:10.0 in
+    let link =
+      Amb_radio.Link_budget.make ~radio:Amb_circuit.Radio_frontend.low_power_uhf
+        ~channel:Amb_radio.Path_loss.indoor ()
+    in
+    Amb_net.Routing.make ~topology:topo ~link ~packet:Amb_radio.Packet.sensor_reading ()
+  in
+  let depletion rebuild_every () =
+    Amb_net.Flow.simulate_depletion (router ()) ~policy:Amb_net.Routing.Min_hop
+      ~budget:(fun _ -> Energy.joules 1.0) ~sink:0 ~rebuild_every
+  in
+  check_guard "depletion zero rebuild" (depletion 0.0);
+  check_guard "depletion NaN rebuild" (depletion Float.nan);
+  check_guard "depletion infinite rebuild" (depletion Float.infinity);
+  let tree sink () =
+    Amb_net.Flow.collection_tree (router ()) ~policy:Amb_net.Routing.Min_hop
+      ~residual:(fun _ -> Energy.joules 1.0) ~sink
+  in
+  check_guard "collection tree sink past the last node" (tree 3);
+  check_guard "collection tree negative sink" (tree (-1));
+  (* A NaN horizon used to run until every node had died; a zero
+     rebuild period and an absent sink were accepted here and raised
+     only at [run]. *)
+  let net_sim ?(sink = 0) ?(report_period = Time_span.seconds 10.0)
+      ?(horizon = Time_span.minutes 5.0) ?rebuild_period () =
+    Amb_net.Net_sim.config ?rebuild_period ~router:(router ()) ~sink
+      ~policy:Amb_net.Routing.Min_hop ~report_period
+      ~budget:(fun _ -> Energy.joules 1.0)
+      ~horizon ()
+  in
+  check_guard "net_sim NaN horizon" (net_sim ~horizon:(Time_span.seconds Float.nan));
+  check_guard "net_sim infinite horizon" (net_sim ~horizon:(Time_span.seconds Float.infinity));
+  check_guard "net_sim NaN report period"
+    (net_sim ~report_period:(Time_span.seconds Float.nan));
+  check_guard "net_sim zero rebuild period" (net_sim ~rebuild_period:Time_span.zero);
+  check_guard "net_sim NaN rebuild period"
+    (net_sim ~rebuild_period:(Time_span.seconds Float.nan));
+  check_guard "net_sim sink past the last node" (net_sim ~sink:3)
 
 let test_workload_guards () =
   check_guard "task graph bad edge" (fun () ->
@@ -192,7 +222,7 @@ let test_core_guards () =
 (* --- degenerate-but-legal states must not crash --- *)
 
 let test_degenerate_states () =
-  (* Disconnected topology: routes are None, trees partial, lifetime inf. *)
+  (* Disconnected topology: trees partial, lifetime inf. *)
   let topo =
     Amb_net.Topology.of_positions ~width_m:10000.0 ~height_m:10.0
       [| { Amb_net.Topology.x = 0.0; y = 0.0 }; { Amb_net.Topology.x = 9999.0; y = 0.0 } |]
@@ -202,10 +232,11 @@ let test_degenerate_states () =
       ~channel:Amb_radio.Path_loss.indoor ()
   in
   let router = Amb_net.Routing.make ~topology:topo ~link ~packet:Amb_radio.Packet.sensor_reading () in
-  Alcotest.(check bool) "no route across the gap" true
-    (Amb_net.Routing.route router ~policy:Amb_net.Routing.Min_hop
-       ~residual:(fun _ -> Energy.joules 1.0) ~src:0 ~dst:1
-    = None);
+  let toward_1 =
+    Amb_net.Flow.collection_tree router ~policy:Amb_net.Routing.Min_hop
+      ~residual:(fun _ -> Energy.joules 1.0) ~sink:1
+  in
+  Alcotest.(check int) "no route across the gap" (-2) toward_1.Amb_net.Flow.parent.(0);
   let tree =
     Amb_net.Flow.collection_tree router ~policy:Amb_net.Routing.Min_hop
       ~residual:(fun _ -> Energy.joules 1.0) ~sink:0

@@ -1,5 +1,5 @@
-(* Unit tests for Amb_net: graphs, topologies, routing, clustering,
-   collection flows. *)
+(* Unit tests for Amb_net: the Graph oracle, topologies, routing,
+   clustering, collection flows. *)
 
 open Amb_units
 open Amb_circuit
@@ -104,13 +104,24 @@ let test_hop_energy_monotone () =
   | Some near, Some far -> Alcotest.(check bool) "monotone" true (Energy.ge far near)
   | _ -> Alcotest.fail "both in range"
 
+(* The route from [src] up the parent chain of a collection tree to its
+   sink; [None] when [src] is cut off. *)
+let tree_path tree src =
+  let rec walk v acc =
+    if v = tree.Flow.sink then Some (List.rev (v :: acc))
+    else
+      let p = tree.Flow.parent.(v) in
+      if p < 0 then None else walk p (v :: acc)
+  in
+  walk src []
+
 let test_route_exists_on_chain () =
   (* A 5-node chain, 80 m spacing: direct src->dst (320 m) is out of radio
      reach, so the route must be multi-hop. *)
   let topo = Topology.grid ~columns:5 ~rows:1 ~spacing_m:80.0 in
   let r = router topo in
   let residual _ = Amb_units.Energy.joules 1.0 in
-  match Routing.route r ~policy:Routing.Min_hop ~residual ~src:0 ~dst:4 with
+  match tree_path (Flow.collection_tree r ~policy:Routing.Min_hop ~residual ~sink:4) 0 with
   | None -> Alcotest.fail "chain is connected"
   | Some path ->
     Alcotest.(check bool) "multi-hop" true (List.length path > 2);
@@ -132,7 +143,7 @@ let test_min_energy_prefers_cheap_path () =
   let r = router topo in
   let residual _ = Amb_units.Energy.joules 1.0 in
   let energy_of policy =
-    match Routing.route r ~policy ~residual ~src:1 ~dst:2 with
+    match tree_path (Flow.collection_tree r ~policy ~residual ~sink:2) 1 with
     | None -> None
     | Some path -> Routing.path_energy r path
   in

@@ -176,25 +176,28 @@ let drain_heap h =
   in
   go []
 
+(* Enqueue through a flat key cell, as every heap user does. *)
+let push_heap h ~key payload = Amb_sim.Float_heap.push_cell h { Amb_sim.Float_heap.v = key } payload
+
 let test_float_heap_pop_order () =
   let h = Amb_sim.Float_heap.create () in
-  Amb_sim.Float_heap.push h ~key:3.0 30;
-  Amb_sim.Float_heap.push h ~key:1.0 10;
-  Amb_sim.Float_heap.push h ~key:2.0 20;
+  push_heap h ~key:3.0 30;
+  push_heap h ~key:1.0 10;
+  push_heap h ~key:2.0 20;
   Alcotest.(check (list int)) "key order" [ 10; 20; 30 ] (List.map snd (drain_heap h));
   Alcotest.check_raises "empty" (Invalid_argument "Float_heap.pop_min: empty heap") (fun () ->
       ignore (Amb_sim.Float_heap.pop_min h { Amb_sim.Float_heap.v = 0.0 }))
 
 let test_float_heap_stable_ties () =
   let h = Amb_sim.Float_heap.create ~capacity:2 () in
-  List.iter (fun p -> Amb_sim.Float_heap.push h ~key:7.0 p) [ 1; 2; 3; 4; 5 ];
+  List.iter (fun p -> push_heap h ~key:7.0 p) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list int)) "insertion order on equal keys" [ 1; 2; 3; 4; 5 ]
     (List.map snd (drain_heap h))
 
 let test_float_heap_nan_rejected () =
   let h = Amb_sim.Float_heap.create () in
-  Alcotest.check_raises "nan" (Invalid_argument "Float_heap.push: NaN key") (fun () ->
-      Amb_sim.Float_heap.push h ~key:Float.nan 1)
+  Alcotest.check_raises "nan" (Invalid_argument "Float_heap.push_cell: NaN key") (fun () ->
+      push_heap h ~key:Float.nan 1)
 
 let prop_float_heap_matches_event_queue =
   QCheck.Test.make ~name:"float heap pops like the event queue" ~count:200
@@ -204,7 +207,7 @@ let prop_float_heap_matches_event_queue =
       let q = Event_queue.create () in
       List.iter
         (fun (key, payload) ->
-          Amb_sim.Float_heap.push h ~key payload;
+          push_heap h ~key payload;
           Event_queue.push q ~time:key payload)
         entries;
       drain_heap h = Event_queue.drain q)

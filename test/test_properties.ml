@@ -126,15 +126,15 @@ let prop_dijkstra_triangle =
     topo_arb
     (fun topo ->
       let g = Topology_reference.connectivity topo ~range_m:40.0 in
-      let dist, _ = Amb_net.Graph.dijkstra g ~src:0 in
+      let dist, _ = Graph.dijkstra g ~src:0 in
       let ok = ref true in
-      for u = 0 to Amb_net.Graph.node_count g - 1 do
+      for u = 0 to Graph.node_count g - 1 do
         if dist.(u) < Float.infinity then
           List.iter
             (fun e ->
-              if dist.(e.Amb_net.Graph.dst) > dist.(u) +. e.Amb_net.Graph.weight +. 1e-9 then
+              if dist.(e.Graph.dst) > dist.(u) +. e.Graph.weight +. 1e-9 then
                 ok := false)
-            (Amb_net.Graph.neighbors g u)
+            (Graph.neighbors g u)
       done;
       !ok)
 
@@ -142,12 +142,12 @@ let prop_shortest_path_cost_matches_distance =
   QCheck.Test.make ~name:"shortest path cost equals dijkstra distance" ~count:100 topo_arb
     (fun topo ->
       let g = Topology_reference.connectivity topo ~range_m:50.0 in
-      let n = Amb_net.Graph.node_count g in
-      let dist, _ = Amb_net.Graph.dijkstra g ~src:0 in
+      let n = Graph.node_count g in
+      let dist, _ = Graph.dijkstra g ~src:0 in
       let check v =
-        match Amb_net.Graph.shortest_path g ~src:0 ~dst:v with
+        match Graph.shortest_path g ~src:0 ~dst:v with
         | None -> dist.(v) = Float.infinity
-        | Some path -> Si.approx_equal ~rel:1e-9 (Amb_net.Graph.path_cost g path) dist.(v)
+        | Some path -> Si.approx_equal ~rel:1e-9 (Graph.path_cost g path) dist.(v)
       in
       List.for_all check (List.init n (fun i -> i)))
 

@@ -259,6 +259,114 @@ let test_non_tree_fade_noop () =
     done;
     check_against_oracle ~ctx:"non-tree fade" ~n ~sink ~weight ~alive:alive_fn tree
 
+(* --- Flow's collection tree against the Graph pipeline ----------------- *)
+
+(* The pipeline [Flow.collection_tree] ran before it moved onto route
+   trees: a Graph over the router's rows, edges in ascending source,
+   then ascending destination order, priced from the pair cache (a
+   [Max_lifetime] edge [i -> j] over the residual of its source [i]),
+   Dijkstra from the sink, subtree sizes by parent-chain walks (0 off
+   the tree). *)
+let graph_collection_tree router ~policy ~residual ~sink =
+  let { Routing.offsets; neighbors; edge_tx_j } = router.Routing.cache in
+  let n = Array.length offsets - 1 in
+  let g = Graph.create n in
+  for i = 0 to n - 1 do
+    for k = offsets.(i) to offsets.(i + 1) - 1 do
+      let joules = edge_tx_j.(k) +. router.Routing.rx_j in
+      if not (Float.is_nan joules) then
+        let weight =
+          match policy with
+          | Routing.Min_hop -> 1.0
+          | Routing.Min_energy -> joules
+          | Routing.Max_lifetime ->
+            if residual.(i) <= 0.0 then Float.max_float /. 1e6 else joules /. residual.(i)
+        in
+        Graph.add_edge g ~src:i ~dst:neighbors.(k) ~weight
+    done
+  done;
+  let _, prev = Graph.dijkstra g ~src:sink in
+  let parent = Array.mapi (fun i p -> if i = sink then -1 else if p < 0 then -2 else p) prev in
+  (parent, Array.mapi (fun v size -> if parent.(v) = -2 then 0 else size) (subtree_sizes prev))
+
+(* Three layouts: uniform random; a lattice at 0.6 of the radio range,
+   whose equal hop counts put every min-hop choice on a tie-break; and
+   two random clusters three ranges apart, so part of the field is cut
+   off from any sink. *)
+let oracle_layout rng ~range_m kind =
+  let n = 2 + Amb_sim.Rng.int rng 59 in
+  match kind with
+  | 0 ->
+    let side = range_m *. (1.0 +. (3.0 *. Amb_sim.Rng.float rng)) in
+    ("random", Topology.random rng ~nodes:n ~width_m:side ~height_m:side)
+  | 1 ->
+    let columns = 1 + Amb_sim.Rng.int rng 8 in
+    ("lattice", Topology.grid ~columns ~rows:(1 + (n / columns)) ~spacing_m:(0.6 *. range_m))
+  | _ ->
+    let point box =
+      { Topology.x = (box *. 4.0 *. range_m) +. (range_m *. Amb_sim.Rng.float rng);
+        y = range_m *. Amb_sim.Rng.float rng }
+    in
+    ( "two clusters",
+      Topology.of_positions ~width_m:(5.0 *. range_m) ~height_m:range_m
+        (Array.init n (fun i -> point (Float.of_int (i mod 2)))) )
+
+(* [Flow.collection_tree] must give the Graph pipeline's parents and
+   subtree sizes exactly, under all three policies, with the sink at a
+   random id.  Residuals are drawn at 0, negative and positive, so
+   [Max_lifetime]'s drained-forwarder price is taken.  On a third of
+   the cases a random set of in-range pairs is priced NaN in both
+   directions — what the tariff returns for a pair the link cannot
+   close — and must stay out of every policy's tree. *)
+let prop_collection_tree_matches_graph =
+  QCheck.Test.make ~name:"collection tree equals the Graph pipeline" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let rng = Amb_sim.Rng.create (7000 + seed) in
+      let link =
+        Link_budget.make ~radio:Radio_frontend.low_power_uhf ~channel:Path_loss.indoor ()
+      in
+      let range_m = Link_budget.max_range link ~tx_dbm:link.Link_budget.radio.Radio_frontend.max_tx_dbm in
+      let label, topology = oracle_layout rng ~range_m (seed mod 3) in
+      let router = Routing.make ~topology ~link ~packet:Packet.sensor_report () in
+      let router =
+        if seed mod 9 >= 3 then router
+        else begin
+          let edge_tx_j = Array.copy router.Routing.cache.Routing.edge_tx_j in
+          let offsets, neighbors = Routing.rows router in
+          for i = 0 to Array.length offsets - 2 do
+            for k = offsets.(i) to offsets.(i + 1) - 1 do
+              let j = neighbors.(k) in
+              if j > i && Amb_sim.Rng.float rng < 0.3 then begin
+                edge_tx_j.(k) <- Float.nan;
+                edge_tx_j.(Routing.slot router j i) <- Float.nan
+              end
+            done
+          done;
+          { router with Routing.cache = { router.Routing.cache with Routing.edge_tx_j } }
+        end
+      in
+      let n = Topology.node_count topology in
+      let sink = Amb_sim.Rng.int rng n in
+      let residual =
+        Array.init n (fun _ ->
+            match Amb_sim.Rng.int rng 4 with
+            | 0 -> 0.0
+            | 1 -> -.Amb_sim.Rng.float rng
+            | _ -> 0.1 +. Amb_sim.Rng.float rng)
+      in
+      List.for_all
+        (fun policy ->
+          let tree =
+            Flow.collection_tree router ~policy
+              ~residual:(fun i -> Amb_units.Energy.joules residual.(i))
+              ~sink
+          in
+          let parent, size = graph_collection_tree router ~policy ~residual ~sink in
+          (tree.Flow.parent = parent && tree.Flow.subtree_size = size)
+          || QCheck.Test.fail_reportf "seed %d, %s, %d nodes, sink %d, %s" seed label n sink
+               (Routing.policy_name policy))
+        [ Routing.Min_hop; Routing.Min_energy; Routing.Max_lifetime ])
+
 (* --- the rows route trees sweep ---------------------------------------- *)
 
 let in_rows (offsets, neighbors) i j =
@@ -501,4 +609,5 @@ let suite =
     Alcotest.test_case "finite route weights lie in the CSR rows" `Quick test_rows_complete;
     Alcotest.test_case "rebuild asks one weight per row entry at most" `Quick
       test_rebuild_weight_calls;
+    QCheck_alcotest.to_alcotest prop_collection_tree_matches_graph;
   ]
