@@ -61,7 +61,9 @@ bench-quick: build
 # twice against one store — the second pass must be served entirely from
 # the digest-keyed cache (--expect-cached exits 1 otherwise) — then a
 # resident serve session over the same store must answer the equivalent
-# request with zero recomputation.
+# request with zero recomputation.  Last, a hostile session: a line of
+# 10^5 nested brackets and a 300-byte name must each be answered with an
+# error, and the ping after them with ok.
 matrix-smoke: build
 	rm -f /tmp/amblib-matrix-smoke.jsonl
 	dune exec bin/ambient.exe -- matrix --spec examples/matrix_smoke.spec \
@@ -73,6 +75,13 @@ matrix-smoke: build
 	  '{"op":"quit"}' \
 	  | dune exec bin/ambient.exe -- serve --store /tmp/amblib-matrix-smoke.jsonl \
 	  | grep -q '"ran":0,'
+	{ head -c 100000 /dev/zero | tr '\0' '['; echo; \
+	  printf '{"op":"run","name":"%s"}\n' "$$(head -c 300 /dev/zero | tr '\0' n)"; \
+	  printf '%s\n' '{"op":"ping"}' '{"op":"quit"}'; } \
+	  | dune exec bin/ambient.exe -- serve > /tmp/amblib-matrix-smoke-hostile.txt
+	sed -n 1p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"status":"error"'
+	sed -n 2p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"status":"error"'
+	sed -n 3p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"op":"ping","status":"ok"'
 
 clean:
 	dune clean

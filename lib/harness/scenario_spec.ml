@@ -195,12 +195,26 @@ let seed_item ~key s =
 
 let split_values s = List.map trim (String.split_on_char ',' s)
 
+(* Every item lands in the config digest and the store row (the name
+   verbatim), so its length is bounded: a request cannot grow the store
+   by what it echoes. *)
+let max_item_bytes = 256
+
+let bounded ~key v =
+  if String.length v > max_item_bytes then
+    Error
+      (Printf.sprintf "%s: a value of %d bytes exceeds the %d-byte bound" key (String.length v)
+         max_item_bytes)
+  else Ok v
+
 let list_of ~key ~item s =
   if trim s = "" then Error (Printf.sprintf "%s: empty value list" key)
   else
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | v :: rest -> Result.bind (item ~key v) (fun x -> go (x :: acc) rest)
+      | v :: rest ->
+        Result.bind (bounded ~key v) (fun v ->
+            Result.bind (item ~key v) (fun x -> go (x :: acc) rest))
     in
     go [] (split_values s)
 
@@ -222,7 +236,9 @@ let seeds_of ~key s =
   else
     let rec go acc = function
       | [] -> Ok (dedup_ints (List.concat (List.rev acc)))
-      | v :: rest -> Result.bind (seed_item ~key v) (fun xs -> go (xs :: acc) rest)
+      | v :: rest ->
+        Result.bind (bounded ~key v) (fun v ->
+            Result.bind (seed_item ~key v) (fun xs -> go (xs :: acc) rest))
     in
     go [] (split_values s)
 
@@ -230,7 +246,7 @@ let apply_key spec key value =
   let ( let* ) = Result.bind in
   match key with
   | "name" ->
-    let v = trim value in
+    let* v = bounded ~key (trim value) in
     if v = "" then Error "name: empty"
     else if String.exists (fun c -> c = '"' || c = '\\' || Char.code c < 0x20) value then
       Error "name: quotes, backslashes and control characters are not allowed"

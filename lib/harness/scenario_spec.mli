@@ -61,6 +61,10 @@ val max_cells : int
 (** Expansion cap (100k cells); larger grids are rejected at parse
     time. *)
 
+val max_item_bytes : int
+(** 256: the longest name or axis item accepted, counted after trimming.
+    A longer one is an [Error] naming the key and the length. *)
+
 val cell_count : t -> int
 
 val parse : string -> (t, string) result

@@ -99,8 +99,18 @@ let stats_response t =
     (json_string schema) (Result_store.size t.store) t.requests t.ran t.cached t.errors
     (match t.pool with Some _ -> t.jobs | None -> Stdlib.max 1 t.jobs)
 
+(* A longer line is refused before it is parsed, which bounds the parse
+   and what the store could echo.  It does not bound memory: [serve]'s
+   [input_line] has read the whole line by then. *)
+let max_line_bytes = 1 lsl 20
+
 let handle_line t line =
-  if String.trim line = "" then (error_response "empty request", `Continue)
+  if String.length line > max_line_bytes then
+    ( error_response
+        (Printf.sprintf "request line of %d bytes exceeds the %d-byte bound" (String.length line)
+           max_line_bytes),
+      `Continue )
+  else if String.trim line = "" then (error_response "empty request", `Continue)
   else
     match Json.parse line with
     | exception Json.Parse_error msg -> (error_response ("bad request: " ^ msg), `Continue)

@@ -18,10 +18,10 @@
 
     The store and domain pool live for the whole session, so a repeated
     [run] request answers entirely from the digest-keyed cache
-    ([ran = 0]).  Any failure — unreadable line, unknown op, malformed
-    axis, even an exception inside the runner — produces a
-    [status = "error"] response; the loop only exits on [quit] or end of
-    input. *)
+    ([ran = 0]).  Any failure — unreadable, oversized or too deeply
+    nested line, unknown op, malformed or oversized axis, even an
+    exception inside the runner — produces a [status = "error"]
+    response; the loop only exits on [quit] or end of input. *)
 
 type t
 
@@ -31,6 +31,10 @@ val schema : string
 val create : ?pool:Amb_sim.Domain_pool.t -> ?jobs:int -> store:Result_store.t -> unit -> t
 (** [pool] is used for every [run] request when given; otherwise grids
     run with [jobs] (default 1, i.e. in-process). *)
+
+val max_line_bytes : int
+(** 1 MiB: a longer request line is answered with an error before it is
+    parsed.  {!serve} still reads the whole line into memory first. *)
 
 val handle_line : t -> string -> string * [ `Continue | `Quit ]
 (** One request line to one response line — the unit tests drive this

@@ -91,6 +91,10 @@ let lifetime_rounds router tree ~budget =
   done;
   !worst
 
+(* A run that has not reached its first death after this many blocks is
+   refused rather than answered with the rounds so far. *)
+let max_blocks = 10_000
+
 (** [simulate_depletion router ~policy ~budget ~sink ~rebuild_every] —
     rounds until the first node dies, with residual energies depleted as
     rounds pass.  Every [rebuild_every] rounds the collection tree is
@@ -110,8 +114,12 @@ let simulate_depletion router ~policy ~budget ~sink ~rebuild_every =
   let n = Route_tree.node_count route in
   let residual = Array.init n (fun i -> Energy.to_joules (budget i)) in
   let weight = Routing.tree_weight router ~policy ~residual in
-  let rec advance rounds_done iterations =
-    if iterations > 10_000 then rounds_done
+  let rec advance rounds_done blocks =
+    if blocks = max_blocks then
+      invalid_arg
+        (Printf.sprintf
+           "Flow.simulate_depletion: no first death within %d rebuild blocks; rebuild_every %g \
+            is too short" max_blocks rebuild_every)
     else begin
       Route_tree.rebuild route ~weight ~alive:all_alive;
       let tree = of_route route in
@@ -130,7 +138,7 @@ let simulate_depletion router ~policy ~budget ~sink ~rebuild_every =
           residual.(i) <- residual.(i) -. (spend.(i) *. block)
         done;
         if block >= !to_death -. 1e-9 then rounds_done +. block
-        else advance (rounds_done +. block) (iterations + 1)
+        else advance (rounds_done +. block) (blocks + 1)
     end
   in
   advance 0.0 0

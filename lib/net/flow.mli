@@ -41,7 +41,8 @@ val simulate_depletion :
     rounds, so [Max_lifetime] reroutes around draining bottlenecks.
     Advances in closed-form blocks (no per-round loop), rebuilding one
     {!Route_tree} in place.  Raises [Invalid_argument] on a non-finite
-    or non-positive [rebuild_every]. *)
+    or non-positive [rebuild_every], and when no node has died after
+    10 000 blocks (a [rebuild_every] far below the first death). *)
 
 val bottleneck : Routing.t -> tree -> budget:(int -> Energy.t) -> (int * float) option
 (** The node that dies first and its rounds-to-death. *)

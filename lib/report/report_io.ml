@@ -137,7 +137,7 @@ let set_to_json entries =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON reader — just enough to round-trip the envelope.       *)
+(* JSON reader                                                         *)
 
 module Json = struct
   type t =
@@ -150,112 +150,236 @@ module Json = struct
 
   exception Parse_error of string
 
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
+  (* Every document the toolkit writes nests about five deep.  The bound
+     keeps the recursion stack small: a deep stack is rescanned by every
+     minor collection, which made the time for 10^6 nested brackets
+     grow faster than linearly. *)
+  let max_depth = 512
+
+  (* The reader scans [s] by index; [pos] is the next unread byte and the
+     offset every error message reports. *)
+  type reader = { s : string; n : int; mutable pos : int }
+
+  let fail r msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg r.pos))
+
+  let fail_at r i msg =
+    r.pos <- i;
+    fail r msg
+
+  (* The scanning loops are top-level functions that take what they read
+     as arguments: a local closure would be allocated on every call. *)
+  let rec ws_end s n i =
+    if i < n then
+      match String.unsafe_get s i with ' ' | '\t' | '\n' | '\r' -> ws_end s n (i + 1) | _ -> i
+    else i
+
+  let skip_ws r = r.pos <- ws_end r.s r.n r.pos
+  let at r c = r.pos < r.n && String.unsafe_get r.s r.pos = c
+
+  let expect r c = if at r c then r.pos <- r.pos + 1 else fail r (Printf.sprintf "expected %c" c)
+
+  let rec same s i word k =
+    k = String.length word || (s.[i + k] = word.[k] && same s i word (k + 1))
+
+  let literal r word v =
+    let len = String.length word in
+    if r.pos + len <= r.n && same r.s r.pos word 0 then begin
+      r.pos <- r.pos + len;
+      v
+    end
+    else fail r ("expected " ^ word)
+
+  (* [\uXXXX] keeps code points below 0x80 and reads everything else,
+     malformed digits included, as ['?']. *)
+  let unicode s i =
+    match int_of_string_opt ("0x" ^ String.sub s i 4) with
+    | Some code when code < 0x80 -> Char.chr code
+    | Some _ | None -> '?'
+
+  (* The rest of a string literal from its first backslash [first]: one
+     pass checks the escapes, failing where a char-by-char read would,
+     and counts the result's bytes ([\b] and [\f] yield none); a second
+     fills a buffer of exactly that size. *)
+  let escaped r start first =
+    let s = r.s and n = r.n in
+    let rec measure i len =
+      if i = n then fail_at r n "unterminated string"
+      else
+        match s.[i] with
+        | '"' -> (i, len)
+        | '\\' ->
+          if i + 1 = n then fail_at r n "bad escape"
+          else (
+            match s.[i + 1] with
+            | '"' | '\\' | '/' | 'n' | 't' | 'r' -> measure (i + 2) (len + 1)
+            | 'b' | 'f' -> measure (i + 2) len
+            | 'u' -> if i + 6 > n then fail_at r n "bad \\u" else measure (i + 6) (len + 1)
+            | _ -> fail_at r (i + 1) "bad escape")
+        | _ -> measure (i + 1) (len + 1)
     in
-    let expect c =
-      match peek () with
-      | Some x when x = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
+    let stop, len = measure first (first - start) in
+    let b = Bytes.create len in
+    let rec fill i j =
+      if i < stop then
+        match s.[i] with
+        | '\\' -> (
+          match s.[i + 1] with
+          | 'b' | 'f' -> fill (i + 2) j
+          | 'u' ->
+            Bytes.set b j (unicode s (i + 2));
+            fill (i + 6) (j + 1)
+          | c ->
+            Bytes.set b j (match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c);
+            fill (i + 2) (j + 1))
+        | c ->
+          Bytes.set b j c;
+          fill (i + 1) (j + 1)
     in
-    let literal word value =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-        pos := !pos + String.length word;
-        value
-      end
-      else fail ("expected " ^ word)
+    fill start 0;
+    r.pos <- stop + 1;
+    Bytes.unsafe_to_string b
+
+  let rec plain_end s n i =
+    if i < n then match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain_end s n (i + 1)
+    else n
+
+  (* A string literal: one [String.sub] when it holds no escape. *)
+  let parse_string r =
+    expect r '"';
+    let s = r.s and start = r.pos in
+    let i = plain_end s r.n start in
+    if i = r.n then fail_at r i "unterminated string"
+    else if String.unsafe_get s i = '"' then begin
+      r.pos <- i + 1;
+      String.sub s start (i - start)
+    end
+    else escaped r start i
+
+  (* A number is the longest run of [0-9+-.eE], read as [float_of_string]
+     (strtod) reads it.  Clinger's fast path takes [-]D*[.D*][(e|E)[+|-]D+]
+     with one to [fast_digits] mantissa digits, so the mantissa is an
+     exact float, and a decimal exponent within [+-22], so is its power of
+     ten: one correctly rounded multiply or divide then gives strtod's
+     correctly rounded value, and ["-0"] gives [-0.0].  Anything else goes
+     through [float_of_string]. *)
+  let fast_digits = 15
+
+  let pow10 =
+    [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15;
+       1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+  let rec number_end s n i =
+    if i < n then
+      match String.unsafe_get s i with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> number_end s n (i + 1)
+      | _ -> i
+    else i
+
+  let rec digits_end s stop i =
+    if i < stop && match String.unsafe_get s i with '0' .. '9' -> true | _ -> false then
+      digits_end s stop (i + 1)
+    else i
+
+  let char_at s stop i = if i < stop then String.unsafe_get s i else ' '
+
+  (* [acc] followed by the digits [s.[i..j-1]]. *)
+  let rec digits_value s i j acc =
+    if i = j then acc
+    else digits_value s (i + 1) j ((10 * acc) + Char.code (String.unsafe_get s i) - 48)
+
+  let parse_number r =
+    let s = r.s and start = r.pos in
+    let stop = number_end s r.n start in
+    r.pos <- stop;
+    let neg = stop > start && String.unsafe_get s start = '-' in
+    let int0 = if neg then start + 1 else start in
+    let int1 = digits_end s stop int0 in
+    let dot = char_at s stop int1 = '.' in
+    let frac1 = if dot then digits_end s stop (int1 + 1) else int1 in
+    let e = match char_at s stop frac1 with 'e' | 'E' -> true | _ -> false in
+    let esign = e && match char_at s stop (frac1 + 1) with '-' | '+' -> true | _ -> false in
+    let exp0 = if esign then frac1 + 2 else frac1 + 1 in
+    let exp1 = if e then digits_end s stop exp0 else frac1 in
+    let frac_digits = if dot then frac1 - int1 - 1 else 0 in
+    let digits = int1 - int0 + frac_digits in
+    (* The whole run must match the fast grammar; three exponent digits
+       bound the exponent's value. *)
+    let fast =
+      exp1 = stop && digits > 0 && digits <= fast_digits
+      && ((not e) || (exp1 > exp0 && exp1 - exp0 <= 3))
     in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance (); Buffer.contents b
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/') -> Buffer.add_char b s.[!pos]; advance ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance ()
-          | Some 't' -> Buffer.add_char b '\t'; advance ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance ()
-          | Some ('b' | 'f') -> advance ()
-          | Some 'u' ->
-            advance ();
-            let start = !pos in
-            for _ = 1 to 4 do (match peek () with Some _ -> advance () | None -> fail "bad \\u") done;
-            (match int_of_string_opt ("0x" ^ String.sub s start 4) with
-            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-            | Some _ | None -> Buffer.add_char b '?')
-          | _ -> fail "bad escape");
-          go ()
-        | Some c -> Buffer.add_char b c; advance (); go ()
-      in
-      go ()
+    let k =
+      if not fast then 0
+      else
+        let exp = if e then digits_value s exp0 exp1 0 else 0 in
+        (if esign && char_at s stop (frac1 + 1) = '-' then -exp else exp) - frac_digits
     in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while (match peek () with Some c when numchar c -> true | _ -> false) do advance () done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
+    if fast && k >= -22 && k <= 22 then begin
+      let m = digits_value s int0 int1 0 in
+      let m = if dot then digits_value s (int1 + 1) frac1 m else m in
+      let v = Float.of_int m in
+      let v = if k >= 0 then v *. pow10.(k) else v /. pow10.(-k) in
+      Number (if neg then -.v else v)
+    end
+    else
+      match float_of_string_opt (String.sub s start (stop - start)) with
       | Some f -> Number f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "empty input"
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Object [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); Object (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          items []
-      | Some '"' -> String (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
+      | None -> fail r "bad number"
+
+  let rec value r depth =
+    skip_ws r;
+    if r.pos >= r.n then fail r "empty input";
+    match String.unsafe_get r.s r.pos with
+    | ('{' | '[') as c ->
+      if depth = max_depth then fail r (Printf.sprintf "nesting deeper than %d" max_depth);
+      r.pos <- r.pos + 1;
+      skip_ws r;
+      if c = '{' then
+        if at r '}' then (r.pos <- r.pos + 1; Object [])
+        else Object (members r (depth + 1))
+      else if at r ']' then (r.pos <- r.pos + 1; List [])
+      else List (items r (depth + 1))
+    | '"' -> String (parse_string r)
+    | 't' -> literal r "true" (Bool true)
+    | 'f' -> literal r "false" (Bool false)
+    | 'n' -> literal r "null" Null
+    | _ -> parse_number r
+
+  and[@tail_mod_cons] members r depth =
+    skip_ws r;
+    let key = parse_string r in
+    skip_ws r;
+    expect r ':';
+    let v = value r depth in
+    skip_ws r;
+    if at r ',' then begin
+      r.pos <- r.pos + 1;
+      (key, v) :: members r depth
+    end
+    else begin
+      if not (at r '}') then fail r "expected , or }";
+      r.pos <- r.pos + 1;
+      [ (key, v) ]
+    end
+
+  and[@tail_mod_cons] items r depth =
+    let v = value r depth in
+    skip_ws r;
+    if at r ',' then begin
+      r.pos <- r.pos + 1;
+      v :: items r depth
+    end
+    else begin
+      if not (at r ']') then fail r "expected , or ]";
+      r.pos <- r.pos + 1;
+      [ v ]
+    end
+
+  let parse s =
+    let r = { s; n = String.length s; pos = 0 } in
+    let v = value r 0 in
+    skip_ws r;
+    if r.pos <> r.n then fail r "trailing garbage";
     v
 
   let member key = function Object kvs -> List.assoc_opt key kvs | _ -> None

@@ -37,8 +37,35 @@ val digest : Report.t -> string
     payloads); any change to an experiment's numbers changes its
     digest. *)
 
-(** Minimal JSON reader — enough to round-trip the envelopes emitted
-    here; exposed for the bench harness's snapshot validator. *)
+(** The JSON reader behind every document the toolkit reads back: store
+    rows, serve requests, report envelopes and bench snapshots.
+
+    Grammar: RFC 8259 values with these departures, which the writers
+    above never need and which stay fixed because callers echo the
+    results.
+    - A number is the longest run of the bytes [0-9 + - . e E], read as
+      [float_of_string] reads it (so ["007"], ["+1"], [".5"] and ["1."]
+      are numbers); a run it rejects, or an empty run where a value
+      should start, is ["bad number"].
+    - Strings carry raw bytes (control characters and non-UTF-8
+      included).  [\b] and [\f] are dropped; [\uXXXX] takes the next
+      four bytes whatever they are, keeps a code point below 0x80 and
+      reads anything else, malformed digits included, as ['?'].
+    - Duplicate object keys are kept in order; {!member} answers the
+      first.
+    - Whitespace is space, tab, newline and carriage return.
+
+    Errors: {!Parse_error} carries ["MESSAGE at offset N"], [N] the byte
+    offset where reading stopped.  The messages are ["empty input"],
+    ["expected C"] (C a single character), ["expected true"] (or
+    [false]/[null]), ["unterminated string"], ["bad escape"],
+    ["bad \\u"], ["bad number"], ["expected , or }"],
+    ["expected , or ]"], ["trailing garbage"], and
+    ["nesting deeper than 512"] at the bracket or brace that would open
+    a 513th level.
+
+    Time and space are linear in the input: the reader scans by index,
+    grows no buffer, and recurses no deeper than {!Json.max_depth}. *)
 module Json : sig
   type t =
     | Null
@@ -50,8 +77,12 @@ module Json : sig
 
   exception Parse_error of string
 
+  val max_depth : int
+  (** 512: the deepest container nesting {!parse} accepts. *)
+
   val parse : string -> t
-  (** Raises {!Parse_error} on malformed input. *)
+  (** One complete value, optionally surrounded by whitespace.  Raises
+      {!Parse_error} on malformed input. *)
 
   val member : string -> t -> t option
 end

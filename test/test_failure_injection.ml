@@ -130,21 +130,27 @@ let test_net_guards () =
   check_guard "cluster one node" (fun () ->
       Amb_net.Cluster.make ~nodes:1 ~field_m:10.0 ~sink_distance_m:10.0 ~e_elec_nj_per_bit:1.0
         ~e_amp_pj_per_bit_m2:1.0 ~bits_per_round:1.0 ());
-  let router () =
-    let topo = Amb_net.Topology.grid ~columns:3 ~rows:1 ~spacing_m:10.0 in
+  let router ?(columns = 3) () =
+    let topo = Amb_net.Topology.grid ~columns ~rows:1 ~spacing_m:10.0 in
     let link =
       Amb_radio.Link_budget.make ~radio:Amb_circuit.Radio_frontend.low_power_uhf
         ~channel:Amb_radio.Path_loss.indoor ()
     in
     Amb_net.Routing.make ~topology:topo ~link ~packet:Amb_radio.Packet.sensor_reading ()
   in
-  let depletion rebuild_every () =
-    Amb_net.Flow.simulate_depletion (router ()) ~policy:Amb_net.Routing.Min_hop
+  let depletion ?columns rebuild_every () =
+    Amb_net.Flow.simulate_depletion (router ?columns ()) ~policy:Amb_net.Routing.Min_hop
       ~budget:(fun _ -> Energy.joules 1.0) ~sink:0 ~rebuild_every
   in
   check_guard "depletion zero rebuild" (depletion 0.0);
   check_guard "depletion NaN rebuild" (depletion Float.nan);
   check_guard "depletion infinite rebuild" (depletion Float.infinity);
+  (* The 4-node chain's first death needs ~388 000 blocks of 0.1 rounds.
+     Past the 10 000-block cap this used to answer 1000.1 rounds, as if
+     the first death had come then. *)
+  check_guard "depletion past the block cap" (depletion ~columns:4 0.1);
+  Alcotest.(check (float 1e-6)) "chain first death in one block" 38839.904336738648
+    (depletion ~columns:4 1e9 ());
   let tree sink () =
     Amb_net.Flow.collection_tree (router ()) ~policy:Amb_net.Routing.Min_hop
       ~residual:(fun _ -> Energy.joules 1.0) ~sink

@@ -60,7 +60,14 @@ let test_malformed_specs_rejected () =
   expect_error "bad diurnal" "diurnal = moonlight\n";
   expect_error "missing equals" "leaves 8\n";
   expect_error "negative hours" "hours = -4\n";
-  expect_error "over cap" "leaves = 1..400\nseeds = 1..400\n"
+  expect_error "over cap" "leaves = 1..400\nseeds = 1..400\n";
+  expect_error "oversized name" ("name = " ^ String.make 257 'n' ^ "\n");
+  expect_error "oversized fault item" ("fault = none, crash:1@" ^ String.make 300 '1' ^ "\n");
+  expect_error "oversized seed item" ("seeds = " ^ String.make 257 '1' ^ "\n");
+  (* The bound is inclusive and counts the trimmed item. *)
+  match Scenario_spec.parse ("name = " ^ String.make 256 'n' ^ "   \n") with
+  | Ok spec -> Alcotest.(check int) "256-byte name" 256 (String.length spec.Scenario_spec.name)
+  | Error msg -> Alcotest.fail msg
 
 let test_duplicate_seeds_dedup () =
   match Scenario_spec.parse "seeds = 5, 5, 3..5, 3\n" with
@@ -345,6 +352,26 @@ let test_serve_survives_bad_input () =
   expect_error "{\"leaves\":3}";
   expect_error "{\"op\":\"run\",\"leaves\":\"many\"}";
   expect_error "{\"op\":\"run\",\"fault\":\"crash:x@y\"}";
+  (* Hostile sizes: 10^6 nested brackets (the char-by-char reader took
+     1.6 s on them, and time grew faster than the depth), a line one byte
+     over the bound, and a name the store would have echoed verbatim. *)
+  let expect_error_saying message input =
+    let response, verdict = Serve.handle_line t input in
+    Alcotest.(check bool) (message ^ ": continues") true (verdict = `Continue);
+    Alcotest.(check string) (message ^ ": status") "error" (string_member "status" response);
+    Alcotest.(check string) "error text" message (string_member "error" response)
+  in
+  expect_error_saying "bad request: nesting deeper than 512 at offset 512"
+    (String.make 1_000_000 '[');
+  let ping_of_length k = "{\"op\":\"ping\",\"pad\":\"" ^ String.make (k - 22) ' ' ^ "\"}" in
+  Alcotest.(check string) "a line at the bound is read" "ok"
+    (string_member "status" (fst (Serve.handle_line t (ping_of_length Serve.max_line_bytes))));
+  expect_error_saying
+    (Printf.sprintf "request line of %d bytes exceeds the %d-byte bound"
+       (Serve.max_line_bytes + 1) Serve.max_line_bytes)
+    (ping_of_length (Serve.max_line_bytes + 1));
+  expect_error_saying "bad spec: name: a value of 300 bytes exceeds the 256-byte bound"
+    ("{\"op\":\"run\",\"name\":\"" ^ String.make 300 'n' ^ "\"}");
   (* A well-formed request for an unbounded run is answered at once: its
      one cell costs 5e9 node-hours, over [Matrix.max_cost_node_hours],
      and comes back as an error row instead of a run that never ends. *)

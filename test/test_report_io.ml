@@ -227,6 +227,200 @@ let prop_json_float_matches_printf =
       in
       Report_io.json_float v = expected)
 
+(* --- the JSON reader against its char-by-char oracle ------------------ *)
+
+(* [Json_reference] is the reader [Report_io.Json.parse] replaced.  On
+   every input within the depth bound the two must return the same value,
+   floats compared by their bits, or raise the same [Parse_error] text:
+   serve echoes that text, offset included.  Every generator below stays
+   far inside the bound (a few dozen brackets at most). *)
+
+module Json = Report_io.Json
+
+let rec same_json a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal same_json xs ys
+  | Json.Object xs, Json.Object ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && same_json x y) xs ys
+  | (Json.Null | Json.Bool _ | Json.String _), _ -> a = b
+  | (Json.Number _ | Json.List _ | Json.Object _), _ -> false
+
+let readers_agree s =
+  match
+    ( (match Json.parse s with v -> Ok v | exception Json.Parse_error m -> Error m),
+      match Json_reference.Json.parse s with
+      | v -> Ok v
+      | exception Json_reference.Json.Parse_error m -> Error m )
+  with
+  | Ok a, Ok b -> same_json a b
+  | Error m, Error m' -> String.equal m m'
+  | Ok _, Error m -> QCheck.Test.fail_reportf "only the oracle fails: %s" m
+  | Error m, Ok _ -> QCheck.Test.fail_reportf "only the reader fails: %s" m
+
+let prop_readers_agree ~name ~count gen =
+  QCheck.Test.make ~name:("JSON reader = oracle: " ^ name) ~count
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    readers_agree
+
+(* Structural characters, so random text gets past the first byte. *)
+let json_char =
+  QCheck.Gen.oneof
+    [ QCheck.Gen.char;
+      QCheck.Gen.oneofl
+        [ '{'; '}'; '['; ']'; '"'; ':'; ','; ' '; '\n'; '\\'; '0'; '1'; '9'; '-'; '+'; '.';
+          'e'; 'E'; 't'; 'f'; 'n'; 'u'; 'b'; 'a'; '\x00'; '\x1f'; '\x7f'; '\xc3'; '\xff' ] ]
+
+let gen_number_value =
+  QCheck.Gen.oneof
+    [ QCheck.Gen.map Int64.float_of_bits QCheck.Gen.ui64;
+      QCheck.Gen.map Float.of_int (QCheck.Gen.int_range (-100000) 100000);
+      QCheck.Gen.float;
+      QCheck.Gen.oneofl [ 0.0; -0.0; 0.5; 1e15; 9007199254740993.0; 1e22; 1e23; 1e-7 ] ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let text = string_size ~gen:json_char (int_bound 8) in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let scalar =
+           oneof
+             [ return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun v -> Json.Number v) gen_number_value;
+               map (fun s -> Json.String s) text ]
+         in
+         if depth = 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Object kvs)
+                   (list_size (int_bound 4) (pair text (self (depth - 1)))) ) ])
+
+(* A value printed the way the report writers print: [json_string],
+   [json_float] (so NaN prints as the string "nan"), and [sep] between
+   tokens. *)
+let rec print_json sep = function
+  | Json.Null -> "null"
+  | Json.Bool b -> string_of_bool b
+  | Json.Number v -> Report_io.json_float v
+  | Json.String s -> Report_io.json_string s
+  | Json.List vs -> "[" ^ sep ^ String.concat ("," ^ sep) (List.map (print_json sep) vs) ^ sep ^ "]"
+  | Json.Object kvs ->
+    "{" ^ sep
+    ^ String.concat ("," ^ sep)
+        (List.map (fun (k, v) -> Report_io.json_string k ^ sep ^ ":" ^ sep ^ print_json sep v) kvs)
+    ^ sep ^ "}"
+
+let gen_printed =
+  QCheck.Gen.map2 print_json (QCheck.Gen.oneofl [ ""; " "; "\n\t\r " ]) gen_json
+
+(* Store rows as [Matrix] writes them: a finished cell and an error
+   cell. *)
+let store_rows =
+  [| {|{"schema":"amblib-matrix-row/1","config":"5d7610c93334f554ac82947e07eaf44a","seed":1000277,"cell":{"name":"sweep","leaves":5,"relays":0,"tags":0,"hours":12,"policy":"min-energy","link":"cached","diurnal":"living-room","budget_j":0.5,"faults":"bscale:4:0.2"},"status":"ok","metrics":{"generated":6772,"delivered":3891,"dropped":2881,"delivery_ratio":0.57457176609568816,"first_death_h":8.4310301577347051,"dead_at_end":1,"energy_spent_j":21601.513254608828,"energy_harvested_j":8.3549869035333835,"availability":0,"mean_coverage":0.54051716929557847,"rebuilds":5,"events":6848},"report_digest":"7bb452ff97ee72e1f0262642be2938bb"}|};
+     {|{"schema":"amblib-matrix-row/1","config":"ced9a0445f08db9f9a3ba339c19487dc","seed":1001100,"cell":{"name":"sweep","leaves":4,"relays":0,"tags":0,"hours":2,"policy":"min-hop","link":"mac:2","diurnal":"office","budget_j":0.5,"faults":"crash:10@3"},"status":"error","error":"Failure(\"fault crash:10@3 references node 10 but the fleet has nodes 0..4\")"}|} |]
+
+(* One to four byte replacements, deletions or insertions, then maybe a
+   truncation. *)
+let gen_mutated_row =
+  let open QCheck.Gen in
+  let edit s =
+    let n = String.length s in
+    int_bound (n - 1) >>= fun i ->
+    json_char >>= fun c ->
+    oneofl
+      [ String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1);
+        String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1);
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i) ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  oneofl (Array.to_list store_rows) >>= fun row ->
+  int_range 0 4 >>= fun k ->
+  edits k row >>= fun s ->
+  frequency
+    [ (3, return s); (1, map (fun i -> String.sub s 0 i) (int_bound (String.length s))) ]
+
+let gen_random_bytes = QCheck.Gen.string_size ~gen:json_char (QCheck.Gen.int_bound 40)
+
+(* Number lexemes around the fast path's edges: signs, leading zeros,
+   14-18 digit mantissas, empty fractions and exponents, and 15-17
+   digit mantissas above 2^53. *)
+let gen_lexeme =
+  let open QCheck.Gen in
+  let digits k = string_size ~gen:numeral (return k) in
+  let piece =
+    oneof
+      [ oneofl [ "-0"; "-"; "+"; "."; "-."; "e5"; "1e"; "1e+"; "0e0"; "-0.0"; "007"; "1.";
+                 ".5"; "1e22"; "1e23"; "1e-22"; "1e-23"; "1.e5"; "-.5"; ".e5";
+                 "123456789012345"; "1234567890123456"; "1e0400"; "1e-0400"; "1_0";
+                 (* 16 digits above 2^53: rounding the mantissa first
+                    rounds twice. *)
+                 "9007199254740993"; "9007199254740993e-2"; "90071992547409.93";
+                 "9007199254740995e-1" ];
+        ( oneofl [ ""; "-"; "+"; "--" ] >>= fun sign ->
+          oneofl [ ""; "0"; "00" ] >>= fun lead ->
+          frequency [ (1, return 0); (4, int_range 1 18); (3, int_range 14 17) ] >>= fun ni ->
+          digits ni >>= fun int_part ->
+          frequency
+            [ (2, return ""); (1, return "."); (3, map (( ^ ) ".") (int_bound 17 >>= digits)) ]
+          >>= fun frac ->
+          frequency
+            [ (2, return "");
+              ( 2,
+                oneofl [ "e"; "E" ] >>= fun e ->
+                oneofl [ ""; "+"; "-" ] >>= fun es ->
+                int_bound 4 >>= digits >|= fun ed -> e ^ es ^ ed ) ]
+          >|= fun exp -> sign ^ lead ^ int_part ^ frac ^ exp );
+        ( int_range 14 16 >>= digits >>= fun rest ->
+          let m = "9" ^ rest in
+          int_bound (String.length m) >>= fun dot ->
+          oneofl [ ""; "e-3"; "e1" ] >|= fun exp ->
+          String.sub m 0 dot ^ "." ^ String.sub m dot (String.length m - dot) ^ exp ) ]
+  in
+  piece >>= fun lexeme ->
+  oneofl [ lexeme; "[" ^ lexeme ^ "]"; "[" ^ lexeme ^ ",1]"; lexeme ^ " "; lexeme ^ "x" ]
+
+(* String literals built from escapes, including malformed and truncated
+   ones, as values and as keys. *)
+let gen_escaped =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [ map (String.make 1) json_char;
+        oneofl
+          [ "\\n"; "\\t"; "\\r"; "\\b"; "\\f"; "\\/"; "\\\""; "\\\\"; "\\u0041"; "\\u1_23";
+            "\\u_123"; "\\u00e9"; "\\u007F"; "\\u0080"; "\\uZZZZ"; "\\u12"; "\\u"; "\\x";
+            "\\"; "plain text" ] ]
+  in
+  list_size (int_bound 6) piece >|= String.concat "" >>= fun body ->
+  oneofl
+    [ "\"" ^ body ^ "\""; "\"" ^ body; "{\"" ^ body ^ "\":1}"; "[\"" ^ body ^ "\",\"\\u12\"]" ]
+
+let test_json_depth_bound () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  let deep = nest Json.max_depth in
+  Alcotest.(check bool) "512 levels read as before" true (readers_agree deep);
+  let refused k =
+    match Json.parse (nest k) with
+    | _ -> Alcotest.failf "%d levels accepted" k
+    | exception Json.Parse_error msg -> msg
+  in
+  Alcotest.(check string) "513 levels refused at the 513th bracket"
+    "nesting deeper than 512 at offset 512" (refused (Json.max_depth + 1));
+  let objects = String.concat "" (List.init 513 (fun _ -> "{\"a\":")) in
+  Alcotest.(check string) "objects count too" "nesting deeper than 512 at offset 2560"
+    (match Json.parse objects with
+    | _ -> "accepted"
+    | exception Json.Parse_error msg -> msg);
+  (* The char-by-char reader took 1.6 s here, and time grew faster than
+     the depth; the bound answers at once. *)
+  Alcotest.(check string) "10^6 levels refused" "nesting deeper than 512 at offset 512"
+    (refused 1_000_000)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_float_matches_printf;
@@ -241,4 +435,13 @@ let suite =
     Alcotest.test_case "CSV escaping is RFC-4180" `Quick test_csv_escaping;
     Alcotest.test_case "CSV shape matches report" `Quick test_csv_matches_rendered_rows;
     Alcotest.test_case "digest detects value and kind changes" `Quick test_digest_sensitivity;
+    QCheck_alcotest.to_alcotest (prop_readers_agree ~name:"printed values" ~count:3000 gen_printed);
+    QCheck_alcotest.to_alcotest
+      (prop_readers_agree ~name:"mutated store rows" ~count:3000 gen_mutated_row);
+    QCheck_alcotest.to_alcotest
+      (prop_readers_agree ~name:"random bytes" ~count:5000 gen_random_bytes);
+    QCheck_alcotest.to_alcotest
+      (prop_readers_agree ~name:"number lexemes" ~count:10000 gen_lexeme);
+    QCheck_alcotest.to_alcotest (prop_readers_agree ~name:"escapes" ~count:5000 gen_escaped);
+    Alcotest.test_case "JSON nesting bound" `Quick test_json_depth_bound;
   ]
