@@ -8,7 +8,8 @@ build:
 test:
 	dune runtest
 
-# The full gate: build, unit/property/golden tests, then a bench snapshot
+# The full gate: build, unit/property/golden tests and the examples'
+# pinned output (examples/*.expected, diffed by dune runtest), then a bench snapshot
 # round-trip — --check-json rebuilds every experiment and compares typed
 # content digests, so model drift fails the chain — and finally the CLI
 # end-to-end: a small fleet co-simulation emitted as JSON must round-trip
