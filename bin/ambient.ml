@@ -15,8 +15,9 @@
      serve        resident batch service (JSON requests on stdin)
 
    Report-producing subcommands take --format text|json|csv; bad
-   arguments exit with status 1, and a `system` horizon that is not
-   finite or exceeds the per-cell cost bound exits with status 2. *)
+   arguments exit with status 1, a `system` horizon that is not finite
+   or exceeds the per-cell cost bound exits with status 2, and so does
+   a `matrix` grid over the per-request cost bound. *)
 
 open Cmdliner
 open Amb_units
@@ -641,6 +642,11 @@ let matrix_cmd =
         Printf.eprintf "bad spec: %s\n" msg;
         exit 1
     in
+    (match Amb_harness.Matrix.check_request spec with
+    | Ok () -> ()
+    | Error msg ->
+      Printf.eprintf "spec refused: %s\n" msg;
+      exit 2);
     let store = load_store store_path in
     let rows, stats =
       Amb_harness.Matrix.execute ~jobs:(resolve_jobs jobs) ~store spec

@@ -76,19 +76,23 @@ let () =
   let rng = Amb_sim.Rng.create 80 in
   let topology = Amb_net.Topology.random rng ~nodes:40 ~width_m:220.0 ~height_m:220.0 in
   let link = Amb_radio.Link_budget.make ~radio ~channel:Amb_radio.Path_loss.indoor () in
-  let router = Amb_net.Routing.make ~topology ~link ~packet () in
+  let fleet =
+    Amb_system.Fleet.homogeneous ~link ~packet ~topology ~sink:0
+      ~node:
+        (Amb_system.Fleet.flat ~budget:(Energy.joules 50.0)
+           ~report_period:(Time_span.seconds report_every))
+      ()
+  in
   let cfg =
-    Amb_net.Net_sim.config ~router ~sink:0 ~policy:Amb_net.Routing.Min_energy
-      ~report_period:(Time_span.seconds report_every)
-      ~budget:(fun _ -> Energy.joules 50.0)
+    Amb_system.Cosim.config ~fleet ~policy:Amb_net.Routing.Min_energy
       ~horizon:(Time_span.days 30.0) ()
   in
-  let o = Amb_net.Net_sim.run cfg ~seed:80 in
+  let o = Amb_system.Cosim.run cfg ~seed:80 in
   Printf.printf "  30 days: %d reports generated, %d delivered (%.1f%%), %d nodes dead\n"
-    o.Amb_net.Net_sim.generated o.Amb_net.Net_sim.delivered
-    (100.0 *. o.Amb_net.Net_sim.delivery_ratio)
-    o.Amb_net.Net_sim.dead_at_end;
-  (match o.Amb_net.Net_sim.first_death with
+    o.Amb_system.Cosim.generated o.Amb_system.Cosim.delivered
+    (100.0 *. o.Amb_system.Cosim.delivery_ratio)
+    o.Amb_system.Cosim.dead_at_end;
+  (match o.Amb_system.Cosim.first_death with
   | Some t -> Printf.printf "  first node died after %s\n" (Time_span.to_human_string t)
   | None -> print_endline "  no deaths within the month");
-  Printf.printf "  network energy spent: %s\n" (Energy.to_string o.Amb_net.Net_sim.energy_spent)
+  Printf.printf "  network energy spent: %s\n" (Energy.to_string o.Amb_system.Cosim.energy_spent)

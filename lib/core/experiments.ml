@@ -667,46 +667,46 @@ let e19 () =
 
 let e20_policies = [ Amb_net.Routing.Min_hop; Amb_net.Routing.Min_energy ]
 
+(* The simulated fleet: 30 flat 20 J nodes reporting every 30 s (small
+   budgets, so deaths happen within a tractable horizon), run by the
+   co-simulation, which E27 holds to the plain Net_sim run. *)
+let e20_budget = Energy.joules 20.0
+let e20_report_period = Time_span.seconds 30.0
+
 let e20_ctx () =
   let rng = Amb_sim.Rng.create 20 in
-  let nodes = 30 in
-  let topology = Amb_net.Topology.random rng ~nodes ~width_m:250.0 ~height_m:250.0 in
-  let link = Link_budget.make ~radio:Radio_frontend.low_power_uhf ~channel:Path_loss.indoor () in
-  Amb_net.Routing.make ~topology ~link ~packet:Packet.sensor_report ()
+  let topology = Amb_net.Topology.random rng ~nodes:30 ~width_m:250.0 ~height_m:250.0 in
+  Amb_system.Fleet.homogeneous ~topology ~sink:0
+    ~node:(Amb_system.Fleet.flat ~budget:e20_budget ~report_period:e20_report_period)
+    ()
 
-let e20_row router policy =
-  (* Small budgets so deaths happen within a tractable horizon. *)
-  let budget _ = Energy.joules 20.0 in
-  let report_period = Time_span.seconds 30.0 in
-  let sink = 0 in
-    let analytic_rounds =
-      Amb_net.Flow.simulate_depletion router ~policy ~budget ~sink ~rebuild_every:500.0
-    in
-    let analytic_death = Time_span.scale analytic_rounds report_period in
-    let cfg =
-      Amb_net.Net_sim.config ~router ~sink ~policy ~report_period ~budget
-        ~horizon:(Time_span.scale 3.0 analytic_death) ()
-    in
-    let o = Amb_net.Net_sim.run cfg ~seed:20 in
-    let simulated_death =
-      match o.Amb_net.Net_sim.first_death with
-      | Some t -> Report.cell_time t
-      | None -> txt "none"
-    in
-    let err =
-      match o.Amb_net.Net_sim.first_death with
-      | Some t ->
+(* The closed-form first death under [policy], in report rounds; E20
+   and E27 simulate to 3x it, so deaths land well inside the run. *)
+let e20_rounds fleet policy =
+  Amb_net.Flow.simulate_depletion fleet.Amb_system.Fleet.router ~policy
+    ~budget:(fun _ -> e20_budget)
+    ~sink:0 ~rebuild_every:500.0
+
+let e20_row fleet policy =
+  let open Amb_system in
+  let analytic_death = Time_span.scale (e20_rounds fleet policy) e20_report_period in
+  let horizon = Time_span.scale 3.0 analytic_death in
+  let o = Cosim.run (Cosim.config ~fleet ~policy ~horizon ()) ~seed:20 in
+  let simulated_death, err =
+    match o.Cosim.first_death with
+    | Some t ->
+      ( Report.cell_time t,
         Report.cell_percent
           (Float.abs (Time_span.to_seconds t -. Time_span.to_seconds analytic_death)
-          /. Time_span.to_seconds analytic_death)
-      | None -> txt "-"
-    in
+          /. Time_span.to_seconds analytic_death) )
+    | None -> (txt "none", txt "-")
+  in
   [ txt (Amb_net.Routing.policy_name policy);
     Report.cell_time analytic_death;
     simulated_death;
     err;
-    Report.cell_percent o.Amb_net.Net_sim.delivery_ratio;
-    Report.cell_int o.Amb_net.Net_sim.dead_at_end;
+    Report.cell_percent o.Cosim.delivery_ratio;
+    Report.cell_int o.Cosim.dead_at_end;
   ]
 
 let e20_assemble rows =
@@ -947,30 +947,13 @@ let e27_rel a b = Float.abs (a -. b) /. Float.max 1e-30 (Float.abs a)
 let e27_net_rows policy =
   let open Amb_system in
   let rel = e27_rel in
-  let rng = Amb_sim.Rng.create 20 in
-  let topology = Amb_net.Topology.random rng ~nodes:30 ~width_m:250.0 ~height_m:250.0 in
-  let budget = Energy.joules 20.0 in
-  let flat =
-    {
-      Fleet.name = "flat 20 J";
-      activation_energy = Energy.zero;
-      sleep_power = Power.zero;
-      supply = Supply.make ~name:"flat budget" ~regulator_efficiency:1.0 ();
-      report_period = Some (Time_span.seconds 30.0);
-      budget_override = Some budget;
-    }
-  in
-  let fleet = Fleet.homogeneous ~topology ~sink:0 ~node:flat () in
-  (* Horizon at 3x the closed-form depletion estimate, as in E20, so
-     deaths land well inside the run. *)
-  let analytic_rounds =
-    Amb_net.Flow.simulate_depletion fleet.Fleet.router ~policy ~budget:(fun _ -> budget)
-      ~sink:0 ~rebuild_every:500.0
-  in
-  let horizon = Time_span.scale (3.0 *. analytic_rounds) (Time_span.seconds 30.0) in
+  let fleet = e20_ctx () in
+  let horizon = Time_span.scale (3.0 *. e20_rounds fleet policy) e20_report_period in
   let net_cfg =
     Amb_net.Net_sim.config ~router:fleet.Fleet.router ~sink:0 ~policy
-      ~report_period:(Time_span.seconds 30.0) ~budget:(fun _ -> budget) ~horizon ()
+      ~report_period:e20_report_period
+      ~budget:(fun _ -> e20_budget)
+      ~horizon ()
   in
   let reference = Amb_net.Net_sim.run net_cfg ~seed:20 in
   let cosim_cfg = Cosim.config ~fleet ~policy ~horizon () in

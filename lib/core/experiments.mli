@@ -62,7 +62,8 @@ val e19 : unit -> Report.t
 (** Sensitivity of the autonomy boundary to model constants. *)
 
 val e20 : unit -> Report.t
-(** Packet-level network simulation vs analytic depletion. *)
+(** Packet-level network simulation (the co-simulation on a flat-budget
+    fleet) vs analytic depletion. *)
 
 val e21 : unit -> Report.t
 (** Analytic schedulability bounds vs simulated deadline misses. *)
@@ -86,8 +87,9 @@ val e26 : unit -> Report.t
     fleet, one scenario per domain. *)
 
 val e27 : unit -> Report.t
-(** Degenerate-config cross-checks: the co-simulation vs [Net_sim] (E20
-    config) and [Lifetime_sim] (E12-style single node). *)
+(** Degenerate-config cross-checks: the co-simulation vs the plain
+    [Net_sim] reference on E20's flat fleet, and vs [Lifetime_sim]
+    (E12-style single node). *)
 
 val e28 : unit -> Report.t
 (** The extended taxonomy: all four device classes including the

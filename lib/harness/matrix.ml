@@ -230,6 +230,26 @@ let check_cost c =
       (Printf.sprintf "cell costs %g node-hours (%d nodes x %g h); the bound is %g" cost
          (c.leaves + c.relays + c.tags + 1) c.hours max_cost_node_hours)
 
+(* A request may cost what one cell may.  Without this bound one
+   request of 40 000 admissible cells runs for hours; the largest grid
+   any spec, test, experiment or serve-sweep request sends costs 1 440
+   node-hours. *)
+let max_request_node_hours = 1e6
+
+let check_request spec =
+  let cells = expand spec in
+  (* a cell over its own bound runs nothing: it becomes an error row *)
+  let admitted c =
+    let k = expected_cost c in
+    if k <= max_cost_node_hours then k else 0.0
+  in
+  let cost = Array.fold_left (fun acc c -> acc +. admitted c) 0.0 cells in
+  if cost <= max_request_node_hours then Ok ()
+  else
+    Error
+      (Printf.sprintf "grid costs %g node-hours over %d cells; the bound is %g per request" cost
+         (Array.length cells) max_request_node_hours)
+
 let outcome c =
   check_cost c;
   let fleet = build_fleet c in

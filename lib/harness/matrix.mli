@@ -63,6 +63,15 @@ val max_cost_node_hours : float
     it (or with a NaN cost) is not run: {!run_cell} answers it with an
     error row, in [ambient matrix] and [ambient serve] alike. *)
 
+val max_request_node_hours : float
+(** Admission bound on a grid's summed {!expected_cost} over the cells
+    within {!max_cost_node_hours} (10{^6} node-hours, one cell's bound). *)
+
+val check_request : Scenario_spec.t -> (unit, string) result
+(** [Error] naming the summed cost, the cell count and the bound for a
+    grid over {!max_request_node_hours}: [ambient matrix] exits 2 with
+    it and [ambient serve] answers it, before any cell runs. *)
+
 val run_cell : cell -> string
 (** One co-simulation to one row line.  Any exception becomes a
     [status = "error"] row with the exception text — error isolation for

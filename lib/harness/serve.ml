@@ -100,16 +100,16 @@ let stats_response t =
     (match t.pool with Some _ -> t.jobs | None -> Stdlib.max 1 t.jobs)
 
 (* A longer line is refused before it is parsed, which bounds the parse
-   and what the store could echo.  It does not bound memory: [serve]'s
-   [input_line] has read the whole line by then. *)
+   and what the store could echo; [serve] never holds more of a line
+   than this bound plus one byte. *)
 let max_line_bytes = 1 lsl 20
 
+let over_bound bytes =
+  error_response
+    (Printf.sprintf "request line of %d bytes exceeds the %d-byte bound" bytes max_line_bytes)
+
 let handle_line t line =
-  if String.length line > max_line_bytes then
-    ( error_response
-        (Printf.sprintf "request line of %d bytes exceeds the %d-byte bound" (String.length line)
-           max_line_bytes),
-      `Continue )
+  if String.length line > max_line_bytes then (over_bound (String.length line), `Continue)
   else if String.trim line = "" then (error_response "empty request", `Continue)
   else
     match Json.parse line with
@@ -128,26 +128,58 @@ let handle_line t line =
       | Some (Json.String "run") -> (
         match spec_of_members members with
         | Ok spec -> (
-          (* Error isolation: even a failure inside the runner (store
-             corruption, pool teardown) must answer, not kill serve. *)
-          match run_response t spec with
-          | response -> (response, `Continue)
-          | exception e -> (error_response (Printexc.to_string e), `Continue))
+          match Matrix.check_request spec with
+          | Error msg -> (error_response msg, `Continue)
+          | Ok () -> (
+            (* Error isolation: even a failure inside the runner (store
+               corruption, pool teardown) must answer, not kill serve. *)
+            match run_response t spec with
+            | response -> (response, `Continue)
+            | exception e -> (error_response (Printexc.to_string e), `Continue)))
         | Error msg -> (error_response ("bad spec: " ^ msg), `Continue))
       | Some (Json.String op) -> (error_response ("unknown op: " ^ op), `Continue)
       | Some _ -> (error_response "op must be a string", `Continue)
       | None -> (error_response "missing op", `Continue))
     | _ -> (error_response "request must be a JSON object", `Continue)
 
+(* [serve]'s line reader keeps at most [max_line_bytes + 1] bytes of a
+   line.  Each call answers [`Line s] ([s] without its newline; the
+   last line may lack one), [`Long bytes] for a longer line, read and
+   dropped through its newline, or [`Eof]. *)
+let line_reader ic =
+  let chunk = Bytes.create 65536 and line = Buffer.create (max_line_bytes + 1) in
+  let pos = ref 0 and stop = ref 0 in
+  let rec scan len =
+    if !pos = !stop then begin
+      pos := 0;
+      stop := input ic chunk 0 (Bytes.length chunk)
+    end;
+    if !stop = 0 then if len = 0 then `Eof else finish len
+    else begin
+      let i = ref !pos in
+      while !i < !stop && Bytes.get chunk !i <> '\n' do incr i done;
+      let seg = !i - !pos in
+      Buffer.add_subbytes line chunk !pos (Int.min seg (max_line_bytes + 1 - Buffer.length line));
+      pos := Int.min (!i + 1) !stop;
+      if !i < !stop then finish (len + seg) else scan (len + seg)
+    end
+  and finish len = if len <= max_line_bytes then `Line (Buffer.contents line) else `Long len in
+  fun () ->
+    Buffer.clear line;
+    scan 0
+
 let serve t ic oc =
+  let next_line = line_reader ic in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-      let response, verdict = handle_line t line in
+    let reply (response, verdict) =
       output_string oc response;
       output_char oc '\n';
       flush oc;
-      (match verdict with `Continue -> loop () | `Quit -> ())
+      match verdict with `Continue -> loop () | `Quit -> ()
+    in
+    match next_line () with
+    | `Eof -> ()
+    | `Long bytes -> reply (over_bound bytes, `Continue)
+    | `Line line -> reply (handle_line t line)
   in
   loop ()

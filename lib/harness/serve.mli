@@ -34,11 +34,13 @@ val create : ?pool:Amb_sim.Domain_pool.t -> ?jobs:int -> store:Result_store.t ->
 
 val max_line_bytes : int
 (** 1 MiB: a longer request line is answered with an error before it is
-    parsed.  {!serve} still reads the whole line into memory first. *)
+    parsed.  {!serve} keeps at most this many bytes plus one of a line
+    and drops the rest of a longer one through its newline. *)
 
 val handle_line : t -> string -> string * [ `Continue | `Quit ]
 (** One request line to one response line — the unit tests drive this
     directly. *)
 
 val serve : t -> in_channel -> out_channel -> unit
-(** The stdin/stdout loop: responses are flushed per line. *)
+(** The stdin/stdout loop: responses are flushed per line.  A final
+    line without a newline is still answered. *)

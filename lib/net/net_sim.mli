@@ -1,8 +1,10 @@
-(** Packet-level sensor-network simulation — the full-stack counterpart of
-    the analytic collection-tree model (cross-checked by experiment E20):
-    jittered periodic reports forwarded hop by hop, per-hop TX/RX energy
-    drained from per-node budgets, deaths dropping traffic and triggering
-    tree rebuilds. *)
+(** Packet-level sensor-network simulation — the plain reference run of
+    the collection-tree model: jittered periodic reports forwarded hop
+    by hop, per-hop TX/RX energy drained from per-node budgets, deaths
+    dropping traffic and triggering a full tree rebuild.  The fast
+    simulator is {!Amb_system.Cosim}; on a flat-budget fleet
+    ({!Amb_system.Fleet.flat}) it reproduces this run, which experiment
+    E27 and the simulators tests check. *)
 
 open Amb_units
 

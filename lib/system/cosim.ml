@@ -1,12 +1,14 @@
 (** Whole-fleet co-simulation (see .mli for the model contract).
 
-    The forwarding loop, death-triggered rebuilds and report-phase RNG
-    discipline deliberately mirror {!Amb_net.Net_sim} statement for
-    statement; the continuous energy accounting mirrors
-    {!Amb_node.Lifetime_sim} through the {!Fleet_ledger} rows, the
-    run's one energy state.  The degenerate cross-check experiments
-    (E27) depend on both mirrors, and [test/cosim_reference.ml] holds
-    the whole run to a plain per-object reference bit for bit.
+    This is the fast packet simulator.  Its forwarding walk,
+    death-triggered tree updates and report-phase RNG discipline follow
+    {!Amb_net.Net_sim}, the plain reference that rebuilds the whole tree
+    after every death and prices each hop on the spot, so a flat-budget
+    fleet ({!Fleet.flat}) reproduces it; the continuous energy
+    accounting follows {!Amb_node.Lifetime_sim} through the
+    {!Fleet_ledger} rows, the run's one energy state.  E27 checks both
+    degenerate cases, and [test/cosim_reference.ml] holds the whole run
+    to a plain per-object reference bit for bit.
 
     A run is five stages, each below under its own header: setup
     (the link layer, the ledger, battery faults), the
@@ -311,7 +313,7 @@ let full_rebuild t =
   note_full_rebuild t;
   sync_all t
 
-(* Mirror of Net_sim.rebuild. *)
+(* The initial tree and the periodic refresh: a counted full rebuild. *)
 let rebuild t now =
   t.rebuilds <- t.rebuilds + 1;
   full_rebuild t;
@@ -374,7 +376,7 @@ let account_tick ?pool t now =
 (* --- stage 3: the report channel ----------------------------------------
    Report streams on the engine's periodic channel: one shared handler,
    one ring per distinct report period.  Phases are drawn from the run
-   seed in node order, exactly as Net_sim does, so the (time, seq)
+   seed in node order, as in Net_sim's reference run, so the (time, seq)
    chronology and, with a trace, the "report:<n>" labels are those of
    one closure per node.  The handler is {!Fleet_ledger.report}: the
    activation charge, then the walk over [parent]/[hop_tx]/[hop_kind],
@@ -495,7 +497,7 @@ let run_with_router ?trace ?pool ?phase ~router cfg ~seed =
   rebuild 0.0;
   schedule_reports ?phase t ~seed;
   let horizon_s = Time_span.to_seconds cfg.horizon in
-  (* Periodic residual-aware rebuild, as in Net_sim. *)
+  (* Periodic residual-aware rebuild, as in Net_sim's reference run. *)
   Engine.every_s ~label:"rebuild" s.engine ~period_s:(Time_span.to_seconds cfg.rebuild_period)
     ~until_s:horizon_s (fun _e ->
       rebuild s.clk.Engine.v;

@@ -7,10 +7,13 @@
     deaths and injected faults ({!Fault_plan}).
 
     Determinism: all randomness is the leaf report phases, drawn from
-    [seed] in node order exactly as {!Amb_net.Net_sim} does — a
-    degenerate fleet (flat budgets, zero sleep/harvest/activation, cached
-    link costs, no faults) reproduces [Net_sim]'s delivery and
-    first-death results on the same topology and seed. *)
+    [seed] in node order exactly as {!Amb_net.Net_sim}, the plain
+    packet-level reference, does.  A flat-budget fleet ({!Fleet.flat}
+    nodes on {!Fleet.homogeneous}, cached link costs, no faults)
+    reproduces [Net_sim] on the same topology and seed: counts, first
+    death, dead count and every node's raw reserve bit for bit, and
+    [energy_spent] up to summation order.  Experiment E20 and the
+    factory example run that fleet here. *)
 
 open Amb_units
 open Amb_net

@@ -136,6 +136,16 @@ let nanowatt_tag ?(report_period = Time_span.minutes 5.0) () =
     budget_override = None;
   }
 
+let flat ~budget ~report_period =
+  {
+    name = "flat budget";
+    activation_energy = Energy.zero;
+    sleep_power = Power.zero;
+    supply = Supply.make ~name:"flat budget" ~regulator_efficiency:1.0 ();
+    report_period = Some report_period;
+    budget_override = Some budget;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 

@@ -25,8 +25,7 @@ val all_tiers : tier list
     (so it should exclude communication unless the link layer runs
     {!Link_layer.Off}).  [report_period = None] means the tier carries
     traffic but generates none.  [budget_override] replaces the supply's
-    battery capacity — used by the degenerate cross-check fleets that
-    mirror {!Amb_net.Net_sim}'s flat budgets. *)
+    battery capacity — used by {!flat}. *)
 type tier_config = {
   name : string;
   activation_energy : Energy.t;
@@ -82,6 +81,12 @@ val nanowatt_tag : ?report_period:Time_span.t -> unit -> tier_config
     dead); activation energy is the ~50-op protocol logic only — the
     whole radio transaction is priced by the link layer's backscatter
     tariff.  Default report period 5 min (one inventory round). *)
+
+val flat : budget:Energy.t -> report_period:Time_span.t -> tier_config
+(** A node that spends radio energy only, from a flat [budget]: no
+    activation, sleep or harvest, an ideal regulator.  On a
+    {!homogeneous} fleet under {!Link_layer.Cached} hop pricing,
+    {!Cosim} runs the packet-level model of {!Amb_net.Net_sim}. *)
 
 val default_tag_link : unit -> Amb_radio.Backscatter.t
 (** The fleet's default reader-powered PHY: 36 dBm monostatic UHF reader
@@ -169,7 +174,8 @@ val homogeneous :
   t
 (** Every node identical (all leaves except the sink, which gets the same
     energy parameters but generates nothing) on a caller-supplied
-    topology — the degenerate fleets the cross-check experiments compare
-    against {!Amb_net.Net_sim} and {!Amb_node.Lifetime_sim}.  Raises
+    topology — with {!flat} nodes, the packet-level network fleet of
+    experiments E20 and E27; with one battery leaf, the fleet E27 holds
+    to {!Amb_node.Lifetime_sim}.  Raises
     [Invalid_argument] on a topology of fewer than two nodes (a
     sink-only fleet is degenerate) or a [sink] out of range. *)

@@ -6,7 +6,8 @@
       cross-check, where the activation energy already contains the
       radio);
     - [Cached] — the {!Amb_net.Routing} per-pair TX/RX cache verbatim,
-      byte-identical to what {!Amb_net.Net_sim} charges;
+      byte-identical to what the plain {!Amb_net.Net_sim} reference
+      charges per hop;
     - [Mac] — [Cached] plus preamble-sampling MAC overheads from
       {!Amb_radio.Mac_duty_cycle}: a full-interval preamble per TX, half
       an interval of listening per RX, and a continuous channel-sampling

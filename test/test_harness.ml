@@ -399,6 +399,68 @@ let test_serve_isolates_error_cells () =
   Alcotest.(check int) "error row counted" 1 (int_member "errors" response);
   Alcotest.(check int) "both cells answered" 2 (int_member "cells" response)
 
+(* The stdin loop never holds an over-long line: a 3 MiB line (from a
+   file, as from a pipe) is answered with the over-bound error while the
+   session allocates about the reader's 1 MiB buffer, not the line; the
+   next request is read from just past its newline, and a last line
+   without a newline is still answered. *)
+let test_serve_reads_bounded_lines () =
+  let t = serve_session () in
+  let long = 3 * 1024 * 1024 in
+  let input = Filename.temp_file "serve" ".in" and output = Filename.temp_file "serve" ".out" in
+  Out_channel.with_open_bin input (fun oc ->
+      output_string oc ("{\"op\":\"ping\",\"pad\":\"" ^ String.make (long - 22) ' ' ^ "\"}\n");
+      output_string oc "{\"op\":\"ping\"}\n{\"op\":\"stats\"}");
+  let allocated = Gc.allocated_bytes () in
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc -> Serve.serve t ic oc));
+  let allocated = Gc.allocated_bytes () -. allocated in
+  let lines = In_channel.with_open_bin output In_channel.input_all in
+  Sys.remove input;
+  Sys.remove output;
+  match String.split_on_char '\n' lines with
+  | [ refused; pong; stats; "" ] ->
+    Alcotest.(check string) "over-long line refused"
+      (Printf.sprintf "request line of %d bytes exceeds the %d-byte bound" long
+         Serve.max_line_bytes)
+      (string_member "error" refused);
+    Alcotest.(check string) "next line read whole" "ping" (string_member "op" pong);
+    Alcotest.(check string) "ping ok" "ok" (string_member "status" pong);
+    Alcotest.(check string) "unterminated last line answered" "stats" (string_member "op" stats);
+    Alcotest.(check bool)
+      (Printf.sprintf "allocated %.0f bytes, under 2 MiB" allocated)
+      true
+      (allocated < 2.0 *. 1024.0 *. 1024.0)
+  | _ ->
+    let head = String.sub lines 0 (Int.min 200 (String.length lines)) in
+    Alcotest.fail ("expected three responses, got: " ^ head)
+
+(* One request of 40 000 cells, each within the per-cell bound, sums to
+   ~4.7e9 node-hours: it is refused as a whole before any cell runs, and
+   the session goes on. *)
+let test_serve_refuses_costly_grid () =
+  let t = serve_session () in
+  let range lo hi = String.concat "," (List.init (hi - lo + 1) (fun i -> string_of_int (lo + i))) in
+  let request =
+    Printf.sprintf "{\"op\":\"run\",\"leaves\":[%s],\"hours\":[%s]}" (range 3 202)
+      (range 1000 1199)
+  in
+  let response, verdict = Serve.handle_line t request in
+  Alcotest.(check bool) "continues" true (verdict = `Continue);
+  Alcotest.(check string) "refused" "error" (string_member "status" response);
+  let error = string_member "error" response in
+  Alcotest.(check bool) ("names the cost, the cells and the bound: " ^ error) true
+    (String.starts_with ~prefix:"grid costs 4." error
+    && String.ends_with
+         ~suffix:
+           (Printf.sprintf "e+09 node-hours over 40000 cells; the bound is %g per request"
+              Matrix.max_request_node_hours)
+         error);
+  let stats = fst (Serve.handle_line t "{\"op\":\"stats\"}") in
+  Alcotest.(check int) "nothing ran" 0 (int_member "ran" stats);
+  let pong, _ = Serve.handle_line t "{\"op\":\"ping\"}" in
+  Alcotest.(check string) "ping ok" "ok" (string_member "status" pong)
+
 let suite =
   [ ("empty spec is the default grid", `Quick, test_empty_spec_is_default);
     ("worked example parses and roundtrips", `Quick, test_parse_worked_example);
@@ -418,5 +480,7 @@ let suite =
     ("matrix rows jobs-independent", `Quick, test_matrix_rows_jobs_independent);
     ("serve answers repeats from cache", `Quick, test_serve_caches_repeat_requests);
     ("serve survives hostile input", `Quick, test_serve_survives_bad_input);
+    ("serve reads bounded lines", `Quick, test_serve_reads_bounded_lines);
+    ("serve refuses a costly grid", `Quick, test_serve_refuses_costly_grid);
     ("serve isolates error cells", `Quick, test_serve_isolates_error_cells);
   ]

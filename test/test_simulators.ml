@@ -79,38 +79,75 @@ let test_netsim_deterministic () =
   Alcotest.(check int) "same deliveries" a.Net_sim.delivered b.Net_sim.delivered;
   Alcotest.(check int) "same deaths" a.Net_sim.dead_at_end b.Net_sim.dead_at_end
 
-(* Local re-sync vs the whole-fleet reference: after a [Min_energy]
-   death [Net_sim] re-syncs parents and hop tariffs for the re-attached
-   subtree only; [Net_sim_reference] rebuilds the tree and re-syncs
-   every node after every death.  Deep trees (a wide field) and small
-   per-node budgets make deaths orphan multi-level subtrees many times
-   per run, and every outcome field must agree bit for bit. *)
-let prop_netsim_local_resync =
+(* The fast simulator held to the plain one: [Cosim] on a flat-budget
+   [Fleet.homogeneous] fleet (same topology, link and packet) against
+   [Net_sim], which rebuilds the tree after every death and prices each
+   hop on the spot.  Deep trees (a wide field), one small budget per
+   fleet, a random sink and all three policies make deaths orphan
+   multi-level subtrees many times per run.  Counts, the first-death
+   instant, the dead count and every node's raw reserve agree bit for
+   bit; the ledger reports a dead node's residual as 0 where [Net_sim]
+   leaves it at or below 0.  [energy_spent] sums the same charges in a
+   different order (per node, then over nodes), so it may differ by
+   the summation error: at most [charges] x epsilon x [spent] in each
+   run, where [charges] <= [spent] / (the cheapest charge).  Trials
+   without a death are discarded after the comparison, and at least
+   three quarters of them must have one. *)
+let prop_cosim_equals_netsim =
+  let open Amb_system in
   let policies = [| Routing.Min_hop; Routing.Min_energy; Routing.Max_lifetime |] in
-  QCheck.Test.make ~name:"netsim local re-sync equals whole-fleet re-sync" ~count:12
-    QCheck.small_nat (fun trial ->
+  let count = 20 in
+  QCheck.Test.make ~name:"cosim flat fleet equals netsim" ~count ~max_gen:count
+    ~if_assumptions_fail:(`Fatal, 0.75) (QCheck.int_bound 9999) (fun trial ->
       let rng = Amb_sim.Rng.create (2600 + trial) in
       let nodes = 60 + Amb_sim.Rng.int rng 100 in
-      let router = small_router (2700 + trial) nodes (400.0 +. (250.0 *. Amb_sim.Rng.float rng)) in
-      let budgets = Array.init nodes (fun _ -> 0.05 +. (0.4 *. Amb_sim.Rng.float rng)) in
-      let cfg =
-        Net_sim.config ~router ~sink:0 ~policy:policies.(trial mod 3)
-          ~report_period:(Time_span.seconds 30.0)
-          ~budget:(fun i -> Energy.joules budgets.(i))
-          ~rebuild_period:(Time_span.hours 1.5) ~horizon:(Time_span.hours 3.0) ()
+      let field = 400.0 +. (250.0 *. Amb_sim.Rng.float rng) in
+      let budget = Energy.joules (0.05 +. (0.4 *. Amb_sim.Rng.float rng)) in
+      let sink = Amb_sim.Rng.int rng nodes in
+      let policy = policies.(trial mod 3) in
+      let router = small_router (2700 + trial) nodes field in
+      let report_period = Time_span.seconds 30.0 in
+      let rebuild_period = Time_span.hours 1.5 and horizon = Time_span.hours 3.0 in
+      let a =
+        Net_sim.run
+          (Net_sim.config ~router ~sink ~policy ~report_period
+             ~budget:(fun _ -> budget)
+             ~rebuild_period ~horizon ())
+          ~seed:trial
       in
-      let a = Net_sim.run cfg ~seed:trial and b = Net_sim_reference.run cfg ~seed:trial in
-      let bits e = Int64.bits_of_float (Energy.to_joules e) in
-      a.Net_sim.generated = b.Net_sim.generated
-      && a.Net_sim.delivered = b.Net_sim.delivered
-      && a.Net_sim.dropped = b.Net_sim.dropped
-      && a.Net_sim.dead_at_end = b.Net_sim.dead_at_end
-      && a.Net_sim.dead_at_end > 0
-      && Option.map Time_span.to_seconds a.Net_sim.first_death
-         = Option.map Time_span.to_seconds b.Net_sim.first_death
-      && Int64.equal (bits a.Net_sim.energy_spent) (bits b.Net_sim.energy_spent)
-      && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a.Net_sim.residual
-           b.Net_sim.residual)
+      let fleet =
+        Fleet.homogeneous ~link:router.Routing.link ~packet:router.Routing.packet
+          ~topology:router.Routing.topology ~sink
+          ~node:(Fleet.flat ~budget ~report_period)
+          ()
+      in
+      let b = Cosim.run (Cosim.config ~fleet ~policy ~rebuild_period ~horizon ()) ~seed:trial in
+      let ledger = b.Cosim.agents in
+      let bits = Int64.bits_of_float in
+      let death o = Option.map (fun t -> bits (Time_span.to_seconds t)) o in
+      let node_ok i r =
+        let r = Energy.to_joules r in
+        Int64.equal (bits r) (bits (Fleet_ledger.reserve_j ledger i))
+        && (r > 0.0 || Fleet_ledger.residual_j ledger i = 0.0)
+      in
+      let spent_a = Energy.to_joules a.Net_sim.energy_spent in
+      let spent_b = Energy.to_joules b.Cosim.energy_spent in
+      let cheapest =
+        Array.fold_left Float.min (Routing.receiver_energy_j router)
+          router.Routing.cache.Routing.edge_tx_j
+      in
+      let charges = spent_a /. cheapest in
+      let equal =
+        a.Net_sim.generated = b.Cosim.generated
+        && a.Net_sim.delivered = b.Cosim.delivered
+        && a.Net_sim.dropped = b.Cosim.dropped
+        && a.Net_sim.dead_at_end = b.Cosim.dead_at_end
+        && death a.Net_sim.first_death = death b.Cosim.first_death
+        && Array.for_all Fun.id (Array.mapi node_ok a.Net_sim.residual)
+        && Float.abs (spent_a -. spent_b)
+           <= 2.0 *. charges *. epsilon_float *. Float.max spent_a spent_b
+      in
+      equal && (QCheck.assume (a.Net_sim.dead_at_end > 0); true))
 
 (* --- Edf_sim --- *)
 
@@ -206,5 +243,5 @@ let suite =
     ("rm starvation counted", `Quick, test_rm_starvation_counted);
     ("sim agrees with analytic", `Quick, test_simulation_agrees_with_analytic_tests);
     ("edf validation", `Quick, test_edf_validation);
-    QCheck_alcotest.to_alcotest prop_netsim_local_resync;
+    QCheck_alcotest.to_alcotest prop_cosim_equals_netsim;
   ]
