@@ -62,9 +62,13 @@ bench-quick: build
 # twice against one store — the second pass must be served entirely from
 # the digest-keyed cache (--expect-cached exits 1 otherwise) — then a
 # resident serve session over the same store must answer the equivalent
-# request with zero recomputation.  Last, a hostile session: a line of
+# request with zero recomputation.  Then a hostile session: a line of
 # 10^5 nested brackets and a 300-byte name must each be answered with an
-# error, and the ping after them with ok.
+# error, and the ping after them with ok.  Last, hostile stores: a
+# second line of 10^5 brackets and a fractional seed must each refuse
+# the load (exit 1, the JSON reader's error text), and the smoke store
+# with a torn fragment appended must load, be cut back to its last
+# newline byte for byte, and serve the whole grid from cache.
 matrix-smoke: build
 	rm -f /tmp/amblib-matrix-smoke.jsonl
 	dune exec bin/ambient.exe -- matrix --spec examples/matrix_smoke.spec \
@@ -83,6 +87,25 @@ matrix-smoke: build
 	sed -n 1p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"status":"error"'
 	sed -n 2p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"status":"error"'
 	sed -n 3p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"op":"ping","status":"ok"'
+	{ head -n 1 /tmp/amblib-matrix-smoke.jsonl; head -c 100000 /dev/zero | tr '\0' '['; echo; } \
+	  > /tmp/amblib-matrix-smoke-deep.jsonl
+	dune exec bin/ambient.exe -- matrix --spec examples/matrix_smoke.spec \
+	  --store /tmp/amblib-matrix-smoke-deep.jsonl 2> /tmp/amblib-matrix-smoke-err.txt; \
+	  test $$? -eq 1
+	grep -qF 'cannot load store: /tmp/amblib-matrix-smoke-deep.jsonl: line 2: bad row: nesting deeper than 512 at offset 512' \
+	  /tmp/amblib-matrix-smoke-err.txt
+	printf '%s\n' '{"schema":"amblib-matrix-row/1","config":"x","seed":1.5,"status":"ok"}' \
+	  > /tmp/amblib-matrix-smoke-seed.jsonl
+	dune exec bin/ambient.exe -- matrix --spec examples/matrix_smoke.spec \
+	  --store /tmp/amblib-matrix-smoke-seed.jsonl 2> /tmp/amblib-matrix-smoke-err.txt; \
+	  test $$? -eq 1
+	grep -qF 'cannot load store: /tmp/amblib-matrix-smoke-seed.jsonl: line 1: bad row: not an amblib-matrix-row/1 object' \
+	  /tmp/amblib-matrix-smoke-err.txt
+	cp /tmp/amblib-matrix-smoke.jsonl /tmp/amblib-matrix-smoke-torn.jsonl
+	printf '%s' '{"schema":"amblib-matr' >> /tmp/amblib-matrix-smoke-torn.jsonl
+	dune exec bin/ambient.exe -- matrix --spec examples/matrix_smoke.spec \
+	  --store /tmp/amblib-matrix-smoke-torn.jsonl --expect-cached
+	cmp /tmp/amblib-matrix-smoke.jsonl /tmp/amblib-matrix-smoke-torn.jsonl
 
 clean:
 	dune clean

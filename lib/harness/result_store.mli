@@ -7,13 +7,18 @@
     grid order, the merged store after any interrupt + resume is
     byte-identical to an uninterrupted from-scratch run.  A torn final
     line (process killed mid-append) is detected by its missing newline,
-    dropped, and truncated away on the next {!load}.
+    dropped, and cut away in place on the next {!load}: the file is
+    truncated to its last newline, so no complete row is ever absent
+    from disk, not even if the load itself is killed.
 
     Rows are one-line [amblib-matrix-row/1] JSON objects (see
-    {!Matrix}); this module only requires the four key fields
-    ([schema], [config], [seed], [status]) and stores the raw line, so
-    digest-keyed caches (`ambient serve`) can answer with the exact
-    bytes that went to disk. *)
+    {!Matrix}).  Each row must be a JSON text the reader accepts
+    ({!Amb_report.Report_io.Json.parse}), checked in place by
+    {!Amb_report.Report_io.Json.member_spans} without building a value;
+    this module decodes only the four key fields ([schema], [config],
+    [seed], [status]) and stores the raw line, so digest-keyed caches
+    (`ambient serve`) can answer with the exact bytes that went to
+    disk. *)
 
 type t
 
@@ -25,8 +30,11 @@ val row_schema : string
 val make_key : config:string -> seed:int -> string
 
 val entry_of_line : string -> (entry, string) result
-(** Validate one row line (schema, config, seed, status) without
-    touching any store. *)
+(** Validate one row line without touching any store: the whole line
+    must be one JSON value the reader accepts ([Error "bad row: "] and
+    the reader's own message otherwise), and its first [schema],
+    [config], [seed] and [status] members must be the row schema, a
+    string, an integral number and a string. *)
 
 val in_memory : unit -> t
 (** A store with no backing file (tests, `ambient serve` without
@@ -34,9 +42,10 @@ val in_memory : unit -> t
 
 val load : string -> (t, string) result
 (** Open (or create) a file-backed store: existing complete rows are
-    indexed, a torn trailing fragment is truncated away, and malformed
-    or duplicate complete rows yield [Error] (the file was not written
-    by this harness). *)
+    indexed, a torn trailing fragment is cut away in place, and
+    malformed or duplicate complete rows yield [Error] naming the file
+    line (the file was not written by this harness; it is left as it
+    is).  A tail that cannot be cut is an [Error] too. *)
 
 val mem : t -> config:string -> seed:int -> bool
 val find : t -> config:string -> seed:int -> string option

@@ -375,14 +375,148 @@ module Json = struct
       [ v ]
     end
 
-  let parse s =
-    let r = { s; n = String.length s; pos = 0 } in
+  let parse_span s lo hi =
+    let r = { s; n = hi; pos = lo } in
     let v = value r 0 in
     skip_ws r;
     if r.pos <> r.n then fail r "trailing garbage";
     v
 
+  let parse s = parse_span s 0 (String.length s)
+
   let member key = function Object kvs -> List.assoc_opt key kvs | _ -> None
+
+  (* The validating scan: the grammar of [value] above, checked in place
+     with no value built.  Each function takes the end [n] of the text
+     and the index [i] where it starts, and answers the index just past
+     what it read; any departure from the grammar raises [Reject]. *)
+  exception Reject
+
+  (* The rest of a string literal after its opening quote, escapes
+     checked as [escaped] checks them. *)
+  let rec scan_string s n i =
+    let i = plain_end s n i in
+    if i = n then raise Reject
+    else if String.unsafe_get s i = '"' then i + 1
+    else if i + 1 = n then raise Reject
+    else
+      match String.unsafe_get s (i + 1) with
+      | '"' | '\\' | '/' | 'n' | 't' | 'r' | 'b' | 'f' -> scan_string s n (i + 2)
+      | 'u' -> if i + 6 > n then raise Reject else scan_string s n (i + 6)
+      | _ -> raise Reject
+
+  let sign_at s n i = match char_at s n i with '+' | '-' -> true | _ -> false
+
+  (* A number: the run of [0-9+-.eE] from [i] must match the strtod
+     decimal grammar [[+|-](D+[.D*]|.D+)[(e|E)[+|-]D+]] (brackets
+     optional, D a digit), exactly the runs [float_of_string] accepts:
+     the greedy match of the grammar must end where the run ends. *)
+  let scan_number s n i =
+    let int0 = if sign_at s n i then i + 1 else i in
+    let int1 = digits_end s n int0 in
+    let frac1 = if char_at s n int1 = '.' then digits_end s n (int1 + 1) else int1 in
+    if int1 = int0 && frac1 <= int1 + 1 then raise Reject;
+    let stop =
+      match char_at s n frac1 with
+      | 'e' | 'E' ->
+        let exp0 = if sign_at s n (frac1 + 1) then frac1 + 2 else frac1 + 1 in
+        let exp1 = digits_end s n exp0 in
+        if exp1 = exp0 then raise Reject;
+        exp1
+      | _ -> frac1
+    in
+    match char_at s n stop with
+    | '0' .. '9' | '+' | '-' | '.' | 'e' | 'E' -> raise Reject
+    | _ -> stop
+
+  let scan_word s n i word =
+    let len = String.length word in
+    if i + len <= n && same s i word 0 then i + len else raise Reject
+
+  (* The opening quote of a key after whitespace from [i]. *)
+  let key_start s n i =
+    let i = ws_end s n i in
+    if char_at s n i <> '"' then raise Reject;
+    i
+
+  (* Past the colon that follows a key ending before [i]. *)
+  let colon_end s n i =
+    let i = ws_end s n i in
+    if char_at s n i <> ':' then raise Reject;
+    i + 1
+
+  (* The slot in [keys] of the key literal whose opening quote is at [k]
+     and closing quote at [k1 - 1], or [-1].  A key with escapes is
+     decoded as [parse_string] decodes it. *)
+  let rec plain_slot s k len keys j =
+    if j = Array.length keys then -1
+    else
+      let key = Array.unsafe_get keys j in
+      if String.length key = len && same s (k + 1) key 0 then j else plain_slot s k len keys (j + 1)
+
+  let rec decoded_slot key keys j =
+    if j = Array.length keys then -1
+    else if String.equal key (Array.unsafe_get keys j) then j
+    else decoded_slot key keys (j + 1)
+
+  let key_slot s n k k1 keys =
+    if plain_end s n (k + 1) = k1 - 1 then plain_slot s k (k1 - k - 2) keys 0
+    else decoded_slot (parse_string { s; n; pos = k }) keys 0
+
+  (* Members at [depth] 1 are the top-level object's: the value span of
+     the first member named [keys.(j)] goes to [spans.(2j)] and
+     [spans.(2j+1)]. *)
+  let rec scan_value s n i depth keys spans =
+    let i = ws_end s n i in
+    if i >= n then raise Reject;
+    match String.unsafe_get s i with
+    | '{' ->
+      if depth = max_depth then raise Reject;
+      let i = ws_end s n (i + 1) in
+      if char_at s n i = '}' then i + 1 else scan_members s n i (depth + 1) keys spans
+    | '[' ->
+      if depth = max_depth then raise Reject;
+      let i = ws_end s n (i + 1) in
+      if char_at s n i = ']' then i + 1 else scan_items s n i (depth + 1) keys spans
+    | '"' -> scan_string s n (i + 1)
+    | 't' -> scan_word s n i "true"
+    | 'f' -> scan_word s n i "false"
+    | 'n' -> scan_word s n i "null"
+    | _ -> scan_number s n i
+
+  and scan_members s n i depth keys spans =
+    let k = key_start s n i in
+    let k1 = scan_string s n (k + 1) in
+    let v0 = ws_end s n (colon_end s n k1) in
+    let v1 = scan_value s n v0 depth keys spans in
+    if depth = 1 then begin
+      let j = key_slot s n k k1 keys in
+      if j >= 0 && spans.(2 * j) < 0 then begin
+        spans.(2 * j) <- v0;
+        spans.((2 * j) + 1) <- v1
+      end
+    end;
+    let i = ws_end s n v1 in
+    match char_at s n i with
+    | ',' -> scan_members s n (i + 1) depth keys spans
+    | '}' -> i + 1
+    | _ -> raise Reject
+
+  and scan_items s n i depth keys spans =
+    let i = ws_end s n (scan_value s n i depth keys spans) in
+    match char_at s n i with
+    | ',' -> scan_items s n (i + 1) depth keys spans
+    | ']' -> i + 1
+    | _ -> raise Reject
+
+  let member_spans s lo hi keys =
+    let spans = Array.make (2 * Array.length keys) (-1) in
+    match ws_end s hi (scan_value s hi lo 0 keys spans) = hi with
+    | true -> spans
+    | false | exception Reject ->
+      (* [parse] rejects what the scan rejects, with its own text. *)
+      ignore (parse (String.sub s lo (hi - lo)) : t);
+      invalid_arg "Json.member_spans: the scan rejected what parse accepts"
 end
 
 (* ------------------------------------------------------------------ *)

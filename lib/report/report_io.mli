@@ -37,8 +37,10 @@ val digest : Report.t -> string
     payloads); any change to an experiment's numbers changes its
     digest. *)
 
-(** The JSON reader behind every document the toolkit reads back: store
-    rows, serve requests, report envelopes and bench snapshots.
+(** The JSON reader behind every document the toolkit reads back: serve
+    requests, report envelopes and bench snapshots, and store rows,
+    which {!Json.member_spans} checks against the same grammar without
+    building a value.
 
     Grammar: RFC 8259 values with these departures, which the writers
     above never need and which stay fixed because callers echo the
@@ -85,4 +87,30 @@ module Json : sig
       {!Parse_error} on malformed input. *)
 
   val member : string -> t -> t option
+
+  val member_spans : string -> int -> int -> string array -> int array
+  (** [member_spans s lo hi keys] checks [s.[lo..hi-1]] against the
+      grammar of {!parse} without building a value, and answers where
+      the top-level members named [keys] (distinct) sit: slots [2k]
+      and [2k+1] hold the start and end of the value of the first
+      member named [keys.(k)] (as {!member} picks it), or [-1] when the
+      text is not an object or has no such member.  Keys compare after
+      escapes are decoded.
+
+      The scan accepts exactly the texts {!parse} accepts: the same
+      escapes (with [\u] taking any four bytes), the same depth bound
+      and the same trailing-garbage rule.  A number is checked, not
+      converted: a run of [0-9 + - . e E] must match the strtod decimal
+      grammar [[+|-](D+[.D*]|.D+)[(e|E)[+|-]D+]] (brackets optional, D
+      a digit), which is what [float_of_string] accepts from those
+      bytes.
+
+      On a text it rejects it raises the {!Parse_error} that {!parse}
+      raises on [String.sub s lo (hi - lo)], so error texts and offsets
+      are those of {!parse}. *)
+
+  val parse_span : string -> int -> int -> t
+  (** [parse_span s lo hi] reads [s.[lo..hi-1]] as {!parse} reads that
+      text, for instance one value span answered by {!member_spans}.
+      Error offsets count from the start of [s]. *)
 end

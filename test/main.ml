@@ -32,4 +32,5 @@ let () =
       ("city scale", Test_city_scale.suite);
       ("forward fast", Test_forward_fast.suite);
       ("harness", Test_harness.suite);
+      ("store scan", Test_store_scan.suite);
     ]

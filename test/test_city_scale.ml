@@ -23,7 +23,7 @@ let kernel_rows rng topo ~range_m =
 
 let prop_spatial_neighbors =
   QCheck.Test.make ~name:"spatial pair kernels match the pair scan" ~count
-    QCheck.(pair small_nat (float_range 10.0 200.0))
+    QCheck.(pair (int_bound 9999) (float_range 10.0 200.0))
     (fun (seed, range_m) ->
       let rng = Amb_sim.Rng.create (7000 + seed) in
       let n = 1 + Amb_sim.Rng.int rng 120 in
@@ -39,7 +39,7 @@ let prop_spatial_neighbors =
 
 let prop_spatial_distances =
   QCheck.Test.make ~name:"spatial pair kernels report exact distances" ~count
-    QCheck.(pair small_nat (float_range 20.0 150.0))
+    QCheck.(pair (int_bound 9999) (float_range 20.0 150.0))
     (fun (seed, range_m) ->
       let rng = Amb_sim.Rng.create (8000 + seed) in
       let n = 2 + Amb_sim.Rng.int rng 80 in
@@ -69,7 +69,7 @@ let prop_spatial_distances =
    returned clock must be equal. *)
 let prop_rings_equal_closures =
   QCheck.Test.make ~name:"engine rings replay self-re-arming closures" ~count
-    QCheck.small_nat
+    (QCheck.int_bound 9999)
     (fun seed ->
       let rng = Amb_sim.Rng.create (9000 + seed) in
       let pick k = Amb_sim.Rng.int rng k in
@@ -368,7 +368,7 @@ let link_range link =
 
 let prop_sparse_routing_equiv =
   QCheck.Test.make ~name:"sparse routing cache matches the dense grid" ~count:40
-    QCheck.small_nat
+    (QCheck.int_bound 9999)
     (fun seed ->
       let rng = Amb_sim.Rng.create (5000 + seed) in
       let n = 1 + Amb_sim.Rng.int rng (if seed mod 8 = 7 then 1500 else 150) in
@@ -634,7 +634,7 @@ let prop_tx_tariff_slice_exact =
    in-range rows. *)
 let prop_route_tree_csr_equiv =
   QCheck.Test.make ~name:"CSR route tree matches dense rebuild and repair" ~count:40
-    QCheck.small_nat
+    (QCheck.int_bound 9999)
     (fun seed ->
       let rng = Amb_sim.Rng.create (6000 + seed) in
       let n = 10 + Amb_sim.Rng.int rng 60 in

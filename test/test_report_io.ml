@@ -393,7 +393,7 @@ let gen_escaped =
       [ map (String.make 1) json_char;
         oneofl
           [ "\\n"; "\\t"; "\\r"; "\\b"; "\\f"; "\\/"; "\\\""; "\\\\"; "\\u0041"; "\\u1_23";
-            "\\u_123"; "\\u00e9"; "\\u007F"; "\\u0080"; "\\uZZZZ"; "\\u12"; "\\u"; "\\x";
+            "\\u_123"; "\\u123"; "\\u00e9"; "\\u007F"; "\\u0080"; "\\uZZZZ"; "\\u12"; "\\u"; "\\x";
             "\\"; "plain text" ] ]
   in
   list_size (int_bound 6) piece >|= String.concat "" >>= fun body ->
@@ -421,6 +421,89 @@ let test_json_depth_bound () =
   Alcotest.(check string) "10^6 levels refused" "nesting deeper than 512 at offset 512"
     (refused 1_000_000)
 
+(* --- the validating scan against the reader ------------------------ *)
+
+(* [Json.member_spans] must accept what [Json.parse] accepts and raise
+   its error text otherwise, and each span must read back as the member
+   [Json.member] answers.  The text is also scanned inside padding, so
+   the scan reads only its own [lo..hi) bytes and still reports offsets
+   from [lo].  The keys asked for, all distinct, are the document's own
+   top-level keys plus two it may lack. *)
+let scan_agrees s =
+  let parsed = match Json.parse s with v -> Ok v | exception Json.Parse_error m -> Error m in
+  let keys =
+    match parsed with
+    | Ok (Json.Object kvs) ->
+      Array.of_list (List.sort_uniq compare ("missing" :: "seed" :: List.map fst kvs))
+    | _ -> [| "schema"; "a" |]
+  in
+  let padded = "[\"" ^ s ^ "\"]" in
+  let lo = 2 and hi = 2 + String.length s in
+  let scanned =
+    match Json.member_spans padded lo hi keys with
+    | spans -> Ok spans
+    | exception Json.Parse_error m -> Error m
+  in
+  match (parsed, scanned) with
+  | Error m, Error m' -> String.equal m m' || QCheck.Test.fail_reportf "%s <> %s" m m'
+  | Ok v, Ok spans ->
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun k key ->
+           let lo = spans.(2 * k) and hi = spans.((2 * k) + 1) in
+           match Json.member key v with
+           | None -> lo = -1 && hi = -1
+           | Some m -> lo >= 0 && same_json m (Json.parse_span padded lo hi))
+         keys)
+  | Ok _, Error m -> QCheck.Test.fail_reportf "only the scan fails: %s" m
+  | Error m, Ok _ -> QCheck.Test.fail_reportf "only the reader fails: %s" m
+
+let prop_scan_agrees ~name ~count gen =
+  QCheck.Test.make ~name:("JSON scan = reader: " ^ name) ~count
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    scan_agrees
+
+(* Objects whose keys repeat, carry escapes that decode to the same
+   bytes, or nest around the top level. *)
+let gen_keyed_object =
+  let open QCheck.Gen in
+  let key =
+    oneofl
+      [ "\"seed\""; "\"s\\u0065ed\""; "\"seed\\b\""; "\"se\\fed\""; "\"seeds\""; "\"see\"";
+        "\"\""; "\"schema\""; "\"sch\\u00e9ma\"" ]
+  in
+  let value = oneofl [ "1"; "-0"; "1e3"; "\"x\""; "[1,{\"seed\":2}]"; "{\"seed\":3}"; "null" ] in
+  list_size (int_range 1 6) (pair key value) >>= fun kvs ->
+  oneofl [ ""; " "; "\n\t" ] >|= fun sep ->
+  "{" ^ String.concat "," (List.map (fun (k, v) -> sep ^ k ^ sep ^ ":" ^ sep ^ v ^ sep) kvs) ^ "}"
+
+let test_scan_depth_bound () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  List.iter
+    (fun k ->
+      let s = "{\"a\":" ^ nest k ^ "}" in
+      Alcotest.(check bool) (Printf.sprintf "%d levels" (k + 1)) true (scan_agrees s))
+    [ Json.max_depth - 2; Json.max_depth - 1; Json.max_depth ];
+  Alcotest.(check bool) "512 bare levels" true (scan_agrees (nest Json.max_depth));
+  Alcotest.(check bool) "513 bare levels" true (scan_agrees (nest (Json.max_depth + 1)));
+  (* Objects count as levels too, alone and below arrays. *)
+  let objects k = String.concat "" (List.init k (fun _ -> "{\"a\":")) ^ "1" ^ String.make k '}' in
+  let object_below k = String.make k '[' ^ "{}" ^ String.make k ']' in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Printf.sprintf "%d object levels" k) true (scan_agrees (objects k));
+      Alcotest.(check bool)
+        (Printf.sprintf "object below %d arrays" (k - 1))
+        true
+        (scan_agrees (object_below (k - 1))))
+    [ Json.max_depth - 1; Json.max_depth; Json.max_depth + 1 ];
+  Alcotest.(check string) "10^5 levels refused with the reader's text"
+    "nesting deeper than 512 at offset 512"
+    (let s = String.make 100_000 '[' in
+     match Json.member_spans s 0 (String.length s) [||] with
+     | _ -> "accepted"
+     | exception Json.Parse_error m -> m)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_float_matches_printf;
@@ -444,4 +527,13 @@ let suite =
       (prop_readers_agree ~name:"number lexemes" ~count:10000 gen_lexeme);
     QCheck_alcotest.to_alcotest (prop_readers_agree ~name:"escapes" ~count:5000 gen_escaped);
     Alcotest.test_case "JSON nesting bound" `Quick test_json_depth_bound;
+    QCheck_alcotest.to_alcotest (prop_scan_agrees ~name:"printed values" ~count:3000 gen_printed);
+    QCheck_alcotest.to_alcotest
+      (prop_scan_agrees ~name:"mutated store rows" ~count:3000 gen_mutated_row);
+    QCheck_alcotest.to_alcotest (prop_scan_agrees ~name:"random bytes" ~count:5000 gen_random_bytes);
+    QCheck_alcotest.to_alcotest (prop_scan_agrees ~name:"number lexemes" ~count:10000 gen_lexeme);
+    QCheck_alcotest.to_alcotest (prop_scan_agrees ~name:"escapes" ~count:5000 gen_escaped);
+    QCheck_alcotest.to_alcotest
+      (prop_scan_agrees ~name:"repeated and escaped keys" ~count:3000 gen_keyed_object);
+    Alcotest.test_case "JSON scan nesting bound" `Quick test_scan_depth_bound;
   ]

@@ -319,7 +319,8 @@ let oracle_layout rng ~range_m kind =
    directions — what the tariff returns for a pair the link cannot
    close — and must stay out of every policy's tree. *)
 let prop_collection_tree_matches_graph =
-  QCheck.Test.make ~name:"collection tree equals the Graph pipeline" ~count:300 QCheck.small_nat
+  QCheck.Test.make ~name:"collection tree equals the Graph pipeline" ~count:300
+    (QCheck.int_bound 9999)
     (fun seed ->
       let rng = Amb_sim.Rng.create (7000 + seed) in
       let link =

@@ -224,7 +224,7 @@ let test_engine_drain_rings () = drain_check ~closures:false
    drawn number of fires. *)
 let prop_drain_equals_closures =
   QCheck.Test.make ~name:"fused drain equals self-re-arming closures" ~count:150
-    QCheck.small_nat (fun seed ->
+    (QCheck.int_bound 9999) (fun seed ->
       let rng = Rng.create (4100 + seed) in
       let pick k = Rng.int rng k in
       let choices = [| 1.0; 1.5; 2.0; 3.0; 4.5 |] in
