@@ -64,7 +64,9 @@ bench-quick: build
 # resident serve session over the same store must answer the equivalent
 # request with zero recomputation.  Then a hostile session: a line of
 # 10^5 nested brackets and a 300-byte name must each be answered with an
-# error, and the ping after them with ok.  Last, hostile stores: a
+# error, and the ping after them with ok.  Then two fault instants that
+# %g would print alike (0.5 and 0.50000001) must be two cells, each
+# run ("ran":1), not one answered from the other's row.  Last, hostile stores: a
 # second line of 10^5 brackets and a fractional seed must each refuse
 # the load (exit 1, the JSON reader's error text), and the smoke store
 # with a torn fragment appended must load, be cut back to its last
@@ -87,6 +89,12 @@ matrix-smoke: build
 	sed -n 1p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"status":"error"'
 	sed -n 2p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"status":"error"'
 	sed -n 3p /tmp/amblib-matrix-smoke-hostile.txt | grep -q '"op":"ping","status":"ok"'
+	printf '%s\n' \
+	  '{"op":"run","name":"keys","leaves":3,"relays":1,"hours":1,"fault":"crash:1@0.5","seeds":1}' \
+	  '{"op":"run","name":"keys","leaves":3,"relays":1,"hours":1,"fault":"crash:1@0.50000001","seeds":1}' \
+	  '{"op":"quit"}' \
+	  | dune exec bin/ambient.exe -- serve > /tmp/amblib-matrix-smoke-keys.txt
+	test "$$(grep -c '"ran":1,' /tmp/amblib-matrix-smoke-keys.txt)" -eq 2
 	{ head -n 1 /tmp/amblib-matrix-smoke.jsonl; head -c 100000 /dev/zero | tr '\0' '['; echo; } \
 	  > /tmp/amblib-matrix-smoke-deep.jsonl
 	dune exec bin/ambient.exe -- matrix --spec examples/matrix_smoke.spec \

@@ -106,50 +106,85 @@ let config_digest c = Digest.to_hex (Digest.string (canonical_config c))
 (* ------------------------------------------------------------------ *)
 (* Row emission — one-line amblib-matrix-row/1 JSON objects.           *)
 
+(* Each row is written into one buffer, [Printf]-free; the config digest
+   comes in from the caller, which computes it once per cell.  The
+   Printf-based emitters these replaced are the test oracle
+   (test/row_reference.ml). *)
+
 let json_string = Amb_report.Report_io.json_string
 
 let json_float = Amb_report.Report_io.json_float
 
-let cell_json c =
-  Printf.sprintf
-    "{\"name\":%s,\"leaves\":%d,\"relays\":%d,\"tags\":%d,\"hours\":%s,\"policy\":%s,\
-     \"link\":%s,\"diurnal\":%s,\"budget_j\":%s,\"faults\":%s}"
-    (json_string c.name) c.leaves c.relays c.tags (json_float c.hours)
-    (json_string (Routing.policy_name c.policy))
-    (json_string (Scenario_spec.link_str c.link))
-    (json_string c.diurnal) (json_float c.budget_j) (json_string c.plan)
+let schema_json = json_string Result_store.row_schema
 
-let row_prefix c =
-  Printf.sprintf "{\"schema\":%s,\"config\":%s,\"seed\":%d,\"cell\":%s"
-    (json_string Result_store.row_schema)
-    (json_string (config_digest c))
-    c.seed (cell_json c)
+let add_str b s = Buffer.add_string b (json_string s)
+let add_num b v = Buffer.add_string b (json_float v)
+let add_int b n = Buffer.add_string b (string_of_int n)
+
+(* [,"key":value] *)
+let field b key =
+  Buffer.add_string b ",\"";
+  Buffer.add_string b key;
+  Buffer.add_string b "\":"
+
+let str_field b key s = field b key; add_str b s
+let int_field b key n = field b key; add_int b n
+let num_field b key v = field b key; add_num b v
+
+let add_row_prefix b ~config c =
+  Buffer.add_string b "{\"schema\":";
+  Buffer.add_string b schema_json;
+  str_field b "config" config;
+  int_field b "seed" c.seed;
+  Buffer.add_string b ",\"cell\":{\"name\":";
+  add_str b c.name;
+  int_field b "leaves" c.leaves;
+  int_field b "relays" c.relays;
+  int_field b "tags" c.tags;
+  num_field b "hours" c.hours;
+  str_field b "policy" (Routing.policy_name c.policy);
+  str_field b "link" (Scenario_spec.link_str c.link);
+  str_field b "diurnal" c.diurnal;
+  num_field b "budget_j" c.budget_j;
+  str_field b "faults" c.plan;
+  Buffer.add_char b '}'
+
+let error_row ~config c msg =
+  let b = Buffer.create 512 in
+  add_row_prefix b ~config c;
+  Buffer.add_string b ",\"status\":\"error\"";
+  str_field b "error" msg;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let outcome_row ~config c (o : Cosim.outcome) ~report_digest =
+  let b = Buffer.create 640 in
+  add_row_prefix b ~config c;
+  Buffer.add_string b ",\"status\":\"ok\",\"metrics\":{\"generated\":";
+  add_int b o.Cosim.generated;
+  int_field b "delivered" o.Cosim.delivered;
+  int_field b "dropped" o.Cosim.dropped;
+  num_field b "delivery_ratio" o.Cosim.delivery_ratio;
+  (match o.Cosim.first_death with
+  | Some t -> num_field b "first_death_h" (Time_span.to_seconds t /. 3600.0)
+  | None -> Buffer.add_string b ",\"first_death_h\":null");
+  int_field b "dead_at_end" o.Cosim.dead_at_end;
+  num_field b "energy_spent_j" (Energy.to_joules o.Cosim.energy_spent);
+  num_field b "energy_harvested_j" (Energy.to_joules o.Cosim.energy_harvested);
+  num_field b "availability" o.Cosim.availability;
+  num_field b "mean_coverage" o.Cosim.mean_coverage;
+  int_field b "rebuilds" o.Cosim.rebuilds;
+  int_field b "events" o.Cosim.events;
+  Buffer.add_char b '}';
+  str_field b "report_digest" report_digest;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (** [row_of_error cell msg] — the structured error row a raising cell
     contributes instead of aborting the batch. *)
-let row_of_error c msg =
-  Printf.sprintf "%s,\"status\":\"error\",\"error\":%s}" (row_prefix c) (json_string msg)
+let row_of_error c msg = error_row ~config:(config_digest c) c msg
 
-let row_of_outcome c (o : Cosim.outcome) ~report_digest =
-  let first_death_h =
-    match o.Cosim.first_death with
-    | Some t -> json_float (Time_span.to_seconds t /. 3600.0)
-    | None -> "null"
-  in
-  Printf.sprintf
-    "%s,\"status\":\"ok\",\"metrics\":{\"generated\":%d,\"delivered\":%d,\"dropped\":%d,\
-     \"delivery_ratio\":%s,\"first_death_h\":%s,\"dead_at_end\":%d,\"energy_spent_j\":%s,\
-     \"energy_harvested_j\":%s,\"availability\":%s,\"mean_coverage\":%s,\"rebuilds\":%d,\
-     \"events\":%d},\"report_digest\":%s}"
-    (row_prefix c) o.Cosim.generated o.Cosim.delivered o.Cosim.dropped
-    (json_float o.Cosim.delivery_ratio)
-    first_death_h o.Cosim.dead_at_end
-    (json_float (Energy.to_joules o.Cosim.energy_spent))
-    (json_float (Energy.to_joules o.Cosim.energy_harvested))
-    (json_float o.Cosim.availability)
-    (json_float o.Cosim.mean_coverage)
-    o.Cosim.rebuilds o.Cosim.events
-    (json_string report_digest)
+let row_of_outcome c o ~report_digest = outcome_row ~config:(config_digest c) c o ~report_digest
 
 (* ------------------------------------------------------------------ *)
 (* One cell -> one co-simulation                                       *)
@@ -205,10 +240,11 @@ let link_mode_of (fleet : Fleet.t) = function
          ~radio:router.Routing.link.Amb_radio.Link_budget.radio
          ~t_wakeup:(Time_span.seconds wakeup_s) ~packet:router.Routing.packet ())
 
-(** [report_title cell] — deterministic per-cell title, so the amblib
-    report digest each row carries is a pure function of the cell. *)
-let report_title c =
-  Printf.sprintf "%s %s seed %d" c.name (String.sub (config_digest c) 0 8) c.seed
+(** [report_title ~config cell] — deterministic per-cell title, so the
+    amblib report digest each row carries is a pure function of the
+    cell. *)
+let report_title ~config c =
+  String.concat " " [ c.name; String.sub config 0 8; "seed"; string_of_int c.seed ]
 
 (* Expected cost: node count x horizon tracks the event count (reports
    are per-node-per-period, accounting per node).  It orders the pool's
@@ -271,12 +307,14 @@ let outcome c =
     shape, out-of-range fault, model invariant) becomes a structured
     error row, so a poisoned cell can never abort the batch or kill
     `ambient serve`. *)
-let run_cell c =
+let run_cell_as ~config c =
   match outcome c with
   | fleet, o ->
-    let report = System_metrics.report ~title:(report_title c) fleet o in
-    row_of_outcome c o ~report_digest:(Amb_report.Report_io.digest report)
-  | exception e -> row_of_error c (Printexc.to_string e)
+    let report = System_metrics.report ~title:(report_title ~config c) fleet o in
+    outcome_row ~config c o ~report_digest:(Amb_report.Report_io.digest report)
+  | exception e -> error_row ~config c (Printexc.to_string e)
+
+let run_cell c = run_cell_as ~config:(config_digest c) c
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution on the domain pool                                  *)
@@ -286,27 +324,30 @@ let run_cell c =
    chunk's rows append to the store in grid order before the next chunk
    starts — so an interrupt loses at most one chunk and never tears the
    row order. *)
-let run_chunk ~pool cells =
-  let n = Array.length cells in
-  let order = Array.init n (fun i -> i) in
+let run_chunk ~pool cells configs idx =
+  let n = Array.length idx in
+  let cost k = expected_cost cells.(idx.(k)) in
+  let order = Array.init n (fun k -> k) in
   Array.sort
     (fun a b ->
-      match Float.compare (expected_cost cells.(b)) (expected_cost cells.(a)) with
+      match Float.compare (cost b) (cost a) with
       | 0 -> Int.compare a b
       | c -> c)
     order;
-  let rows = Array.make n "" in
-  (match pool with
-  | None -> Array.iteri (fun i c -> rows.(i) <- run_cell c) cells
+  let run k = run_cell_as ~config:configs.(idx.(k)) cells.(idx.(k)) in
+  match pool with
+  | None -> Array.init n run
   | Some pool ->
-    let results =
-      Amb_sim.Domain_pool.run pool (Array.map (fun i () -> run_cell cells.(i)) order)
-    in
-    Array.iteri (fun k i -> rows.(i) <- results.(k)) order);
-  rows
+    let results = Amb_sim.Domain_pool.run pool (Array.map (fun k () -> run k) order) in
+    let rows = Array.make n "" in
+    Array.iteri (fun j k -> rows.(k) <- results.(j)) order;
+    rows
 
+(* A cell's config digest is computed once, here: the store lookup, the
+   row and the report title all take it. *)
 let execute ?(jobs = 1) ?pool ~(store : Result_store.t) (spec : Scenario_spec.t) =
   let cells = expand spec in
+  let configs = Array.map config_digest cells in
   let n = Array.length cells in
   let results = Array.make n None in
   let ran = ref 0 and cached = ref 0 and errors = ref 0 in
@@ -314,7 +355,7 @@ let execute ?(jobs = 1) ?pool ~(store : Result_store.t) (spec : Scenario_spec.t)
   let pending = ref [] in
   Array.iteri
     (fun i c ->
-      match Result_store.find_entry store ~config:(config_digest c) ~seed:c.seed with
+      match Result_store.find_entry store ~config:configs.(i) ~seed:c.seed with
       | Some entry ->
         incr cached;
         if entry.Result_store.status = "error" then incr errors;
@@ -329,7 +370,7 @@ let execute ?(jobs = 1) ?pool ~(store : Result_store.t) (spec : Scenario_spec.t)
     while !start < total do
       let stop = Stdlib.min total (!start + chunk) in
       let idx = Array.sub pending !start (stop - !start) in
-      let rows = run_chunk ~pool (Array.map (fun i -> cells.(i)) idx) in
+      let rows = run_chunk ~pool cells configs idx in
       Array.iteri
         (fun k i ->
           let line = rows.(k) in

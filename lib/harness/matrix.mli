@@ -72,6 +72,11 @@ val check_request : Scenario_spec.t -> (unit, string) result
     grid over {!max_request_node_hours}: [ambient matrix] exits 2 with
     it and [ambient serve] answers it, before any cell runs. *)
 
+val outcome : cell -> Amb_system.Fleet.t * Amb_system.Cosim.outcome
+(** The cell's fleet and its co-simulation.  Raises on an over-bound
+    cost, a bad fleet shape, an out-of-range fault or a model
+    invariant. *)
+
 val run_cell : cell -> string
 (** One co-simulation to one row line.  Any exception becomes a
     [status = "error"] row with the exception text — error isolation for
@@ -80,6 +85,11 @@ val run_cell : cell -> string
     anything is built. *)
 
 val row_of_error : cell -> string -> string
+(** The structured [status = "error"] row of a cell that raised [msg]. *)
+
+val row_of_outcome : cell -> Amb_system.Cosim.outcome -> report_digest:string -> string
+(** The [status = "ok"] row of a cell's outcome, carrying the digest of
+    its system report. *)
 
 val execute :
   ?jobs:int ->

@@ -52,10 +52,23 @@ let default =
    by the config digest so a cell's identity is its re-parseable
    description. *)
 
-(* %g prints integral floats without a trailing dot and round-trips
-   every value the spec language can express (the parser re-reads the
-   rendered form, not the binary). *)
-let float_str v = Printf.sprintf "%g" v
+(* The C formatter behind [Printf]'s float conversions, without the
+   format parsing. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The shortest of %g, %.15g, %.16g and %.17g that reads back to [v]:
+   %g alone keeps six significant digits, so 1.0000001 and 1 would
+   share a rendering and with it a config digest.  A value %g
+   round-trips keeps its %g bytes, so no existing key moves. *)
+let float_str v =
+  let g = format_float "%g" v in
+  if float_of_string g = v then g
+  else
+    let g15 = format_float "%.15g" v in
+    if float_of_string g15 = v then g15
+    else
+      let g16 = format_float "%.16g" v in
+      if float_of_string g16 = v then g16 else format_float "%.17g" v
 
 let fault_str = function
   | Crash { node; at_h } -> Printf.sprintf "crash:%d@%s" node (float_str at_h)
@@ -135,13 +148,16 @@ let fault_of ~key s =
   let try_scan fmt f = try Some (Scanf.sscanf s fmt f) with
     | Scanf.Scan_failure _ | Failure _ | End_of_file -> None
   in
+  (* The formats' literal prefixes are disjoint, so the one format an
+     item can match is the one whose prefix it starts with. *)
+  let starts prefix = String.starts_with ~prefix s in
   let parsed =
-    match try_scan "crash:%d@%f%!" (fun node at_h -> Crash { node; at_h }) with
-    | Some f -> Some f
-    | None -> (
-      match try_scan "fade:%d-%d:%f@%f%!" (fun a b db at_h -> Fade { a; b; db; at_h }) with
-      | Some f -> Some f
-      | None -> try_scan "bscale:%d:%f%!" (fun node scale -> Bscale { node; scale }))
+    if starts "crash:" then try_scan "crash:%d@%f%!" (fun node at_h -> Crash { node; at_h })
+    else if starts "fade:" then
+      try_scan "fade:%d-%d:%f@%f%!" (fun a b db at_h -> Fade { a; b; db; at_h })
+    else if starts "bscale:" then
+      try_scan "bscale:%d:%f%!" (fun node scale -> Bscale { node; scale })
+    else None
   in
   match parsed with
   | None ->

@@ -87,6 +87,8 @@ val link_str : link_mode -> string
 
 val float_str : float -> string
 (** The canonical number rendering used by {!to_lines} and the config
-    digests ([%g]). *)
+    digests: the shortest of [%g], [%.15g], [%.16g] and [%.17g] that
+    [float_of_string] reads back to the same float, so distinct values
+    never share a rendering. *)
 
 val diurnal_names : string list

@@ -69,6 +69,8 @@ let spec_of_members members =
   in
   Result.bind (pairs [] members) Scenario_spec.parse_kv
 
+let run_head = "{\"schema\":" ^ json_string schema ^ ",\"op\":\"run\",\"status\":\"ok\""
+
 let run_response t spec =
   let rows, stats =
     Matrix.execute ?pool:t.pool ~jobs:t.jobs ~store:t.store spec
@@ -77,13 +79,18 @@ let run_response t spec =
   t.ran <- t.ran + stats.Matrix.ran;
   t.cached <- t.cached + stats.Matrix.cached;
   t.errors <- t.errors + stats.Matrix.errors;
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":%s,\"op\":\"run\",\"status\":\"ok\",\"cells\":%d,\"ran\":%d,\
-        \"cached\":%d,\"errors\":%d,\"rows\":["
-       (json_string schema) stats.Matrix.cells stats.Matrix.ran stats.Matrix.cached
-       stats.Matrix.errors);
+  let size = Array.fold_left (fun n (_, line, _) -> n + String.length line + 1) 128 rows in
+  let b = Buffer.create size in
+  let count key n =
+    Buffer.add_string b key;
+    Buffer.add_string b (string_of_int n)
+  in
+  Buffer.add_string b run_head;
+  count ",\"cells\":" stats.Matrix.cells;
+  count ",\"ran\":" stats.Matrix.ran;
+  count ",\"cached\":" stats.Matrix.cached;
+  count ",\"errors\":" stats.Matrix.errors;
+  Buffer.add_string b ",\"rows\":[";
   Array.iteri
     (fun i (_, line, _) ->
       if i > 0 then Buffer.add_char b ',';

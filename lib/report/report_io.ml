@@ -10,8 +10,15 @@ open Amb_units
 (* ------------------------------------------------------------------ *)
 (* JSON scalars                                                        *)
 
-(** [json_string s] — [s] as a quoted, escaped JSON string literal. *)
-let json_string s =
+(* True when no byte of [s] from [i] on needs an escape. *)
+let rec plain s i =
+  i = String.length s
+  ||
+  match String.unsafe_get s i with
+  | '"' | '\\' -> false
+  | c -> Char.code c >= 0x20 && plain s (i + 1)
+
+let escaped s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';
   String.iter
@@ -28,10 +35,137 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(** [json_string s] — [s] as a quoted, escaped JSON string literal. *)
+let json_string s = if plain s 0 then "\"" ^ s ^ "\"" else escaped s
+
 (* The C formatter behind [Printf]'s float conversions: for "%.17g" on a
    finite value [Printf.sprintf] returns exactly its string, without
    parsing the format at every call. *)
 external format_float : string -> float -> string = "caml_format_float"
+
+(* An exact "%.17g" in OCaml for integers below 10^17 and for normal
+   doubles from about 2e-6 to 2^52; everything else goes to
+   [format_float].
+
+   A normal double is [m * 2^-s] with [2^52 <= m < 2^53].  With [x] the
+   decimal exponent of its leading digit, its 17 significant digits are
+   [v * 10^p] rounded, [p = 16 - x].  For [p <= 22], [5^p < 2^52], so
+   [v * 10^p = m * 5^p / 2^(s-p)] is an exact product of at most 105
+   bits (taken on 26-bit limbs) shifted right, its remainder rounded
+   half to even as C's printf rounds an exact tie.  [x] is first
+   estimated from the binary exponent, which is exact or one low. *)
+
+let pow5 =
+  let rec pow k = if k = 0 then 1 else 5 * pow (k - 1) in
+  Array.init 23 pow
+let limb = (1 lsl 26) - 1
+let mantissa_bits = (1 lsl 52) - 1
+let e17 = 100_000_000_000_000_000
+
+(* [m * 5^p / 2^k] rounded half to even, for [0 <= k <= 52] and a
+   quotient below 2^62. *)
+let scaled m p k =
+  let f = pow5.(p) in
+  let m0 = m land limb and m1 = m lsr 26 in
+  let f0 = f land limb and f1 = f lsr 26 in
+  let c0 = m0 * f0 in
+  let c1 = (m0 * f1) + (m1 * f0) + (c0 lsr 26) in
+  (* the product is [hi * 2^52 + lo] with [lo < 2^52] *)
+  let hi = (m1 * f1) + (c1 lsr 26) in
+  let lo = ((c1 land limb) lsl 26) lor (c0 land limb) in
+  if k = 0 then (hi lsl 52) lor lo
+  else
+    let q = (hi lsl (52 - k)) lor (lo lsr k) in
+    let r = lo land ((1 lsl k) - 1) and half = 1 lsl (k - 1) in
+    if r > half || (r = half && q land 1 = 1) then q + 1 else q
+
+let rec decimal_length n = if n < 10 then 1 else 1 + decimal_length (n / 10)
+
+(* Writes the [len] low decimal digits of [n] into [b], ending before
+   [stop]; answers the digits above them. *)
+let rec put_digits b stop n len =
+  if len = 0 then n
+  else begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    put_digits b (stop - 1) (n / 10) (len - 1)
+  end
+
+(* The "%.17g" text of [d * 10^(x - nd + 1)], where [d] has [nd] digits
+   and no trailing zero: plain notation when [-4 <= x < 17], else
+   [D.DDDe±XX] with at least two exponent digits; no trailing zero and
+   no bare point either way. *)
+let layout ~neg d nd x =
+  let sign = if neg then 1 else 0 in
+  let b =
+    if x < -4 || x >= 17 then begin
+      let xd = Int.max 2 (decimal_length (abs x)) in
+      let mant = if nd > 1 then nd + 1 else 1 in
+      let b = Bytes.create (sign + mant + 2 + xd) in
+      ignore (put_digits b (Bytes.length b) (abs x) xd);
+      Bytes.unsafe_set b (sign + mant + 1) (if x < 0 then '-' else '+');
+      Bytes.unsafe_set b (sign + mant) 'e';
+      let lead = put_digits b (sign + mant) d (nd - 1) in
+      if nd > 1 then Bytes.unsafe_set b (sign + 1) '.';
+      Bytes.unsafe_set b sign (Char.unsafe_chr (48 + lead));
+      b
+    end
+    else if x < 0 then begin
+      (* 0.000DDD *)
+      let b = Bytes.create (sign + 1 - x + nd) in
+      ignore (put_digits b (Bytes.length b) d nd);
+      Bytes.unsafe_fill b sign (1 - x) '0';
+      Bytes.unsafe_set b (sign + 1) '.';
+      b
+    end
+    else if nd <= x + 1 then begin
+      (* DDD000 *)
+      let b = Bytes.create (sign + x + 1) in
+      ignore (put_digits b (sign + nd) d nd);
+      Bytes.unsafe_fill b (sign + nd) (x + 1 - nd) '0';
+      b
+    end
+    else begin
+      (* DDD.DDD *)
+      let b = Bytes.create (sign + nd + 1) in
+      let int_part = put_digits b (Bytes.length b) d (nd - x - 1) in
+      Bytes.unsafe_set b (sign + x + 1) '.';
+      ignore (put_digits b (sign + x + 1) int_part (x + 1));
+      b
+    end
+  in
+  if neg then Bytes.unsafe_set b 0 '-';
+  Bytes.unsafe_to_string b
+
+let rec strip_zeros ~neg d nd x =
+  if d mod 10 = 0 then strip_zeros ~neg (d / 10) (nd - 1) x else layout ~neg d nd x
+
+(* A positive integer below 10^17: all its digits, in plain notation. *)
+let integer ~neg n =
+  let len = decimal_length n in
+  strip_zeros ~neg n len (len - 1)
+
+let format_17g v =
+  let bits = Int64.bits_of_float v in
+  let neg = Int64.compare bits 0L < 0 in
+  let i = Int64.to_int bits in
+  let be = (i lsr 52) land 0x7ff and frac = i land mantissa_bits in
+  let m = frac lor (1 lsl 52) in
+  (* [|v| = m * 2^-s] for a normal [v] *)
+  let s = 1075 - be in
+  if be = 0 then if frac = 0 then if neg then "-0" else "0" else format_float "%.17g" v
+  else if s <= 0 then
+    if s >= -4 && m lsl (-s) < e17 then integer ~neg (m lsl (-s)) else format_float "%.17g" v
+  else if s <= 52 && m land ((1 lsl s) - 1) = 0 then integer ~neg (m lsr s)
+  else
+    let x = ((52 - s) * 78913) asr 18 in
+    let p = 16 - x in
+    if p < 1 || p > 22 || s - p < 0 || s - p > 51 then format_float "%.17g" v
+    else
+      let q = scaled m p (s - p) in
+      (* 18 digits: the estimate of [x] was one low, or the rounding
+         carried into 10^17, which at [x + 1] rounds to 10^16 *)
+      if q >= e17 then strip_zeros ~neg (scaled m (p - 1) (s - p + 1)) 17 (x + 1)
+      else strip_zeros ~neg q 17 x
 
 (* Non-finite floats have no JSON number form; encode them as tagged
    strings so [of_json] can restore them exactly.  Finite values use %.17g,
@@ -40,7 +174,7 @@ let json_float v =
   if Float.is_nan v then "\"nan\""
   else if v = Float.infinity then "\"inf\""
   else if v = Float.neg_infinity then "\"-inf\""
-  else format_float "%.17g" v
+  else format_17g v
 
 (* ------------------------------------------------------------------ *)
 (* Envelope emission                                                   *)
@@ -663,21 +797,26 @@ let to_csv (report : Report.t) =
     changes its digest. *)
 let digest (report : Report.t) =
   let b = Buffer.create 4096 in
+  let tagged tag s =
+    Buffer.add_char b tag;
+    Buffer.add_string b s
+  in
   Buffer.add_string b report.Report.title;
-  List.iter (fun h -> Buffer.add_string b ("\x00" ^ h)) report.Report.header;
+  List.iter (tagged '\x00') report.Report.header;
   List.iter
     (fun row ->
-      Buffer.add_string b "\x01";
+      Buffer.add_char b '\x01';
       List.iter
         (fun cell ->
-          Buffer.add_string b ("\x02" ^ Cell.kind_name cell ^ ":");
+          tagged '\x02' (Cell.kind_name cell);
+          Buffer.add_char b ':';
           match cell with
           | Cell.Text s -> Buffer.add_string b s
-          | _ ->
-            (match Cell.si_value cell with
+          | _ -> (
+            match Cell.si_value cell with
             | Some v -> Buffer.add_string b (json_float v)
             | None -> ()))
         row)
     report.Report.rows;
-  List.iter (fun n -> Buffer.add_string b ("\x03" ^ n)) report.Report.notes;
+  List.iter (tagged '\x03') report.Report.notes;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -7,13 +7,23 @@ val schema_tag : string
 
 val json_string : string -> string
 (** A quoted, escaped JSON string literal — for frontends composing
-    larger envelopes around {!to_json} documents. *)
+    larger envelopes around {!to_json} documents.  ["\""], ["\\"] and
+    bytes below 0x20 are escaped; other bytes pass through. *)
 
 val json_float : float -> string
 (** A float as JSON: finite values as ["%.17g"] (byte for byte
     [Printf.sprintf "%.17g"], which round-trips binary64), NaN and the
     infinities as the tagged strings ["\"nan\""], ["\"inf\""] and
-    ["\"-inf\""] that {!of_json} restores. *)
+    ["\"-inf\""] that {!of_json} restores.
+
+    Most finite values are written in OCaml, exactly: integers of
+    magnitude below 10{^17} (and both zeros) as their decimal digits,
+    and normal doubles whose leading decimal digit sits between about
+    10{^-6} and 10{^15} (all non-integers from about 2e-6 to 2{^52}) by
+    an exact integer product rounded half to even, as printf rounds.
+    Subnormals, values below that range, and integers from 10{^17} up
+    go to the C formatter [Printf] uses.  Nothing is shared between
+    calls, so domains may call it concurrently. *)
 
 val to_json : ?id:string -> Report.t -> string
 (** The [amblib-report/1] document: experiment id (when known), title,

@@ -461,6 +461,172 @@ let test_serve_refuses_costly_grid () =
   let pong, _ = Serve.handle_line t "{\"op\":\"ping\"}" in
   Alcotest.(check string) "ping ok" "ok" (string_member "status" pong)
 
+(* --- Row emission against the Printf oracle --- *)
+
+(* [Row_reference] holds the Printf-based emitters [Matrix] replaced.
+   Random cells and outcomes cover every field: names and messages with
+   quotes, backslashes and control bytes, negative and extreme ints,
+   and floats of any bit pattern (non-finite ones included). *)
+let base_outcome =
+  lazy
+    (let open Amb_system in
+     let fleet = Fleet.make ~leaves:3 ~relays:1 ~seed:1 () in
+     Cosim.run (Cosim.config ~fleet ~horizon:(Amb_units.Time_span.hours 1.0) ()) ~seed:1)
+
+let gen_row_case =
+  let open QCheck.Gen in
+  let text =
+    oneof
+      [ string_size ~gen:printable (int_bound 12);
+        string_size ~gen:char (int_bound 8);
+        oneofl [ ""; "say \"hi\""; "back\\slash"; "tab\tnew\nline"; "\x01\x1f\x7f" ] ]
+  in
+  let any_int =
+    oneof [ int; int_range (-10) 100_000; oneofl [ min_int; max_int; 0; -1 ] ]
+  in
+  let any_float =
+    oneof
+      [ map Int64.float_of_bits ui64;
+        float_range (-1e6) 1e6;
+        oneofl [ 0.0; -0.0; 0.5; 1e-7; 1e17; Float.nan; Float.infinity; Float.neg_infinity ] ]
+  in
+  let link =
+    oneof
+      [ return Scenario_spec.Off; return Scenario_spec.Cached;
+        map (fun w -> Scenario_spec.Mac w) any_float ]
+  in
+  let policy = oneofl Amb_net.Routing.[ Min_hop; Min_energy; Max_lifetime ] in
+  let cell =
+    text >>= fun name ->
+    any_int >>= fun leaves ->
+    any_int >>= fun relays ->
+    any_int >>= fun tags ->
+    any_float >>= fun hours ->
+    policy >>= fun policy ->
+    link >>= fun link ->
+    text >>= fun diurnal ->
+    any_float >>= fun budget_j ->
+    text >>= fun plan ->
+    any_int >>= fun seed ->
+    return
+      { Matrix.name; leaves; relays; tags; hours; policy; link; diurnal; budget_j; plan;
+        faults = []; seed }
+  in
+  let outcome =
+    any_int >>= fun generated ->
+    any_int >>= fun delivered ->
+    any_int >>= fun dropped ->
+    any_float >>= fun delivery_ratio ->
+    opt any_float >>= fun death_h ->
+    any_int >>= fun dead_at_end ->
+    any_float >>= fun spent ->
+    any_float >>= fun harvested ->
+    any_float >>= fun availability ->
+    any_float >>= fun mean_coverage ->
+    any_int >>= fun rebuilds ->
+    any_int >>= fun events ->
+    return (fun (o : Amb_system.Cosim.outcome) ->
+        { o with
+          generated; delivered; dropped; delivery_ratio;
+          first_death = Option.map Amb_units.Time_span.hours death_h;
+          dead_at_end;
+          energy_spent = Amb_units.Energy.joules spent;
+          energy_harvested = Amb_units.Energy.joules harvested;
+          availability; mean_coverage; rebuilds; events })
+  in
+  quad cell outcome text text
+
+let prop_rows_match_printf =
+  QCheck.Test.make ~name:"rows equal the Printf emitters" ~count:3000
+    (QCheck.make
+       ~print:(fun (c, _, msg, digest) ->
+         Row_reference.row_of_error c msg ^ " / " ^ digest)
+       gen_row_case)
+    (fun (c, outcome_of, msg, report_digest) ->
+      let o = outcome_of (Lazy.force base_outcome) in
+      Matrix.row_of_error c msg = Row_reference.row_of_error c msg
+      && Matrix.row_of_outcome c o ~report_digest
+         = Row_reference.row_of_outcome c o ~report_digest)
+
+(* Real cells, run whole, error cells included: [Matrix.run_cell]
+   writes the row the oracle writes from the same outcome and a report
+   titled by the oracle's [report_title]. *)
+let test_run_cell_matches_printf () =
+  let spec =
+    Result.get_ok
+      (Scenario_spec.parse
+         "name = rows\nleaves = 3\nrelays = 1\nhours = 1.5\nlink = cached, mac:0.25\n\
+          fault = none, crash:1@0.5, crash:9@1\nseeds = 1..2\n")
+  in
+  Array.iter
+    (fun c -> Alcotest.(check string) "row" (Row_reference.run_cell c) (Matrix.run_cell c))
+    (Matrix.expand spec)
+
+(* --- Keys of values %g cannot tell apart --- *)
+
+(* Each axis value [v] and [v] moved in its 7th significant digit are
+   distinct cells: two config digests, and a serve session runs both. *)
+let test_close_values_are_distinct_cells () =
+  let request m = "{\"op\":\"run\",\"name\":\"keys\",\"leaves\":3,\"relays\":1," ^ m ^ "}" in
+  let at_1h m = "\"hours\":1," ^ m in
+  let pairs =
+    [ ("hours", "\"hours\":1", "\"hours\":1.0000001");
+      ("hours", "\"hours\":1.5", "\"hours\":1.500001");
+      ("leaf-budget-j", at_1h "\"leaf-budget-j\":0.5", at_1h "\"leaf-budget-j\":0.50000001");
+      ("crash instant", at_1h "\"fault\":\"crash:1@0.5\"", at_1h "\"fault\":\"crash:1@0.50000001\"");
+      ("fade dB", at_1h "\"fault\":\"fade:2-1:20@0.5\"", at_1h "\"fault\":\"fade:2-1:20.000001@0.5\"");
+      ("bscale scale", at_1h "\"fault\":\"bscale:2:0.5\"", at_1h "\"fault\":\"bscale:2:0.50000001\"");
+      ("mac wake-up", at_1h "\"link\":\"mac:0.25\"", at_1h "\"link\":\"mac:0.25000001\"") ]
+  in
+  List.iter
+    (fun (what, a, b) ->
+      let t = serve_session () in
+      let ra = fst (Serve.handle_line t (request a)) and rb = fst (Serve.handle_line t (request b)) in
+      Alcotest.(check int) (what ^ ": first runs") 1 (int_member "ran" ra);
+      Alcotest.(check int) (what ^ ": second runs") 1 (int_member "ran" rb);
+      let config r =
+        match member "rows" (Amb_report.Report_io.Json.parse r) with
+        | Some (Amb_report.Report_io.Json.List [ row ]) -> (
+          match member "config" row with
+          | Some (Amb_report.Report_io.Json.String c) -> c
+          | _ -> Alcotest.fail "row without config")
+        | _ -> Alcotest.fail ("expected one row: " ^ r)
+      in
+      if config ra = config rb then Alcotest.failf "%s: one config digest for both" what)
+    pairs;
+  (* The spec-file path: a store holding only the hours = 1 row does not
+     answer hours = 1.0000001. *)
+  let store = Result_store.in_memory () in
+  let parse text = Result.get_ok (Scenario_spec.parse text) in
+  let _ = Matrix.execute ~store (parse "leaves = 3\nrelays = 1\nhours = 1\n") in
+  let _, stats = Matrix.execute ~store (parse "leaves = 3\nrelays = 1\nhours = 1.0000001\n") in
+  Alcotest.(check int) "hours = 1.0000001 is not cached" 1 stats.Matrix.ran
+
+(* Values %g reads back keep their %g bytes, so existing keys and rows
+   stay put: the grid of examples/matrix_smoke.spec, its first cell's
+   row and the crash plan's key pinned. *)
+let test_smoke_cell_pinned () =
+  let spec =
+    Result.get_ok
+      (Scenario_spec.parse
+         "name = smoke\nleaves = 4\nrelays = 1\nhours = 2\nfault = none, crash:1@1\nseeds = 1..2\n")
+  in
+  let cells = Matrix.expand spec in
+  Alcotest.(check string) "config digest" "a4bdf0d98a721cabc4e8dce066146a51"
+    (Matrix.config_digest cells.(0));
+  Alcotest.(check string) "crash plan's config digest" "000ea2e57cb7d5594143d0a190a2ee5b"
+    (Matrix.config_digest cells.(2));
+  Alcotest.(check string) "row"
+    "{\"schema\":\"amblib-matrix-row/1\",\"config\":\"a4bdf0d98a721cabc4e8dce066146a51\",\
+     \"seed\":1,\"cell\":{\"name\":\"smoke\",\"leaves\":4,\"relays\":1,\"tags\":0,\"hours\":2,\
+     \"policy\":\"min-energy\",\"link\":\"cached\",\"diurnal\":\"office\",\"budget_j\":0.5,\
+     \"faults\":\"none\"},\"status\":\"ok\",\"metrics\":{\"generated\":960,\"delivered\":960,\
+     \"dropped\":0,\"delivery_ratio\":1,\"first_death_h\":null,\"dead_at_end\":0,\
+     \"energy_spent_j\":3614.6461072687166,\"energy_harvested_j\":3.0600000000000072,\
+     \"availability\":1,\"mean_coverage\":1,\"rebuilds\":1,\"events\":972},\
+     \"report_digest\":\"2c8ffac9a4f6b1e36cec3cf9692e413d\"}"
+    (Matrix.run_cell cells.(0))
+
 let suite =
   [ ("empty spec is the default grid", `Quick, test_empty_spec_is_default);
     ("worked example parses and roundtrips", `Quick, test_parse_worked_example);
@@ -483,4 +649,8 @@ let suite =
     ("serve reads bounded lines", `Quick, test_serve_reads_bounded_lines);
     ("serve refuses a costly grid", `Quick, test_serve_refuses_costly_grid);
     ("serve isolates error cells", `Quick, test_serve_isolates_error_cells);
+    QCheck_alcotest.to_alcotest prop_rows_match_printf;
+    ("run_cell rows equal the Printf emitters", `Quick, test_run_cell_matches_printf);
+    ("close values are distinct cells", `Quick, test_close_values_are_distinct_cells);
+    ("smoke cell keys are pinned", `Quick, test_smoke_cell_pinned);
   ]

@@ -204,19 +204,58 @@ let test_digest_sensitivity () =
 
 (* --- float rendering ----------------------------------------------------- *)
 
-(* [json_float] skips [Printf]'s format parsing; every bit pattern —
-   subnormals, both zeros, the largest finite values, NaNs and the
-   infinities among them — must render byte for byte as before. *)
+(* Values aimed at [json_float]'s exact path (integers below 10^17 and
+   leading digits at 10^-7 .. 10^17) and at its edges: where the decimal
+   exponent estimate is one low, where 17 digits end in an exact tie
+   ([t * 2^-(p+1)] with [t] odd is [t * 5^p / 2] at [p] decimals), and
+   where rounding carries into the next power of ten. *)
+let gen_exact_path =
+  let open QCheck.Gen in
+  let pow10 k = float_of_string ("1e" ^ string_of_int k) in
+  let rec ulps f v n = if n = 0 then v else ulps f (f v) (n - 1) in
+  let signed g = map2 (fun v neg -> if neg then -.v else v) g bool in
+  signed
+    (oneof
+       [ (* a random double with its leading digit at 10^-7 .. 10^17 *)
+         map2 (fun m e -> m *. pow10 e) (float_range 1.0 10.0) (int_range (-7) 17);
+         (* integers around 2^53 and 10^17, and small ones *)
+         map (fun k -> Float.of_int ((1 lsl 53) + k)) (int_range (-100_000) 100_000);
+         map (fun k -> 1e17 +. (16.0 *. Float.of_int k)) (int_range (-100_000) 100_000);
+         map Float.of_int (int_range (-1_000_000) 1_000_000);
+         (* 10^k and its neighbours, a few ulps either way *)
+         map3
+           (fun k n up -> ulps (if up then Float.succ else Float.pred) (pow10 k) n)
+           (int_range (-8) 18) (int_range 0 4) bool;
+         (* dyadic tie candidates: exact 18th-digit ties, and random k * 2^-j *)
+         (int_range 1 22 >>= fun p ->
+          let lo = 2e16 /. (5.0 ** Float.of_int p) and hi = 2e17 /. (5.0 ** Float.of_int p) in
+          let hi = Float.min hi 9e15 in
+          map (fun t -> Float.ldexp (Float.of_int ((2 * t) + 1)) (-(p + 1)))
+            (int_range (Float.to_int (lo /. 2.0)) (Float.to_int (hi /. 2.0))));
+         map2 (fun k j -> Float.ldexp (Float.of_int k) (-j)) (int_bound (1 lsl 53 - 1)) (int_range 1 80);
+         (* seventeen or more nines: these round up to the next power of ten *)
+         map2
+           (fun nines e -> float_of_string (String.make nines '9' ^ "e" ^ string_of_int e))
+           (int_range 16 20) (int_range (-30) 0);
+         oneofl [ 0.0; -0.0; 0.5; 1.5; 2.5; 1e-5; 1e-4; 9.5e-5; 0.1; 0.3 ];
+       ])
+
+(* [json_float] writes most values itself and leaves the rest to C's
+   printf; every bit pattern — subnormals, both zeros, the largest finite
+   values, NaNs and the infinities among them — must render byte for
+   byte as [Printf.sprintf "%.17g"] and the non-finite tags. *)
 let prop_json_float_matches_printf =
   let gen =
-    QCheck.Gen.oneof
-      [ QCheck.Gen.map Int64.float_of_bits QCheck.Gen.ui64;
-        QCheck.Gen.oneofl
-          [ 0.0; -0.0; Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
-            Int64.float_of_bits 1L; Int64.float_of_bits (-1L); Float.nan; Float.infinity;
-            Float.neg_infinity; Float.epsilon; 1e-310; 0.1; 1e22; 123456789012345678.0 ] ]
+    QCheck.Gen.frequency
+      [ (1, QCheck.Gen.map Int64.float_of_bits QCheck.Gen.ui64);
+        ( 1,
+          QCheck.Gen.oneofl
+            [ 0.0; -0.0; Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
+              Int64.float_of_bits 1L; Int64.float_of_bits (-1L); Float.nan; Float.infinity;
+              Float.neg_infinity; Float.epsilon; 1e-310; 0.1; 1e22; 123456789012345678.0 ] );
+        (18, gen_exact_path) ]
   in
-  QCheck.Test.make ~name:"json_float renders as Printf %.17g" ~count:2000
+  QCheck.Test.make ~name:"json_float renders as Printf %.17g" ~count:120_000
     (QCheck.make ~print:(fun v -> Printf.sprintf "%Lx" (Int64.bits_of_float v)) gen)
     (fun v ->
       let expected =
